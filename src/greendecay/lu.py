@@ -2,21 +2,20 @@
 of their inverses.
 
 For a strongly regular lower band matrix A of order r the factorization
-A = L R (L unit lower triangular, R upper triangular) can be computed with a
-rolling window of r working rows: at step k the window holds the partially
-eliminated rows k .. k+r-1, the pivot row leaves (becoming row k of R), the
-fresh band row k+r enters, and a single rank-one update performs the
-elimination. Column k of L holds the multipliers f_k (length r, shrinking to
-N-k in the trailing block). The inverse of L is the product of the
-elementary elimination matrices; partitioning each (r+1) x (r+1) elimination
-block
+A = L R (L unit lower triangular, R upper triangular) needs no pivoting and
+creates no fill below the band: elimination step k only touches the rows
+k+1 .. min(k+r, N) below the pivot, one rank-one update each. Column k of L
+holds the multipliers f_k, of length r inside the band and N-k once the
+window of rows below the pivot shrinks at the end. The inverse of L is the
+product of the elementary elimination matrices; partitioning each
+elimination block
 
-    L_k = [[1, 0], [-f_k, I_r]]
+    L_k = [[1, 0], [-f_k, I]]
 
-row/column-wise yields the Green generators of L^{-1}: a_L(k) = -f_k e_1^T + J
-(J the upper-shift matrix), q_L(k) = e_r, p_L(k) = e_1^T, d_L(k) = 0. A short
-backward recursion through the rows of R then assembles the Green generators
-of A^{-1} itself.
+row/column-wise yields the Green generators of L^{-1}: the transition
+a(k) = [-f_k, I][:, :r], which is -f_k e_1^T + J (J the upper-shift matrix)
+inside the band, q_L(k) = e_r and p_L(k) = e_1^T. One backward recursion
+through the rows of R then assembles the Green generators of A^{-1} itself.
 """
 
 from __future__ import annotations
@@ -86,8 +85,29 @@ class StructuredLU:
         return L
 
 
+def _eliminate(W: np.ndarray, r: int, steps: int) -> list[np.ndarray]:
+    """Run elimination steps 1 .. ``steps`` on ``W`` in place.
+
+    Step k divides the rows k+1 .. min(k+r, N) of column k by the pivot
+    W(k, k), subtracts the multiples of row k and zeroes the eliminated
+    column. Returns the multiplier vectors f_1 .. f_steps.
+    """
+    n = W.shape[0]
+    fs = []
+    for k in range(1, steps + 1):
+        g = W[k - 1, k - 1]
+        if abs(g) < PIVOT_FLOOR:
+            raise ZeroPivotError(k, float(g))
+        rows = slice(k, min(k + r, n))
+        f = W[rows, k - 1] / g
+        W[rows, k:] -= np.outer(f, W[k - 1, k:])
+        W[rows, k - 1] = 0.0
+        fs.append(f)
+    return fs
+
+
 def structured_lu(A: BandedMatrix) -> StructuredLU:
-    """No-pivot LU factorization of a lower band matrix via a rolling window.
+    """No-pivot LU factorization of a lower band matrix.
 
     Parameters
     ----------
@@ -107,124 +127,40 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         If a pivot smaller than ``PIVOT_FLOOR`` in magnitude is met; the
         error carries the 1-based step index.
     """
-    n, r = A.n, A.r_lower
-    src = A.data
-    R = np.zeros((n, n))
-    gamma = np.zeros(n)
-    fs: list[np.ndarray] = []
-
-    # Window of the partially eliminated rows k .. k+r-1 (full width; columns
-    # left of k are never read once column k-1 has been eliminated).
-    Y = src[:r, :].copy()
-
-    def pivot(k: int) -> float:
-        g = Y[0, k - 1]
-        if abs(g) < PIVOT_FLOOR:
-            raise ZeroPivotError(k, float(g))
-        return float(g)
-
-    for k in range(1, n - r + 1):
-        ki = k - 1
-        g = pivot(k)
-        gamma[ki] = g
-        R[ki, ki] = g
-        R[ki, ki + 1 :] = Y[0, ki + 1 :]
-        x = R[ki, ki + 1 :]
-        f = np.empty(r)
-        f[: r - 1] = Y[1:, ki]
-        f[r - 1] = src[ki + r, ki]
-        f /= g
-        fs.append(f)
-        Z = np.empty((r, n))
-        Z[: r - 1] = Y[1:]
-        Z[r - 1] = src[ki + r]
-        Z[:, ki + 1 :] -= np.outer(f, x)
-        Y = Z
-
-    for k in range(n - r + 1, n):
-        ki = k - 1
-        g = pivot(k)
-        gamma[ki] = g
-        R[ki, ki] = g
-        R[ki, ki + 1 :] = Y[0, ki + 1 :]
-        x = R[ki, ki + 1 :]
-        f = Y[1:, ki] / g
-        fs.append(f)
-        Y = Y[1:].copy()
-        Y[:, ki + 1 :] -= np.outer(f, x)
-
-    g = Y[0, n - 1]
-    if abs(g) < PIVOT_FLOOR:
-        raise ZeroPivotError(n, float(g))
-    gamma[n - 1] = g
-    R[n - 1, n - 1] = g
-    return StructuredLU(n, r, gamma, tuple(fs), R)
+    R = A.data.copy()
+    # step N has no row left to eliminate; it only checks the last pivot
+    *fs, _ = _eliminate(R, A.r_lower, A.n)
+    return StructuredLU(A.n, A.r_lower, R.diagonal(), tuple(fs), R)
 
 
 @dataclass(frozen=True)
 class LInvGenerators:
     """Green generators of L^{-1} extracted from the elimination blocks.
 
-    For k = 1 .. N-r the partition of L_k = [[1, 0], [-f_k, I_r]] gives
-    p_L(k) = e_1^T, d_L(k) = 0, a_L(k) = -f_k e_1^T + J, q_L(k) = e_r. The
-    trailing steps i = N-r+1 .. N-1 contribute shrinking partitions
-    L_i = [p_L(i); a_L(i)] with p_L(i) of shape (1, N-i+1) and a_L(i) of
-    shape (N-i, N-i+1). ``corner`` is the r x r product of the embedded
-    trailing elimination blocks: the bottom-right Green generator of L^{-1}.
+    ``a_l`` holds the transitions a_L(k) = -f_k e_1^T + J for k = 1 .. N-r;
+    the row and column generators are the constants p_L(k) = e_1^T and
+    q_L(k) = e_r. ``corner`` is the r x r product of the embedded trailing
+    elimination blocks: the bottom-right Green generator of L^{-1}.
     """
 
     n: int
     r: int
     a_l: tuple[np.ndarray, ...]
-    tail_p_l: tuple[np.ndarray, ...]
-    tail_a_l: tuple[np.ndarray, ...]
     corner: np.ndarray
 
     def __post_init__(self):
         a_l = tuple(np.array(m, dtype=float, copy=True) for m in self.a_l)
-        tp = tuple(np.array(m, dtype=float, copy=True) for m in self.tail_p_l)
-        ta = tuple(np.array(m, dtype=float, copy=True) for m in self.tail_a_l)
         corner = np.array(self.corner, dtype=float, copy=True)
-        for m in (*a_l, *tp, *ta, corner):
+        for m in (*a_l, corner):
             m.flags.writeable = False
         object.__setattr__(self, "a_l", a_l)
-        object.__setattr__(self, "tail_p_l", tp)
-        object.__setattr__(self, "tail_a_l", ta)
         object.__setattr__(self, "corner", corner)
-
-    def p(self, k: int) -> np.ndarray:
-        """p_L(k) = e_1^T, shape (1, r), for k = 1 .. N-r."""
-        self._check_main(k)
-        out = np.zeros((1, self.r))
-        out[0, 0] = 1.0
-        return out
-
-    def q(self, k: int) -> np.ndarray:
-        """q_L(k) = e_r, shape (r, 1), for k = 1 .. N-r."""
-        self._check_main(k)
-        out = np.zeros((self.r, 1))
-        out[self.r - 1, 0] = 1.0
-        return out
-
-    def d(self, k: int) -> float:
-        """Block-diagonal entry d_L(k); identically zero."""
-        self._check_main(k)
-        return 0.0
 
     def a(self, k: int) -> np.ndarray:
         """a_L(k) = -f_k e_1^T + J, shape (r, r), for k = 1 .. N-r."""
-        self._check_main(k)
+        if not 1 <= k <= self.n - self.r:
+            raise IndexError(f"generator index {k} outside 1..{self.n - self.r}")
         return self.a_l[k - 1]
-
-    def tail_p(self, i: int) -> np.ndarray:
-        """First row of the trailing block L_i, shape (1, N-i+1)."""
-        self._check_tail(i)
-        return self.tail_p_l[i - (self.n - self.r + 1)]
-
-    def tail_a(self, i: int) -> np.ndarray:
-        """Remaining rows of the trailing block L_i, shape (N-i, N-i+1)."""
-        self._check_tail(i)
-        return self.tail_a_l[i - (self.n - self.r + 1)]
 
     def as_green(self) -> GreenGenerators:
         """View L^{-1} itself as a lower Green matrix of order r.
@@ -234,49 +170,32 @@ class LInvGenerators:
         entries with j > i vanish, including the block-diagonal d_L ones).
         """
         n, r = self.n, self.r
-        e1 = np.zeros((1, r))
-        e1[0, 0] = 1.0
-        er = np.zeros((r, 1))
-        er[r - 1, 0] = 1.0
-        p = [e1] * (n - r) + [self.corner]
-        q = [np.eye(r)] + [er] * (n - r)
-        return GreenGenerators(block_scheme(n, r), tuple(p), tuple(q), self.a_l)
+        p = [np.eye(1, r)] * (n - r) + [self.corner]
+        return GreenGenerators(block_scheme(n, r), tuple(p), _q_blocks(n, r), self.a_l)
 
-    def _check_main(self, k: int) -> None:
-        if not 1 <= k <= self.n - self.r:
-            raise IndexError(f"generator index {k} outside 1..{self.n - self.r}")
 
-    def _check_tail(self, i: int) -> None:
-        if not self.n - self.r + 1 <= i <= self.n - 1:
-            raise IndexError(
-                f"tail index {i} outside {self.n - self.r + 1}..{self.n - 1}"
-            )
+def _q_blocks(n: int, r: int) -> tuple[np.ndarray, ...]:
+    """Column generators q(0) = I_r and q(k) = e_r, shared by L^{-1} and A^{-1}."""
+    return (np.eye(r),) + (np.eye(r, 1, -(r - 1)),) * (n - r)
+
+
+def _transition(f: np.ndarray, r: int) -> np.ndarray:
+    """a(k) = [-f_k, I][:, :r]: r x r inside the band, (N-k) x (N-k+1) after it."""
+    a = np.eye(f.size, min(r, f.size + 1), k=1)
+    a[:, 0] -= f
+    return a
 
 
 def linv_generators(slu: StructuredLU) -> LInvGenerators:
     """Extract the Green generators of L^{-1} from the elimination data."""
     n, r = slu.n, slu.r
-    J = np.eye(r, k=1)
-    a_l = []
-    for k in range(1, n - r + 1):
-        ak = J.copy()
-        ak[:, 0] -= slu.f[k - 1]
-        a_l.append(ak)
-
-    tail_p, tail_a = [], []
     corner = np.eye(r)
-    for i in range(n - r + 1, n):
-        s = n - i + 1
-        fi = slu.f[i - 1]
-        p = np.zeros((1, s))
-        p[0, 0] = 1.0
-        tail_p.append(p)
-        tail_a.append(np.hstack([-fi.reshape(-1, 1), np.eye(s - 1)]))
+    for idx, fi in enumerate(slu.f[n - r :]):
         emb = np.eye(r)
-        idx = i - (n - r + 1)
         emb[idx + 1 :, idx] = -fi
         corner = emb @ corner
-    return LInvGenerators(n, r, tuple(a_l), tuple(tail_p), tuple(tail_a), corner)
+    a_l = tuple(_transition(f, r) for f in slu.f[: n - r])
+    return LInvGenerators(n, r, a_l, corner)
 
 
 def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
@@ -285,41 +204,35 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     The transition and column generators of A^{-1} coincide with those of
     L^{-1}; the row generators satisfy the backward recursion
 
-        p(N) = 1 / gamma_N,
-        p(k) = (p_L(k) - X_k P_{k+1} a(k)) / gamma_k,
+        P_N  = 1 / gamma_N,
+        p(k) = (e_1^T - X_k P_{k+1} a(k)) / gamma_k,
         P_k  = [p(k); P_{k+1} a(k)],
 
-    run first through the shrinking trailing partitions (k = N-1 .. N-r+1,
-    producing the r x r bottom generator) and then through the band steps
-    (k = N-r .. 1).
+    for k = N-1 .. 1 with a(k) = [-f_k, I][:, :r]. The block P_{N-r+1} is
+    the r x r bottom generator; the rows p(k), k <= N-r, are the others.
     """
     slu = structured_lu(A)
-    lg = linv_generators(slu)
     n, r = slu.n, slu.r
+    a = [_transition(f, r) for f in slu.f]
 
     P = np.array([[1.0 / slu.gamma[n - 1]]])
-    for k in range(n - 1, n - r, -1):
+    bottom = P
+    p_rows: list[np.ndarray] = []
+    for k in range(n - 1, 0, -1):
+        ak = a[k - 1]
         x = slu.X(k).reshape(1, -1)
-        pk = (lg.tail_p(k) - x @ P @ lg.tail_a(k)) / slu.gamma[k - 1]
-        P = np.vstack([pk, P @ lg.tail_a(k)])
-    p_bottom = P
-
-    p_rows: list[np.ndarray] = [np.empty(0)] * (n - r)
-    for k in range(n - r, 0, -1):
-        ak = lg.a(k)
-        x = slu.X(k).reshape(1, -1)
-        pk = (lg.p(k) - x @ P @ ak) / slu.gamma[k - 1]
-        p_rows[k - 1] = pk
+        pk = (np.eye(1, ak.shape[1]) - x @ P @ ak) / slu.gamma[k - 1]
         P = np.vstack([pk, P @ ak])
+        if k == n - r + 1:
+            bottom = P
+        elif k <= n - r:
+            p_rows.append(pk)
 
-    e_r = np.zeros((r, 1))
-    e_r[r - 1, 0] = 1.0
-    q = [np.eye(r)] + [e_r] * (n - r)
     return GreenGenerators(
         block_scheme(n, r),
-        tuple(p_rows) + (p_bottom,),
-        tuple(q),
-        lg.a_l,
+        tuple(reversed(p_rows)) + (bottom,),
+        _q_blocks(n, r),
+        tuple(a[: n - r]),
     )
 
 
@@ -349,12 +262,5 @@ def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
     if not 1 <= ell <= n - r:
         raise ValueError(f"need 1 <= ell <= N - r = {n - r}, got {ell}")
     W = A.data.copy()
-    for k in range(ell):
-        g = W[k, k]
-        if abs(g) < PIVOT_FLOOR:
-            raise ZeroPivotError(k + 1, float(g))
-        rows = slice(k + 1, min(k + r + 1, n))
-        m = W[rows, k] / g
-        W[rows, k + 1 :] -= np.outer(m, W[k, k + 1 :])
-        W[rows, k] = 0.0
+    _eliminate(W, r, ell)
     return W[ell:, ell:].copy()

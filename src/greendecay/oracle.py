@@ -144,37 +144,27 @@ def determinant_fraction_free(a: np.ndarray) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Floating inputs are binary rationals, so the result is the exact
-    determinant of the stored matrix. Intended for small N only; entry sizes
-    grow quickly.
+    determinant of the stored matrix. A zero pivot is replaced by a row swap
+    (flipping the sign); a column with no nonzero candidate makes the
+    determinant zero. Intended for small N only; entry sizes grow quickly.
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
     M = [[Fraction(A[i, j]) for j in range(n)] for i in range(n)]
+    sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
         if M[k][k] == 0:
-            # Bareiss needs nonzero leading minors; fall back to expansion
-            # along column k to keep exactness.
-            return _determinant_expansion(M)
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
             M[i][k] = Fraction(0)
         prev = M[k][k]
-    return M[n - 1][n - 1]
-
-
-def _determinant_expansion(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = Fraction(0)
-    for c in range(n):
-        if M[0][c] == 0:
-            continue
-        minor = [row[:c] + row[c + 1 :] for row in M[1:]]
-        term = M[0][c] * _determinant_expansion(minor)
-        total += term if c % 2 == 0 else -term
-    return total
+    return sign * M[n - 1][n - 1]

@@ -1,23 +1,46 @@
-"""Self-contained invariant sweep behind ``greendecay verify``.
+"""Invariant sweep behind ``greendecay verify`` and the acceptance suite.
 
-Runs the library's structural identities on a random strongly dominant
-ensemble and prints one pass/fail line per check. The pytest suite covers
-the same ground (and more) with frozen expected values; this entry point
-exists so an installed CLI can re-validate itself without the test tree.
+:func:`invariants` runs the library's structural identities and bounds on a
+list of matrices and returns the worst value of each, keyed by the names in
+``CHECKS``. :func:`run_all` draws a random strongly dominant ensemble,
+compares each worst value with its limit in ``CHECKS`` and prints one
+pass/fail line per check, so an installed CLI can re-validate itself without
+the test tree. The acceptance tests read the same values against their own
+limits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from .banded import dominance_mu, from_dense
+from .banded import BandedMatrix, dominance_mu, from_dense
 from .bounds import lu_bound, varah_bound
 from .ensembles import dominant_ensemble
 from .green import reconstruct_lower
 from .lu import inverse_green_generators, p_tail_cross_check, schur_complement, structured_lu
 from .oracle import dense_inverse, dense_lu_no_pivot
 
-__all__ = ["run_all"]
+__all__ = ["CHECKS", "invariants", "run_all"]
+
+# (key in the invariants() result, printed name, verify's limit)
+CHECKS = (
+    ("factorization_residual", "factorization residual |LR - A|_1 / |A|_1", 1e-11),
+    ("r_vs_dense", "structured R vs dense elimination", 1e-10),
+    ("multiplier_excess", "multiplier norms |f_k|_1 - mu", 1e-12),
+    ("pivot_floor_excess", "pivot floor (1-mu^2)|A(k,k)| - |gamma_k|", 1e-12),
+    ("schur_mu_excess", "Schur complement mu inheritance", 1e-12),
+    ("suffix_mismatch", "generator suffix property", 1e-10),
+    ("reconstruction_error", "inverse reconstruction on represented region", 1e-10),
+    ("tail_cross_check", "trailing generator cross-check", 1e-12),
+    ("lu_bound_excess", "LU bound soundness on the lower part", 0.0),
+    ("varah_excess", "Varah bound vs reference inverse 1-norm", 0.0),
+)
+
+
+def _one_norm(M: np.ndarray) -> float:
+    return float(np.abs(M).sum(axis=0).max())
 
 
 def _sample_steps(n: int, r: int) -> list[int]:
@@ -25,112 +48,70 @@ def _sample_steps(n: int, r: int) -> list[int]:
     return sorted(s for s in steps if 1 <= s <= n - r - 1)
 
 
-def run_all(trials: int = 20, seed: int = 20260810, verbose: bool = True) -> bool:
-    """Run every invariant check; returns True when all pass."""
-    mats = dominant_ensemble(trials, seed, n_max=80, r_max=6)
-    ctx = []
+def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
+    """Worst value of every invariant in ``CHECKS`` over ``mats``.
+
+    Each value is the maximum of its per-instance measurements (-inf when
+    none was taken); NaN measurements propagate, so they fail any limit.
+    """
+    worst = {key: -np.inf for key, _, _ in CHECKS}
+
+    def record(key: str, value: float) -> None:
+        worst[key] = float(np.maximum(worst[key], value))
+
     for A in mats:
+        n, r = A.n, A.r_lower
         slu = structured_lu(A)
         gens = inverse_green_generators(A)
         inv = dense_inverse(A.data)
-        rep = dominance_mu(A)
-        ctx.append((A, slu, gens, inv, rep))
+        mu = dominance_mu(A).mu
+        scale = _one_norm(A.data)
 
-    checks = []
+        record("factorization_residual", _one_norm(slu.lower_factor() @ slu.R - A.data) / scale)
+        record("r_vs_dense", np.abs(slu.R - dense_lu_no_pivot(A.data)[1]).max() / scale)
+        for f in slu.f[: n - r]:
+            record("multiplier_excess", np.abs(f).sum() - mu)
+        lower = (1.0 - mu**2) * np.abs(A.data.diagonal())
+        record("pivot_floor_excess", (lower - np.abs(slu.gamma)).max())
 
-    def check(name: str, worst: float, limit: float) -> None:
-        ok = worst <= limit
-        checks.append(ok)
+        for ell in _sample_steps(n, r):
+            m = n - ell
+            S = from_dense(schur_complement(A, ell), r_lower=r, r_upper=min(A.r_upper, m - 1))
+            record("schur_mu_excess", dominance_mu(S).mu - mu)
+            sub = inverse_green_generators(S)
+            for i in range(1, m - r + 1):
+                record("suffix_mismatch", np.abs(sub.p(i) - gens.p(i + ell)).max())
+                record("suffix_mismatch", np.abs(sub.a(i) - gens.a(i + ell)).max())
+            record("suffix_mismatch", np.abs(sub.p(m - r + 1) - gens.p(n - r + 1)).max())
+
+        values, mask = reconstruct_lower(gens)
+        record("reconstruction_error", np.abs(values - inv)[mask].max() / _one_norm(inv))
+        ref = gens.p(n - r + 1)
+        alt = p_tail_cross_check(slu)
+        record("tail_cross_check", np.abs(alt - ref).max() / max(1.0, np.abs(ref).max()))
+
+        b = lu_bound(A)
+        d = np.subtract.outer(np.arange(n), np.arange(n))
+        envelope = b.M * np.where(d == 0, 1.0, b.gamma ** np.maximum(d, 0))
+        record("lu_bound_excess", (np.abs(inv) - envelope * (1.0 + 1e-12))[d >= 0].max())
+        record("varah_excess", _one_norm(inv) - varah_bound(A) * (1.0 + 1e-12))
+    return worst
+
+
+def run_all(trials: int = 20, seed: int = 20260810, verbose: bool = True) -> bool:
+    """Run every invariant check; returns True when all pass."""
+    if trials < 1:
+        raise ValueError(f"verify needs at least one trial, got {trials}")
+    worst = invariants(dominant_ensemble(trials, seed, n_max=80, r_max=6))
+    passed = 0
+    for key, name, limit in CHECKS:
+        ok = worst[key] <= limit
+        passed += ok
         if verbose:
             tag = "PASS" if ok else "FAIL"
-            print(f"{tag} {name}: worst {worst:.3e} (limit {limit:.1e})")
-
-    worst = 0.0
-    for A, slu, _, _, _ in ctx:
-        resid = np.abs(slu.lower_factor() @ slu.R - A.data).sum(axis=0).max()
-        worst = max(worst, resid / np.abs(A.data).sum(axis=0).max())
-    check("factorization residual |LR - A|_1 / |A|_1", worst, 1e-11)
-
-    worst = 0.0
-    for A, slu, _, _, _ in ctx:
-        _, R_ref = dense_lu_no_pivot(A.data)
-        scale = np.abs(A.data).sum(axis=0).max()
-        worst = max(worst, np.abs(slu.R - R_ref).max() / scale)
-    check("structured R vs dense elimination", worst, 1e-10)
-
-    worst = 0.0
-    for A, slu, _, _, rep in ctx:
-        for k in range(1, A.n - A.r_lower + 1):
-            worst = max(worst, np.abs(slu.f[k - 1]).sum() - rep.mu)
-    check("multiplier norms |f_k|_1 - mu", worst, 1e-12)
-
-    worst = 0.0
-    for A, slu, _, _, rep in ctx:
-        lower = (1.0 - rep.mu**2) * np.abs(A.data.diagonal())
-        worst = max(worst, float((lower - np.abs(slu.gamma)).max()))
-    check("pivot floor (1-mu^2)|A(k,k)| - |gamma_k|", worst, 1e-12)
-
-    worst = 0.0
-    for A, slu, _, _, rep in ctx:
-        for ell in _sample_steps(A.n, A.r_lower):
-            T = schur_complement(A, ell)
-            m = A.n - ell
-            S = from_dense(
-                T,
-                r_lower=min(A.r_lower, m - 1),
-                r_upper=min(A.r_upper, m - 1),
-            )
-            worst = max(worst, dominance_mu(S).mu - rep.mu)
-    check("Schur complement mu inheritance", worst, 1e-12)
-
-    worst = 0.0
-    for A, slu, gens, _, _ in ctx:
-        n, r = A.n, A.r_lower
-        for ell in _sample_steps(n, r):
-            if n - ell <= r:
-                continue
-            T = from_dense(
-                schur_complement(A, ell), r_lower=r, r_upper=min(A.r_upper, n - ell - 1)
-            )
-            sub = inverse_green_generators(T)
-            diffs = [np.abs(sub.p(i) - gens.p(i + ell)).max() for i in range(1, n - ell - r + 1)]
-            diffs += [np.abs(sub.a(i) - gens.a(i + ell)).max() for i in range(1, n - ell - r + 1)]
-            diffs.append(np.abs(sub.p(n - ell - r + 1) - gens.p(n - r + 1)).max())
-            worst = max(worst, max(diffs))
-    check("generator suffix property", worst, 1e-10)
-
-    worst = 0.0
-    for A, _, gens, inv, _ in ctx:
-        values, mask = reconstruct_lower(gens)
-        err = np.abs(values - inv)[mask].max()
-        worst = max(worst, err / np.abs(inv).sum(axis=0).max())
-    check("inverse reconstruction on represented region", worst, 1e-10)
-
-    worst = 0.0
-    for A, slu, gens, _, _ in ctx:
-        alt = p_tail_cross_check(slu)
-        ref = gens.p(A.n - A.r_lower + 1)
-        worst = max(worst, np.abs(alt - ref).max() / max(1.0, np.abs(ref).max()))
-    check("trailing generator cross-check", worst, 1e-12)
-
-    worst = 0.0
-    for A, _, _, inv, _ in ctx:
-        b = lu_bound(A)
-        d = np.subtract.outer(np.arange(A.n), np.arange(A.n))
-        envelope = b.M * np.where(d == 0, 1.0, b.gamma ** np.maximum(d, 0))
-        lower = d >= 0
-        excess = (np.abs(inv) - envelope * (1.0 + 1e-12))[lower].max()
-        worst = max(worst, excess)
-    check("LU bound soundness on the lower part", worst, 0.0)
-
-    worst = 0.0
-    for A, _, _, inv, _ in ctx:
-        v = varah_bound(A)
-        worst = max(worst, np.abs(inv).sum(axis=0).max() - v * (1.0 + 1e-12))
-    check("Varah bound vs reference inverse 1-norm", worst, 0.0)
-
-    ok = all(checks)
+            print(f"{tag} {name}: worst {worst[key]:.3e} (limit {limit:.1e})")
+    ok = passed == len(CHECKS)
     if verbose:
         print(f"{'ALL CHECKS PASSED' if ok else 'CHECK FAILURES PRESENT'} "
-              f"({sum(checks)}/{len(checks)})")
+              f"({passed}/{len(CHECKS)})")
     return ok

@@ -9,18 +9,14 @@ with the extreme sizes pinned so every run exercises them.
 import math
 import time
 
-import numpy as np
 import pytest
 
 import greendecay as gd
 from greendecay.cli import main as cli_main
+from greendecay.verify import invariants
 
 ENSEMBLE_SEED = 977
 PINNED = ((200, 8, False), (200, 8, True), (173, 1, True), (151, 5, False))
-
-
-def one_norm(M):
-    return np.abs(M).sum(axis=0).max()
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -34,47 +30,29 @@ def ensemble():
 
 
 @pytest.fixture(scope="module")
-def computed(ensemble):
-    """Factorizations, generators, reference inverses, dominance reports."""
-    out = []
-    for A in ensemble:
-        slu = gd.structured_lu(A)
-        out.append(
-            {
-                "A": A,
-                "slu": slu,
-                "gens": gd.inverse_green_generators(A),
-                "inv": gd.dense_inverse(A.data),
-                "rep": gd.dominance_mu(A),
-            }
-        )
-    return out
+def worst(ensemble):
+    """Worst value of each invariant over the ensemble, as `verify` reports it."""
+    return invariants(ensemble)
 
 
-def test_criterion_1_structured_vs_dense_factorization(ensemble):
+def test_criterion_1_structured_vs_dense_factorization(ensemble, worst):
     start = time.perf_counter()
-    worst = 0.0
     for A in ensemble:
-        slu = gd.structured_lu(A)
-        _, R_ref = gd.dense_lu_no_pivot(A.data)
-        worst = max(worst, np.abs(slu.R - R_ref).max() / one_norm(A.data))
+        gd.structured_lu(A)
+        gd.dense_lu_no_pivot(A.data)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 10.0
+    err = worst["r_vs_dense"]
+    ok = err <= 1e-10 and elapsed < 10.0
     report(
         1,
         ok,
-        f"100 instances, worst entrywise |R_s - R_d|/|A|_1 = {worst:.3e} "
+        f"100 instances, worst entrywise |R_s - R_d|/|A|_1 = {err:.3e} "
         f"(limit 1e-10), runtime {elapsed:.2f} s (limit 10 s)",
     )
 
 
-def test_criterion_2_inverse_reconstruction(computed, lower2x2):
-    worst = 0.0
-    for c in computed:
-        values, mask = gd.reconstruct_lower(c["gens"])
-        err = np.abs(values - c["inv"])[mask].max()
-        worst = max(worst, err / one_norm(c["inv"]))
-
+def test_criterion_2_inverse_reconstruction(worst, lower2x2):
+    err = worst["reconstruction_error"]
     gens = gd.inverse_green_generators(lower2x2)
     hand_ok = (
         abs(gens.p(1)[0, 0] - 0.5) < 1e-15
@@ -82,53 +60,21 @@ def test_criterion_2_inverse_reconstruction(computed, lower2x2):
         and abs(gens.p(2)[0, 0] - 0.5) < 1e-15
         and abs(gd.green_scalar_entry(gens, 2, 1) + 0.25) < 1e-15
     )
-    ok = worst <= 1e-10 and hand_ok
+    ok = err <= 1e-10 and hand_ok
     report(
         2,
         ok,
-        f"region reconstruction worst err/|A^-1|_1 = {worst:.3e} (limit 1e-10); "
+        f"region reconstruction worst err/|A^-1|_1 = {err:.3e} (limit 1e-10); "
         f"2x2 hand case p(1)=0.5, a(1)=-0.5, P2=0.5, entry(2,1)=-0.25: "
         f"{'ok' if hand_ok else 'MISMATCH'}",
     )
 
 
-def test_criterion_3_lemma_suite(computed):
-    worst_f = -np.inf
-    worst_pivot = -np.inf
-    worst_schur = -np.inf
-    worst_suffix = 0.0
-    for c in computed:
-        A, slu, rep, gens = c["A"], c["slu"], c["rep"], c["gens"]
-        n, r = A.n, A.r_lower
-        mu = rep.mu
-        for k in range(1, n - r + 1):
-            worst_f = max(worst_f, np.abs(slu.f[k - 1]).sum() - mu)
-        diag = np.abs(A.data.diagonal())
-        worst_pivot = max(
-            worst_pivot, float(((1.0 - mu**2) * diag - np.abs(slu.gamma)).max())
-        )
-        steps = sorted({1, max(1, (n - r) // 2), n - r - 1})
-        for ell in steps:
-            if not 1 <= ell <= n - r - 1:
-                continue
-            T = gd.schur_complement(A, ell)
-            m = n - ell
-            S = gd.from_dense(T, r_lower=r, r_upper=min(A.r_upper, m - 1))
-            worst_schur = max(worst_schur, gd.dominance_mu(S).mu - mu)
-            sub = gd.inverse_green_generators(S)
-            for i in range(1, m - r + 1):
-                scale = max(1.0, np.abs(gens.p(i + ell)).max())
-                worst_suffix = max(
-                    worst_suffix, np.abs(sub.p(i) - gens.p(i + ell)).max() / scale
-                )
-                worst_suffix = max(
-                    worst_suffix, np.abs(sub.a(i) - gens.a(i + ell)).max()
-                )
-            bottom = gens.p(n - r + 1)
-            worst_suffix = max(
-                worst_suffix,
-                np.abs(sub.p(m - r + 1) - bottom).max() / max(1.0, np.abs(bottom).max()),
-            )
+def test_criterion_3_lemma_suite(worst):
+    worst_f = worst["multiplier_excess"]
+    worst_pivot = worst["pivot_floor_excess"]
+    worst_schur = worst["schur_mu_excess"]
+    worst_suffix = worst["suffix_mismatch"]
     ok = (
         worst_f <= 1e-12
         and worst_pivot <= 1e-12
@@ -144,22 +90,9 @@ def test_criterion_3_lemma_suite(computed):
     )
 
 
-def test_criterion_4_bound_soundness(computed):
-    worst_entry = -np.inf
-    worst_varah = -np.inf
-    for c in computed:
-        A, inv = c["A"], c["inv"]
-        b = gd.lu_bound(A)
-        d = np.subtract.outer(np.arange(A.n), np.arange(A.n))
-        envelope = b.M * np.where(d == 0, 1.0, b.gamma ** np.maximum(d, 0))
-        lower = d >= 0
-        worst_entry = max(
-            worst_entry,
-            float((np.abs(inv) - envelope * (1.0 + 1e-12))[lower].max()),
-        )
-        worst_varah = max(
-            worst_varah, one_norm(inv) - gd.varah_bound(A) * (1.0 + 1e-12)
-        )
+def test_criterion_4_bound_soundness(worst):
+    worst_entry = worst["lu_bound_excess"]
+    worst_varah = worst["varah_excess"]
     ok = worst_entry <= 0.0 and worst_varah <= 0.0
     report(
         4,
@@ -239,16 +172,11 @@ def test_criterion_7_figure_orderings():
     )
 
 
-def test_criterion_8_trailing_generator_cross_check(computed):
-    worst = 0.0
-    for c in computed:
-        A, slu, gens = c["A"], c["slu"], c["gens"]
-        alt = gd.p_tail_cross_check(slu)
-        ref = gens.p(A.n - A.r_lower + 1)
-        worst = max(worst, np.abs(alt - ref).max() / max(1.0, np.abs(ref).max()))
-    ok = worst <= 1e-12
+def test_criterion_8_trailing_generator_cross_check(worst):
+    err = worst["tail_cross_check"]
+    ok = err <= 1e-12
     report(8, ok, f"recursive vs R-block trailing generator: worst rel diff "
-                  f"{worst:.2e} (limit 1e-12)")
+                  f"{err:.2e} (limit 1e-12)")
 
 
 def test_criterion_9_csv_determinism(tmp_path):

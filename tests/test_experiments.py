@@ -3,6 +3,7 @@ import pytest
 
 import greendecay as gd
 from greendecay.cli import main as cli_main
+from greendecay.verify import CHECKS, invariants, run_all
 
 TWO_SIDED_MTX = (
     "%%MatrixMarket matrix coordinate real general\n"
@@ -284,3 +285,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ALL CHECKS PASSED" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_rejects_empty_sweeps(self, trials, capsys):
+        assert cli_main(["verify", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "ALL CHECKS PASSED" not in captured.out
+        assert "error:" in captured.err
+
+    def test_solver_failure_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(a):
+            raise ArithmeticError("Jacobi iteration did not converge in 60 sweeps")
+
+        monkeypatch.setattr("greendecay.experiments.symmetric_spectrum", no_convergence)
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "ex1a", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class TestInvariants:
+    def test_perturbed_generator_fails_the_sweep(self, monkeypatch):
+        # the shared sweep must see a 1e-6 error in the bottom generator block
+        real = gd.inverse_green_generators
+
+        def perturbed(A):
+            gens = real(A)
+            p = gens.p_blocks[:-1] + (gens.p_blocks[-1] + 1e-6,)
+            return gd.GreenGenerators(gens.scheme, p, gens.q_blocks, gens.a_blocks)
+
+        monkeypatch.setattr("greendecay.verify.inverse_green_generators", perturbed)
+        limits = {key: limit for key, _, limit in CHECKS}
+        worst = invariants(gd.dominant_ensemble(3, 5, n_max=40, r_max=4))
+        assert worst["tail_cross_check"] > limits["tail_cross_check"]
+        assert worst["reconstruction_error"] > limits["reconstruction_error"]
+        assert not run_all(trials=3, seed=5, verbose=False)

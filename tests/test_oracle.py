@@ -125,6 +125,16 @@ def test_determinant_small_cases():
     M = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
     assert gd.determinant_fraction_free(M) == -3
     assert gd.determinant_fraction_free(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
+    # zero leading entries force row swaps: an upper triangular matrix with
+    # diagonal 1..8 and its first two rows swapped has determinant -8!
+    U = np.triu(np.arange(64.0).reshape(8, 8) % 5 - 2.0, 1) + np.diag(np.arange(1.0, 9.0))
+    assert U[1, 0] == 0.0
+    assert gd.determinant_fraction_free(U[[1, 0, 2, 3, 4, 5, 6, 7]]) == -40320
+    # a zero pivot in the middle: det [[1,1,0],[1,1,1],[0,1,1]] = -1
+    M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    assert gd.determinant_fraction_free(M) == -1
+    # a column without any nonzero entry
+    assert gd.determinant_fraction_free(np.triu(np.ones((8, 8)), 1)) == 0
 
 
 def test_determinant_matches_numpy():

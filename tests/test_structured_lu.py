@@ -58,10 +58,10 @@ class TestFactorization:
 class TestLInverseGenerators:
     def test_two_by_two_partition(self, lower2x2):
         lg = gd.linv_generators(gd.structured_lu(lower2x2))
-        np.testing.assert_array_equal(lg.p(1), [[1.0]])
-        assert lg.d(1) == 0.0
         np.testing.assert_array_equal(lg.a(1), [[-0.5]])
-        np.testing.assert_array_equal(lg.q(1), [[1.0]])
+        green = lg.as_green()
+        np.testing.assert_array_equal(green.p(1), [[1.0]])
+        np.testing.assert_array_equal(green.q(1), [[1.0]])
 
     def test_identity_gives_pure_shift(self):
         A = gd.from_dense(np.eye(6))
@@ -84,16 +84,12 @@ class TestLInverseGenerators:
         A = small_ensemble[0]
         n, r = A.n, A.r_lower
         lg = gd.linv_generators(gd.structured_lu(A))
-        e1 = np.zeros((1, r))
-        e1[0, 0] = 1.0
-        np.testing.assert_array_equal(lg.p(1), e1)
-        er = np.zeros((r, 1))
-        er[-1, 0] = 1.0
-        np.testing.assert_array_equal(lg.q(n - r), er)
-        for i in range(n - r + 1, n):
-            s = n - i + 1
-            assert lg.tail_p(i).shape == (1, s)
-            assert lg.tail_a(i).shape == (s - 1, s)
+        green = lg.as_green()
+        np.testing.assert_array_equal(green.p(1), np.eye(1, r))
+        np.testing.assert_array_equal(green.q(n - r), np.eye(r, 1, -(r - 1)))
+        assert len(lg.a_l) == n - r
+        assert all(a.shape == (r, r) for a in lg.a_l)
+        assert lg.corner.shape == (r, r)
 
     def test_a_blocks_have_multiplier_column_plus_shift(self, small_ensemble):
         for A in small_ensemble[:5]:
@@ -144,6 +140,23 @@ class TestInverseGenerators:
             values, mask = gd.reconstruct_lower(gens)
             inv = gd.dense_inverse(A.data)
             assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    @pytest.mark.parametrize(
+        "n, r", [(r + 1, r) for r in range(1, 9)] + [(200, 1)]
+    )
+    def test_edge_shapes(self, n, r, one_sided):
+        # N = r+1 has a single band step; r = 1 has no trailing step
+        rng = np.random.default_rng(1000 * n + r)
+        A = gd.random_dominant_matrix(rng, n=n, r_lower=r, one_sided=one_sided)
+        slu = gd.structured_lu(A)
+        gens = gd.inverse_green_generators(A)
+        values, mask = gd.reconstruct_lower(gens)
+        inv = gd.dense_inverse(A.data)
+        assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
+        ref = gens.p(n - r + 1)
+        alt = gd.p_tail_cross_check(slu)
+        assert np.abs(alt - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_row_generators_bounded_by_decay_constant(self, small_ensemble):
         for A in small_ensemble[:10]:
