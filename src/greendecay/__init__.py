@@ -72,7 +72,6 @@ from .oracle import (
     dense_inverse,
     dense_lu_no_pivot,
     determinant_fraction_free,
-    jacobi_eigensystem,
     symmetric_spectrum,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "green_block_entry",
     "green_scalar_entry",
     "inverse_green_generators",
-    "jacobi_eigensystem",
     "linv_generators",
     "lu_bound",
     "make_banded",

@@ -40,7 +40,8 @@ def band_mask(n: int, r_lower: int, r_upper: int) -> np.ndarray:
 class BandedMatrix:
     """Dense-backed real N x N matrix with declared lower/upper bandwidths.
 
-    Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero.
+    Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero,
+    and every entry is finite (NaN and +-inf are rejected).
     ``r_upper`` may be as large as N - 1 ("one-sided" matrices with an
     unrestricted upper part); ``r_lower`` must satisfy 1 <= r_lower < N.
     """
@@ -61,6 +62,12 @@ class BandedMatrix:
         if not (0 <= self.r_upper <= self.n - 1):
             raise ValueError(
                 f"need 0 <= r_upper <= N-1, got r_upper={self.r_upper}, N={self.n}"
+            )
+        # before band_mask, so the two N x N temporaries are never alive together
+        if not np.isfinite(data).all():
+            i, j = np.argwhere(~np.isfinite(data))[0] + 1
+            raise ValueError(
+                f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
             )
         if np.any(data[~band_mask(self.n, self.r_lower, self.r_upper)] != 0.0):
             raise ValueError("entries outside the declared band must be exactly zero")

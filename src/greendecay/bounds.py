@@ -200,7 +200,7 @@ def qr_bound(
             worst = int(np.argmin(diag)) + 1
             raise HypothesisError(
                 f"|A(k,k)| must exceed 1 for a feasible K; column {worst} has "
-                f"|A(k,k)| = {diag[worst - 1]!r}"
+                f"|A(k,k)| = {float(diag[worst - 1])!r}"
             )
         active = s > 0.0
         k_const = float(((diag - 1.0)[active] / s[active]).min()) if active.any() else math.inf

@@ -97,8 +97,9 @@ def _cmd_bounds(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # every package error derives from one of these: DominanceError,
-    # HypothesisError and MatrixMarketError from ValueError, ZeroPivotError
-    # and a non-converged eigensolver from ArithmeticError
+    # HypothesisError, MatrixMarketError and numpy's LinAlgError (singular
+    # reference inverse, non-converged eigvalsh) from ValueError,
+    # ZeroPivotError from ArithmeticError
     try:
         if args.command == "run":
             return _cmd_run(args)

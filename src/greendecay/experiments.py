@@ -41,7 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import BandedMatrix, dominance_mu, from_dense, make_banded, read_matrix_market
+from .banded import (
+    BandedMatrix,
+    DominanceReport,
+    dominance_mu,
+    from_dense,
+    make_banded,
+    read_matrix_market,
+)
 from .bounds import (
     DecayBound,
     chui_hasson_rate,
@@ -222,9 +229,8 @@ def generate(spec: ExperimentSpec) -> BandedMatrix:
 
 
 _NOTES = {
-    "ex2": "nonsymmetric variant; the generator's intended spectrum "
-    "(two conjugate eigenvalues near -100, one near 1, rest in [5.6, 7.7]) "
-    "is recorded unverified (no nonsymmetric eigensolver in this package)",
+    "ex2": "nonsymmetric variant with a real spectrum: two eigenvalues near "
+    "-100 (-101.2 and -98.9), one near 1 and the other 47 in [5.6, 7.7]",
     "ex4a": "generator targets an eigenvalue regime (ellipse with semiaxes "
     "2 and 1); the concrete matrix entries are one realization of it",
     "ex4b": "generator targets log-distributed real parts in "
@@ -264,16 +270,59 @@ class ExperimentReport:
         return tuple(k for k, v in self.families.items() if v.applicable)
 
 
-def _family_from_bound(bound: DecayBound) -> FamilyResult:
-    return FamilyResult(True, M=bound.M, gamma=bound.gamma)
+_SPECTRAL = ("dms", "frommer", "chui_hasson")
+
+
+def _bound_table(
+    A: BandedMatrix, rep: DominanceReport, symmetric: bool
+) -> dict[str, tuple[DecayBound | None, str]]:
+    """Each family's bound and note, or None and the reason it does not apply.
+
+    Families whose hypotheses fail are marked inapplicable, not errors:
+    nonsymmetric matrices get no spectrum-based baselines, and an indefinite
+    spectrum disables the effective-condition-number bound.
+    """
+    table: dict[str, tuple[DecayBound | None, str]] = {}
+    if rep.satisfied:
+        table["lu"] = (lu_bound(A), "")
+        table["varah"] = (DecayBound("Varah", 0.0, A.r_lower, M=varah_bound(A)), "")
+    else:
+        reason = f"dominance condition fails (mu = {rep.mu:.6g})"
+        table["lu"] = table["varah"] = (None, reason)
+
+    try:
+        qr_report, qr = qr_bound(A)
+        table["qr"] = (qr, "" if qr_report.k_threshold_met else "K threshold not met")
+    except HypothesisError as exc:
+        table["qr"] = (None, str(exc))
+
+    if not symmetric:
+        reason = "nonsymmetric matrix; spectrum-based baselines skipped"
+        return table | dict.fromkeys(_SPECTRAL, (None, reason))
+
+    w = symmetric_spectrum(A.data).tolist()
+    r = A.r_lower
+    lo, hi = min(map(abs, w)), max(map(abs, w))
+    if w[0] > 0.0:
+        table["dms"] = (dms_rate(w[0], w[-1], r, definite=True), "")
+        table["frommer"] = (frommer_bound(w[0], w[-2], r), "")
+        table["chui_hasson"] = (chui_hasson_rate(w[0], w[-1], r), "")
+    elif lo > 0.0:
+        table["dms"] = (dms_rate(lo, hi, r, definite=False), "")
+        table["frommer"] = (None, "spectrum is not positive")
+        table["chui_hasson"] = (chui_hasson_rate(lo, hi, r), "")
+    else:
+        reason = "zero eigenvalue; interval rates undefined"
+        table |= dict.fromkeys(_SPECTRAL, (None, reason))
+    return table
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Generate, invert (reference), bound, and tabulate one experiment.
 
-    Families whose hypotheses fail are marked inapplicable with a note, not
-    errors: nonsymmetric matrices get no spectrum-based baselines, and an
-    indefinite spectrum disables the effective-condition-number bound.
+    The report's families and every row's bound cells come from one table
+    (see :func:`_bound_table`); a family that does not apply has ``None``
+    (``NA`` in the CSV) in every row.
     """
     A = generate(spec)
     n = A.n
@@ -281,86 +330,28 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         raise ValueError(f"probe column {spec.column} exceeds N = {n}")
     inv = dense_inverse(A.data)
     rep = dominance_mu(A)
-
-    families: dict[str, FamilyResult] = {}
-    bounds: dict[str, DecayBound] = {}
-    varah_value: float | None = None
-
-    if rep.satisfied:
-        b = lu_bound(A)
-        bounds["lu"] = b
-        families["lu"] = _family_from_bound(b)
-        varah_value = varah_bound(A)
-        families["varah"] = FamilyResult(True, M=varah_value, gamma=0.0)
-    else:
-        note = f"dominance condition fails (mu = {rep.mu:.6g})"
-        families["lu"] = FamilyResult(False, note=note)
-        families["varah"] = FamilyResult(False, note=note)
-
-    try:
-        qr_report, qr = qr_bound(A)
-        bounds["qr"] = qr
-        families["qr"] = FamilyResult(
-            True,
-            M=qr.M,
-            gamma=qr.gamma,
-            note="" if qr_report.k_threshold_met else "K threshold not met",
-        )
-    except HypothesisError as exc:
-        families["qr"] = FamilyResult(False, note=str(exc))
-
     symmetric = A.is_symmetric()
-    if symmetric:
-        w = symmetric_spectrum(A.data)
-        if w[0] > 0.0:
-            dms = dms_rate(float(w[0]), float(w[-1]), A.r_lower, definite=True)
-            bounds["dms"] = dms
-            families["dms"] = _family_from_bound(dms)
-            fro = frommer_bound(float(w[0]), float(w[-2]), A.r_lower)
-            bounds["frommer"] = fro
-            families["frommer"] = _family_from_bound(fro)
-            ch = chui_hasson_rate(float(w[0]), float(w[-1]), A.r_lower)
-            bounds["chui_hasson"] = ch
-            families["chui_hasson"] = FamilyResult(True, gamma=ch.gamma)
-        elif np.all(np.abs(w) > 0.0):
-            a_end, b_end = float(np.abs(w).min()), float(np.abs(w).max())
-            dms = dms_rate(a_end, b_end, A.r_lower, definite=False)
-            bounds["dms"] = dms
-            families["dms"] = _family_from_bound(dms)
-            families["frommer"] = FamilyResult(False, note="spectrum is not positive")
-            ch = chui_hasson_rate(a_end, b_end, A.r_lower)
-            bounds["chui_hasson"] = ch
-            families["chui_hasson"] = FamilyResult(True, gamma=ch.gamma)
-        else:
-            note = "zero eigenvalue; interval rates undefined"
-            for name in ("dms", "frommer", "chui_hasson"):
-                families[name] = FamilyResult(False, note=note)
-    else:
-        note = "nonsymmetric matrix; spectrum-based baselines skipped"
-        for name in ("dms", "frommer", "chui_hasson"):
-            families[name] = FamilyResult(False, note=note)
+    table = _bound_table(A, rep, symmetric)
 
+    families = {
+        name: FamilyResult(False, note=note)
+        if bound is None
+        else FamilyResult(True, M=bound.M, gamma=bound.gamma, note=note)
+        for name, (bound, note) in table.items()
+    }
     j = spec.column
-    rows = []
-    for i in range(1, n + 1):
-        row = {
+    rows = tuple(
+        {
             "i": i,
             "j": j,
             "exact": abs(float(inv[i - 1, j - 1])),
-            "lu": eval_bound(bounds["lu"], i, j) if "lu" in bounds else None,
-            "qr": eval_bound(bounds["qr"], i, j) if "qr" in bounds else None,
-            "varah": varah_value,
-            "dms": eval_bound(bounds["dms"], i, j) if "dms" in bounds else None,
-            "frommer": (
-                eval_bound(bounds["frommer"], i, j) if "frommer" in bounds else None
-            ),
-            "chui_hasson": (
-                eval_bound(bounds["chui_hasson"], i, j)
-                if "chui_hasson" in bounds
-                else None
-            ),
+            **{
+                name: None if bound is None else eval_bound(bound, i, j)
+                for name, (bound, _) in table.items()
+            },
         }
-        rows.append(row)
+        for i in range(1, n + 1)
+    )
 
     notes = []
     if spec.name in _NOTES:
@@ -377,7 +368,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         dominance_satisfied=rep.satisfied,
         symmetric=symmetric,
         families=families,
-        rows=tuple(rows),
+        rows=rows,
         notes=tuple(notes),
     )
 

@@ -50,7 +50,8 @@ class StructuredLU:
     ``gamma[k-1]`` is the k-th pivot R(k, k); ``f[k-1]`` holds the
     elimination multipliers of step k (length r for k <= N-r, length N-k
     afterwards); ``R`` is the full upper triangular factor. The subrow
-    X_k = R(k, k+1:N) is exposed through :meth:`X`.
+    X_k = R(k, k+1:N) is exposed through :meth:`X`. Built by
+    :func:`structured_lu`, which marks all of these arrays read-only.
     """
 
     n: int
@@ -58,18 +59,6 @@ class StructuredLU:
     gamma: np.ndarray
     f: tuple[np.ndarray, ...]
     R: np.ndarray
-
-    def __post_init__(self):
-        gamma = np.array(self.gamma, dtype=float, copy=True)
-        R = np.array(self.R, dtype=float, copy=True)
-        gamma.flags.writeable = False
-        R.flags.writeable = False
-        fs = tuple(np.array(v, dtype=float, copy=True) for v in self.f)
-        for v in fs:
-            v.flags.writeable = False
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "f", fs)
 
     def X(self, k: int) -> np.ndarray:
         """Subrow R(k, k+1:N) for k = 1 .. N-1."""
@@ -130,6 +119,10 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     R = A.data.copy()
     # step N has no row left to eliminate; it only checks the last pivot
     *fs, _ = _eliminate(R, A.r_lower, A.n)
+    # freeze the buffers built here instead of copying them; gamma is a view
+    # of R's diagonal
+    for v in (R, *fs):
+        v.flags.writeable = False
     return StructuredLU(A.n, A.r_lower, R.diagonal(), tuple(fs), R)
 
 
@@ -186,16 +179,22 @@ def _transition(f: np.ndarray, r: int) -> np.ndarray:
     return a
 
 
-def linv_generators(slu: StructuredLU) -> LInvGenerators:
-    """Extract the Green generators of L^{-1} from the elimination data."""
-    n, r = slu.n, slu.r
+def _corner(slu: StructuredLU) -> np.ndarray:
+    """r x r product of the embedded trailing elimination blocks."""
+    r = slu.r
     corner = np.eye(r)
-    for idx, fi in enumerate(slu.f[n - r :]):
+    for idx, fi in enumerate(slu.f[slu.n - r :]):
         emb = np.eye(r)
         emb[idx + 1 :, idx] = -fi
         corner = emb @ corner
+    return corner
+
+
+def linv_generators(slu: StructuredLU) -> LInvGenerators:
+    """Extract the Green generators of L^{-1} from the elimination data."""
+    n, r = slu.n, slu.r
     a_l = tuple(_transition(f, r) for f in slu.f[: n - r])
-    return LInvGenerators(n, r, a_l, corner)
+    return LInvGenerators(n, r, a_l, _corner(slu))
 
 
 def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
@@ -244,9 +243,7 @@ def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
     the trailing elimination blocks (``LInvGenerators.corner``).
     """
     n, r = slu.n, slu.r
-    corner = linv_generators(slu).corner
-    r_block = slu.R[n - r :, n - r :]
-    return np.linalg.solve(r_block, corner)
+    return np.linalg.solve(slu.R[n - r :, n - r :], _corner(slu))
 
 
 def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Independent dense reference computations used to validate structured results.
 
 These routines deliberately avoid the band-structured code paths: the LU
-oracle is classical full-matrix elimination, the inverse is LAPACK-backed,
-the eigensolver is a cyclic Jacobi iteration, and the determinant oracle runs
-fraction-free elimination in exact rational arithmetic.
+oracle is classical full-matrix elimination, the inverse and the symmetric
+spectrum are LAPACK-backed (``inv`` and ``eigvalsh``), and the determinant
+oracle runs fraction-free elimination in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import ZeroPivotError
 __all__ = [
     "dense_lu_no_pivot",
     "dense_inverse",
-    "jacobi_eigensystem",
     "symmetric_spectrum",
     "determinant_fraction_free",
 ]
@@ -69,75 +68,14 @@ def dense_inverse(a: np.ndarray) -> np.ndarray:
     return X
 
 
-def jacobi_eigensystem(
-    a: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 60,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations for a dense symmetric matrix.
-
-    Sweeps over all strictly upper positions, rotating each away, until the
-    off-diagonal Frobenius norm drops below ``tol`` times the Frobenius norm
-    of the input. Returns ``(w, V)`` with eigenvalues ascending and
-    orthonormal eigenvector columns satisfying A V = V diag(w).
-    """
-    A = np.array(a, dtype=float, copy=True)
+def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+    A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    scale = np.linalg.norm(A, "fro")
     if np.abs(A - A.T).max() > 1e-12 * max(1.0, float(np.abs(A).max())):
         raise ValueError("matrix is not symmetric to 1e-12")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-    target = tol * max(scale, np.finfo(float).tiny)
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        # summed directly; the difference ||A||_F^2 - sum(diag^2) would lose
-        # the target digits to cancellation
-        return float(np.sqrt((A[off_mask] ** 2).sum()))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 0.1 * target / n:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # similarity rotation in the (p, q) plane
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vc_p = V[:, p].copy()
-                V[:, p] = c * vc_p - s * V[:, q]
-                V[:, q] = s * vc_p + c * V[:, q]
-    if off_norm() > target:
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps"
-        )
-    w = A.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
-def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (Jacobi iteration)."""
-    return jacobi_eigensystem(a)[0]
+    return np.linalg.eigvalsh(A)
 
 
 def determinant_fraction_free(a: np.ndarray) -> Fraction:

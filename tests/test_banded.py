@@ -37,6 +37,11 @@ class TestBandedMatrix:
         with pytest.raises(ValueError, match="outside the declared band"):
             gd.BandedMatrix(4, 1, 1, W)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match=r"entry \(2, 2\) is .*must be finite"):
+            gd.from_dense([[4.0, 0.0], [1.0, bad]])
+
     def test_out_of_band_reads_are_exact_zero(self, ex1a_matrix):
         mask = gd.band_mask(50, 3, 3)
         assert np.all(ex1a_matrix.data[~mask] == 0.0)

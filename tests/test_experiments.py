@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import greendecay as gd
 from greendecay.cli import main as cli_main
 from greendecay.verify import CHECKS, invariants, run_all
+
+GOLDEN = Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
 
 TWO_SIDED_MTX = (
     "%%MatrixMarket matrix coordinate real general\n"
@@ -52,6 +56,13 @@ class TestGenerate:
         assert A.entry(29, 30) == 0.0025
         assert not A.is_symmetric()
         assert gd.dominance_mu(A).satisfied
+        # the spectrum the run note states: real, two eigenvalues near -100,
+        # one near 1 and the other 47 in [5.6, 7.7]
+        w = np.sort_complex(np.linalg.eigvals(A.data))
+        assert np.abs(w.imag).max() <= 1e-9 * np.abs(w).max()
+        np.testing.assert_allclose(w.real[:3], [-101.207, -98.871, 0.99937], atol=1e-3)
+        assert w.real[3:].size == 47
+        assert 5.61 <= w.real[3:].min() and w.real[3:].max() <= 7.69
 
     def test_ex3_diagonal_split_shift(self, tmp_path):
         path = tmp_path / "toy.mtx"
@@ -81,6 +92,11 @@ class TestGenerate:
         diag = A.data.diagonal()
         assert np.abs(diag).min() >= 1.0 and np.abs(diag).max() <= 1.0e4
         assert (diag > 0).any() and (diag < 0).any()
+        # at seed 7 the spectrum itself is real and its |Re| spans [1.03, 9594]
+        w = np.linalg.eigvals(gd.generate(gd.ExperimentSpec("ex4b", seed=7)).data)
+        assert np.abs(w.imag).max() <= 1e-9 * np.abs(w).max()
+        assert np.abs(w.real).min() == pytest.approx(1.035, abs=1e-3)
+        assert np.abs(w.real).max() == pytest.approx(9594.03, abs=1e-2)
 
     def test_ex4_deterministic_under_seed(self):
         A = gd.generate(gd.ExperimentSpec("ex4a", seed=11))
@@ -96,6 +112,11 @@ class TestGenerate:
         assert A.entry(1, 1) == 12.0 and A.entry(20, 20) == -12.0
         assert A.entry(3, 5) == 0.5 * 2.0**-2
         assert gd.dominance_mu(A).mu < 0.1
+        # eigenvalues: ten in [11.1, 12.9] and ten in [-12.9, -11.1], all real
+        w = np.linalg.eigvals(A.data)
+        assert np.abs(w.imag).max() <= 1e-9 * np.abs(w).max()
+        assert (w.real > 0).sum() == (w.real < 0).sum() == 10
+        assert 11.1 <= np.abs(w.real).min() and np.abs(w.real).max() <= 12.9
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -150,6 +171,9 @@ class TestRunExperiment:
         for fam in ("dms", "frommer", "chui_hasson"):
             assert not rep.families[fam].applicable
             assert "nonsymmetric" in rep.families[fam].note
+        # column 30's diagonal is 1.0, which the 2-norm family rejects
+        assert rep.families["qr"].note.endswith("|A(k,k)| = 1.0")
+        assert "np." not in rep.families["qr"].note
 
     def test_probe_column_region(self):
         rep = gd.run_experiment(gd.ExperimentSpec("ex1a", column=5))
@@ -202,6 +226,25 @@ class TestEmitCsv:
         assert float(line[2]) == rep.rows[0]["exact"]
         assert float(line[3]) == rep.rows[0]["lu"]
 
+    @pytest.mark.parametrize("name", ["ex1a", "ex1b", "ex1c", "ex1d", "ex2", "ex5"])
+    def test_matches_golden_csv(self, name, tmp_path):
+        # the spectral columns may move by roundoff with the LAPACK build;
+        # every other cell and the NA pattern are fixed to the byte
+        out = tmp_path / "out.csv"
+        gd.emit_csv(gd.run_experiment(gd.ExperimentSpec(name)), out)
+        got, want = (
+            [line.split(",") for line in path.read_text().splitlines()]
+            for path in (out, GOLDEN / f"{name}.csv")
+        )
+        assert len(got) == len(want) and got[0] == want[0] == list(gd.CSV_COLUMNS)
+        spectral = {"dms", "frommer", "chui_hasson"}
+        for g_row, w_row in zip(got[1:], want[1:]):
+            for col, g, w in zip(got[0], g_row, w_row):
+                if col in spectral and "NA" not in (g, w):
+                    assert float(g) == pytest.approx(float(w), rel=1e-11, abs=0.0)
+                else:
+                    assert g == w, (col, w_row)
+
     def test_two_row_report(self, tmp_path):
         rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
         trimmed = gd.ExperimentReport(
@@ -252,6 +295,15 @@ class TestCli:
         assert cli_main(["bounds", str(path)]) == 2
         assert "not applicable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_bounds_rejects_non_finite_entries(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_text(TWO_SIDED_MTX.replace("1 1 5.0", f"1 1 {bad}"))
+        assert cli_main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "must be finite" in captured.err
+        assert "mu =" not in captured.out
+
     def test_missing_input_is_an_error(self, capsys):
         assert cli_main(["run", "ex3"]) == 1
         assert "error" in capsys.readouterr().err
@@ -295,7 +347,7 @@ class TestCli:
 
     def test_solver_failure_is_an_error(self, tmp_path, capsys, monkeypatch):
         def no_convergence(a):
-            raise ArithmeticError("Jacobi iteration did not converge in 60 sweeps")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr("greendecay.experiments.symmetric_spectrum", no_convergence)
         out = tmp_path / "r.csv"

@@ -27,6 +27,12 @@ class TestFactorization:
         assert all(np.all(f == 0.0) for f in slu.f)
         np.testing.assert_array_equal(slu.R, np.eye(5))
 
+    def test_factor_arrays_are_read_only(self, tridiag3):
+        slu = gd.structured_lu(tridiag3)
+        for arr in (slu.R, slu.gamma, *slu.f):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_zero_pivot_raises_with_index(self):
         A = gd.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(gd.ZeroPivotError) as err:
