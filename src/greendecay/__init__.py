@@ -13,11 +13,8 @@ experiments.
 from .banded import (
     BandedMatrix,
     DominanceReport,
-    augment,
-    band_mask,
     dominance_mu,
     from_dense,
-    gershgorin_interval,
     make_banded,
     read_matrix_market,
 )
@@ -51,16 +48,13 @@ from .experiments import (
     run_experiment,
 )
 from .green import (
-    BlockScheme,
     GreenGenerators,
-    block_scheme,
     green_block_entry,
     green_scalar_entry,
     reconstruct_lower,
     transition_product,
 )
 from .lu import (
-    LInvGenerators,
     StructuredLU,
     inverse_green_generators,
     linv_generators,
@@ -79,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandedMatrix",
-    "BlockScheme",
     "CSV_COLUMNS",
     "DecayBound",
     "DominanceError",
@@ -90,15 +83,11 @@ __all__ = [
     "FamilyResult",
     "GreenGenerators",
     "HypothesisError",
-    "LInvGenerators",
     "MatrixMarketError",
     "QRHypothesisReport",
     "RegionError",
     "StructuredLU",
     "ZeroPivotError",
-    "augment",
-    "band_mask",
-    "block_scheme",
     "chui_hasson_rate",
     "dense_inverse",
     "dense_lu_no_pivot",
@@ -111,7 +100,6 @@ __all__ = [
     "from_dense",
     "frommer_bound",
     "generate",
-    "gershgorin_interval",
     "green_block_entry",
     "green_scalar_entry",
     "inverse_green_generators",

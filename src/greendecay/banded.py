@@ -20,20 +20,11 @@ from .errors import MatrixMarketError
 __all__ = [
     "BandedMatrix",
     "DominanceReport",
-    "band_mask",
     "make_banded",
     "from_dense",
     "dominance_mu",
-    "gershgorin_interval",
-    "augment",
     "read_matrix_market",
 ]
-
-
-def band_mask(n: int, r_lower: int, r_upper: int) -> np.ndarray:
-    """Boolean (n, n) mask of the positions allowed inside the band."""
-    d = np.subtract.outer(np.arange(n), np.arange(n))  # d[i, j] = i - j
-    return (d <= r_lower) & (d >= -r_upper)
 
 
 @dataclass(frozen=True)
@@ -63,13 +54,17 @@ class BandedMatrix:
             raise ValueError(
                 f"need 0 <= r_upper <= N-1, got r_upper={self.r_upper}, N={self.n}"
             )
-        # before band_mask, so the two N x N temporaries are never alive together
         if not np.isfinite(data).all():
             i, j = np.argwhere(~np.isfinite(data))[0] + 1
             raise ValueError(
                 f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
             )
-        if np.any(data[~band_mask(self.n, self.r_lower, self.r_upper)] != 0.0):
+        # every nonzero must lie on one of the in-band diagonals (views, no copy)
+        in_band = sum(
+            np.count_nonzero(data.diagonal(d))
+            for d in range(-self.r_lower, self.r_upper + 1)
+        )
+        if np.count_nonzero(data) != in_band:
             raise ValueError("entries outside the declared band must be exactly zero")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -173,35 +168,6 @@ def dominance_mu(A: BandedMatrix) -> DominanceReport:
     min_diag = float(diag.min())
     satisfied = mu < 1.0 and min_diag > 0.0
     return DominanceReport(mu, min_diag, satisfied, ratios, zero_idx)
-
-
-def gershgorin_interval(A: BandedMatrix) -> tuple[float, float]:
-    """Column-disc spectral interval (a, b).
-
-    a = min_k (|A(k,k)| - off-column-sum), b = max_k (|A(k,k)| + off-column-sum).
-    For symmetric A with a > 0 the spectrum lies in [a, b]; a <= 0 is a valid
-    return signalling that interval-based bounds are inapplicable.
-    """
-    W = np.abs(A.data)
-    diag = W.diagonal()
-    off = W.sum(axis=0) - diag
-    return float((diag - off).min()), float((diag + off).max())
-
-
-def augment(A: BandedMatrix) -> BandedMatrix:
-    """Block-diagonal padding I_r (+) A (+) I_r with r = r_lower.
-
-    The padded matrix satisfies the dominance condition with exactly the same
-    mu as A; it is the device that converts block decay estimates into scalar
-    ones.
-    """
-    r = A.r_lower
-    m = A.n + 2 * r
-    data = np.zeros((m, m))
-    data[:r, :r] = np.eye(r)
-    data[r : r + A.n, r : r + A.n] = A.data
-    data[r + A.n :, r + A.n :] = np.eye(r)
-    return BandedMatrix(m, A.r_lower, A.r_upper, data)
 
 
 def _parse_header(line: str) -> tuple[str, str]:

@@ -146,16 +146,15 @@ class QRHypothesisReport:
     x0_term_unchecked: bool = True
 
 
-def _qr_row_energy(A: BandedMatrix) -> float:
-    """max over k = 1..N-r of sum_{i<k} sum_{j>k} A(i, j)^2."""
-    n = A.n
-    W2 = A.data**2
+def _qr_row_energy(W2: np.ndarray, r: int) -> float:
+    """max over k = 1..N-r of sum_{i<k} sum_{j>k} A(i, j)^2, from W2 = A**2."""
+    n = W2.shape[0]
     row_tot = W2.sum(axis=1)
     row_pref = np.cumsum(row_tot)
     cum_cols = np.cumsum(W2, axis=1)  # cum_cols[i, j] = sum_{c <= j} W2[i, c]
     cum_both = np.cumsum(cum_cols, axis=0)
     best = 0.0
-    for k in range(2, n - A.r_lower + 1):  # k = 1 contributes an empty sum
+    for k in range(2, n - r + 1):  # k = 1 contributes an empty sum
         s = row_pref[k - 2] - cum_both[k - 2, k - 1]
         best = max(best, float(s))
     return best
@@ -185,16 +184,13 @@ def qr_bound(
         If no positive K is feasible, or the resulting rate
         (mu r sqrt(r))^(1/r) is >= 1 (rate-degenerate).
     """
-    n, r = A.n, A.r_lower
+    r = A.r_lower
     diag = np.abs(A.data.diagonal())
     W2 = A.data**2
-    col_tot = W2.sum(axis=0)
     # below-band entries are exactly zero, so the hypothesis sum is the full
     # column sum of squares minus the diagonal term
-    s = np.sqrt(np.maximum(col_tot - A.data.diagonal() ** 2, 0.0))
+    s = np.sqrt(np.maximum(W2.sum(axis=0) - W2.diagonal(), 0.0))
 
-    if c0 is None:
-        c0 = _qr_row_energy(A)
     if k_const is None:
         if np.any(diag <= 1.0):
             worst = int(np.argmin(diag)) + 1
@@ -223,6 +219,9 @@ def qr_bound(
             f"rate degenerate: (mu r sqrt(r))^(1/r) = {gamma_pow ** (1.0 / r):.6g} >= 1"
         )
     gamma = gamma_pow ** (1.0 / r)
+    # C0 only decides k_threshold_met, so it is computed once the hypotheses hold
+    if c0 is None:
+        c0 = _qr_row_energy(W2, r)
     t_energy = 4.0 * (3.0 + 2.0 * c0 * r * math.sqrt(r))
     t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
     report = QRHypothesisReport(

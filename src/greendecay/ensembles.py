@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .banded import BandedMatrix, band_mask
+from .banded import BandedMatrix
 
 __all__ = ["random_dominant_matrix", "dominant_ensemble"]
 
@@ -36,8 +36,7 @@ def random_dominant_matrix(
     if mu_target is None:
         mu_target = float(rng.uniform(0.05, 0.95))
 
-    W = rng.uniform(-1.0, 1.0, (n, n))
-    W[~band_mask(n, r_lower, r_upper)] = 0.0
+    W = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), r_upper), -r_lower)
     np.fill_diagonal(W, 0.0)
 
     off = np.abs(W).sum(axis=0)

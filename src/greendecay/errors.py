@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class ZeroPivotError(ArithmeticError):
-    """Elimination hit a zero (or denormal-tiny) pivot.
+    """Elimination hit a zero pivot, or one too small to divide by safely
+    relative to the largest entry of the matrix.
 
     ``k`` is the 1-based elimination step; a matrix raising this is not
     strongly regular and admits no LU factorization without pivoting.

@@ -28,9 +28,7 @@ import numpy as np
 from .errors import RegionError
 
 __all__ = [
-    "BlockScheme",
     "GreenGenerators",
-    "block_scheme",
     "transition_product",
     "green_block_entry",
     "green_scalar_entry",
@@ -39,98 +37,65 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BlockScheme:
-    """Row/column block sizes splitting an N x N matrix into N-r+2 blocks."""
-
-    n: int
-    r: int
-    row_sizes: np.ndarray  # length n - r + 2, indexed by block 0 .. n - r + 1
-    col_sizes: np.ndarray
-
-    def __post_init__(self):
-        for name in ("row_sizes", "col_sizes"):
-            arr = np.asarray(getattr(self, name), dtype=int)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def block_scheme(n: int, r: int) -> BlockScheme:
-    """Block sizes for the Green representation of an order-r, N x N matrix."""
-    if not n > r >= 1:
-        raise ValueError(f"need N > r >= 1, got N={n}, r={r}")
-    rows = np.ones(n - r + 2, dtype=int)
-    cols = np.ones(n - r + 2, dtype=int)
-    rows[0] = 0
-    rows[-1] = r
-    cols[0] = r
-    cols[-1] = 0
-    return BlockScheme(n, r, rows, cols)
-
-
-@dataclass(frozen=True)
 class GreenGenerators:
     """Generator family (p, q, a) of the lower part of a lower Green matrix.
 
-    Shapes: p(i) is (1, r) for i = 1..N-r and (r, r) for i = N-r+1; q(j) is
-    (r, n_j) for j = 0..N-r with q(0) = I_r; a(k) is (r, r) for k = 1..N-r.
+    Four stacked arrays, copied and marked read-only on construction:
+    ``p_rows[i-1]`` is p(i) for i = 1..N-r, ``bottom`` is the r x r p(N-r+1),
+    ``q_cols[j-1]`` is q(j) (as a row) for j = 1..N-r and ``a_stack[k-1]`` is
+    a(k) for k = 1..N-r. N and r follow from the shapes; q(0) = I_r is
+    implicit. The 1-based accessors return views in the block shapes.
     """
 
-    scheme: BlockScheme
-    p_blocks: tuple[np.ndarray, ...]  # p(1) .. p(N-r+1)
-    q_blocks: tuple[np.ndarray, ...]  # q(0) .. q(N-r)
-    a_blocks: tuple[np.ndarray, ...]  # a(1) .. a(N-r)
+    p_rows: np.ndarray  # (N-r, r)
+    bottom: np.ndarray  # (r, r)
+    q_cols: np.ndarray  # (N-r, r)
+    a_stack: np.ndarray  # (N-r, r, r)
 
     def __post_init__(self):
-        n, r = self.scheme.n, self.scheme.r
-        k = n - r
-
-        def freeze(blocks, name, count, shape_of):
-            blocks = tuple(np.array(b, dtype=float, copy=True) for b in blocks)
-            if len(blocks) != count:
-                raise ValueError(f"expected {count} {name} blocks, got {len(blocks)}")
-            for idx, b in enumerate(blocks):
-                want = shape_of(idx)
-                if b.shape != want:
-                    raise ValueError(
-                        f"{name} block {idx} has shape {b.shape}, expected {want}"
-                    )
-                b.flags.writeable = False
-            return blocks
-
-        p = freeze(self.p_blocks, "p", k + 1, lambda i: (1, r) if i < k else (r, r))
-        q = freeze(self.q_blocks, "q", k + 1, lambda j: (r, r) if j == 0 else (r, 1))
-        a = freeze(self.a_blocks, "a", k, lambda _: (r, r))
-        if not np.array_equal(q[0], np.eye(r)):
-            raise ValueError("q(0) must be the r x r identity")
-        object.__setattr__(self, "p_blocks", p)
-        object.__setattr__(self, "q_blocks", q)
-        object.__setattr__(self, "a_blocks", a)
+        shape = np.shape(self.a_stack)
+        if len(shape) != 3 or min(shape) < 1:
+            raise ValueError(f"a_stack has shape {shape}, expected (N-r, r, r), N > r >= 1")
+        k, r = shape[:2]
+        for name, want in (
+            ("p_rows", (k, r)),
+            ("bottom", (r, r)),
+            ("q_cols", (k, r)),
+            ("a_stack", (k, r, r)),
+        ):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != want:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return self.scheme.n
+        return len(self.p_rows) + self.r
 
     @property
     def r(self) -> int:
-        return self.scheme.r
+        return len(self.bottom)
 
     def p(self, i: int) -> np.ndarray:
         """Row generator p(i), i = 1 .. N-r+1 (the last one is r x r)."""
-        if not 1 <= i <= self.n - self.r + 1:
-            raise IndexError(f"p index {i} outside 1..{self.n - self.r + 1}")
-        return self.p_blocks[i - 1]
+        k = len(self.p_rows)
+        if not 1 <= i <= k + 1:
+            raise IndexError(f"p index {i} outside 1..{k + 1}")
+        return self.p_rows[i - 1 : i] if i <= k else self.bottom
 
     def q(self, j: int) -> np.ndarray:
         """Column generator q(j), j = 0 .. N-r; q(0) is the identity."""
-        if not 0 <= j <= self.n - self.r:
-            raise IndexError(f"q index {j} outside 0..{self.n - self.r}")
-        return self.q_blocks[j]
+        k = len(self.q_cols)
+        if not 0 <= j <= k:
+            raise IndexError(f"q index {j} outside 0..{k}")
+        return np.eye(self.r) if j == 0 else self.q_cols[j - 1, :, None]
 
     def a(self, k: int) -> np.ndarray:
         """Transition matrix a(k), k = 1 .. N-r."""
-        if not 1 <= k <= self.n - self.r:
-            raise IndexError(f"a index {k} outside 1..{self.n - self.r}")
-        return self.a_blocks[k - 1]
+        if not 1 <= k <= len(self.a_stack):
+            raise IndexError(f"a index {k} outside 1..{len(self.a_stack)}")
+        return self.a_stack[k - 1]
 
 
 def transition_product(gens: GreenGenerators, i: int, j: int) -> np.ndarray:
@@ -140,7 +105,7 @@ def transition_product(gens: GreenGenerators, i: int, j: int) -> np.ndarray:
         raise IndexError(f"block indices ({i}, {j}) outside 0..{top}")
     out = np.eye(gens.r)
     for k in range(j + 1, i):
-        out = gens.a(k) @ out
+        out = gens.a_stack[k - 1] @ out
     return out
 
 
@@ -154,8 +119,22 @@ def green_block_entry(gens: GreenGenerators, i: int, j: int) -> np.ndarray:
     return gens.p(i) @ transition_product(gens, i, j) @ gens.q(j)
 
 
-def _block_row(gens: GreenGenerators, i: int) -> int:
-    return i if i <= gens.n - gens.r else gens.n - gens.r + 1
+def _row_walk(gens: GreenGenerators, i: int, stop: int):
+    """Yield (bj, v) for block columns bj = bi-1 down to ``stop``, right to left.
+
+    bi is the block row of scalar row i and v = p a(bi-1)...a(bj+1), with p
+    the row of p(bi) that holds scalar row i. The row's entry in block column
+    bj >= 1 is v . q(bj); in block column 0 (q(0) = I) its r entries are v.
+    """
+    n, r = gens.n, gens.r
+    if i <= n - r:
+        bi, v = i, gens.p_rows[i - 1]
+    else:
+        bi, v = n - r + 1, gens.bottom[i - (n - r + 1)]
+    for bj in range(bi - 1, stop - 1, -1):
+        yield bj, v
+        if bj > stop:
+            v = v @ gens.a_stack[bj - 1]
 
 
 def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
@@ -174,12 +153,10 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
             f"entry ({i}, {j}) with j - i = {j - i} lies outside the represented "
             f"region j <= i + r - 1 (r = {r})"
         )
-    bi = _block_row(gens, i)
     bj = 0 if j <= r else j - r
-    block = green_block_entry(gens, bi, bj)
-    row = 0 if i <= n - r else i - (n - r + 1)
-    col = j - 1 if j <= r else 0
-    return float(block[row, col])
+    for _, v in _row_walk(gens, i, bj):
+        pass  # v ends as p a(bi-1)...a(bj+1)
+    return float(v[j - 1] if bj == 0 else v @ gens.q_cols[bj - 1])
 
 
 def reconstruct_lower(gens: GreenGenerators) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +171,10 @@ def reconstruct_lower(gens: GreenGenerators) -> tuple[np.ndarray, np.ndarray]:
     """
     n, r = gens.n, gens.r
     values = np.zeros((n, n))
-    ii = np.arange(1, n + 1)
-    mask = np.subtract.outer(ii, ii) >= 1 - r  # i - j >= 1 - r  <=>  j <= i + r - 1
     for i in range(1, n + 1):
-        bi = _block_row(gens, i)
-        if i <= n - r:
-            v = gens.p(i)[0]
-        else:
-            v = gens.p(n - r + 1)[i - (n - r + 1)]
-        for bj in range(bi - 1, 0, -1):
-            values[i - 1, bj + r - 1] = v @ gens.q(bj)[:, 0]
-            v = v @ gens.a(bj)
-        values[i - 1, :r] = v  # block column 0, q(0) = I
-    return values, mask
+        for bj, v in _row_walk(gens, i, 0):
+            if bj:
+                values[i - 1, bj + r - 1] = v @ gens.q_cols[bj - 1]
+            else:
+                values[i - 1, :r] = v
+    return values, np.tri(n, k=r - 1, dtype=bool)

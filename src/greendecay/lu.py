@@ -20,17 +20,16 @@ through the rows of R then assembles the Green generators of A^{-1} itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .banded import BandedMatrix
 from .errors import ZeroPivotError
-from .green import GreenGenerators, block_scheme
+from .green import GreenGenerators
 
 __all__ = [
     "StructuredLU",
-    "LInvGenerators",
     "structured_lu",
     "linv_generators",
     "inverse_green_generators",
@@ -38,9 +37,11 @@ __all__ = [
     "schur_complement",
 ]
 
-# Pivots below this magnitude abort the factorization instead of being
-# perturbed; under strong dominance they are bounded well away from zero.
-PIVOT_FLOOR = 1e-300
+# A pivot no larger than PIVOT_RTOL * max|A(i, j)| aborts the factorization
+# instead of being perturbed: dividing by it could overflow the multipliers.
+# The floor scales with A, so cA factors whenever A does; under strong
+# dominance the pivots stay above (1 - mu^2)|A(k, k)|.
+PIVOT_RTOL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,11 @@ def _eliminate(W: np.ndarray, r: int, steps: int) -> list[np.ndarray]:
     column. Returns the multiplier vectors f_1 .. f_steps.
     """
     n = W.shape[0]
+    floor = PIVOT_RTOL * max(W.max(), -W.min())
     fs = []
     for k in range(1, steps + 1):
         g = W[k - 1, k - 1]
-        if abs(g) < PIVOT_FLOOR:
+        if abs(g) <= floor:
             raise ZeroPivotError(k, float(g))
         rows = slice(k, min(k + r, n))
         f = W[rows, k - 1] / g
@@ -113,8 +115,9 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     Raises
     ------
     ZeroPivotError
-        If a pivot smaller than ``PIVOT_FLOOR`` in magnitude is met; the
-        error carries the 1-based step index.
+        If a pivot no larger than ``PIVOT_RTOL * max|A(i, j)|`` in magnitude
+        is met (an exact zero always is); the error carries the 1-based step
+        index.
     """
     R = A.data.copy()
     # step N has no row left to eliminate; it only checks the last pivot
@@ -124,52 +127,6 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     for v in (R, *fs):
         v.flags.writeable = False
     return StructuredLU(A.n, A.r_lower, R.diagonal(), tuple(fs), R)
-
-
-@dataclass(frozen=True)
-class LInvGenerators:
-    """Green generators of L^{-1} extracted from the elimination blocks.
-
-    ``a_l`` holds the transitions a_L(k) = -f_k e_1^T + J for k = 1 .. N-r;
-    the row and column generators are the constants p_L(k) = e_1^T and
-    q_L(k) = e_r. ``corner`` is the r x r product of the embedded trailing
-    elimination blocks: the bottom-right Green generator of L^{-1}.
-    """
-
-    n: int
-    r: int
-    a_l: tuple[np.ndarray, ...]
-    corner: np.ndarray
-
-    def __post_init__(self):
-        a_l = tuple(np.array(m, dtype=float, copy=True) for m in self.a_l)
-        corner = np.array(self.corner, dtype=float, copy=True)
-        for m in (*a_l, corner):
-            m.flags.writeable = False
-        object.__setattr__(self, "a_l", a_l)
-        object.__setattr__(self, "corner", corner)
-
-    def a(self, k: int) -> np.ndarray:
-        """a_L(k) = -f_k e_1^T + J, shape (r, r), for k = 1 .. N-r."""
-        if not 1 <= k <= self.n - self.r:
-            raise IndexError(f"generator index {k} outside 1..{self.n - self.r}")
-        return self.a_l[k - 1]
-
-    def as_green(self) -> GreenGenerators:
-        """View L^{-1} itself as a lower Green matrix of order r.
-
-        Together with zeros on the non-represented upper region this
-        reconstructs L^{-1} exactly (L^{-1} is unit lower triangular, so all
-        entries with j > i vanish, including the block-diagonal d_L ones).
-        """
-        n, r = self.n, self.r
-        p = [np.eye(1, r)] * (n - r) + [self.corner]
-        return GreenGenerators(block_scheme(n, r), tuple(p), _q_blocks(n, r), self.a_l)
-
-
-def _q_blocks(n: int, r: int) -> tuple[np.ndarray, ...]:
-    """Column generators q(0) = I_r and q(k) = e_r, shared by L^{-1} and A^{-1}."""
-    return (np.eye(r),) + (np.eye(r, 1, -(r - 1)),) * (n - r)
 
 
 def _transition(f: np.ndarray, r: int) -> np.ndarray:
@@ -190,11 +147,21 @@ def _corner(slu: StructuredLU) -> np.ndarray:
     return corner
 
 
-def linv_generators(slu: StructuredLU) -> LInvGenerators:
-    """Extract the Green generators of L^{-1} from the elimination data."""
+def linv_generators(slu: StructuredLU) -> GreenGenerators:
+    """Green generators of L^{-1}: p(k) = e_1^T, q(k) = e_r, a(k) = -f_k e_1^T + J.
+
+    The bottom generator is the r x r product of the embedded trailing
+    elimination blocks. Together with zeros on the non-represented upper
+    region this reconstructs L^{-1} exactly (L^{-1} is unit lower triangular,
+    so all entries with j > i vanish, including the block-diagonal ones).
+    """
     n, r = slu.n, slu.r
-    a_l = tuple(_transition(f, r) for f in slu.f[: n - r])
-    return LInvGenerators(n, r, a_l, _corner(slu))
+    return GreenGenerators(
+        np.tile(np.eye(1, r), (n - r, 1)),
+        _corner(slu),
+        np.tile(np.eye(1, r, r - 1), (n - r, 1)),
+        np.array([_transition(f, r) for f in slu.f[: n - r]]),
+    )
 
 
 def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
@@ -212,27 +179,21 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     """
     slu = structured_lu(A)
     n, r = slu.n, slu.r
-    a = [_transition(f, r) for f in slu.f]
+    linv = linv_generators(slu)
 
     P = np.array([[1.0 / slu.gamma[n - 1]]])
     bottom = P
-    p_rows: list[np.ndarray] = []
+    p_rows = np.empty((n - r, r))
     for k in range(n - 1, 0, -1):
-        ak = a[k - 1]
+        ak = linv.a(k) if k <= n - r else _transition(slu.f[k - 1], r)
         x = slu.X(k).reshape(1, -1)
         pk = (np.eye(1, ak.shape[1]) - x @ P @ ak) / slu.gamma[k - 1]
         P = np.vstack([pk, P @ ak])
         if k == n - r + 1:
             bottom = P
         elif k <= n - r:
-            p_rows.append(pk)
-
-    return GreenGenerators(
-        block_scheme(n, r),
-        tuple(reversed(p_rows)) + (bottom,),
-        _q_blocks(n, r),
-        tuple(a[: n - r]),
-    )
+            p_rows[k - 1] = pk[0]
+    return replace(linv, p_rows=p_rows, bottom=bottom)
 
 
 def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
@@ -240,7 +201,8 @@ def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
 
     Independent of the backward recursion in :func:`inverse_green_generators`;
     the two must agree to roundoff. L_tail is the composite r x r product of
-    the trailing elimination blocks (``LInvGenerators.corner``).
+    the trailing elimination blocks, which is also the bottom generator of
+    :func:`linv_generators`.
     """
     n, r = slu.n, slu.r
     return np.linalg.solve(slu.R[n - r :, n - r :], _corner(slu))

@@ -21,7 +21,9 @@ __all__ = [
     "determinant_fraction_free",
 ]
 
-_PIVOT_FLOOR = 1e-300
+# Its own copy of the structured LU's scale-relative pivot floor, so that the
+# oracle does not depend on the code it checks.
+_PIVOT_RTOL = np.finfo(float).tiny
 
 
 def dense_lu_no_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -29,22 +31,24 @@ def dense_lu_no_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Requires all leading principal minors nonzero (guaranteed under strong
     column dominance). Raises ZeroPivotError with the 1-based step index
-    otherwise. L is unit lower triangular, R upper triangular.
+    otherwise, or when a pivot is no larger than tiny * max|A(i, j)|. L is
+    unit lower triangular, R upper triangular.
     """
     U = np.array(a, dtype=float, copy=True)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     n = U.shape[0]
+    floor = _PIVOT_RTOL * np.abs(U).max()
     L = np.eye(n)
     for k in range(n - 1):
         p = U[k, k]
-        if abs(p) < _PIVOT_FLOOR:
+        if abs(p) <= floor:
             raise ZeroPivotError(k + 1, float(p))
         m = U[k + 1 :, k] / p
         L[k + 1 :, k] = m
         U[k + 1 :, k + 1 :] -= np.outer(m, U[k, k + 1 :])
         U[k + 1 :, k] = 0.0
-    if abs(U[n - 1, n - 1]) < _PIVOT_FLOOR:
+    if abs(U[n - 1, n - 1]) <= floor:
         raise ZeroPivotError(n, float(U[n - 1, n - 1]))
     return L, U
 

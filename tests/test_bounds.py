@@ -133,6 +133,15 @@ class TestQrBound:
         with pytest.raises(gd.HypothesisError, match="degenerate"):
             gd.qr_bound(ex1a_matrix)
 
+    def test_rejection_skips_the_row_energy(self, ex1a_matrix, monkeypatch):
+        # C0 feeds only k_threshold_met, so a rejected matrix never pays for it
+        def unreachable(*args):
+            raise AssertionError("C0 computed for a rejected matrix")
+
+        monkeypatch.setattr("greendecay.bounds._qr_row_energy", unreachable)
+        with pytest.raises(gd.HypothesisError, match="degenerate"):
+            gd.qr_bound(ex1a_matrix)
+
     def test_threshold_flag_and_x0_marker(self):
         A = gd.from_dense(1e4 * np.eye(4) + np.eye(4, k=-1))
         report, _ = gd.qr_bound(A)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,50 +10,67 @@ RNG = np.random.default_rng(99)
 
 def random_generators(n, r, rng=RNG, a_scale=1.0):
     """A syntactically valid generator family with random small blocks."""
-    p = [rng.uniform(-1, 1, (1, r)) for _ in range(n - r)] + [rng.uniform(-1, 1, (r, r))]
-    q = [np.eye(r)] + [rng.uniform(-1, 1, (r, 1)) for _ in range(n - r)]
-    a = [a_scale * rng.uniform(-1, 1, (r, r)) for _ in range(n - r)]
-    return gd.GreenGenerators(gd.block_scheme(n, r), tuple(p), tuple(q), tuple(a))
+    p_rows = rng.uniform(-1, 1, (n - r, r))
+    bottom = rng.uniform(-1, 1, (r, r))
+    q_cols = rng.uniform(-1, 1, (n - r, r))
+    a_stack = a_scale * rng.uniform(-1, 1, (n - r, r, r))
+    return gd.GreenGenerators(p_rows, bottom, q_cols, a_stack)
+
+
+def block_sizes(g):
+    """Row and column block sizes (blocks 0 .. N-r+1) read off the accessors."""
+    top = g.n - g.r + 1
+    rows = [0] + [g.p(i).shape[0] for i in range(1, top + 1)]
+    cols = [g.q(j).shape[1] for j in range(top)] + [0]
+    return rows, cols
 
 
 class TestBlockScheme:
     def test_order_one(self):
-        s = gd.block_scheme(5, 1)
-        assert s.row_sizes.tolist() == [0, 1, 1, 1, 1, 1]
-        assert s.col_sizes.tolist() == [1, 1, 1, 1, 1, 0]
+        assert block_sizes(random_generators(5, 1)) == ([0, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0])
 
     def test_order_three(self):
-        s = gd.block_scheme(7, 3)
-        assert s.row_sizes.tolist() == [0, 1, 1, 1, 1, 3]
-        assert s.col_sizes.tolist() == [3, 1, 1, 1, 1, 0]
+        assert block_sizes(random_generators(7, 3)) == ([0, 1, 1, 1, 1, 3], [3, 1, 1, 1, 1, 0])
 
     @pytest.mark.parametrize("r", [1, 2, 4])
     def test_sizes_sum_to_n(self, r):
-        s = gd.block_scheme(r + 4, r)
-        assert len(s.row_sizes) == 6  # blocks 0 .. n - r + 1
-        assert s.row_sizes.sum() == s.col_sizes.sum() == r + 4
+        rows, cols = block_sizes(random_generators(r + 4, r))
+        assert len(rows) == 6  # blocks 0 .. n - r + 1
+        assert sum(rows) == sum(cols) == r + 4
 
     def test_rejects_n_not_larger_than_r(self):
         with pytest.raises(ValueError):
-            gd.block_scheme(3, 3)
+            gd.GreenGenerators(np.zeros((0, 3)), np.eye(3), np.zeros((0, 3)), np.zeros((0, 3, 3)))
 
 
 class TestGeneratorContainer:
-    def test_rejects_wrong_q0(self):
-        n, r = 5, 2
-        p = [np.zeros((1, r))] * (n - r) + [np.zeros((r, r))]
-        q = [2.0 * np.eye(r)] + [np.zeros((r, 1))] * (n - r)
-        a = [np.zeros((r, r))] * (n - r)
-        with pytest.raises(ValueError, match="identity"):
-            gd.GreenGenerators(gd.block_scheme(n, r), tuple(p), tuple(q), tuple(a))
+    def test_q0_is_the_implicit_identity(self):
+        assert [f.name for f in dataclasses.fields(gd.GreenGenerators)] == [
+            "p_rows", "bottom", "q_cols", "a_stack"
+        ]
+        np.testing.assert_array_equal(random_generators(5, 2).q(0), np.eye(2))
 
     def test_rejects_wrong_shapes(self):
         n, r = 5, 2
-        p = [np.zeros((1, r + 1))] * (n - r) + [np.zeros((r, r))]
-        q = [np.eye(r)] + [np.zeros((r, 1))] * (n - r)
-        a = [np.zeros((r, r))] * (n - r)
-        with pytest.raises(ValueError, match="shape"):
-            gd.GreenGenerators(gd.block_scheme(n, r), tuple(p), tuple(q), tuple(a))
+        good = (np.zeros((n - r, r)), np.zeros((r, r)), np.zeros((n - r, r)), np.zeros((n - r, r, r)))
+        for idx, bad in enumerate(
+            (np.zeros((n - r, r + 1)), np.zeros((r, r + 1)), np.zeros((n - r + 1, r)), np.zeros((r, r)))
+        ):
+            args = list(good)
+            args[idx] = bad
+            with pytest.raises(ValueError, match="shape"):
+                gd.GreenGenerators(*args)
+
+    def test_accessors_are_read_only_views_of_copies(self):
+        p_rows = RNG.uniform(-1, 1, (4, 2))
+        g = gd.GreenGenerators(p_rows, np.eye(2), np.ones((4, 2)), np.zeros((4, 2, 2)))
+        p_rows[0, 0] = 7.0  # the container holds its own copy
+        assert g.p(1)[0, 0] != 7.0
+        for block, stack in ((g.p(2), g.p_rows), (g.p(5), g.bottom), (g.q(3), g.q_cols), (g.a(4), g.a_stack)):
+            assert np.shares_memory(block, stack)
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+        assert g.p(2).shape == (1, 2) and g.q(3).shape == (2, 1)
 
     def test_index_ranges(self):
         g = random_generators(6, 2)

@@ -1,0 +1,113 @@
+"""Property-based and metamorphic tests on random strongly dominant matrices.
+
+Examples are derandomized, so every run checks the same bounded set.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import greendecay as gd
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+def one_norm(M):
+    return np.abs(M).sum(axis=0).max()
+
+
+@st.composite
+def dominant(draw, mu_max=0.9999):
+    """A random dominant matrix, N = r+1 and mu near 1 drawn often."""
+    r = draw(st.integers(1, 6))
+    n = r + draw(st.one_of(st.just(1), st.integers(1, 20)))
+    mu = draw(st.one_of(st.just(mu_max), st.floats(0.05, mu_max)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gd.random_dominant_matrix(
+        rng, n=n, r_lower=r, one_sided=draw(st.booleans()), mu_target=mu
+    )
+
+
+TINY = np.finfo(float).tiny
+
+
+def assert_scaled(scaled, base, c):
+    """scaled == c * base, bit for bit wherever c * base is a normal number.
+
+    A result in the subnormal range keeps fewer bits, so there the scaled
+    and the unscaled rounding may differ by a few units of 2^-1074.
+    """
+    want = c * base
+    normal = np.abs(want) >= TINY
+    np.testing.assert_array_equal(scaled[normal], want[normal])
+    np.testing.assert_allclose(scaled, want, rtol=0, atol=4 * 2.0**-1074)
+
+
+EXTREME_K = st.one_of(st.sampled_from([-1000, 1000]), st.integers(-1000, 1000))
+
+
+@PROPERTY
+@given(A=dominant(mu_max=0.95), k=EXTREME_K)
+def test_power_of_two_scaling_is_exact(A, k):
+    # scaling by 2^k is exact, so every derived quantity moves by an exact
+    # power of two or not at all
+    c = 2.0**k
+    B = gd.BandedMatrix(A.n, A.r_lower, A.r_upper, c * A.data)
+    slu, slu_c = gd.structured_lu(A), gd.structured_lu(B)
+    assert_scaled(slu_c.R, slu.R, c)
+    assert_scaled(slu_c.gamma, slu.gamma, c)
+    for f, f_c in zip(slu.f, slu_c.f):
+        np.testing.assert_array_equal(f_c, f)
+    assert_scaled(gd.dense_lu_no_pivot(B.data)[1], slu.R, c)
+    assert gd.dominance_mu(B).mu == gd.dominance_mu(A).mu
+    lu, lu_c = gd.lu_bound(A), gd.lu_bound(B)
+    assert lu_c.gamma == lu.gamma
+    assert lu_c.M == lu.M / c
+    gens, gens_c = gd.inverse_green_generators(A), gd.inverse_green_generators(B)
+    assert_scaled(gens_c.p_rows, gens.p_rows, 1 / c)
+    assert_scaled(gens_c.bottom, gens.bottom, 1 / c)
+    np.testing.assert_array_equal(gens_c.q_cols, gens.q_cols)
+    np.testing.assert_array_equal(gens_c.a_stack, gens.a_stack)
+
+@PROPERTY
+@given(A=dominant(), k=st.integers(-60, 60))
+def test_lu_envelope_is_sound(A, k):
+    A = gd.BandedMatrix(A.n, A.r_lower, A.r_upper, 2.0**k * A.data)
+    inv = gd.dense_inverse(A.data)
+    b = gd.lu_bound(A)
+    d = np.subtract.outer(np.arange(A.n), np.arange(A.n))
+    lower = d >= 0
+    envelope = b.M * b.gamma ** np.where(lower, d, 0)
+    assert np.all(np.abs(inv)[lower] <= envelope[lower] * (1.0 + 1e-12))
+
+
+@PROPERTY
+@given(A=dominant())
+def test_reconstruction_matches_dense_inverse(A):
+    gens = gd.inverse_green_generators(A)
+    values, mask = gd.reconstruct_lower(gens)
+    inv = gd.dense_inverse(A.data)
+    assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
+    ref = gens.p(A.n - A.r_lower + 1)
+    alt = gd.p_tail_cross_check(gd.structured_lu(A))
+    assert np.abs(alt - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 12),
+    rl=st.integers(1, 11),
+    ru=st.integers(0, 11),
+    i=st.integers(0, 11),
+    j=st.integers(0, 11),
+)
+def test_band_check_accepts_exactly_the_band(n, rl, ru, i, j):
+    rl, ru, i, j = min(rl, n - 1), min(ru, n - 1), i % n, j % n
+    W = np.eye(n)
+    W[i, j] = 0.5
+    if -ru <= i - j <= rl:
+        gd.BandedMatrix(n, rl, ru, W)
+    else:
+        with pytest.raises(ValueError, match="outside the declared band"):
+            gd.BandedMatrix(n, rl, ru, W)

@@ -39,6 +39,20 @@ class TestFactorization:
             gd.structured_lu(A)
         assert err.value.k == 1
 
+    @pytest.mark.parametrize("scale", [1e-301, 1e300])
+    def test_pivot_floor_follows_the_scale(self, scale):
+        # mu = 0.25 at any scale, so the factorization must not depend on it
+        A = gd.make_banded(6, 1, 1, lambda i, j: scale * (4.0 if i == j else -0.5))
+        assert gd.dominance_mu(A).mu == pytest.approx(0.25, rel=1e-15)
+        gd.lu_bound(A)
+        unit = gd.structured_lu(gd.make_banded(6, 1, 1, lambda i, j: 4.0 if i == j else -0.5))
+        np.testing.assert_allclose(gd.structured_lu(A).gamma / scale, unit.gamma, rtol=1e-14)
+        np.testing.assert_allclose(gd.dense_lu_no_pivot(A.data)[1] / scale, unit.R, rtol=1e-14)
+        for lu in (gd.structured_lu, lambda B: gd.dense_lu_no_pivot(B.data)):
+            with pytest.raises(gd.ZeroPivotError) as err:
+                lu(gd.from_dense(scale * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])))
+            assert err.value.k == 2
+
     def test_matches_dense_oracle_on_ensemble(self, small_ensemble):
         for A in small_ensemble:
             slu = gd.structured_lu(A)
@@ -65,9 +79,8 @@ class TestLInverseGenerators:
     def test_two_by_two_partition(self, lower2x2):
         lg = gd.linv_generators(gd.structured_lu(lower2x2))
         np.testing.assert_array_equal(lg.a(1), [[-0.5]])
-        green = lg.as_green()
-        np.testing.assert_array_equal(green.p(1), [[1.0]])
-        np.testing.assert_array_equal(green.q(1), [[1.0]])
+        np.testing.assert_array_equal(lg.p(1), [[1.0]])
+        np.testing.assert_array_equal(lg.q(1), [[1.0]])
 
     def test_identity_gives_pure_shift(self):
         A = gd.from_dense(np.eye(6))
@@ -80,7 +93,7 @@ class TestLInverseGenerators:
         A = gd.BandedMatrix(7, 3, 0, W)
         lg = gd.linv_generators(gd.structured_lu(A))
         np.testing.assert_array_equal(lg.a(2), np.eye(3, k=1))
-        np.testing.assert_array_equal(lg.corner, np.eye(3))
+        np.testing.assert_array_equal(lg.bottom, np.eye(3))
 
     def test_tridiagonal_a_value(self, tridiag3):
         lg = gd.linv_generators(gd.structured_lu(tridiag3))
@@ -90,12 +103,10 @@ class TestLInverseGenerators:
         A = small_ensemble[0]
         n, r = A.n, A.r_lower
         lg = gd.linv_generators(gd.structured_lu(A))
-        green = lg.as_green()
-        np.testing.assert_array_equal(green.p(1), np.eye(1, r))
-        np.testing.assert_array_equal(green.q(n - r), np.eye(r, 1, -(r - 1)))
-        assert len(lg.a_l) == n - r
-        assert all(a.shape == (r, r) for a in lg.a_l)
-        assert lg.corner.shape == (r, r)
+        np.testing.assert_array_equal(lg.p(1), np.eye(1, r))
+        np.testing.assert_array_equal(lg.q(n - r), np.eye(r, 1, -(r - 1)))
+        assert lg.a_stack.shape == (n - r, r, r)
+        assert lg.bottom.shape == (r, r)
 
     def test_a_blocks_have_multiplier_column_plus_shift(self, small_ensemble):
         for A in small_ensemble[:5]:
@@ -111,7 +122,7 @@ class TestLInverseGenerators:
     def test_green_view_reconstructs_l_inverse(self, small_ensemble):
         for A in small_ensemble[:8]:
             slu = gd.structured_lu(A)
-            values, mask = gd.reconstruct_lower(gd.linv_generators(slu).as_green())
+            values, mask = gd.reconstruct_lower(gd.linv_generators(slu))
             Linv = np.where(mask, values, 0.0)
             resid = np.abs(slu.lower_factor() @ Linv - np.eye(A.n)).max()
             assert resid <= 1e-12
