@@ -54,17 +54,20 @@ class BandedMatrix:
             raise ValueError(
                 f"need 0 <= r_upper <= N-1, got r_upper={self.r_upper}, N={self.n}"
             )
-        if not np.isfinite(data).all():
-            i, j = np.argwhere(~np.isfinite(data))[0] + 1
-            raise ValueError(
-                f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
-            )
-        # every nonzero must lie on one of the in-band diagonals (views, no copy)
-        in_band = sum(
-            np.count_nonzero(data.diagonal(d))
-            for d in range(-self.r_lower, self.r_upper + 1)
-        )
-        if np.count_nonzero(data) != in_band:
+        # every nonzero must lie on one of the in-band diagonals (views, no
+        # copy); a NaN counts as nonzero, so once the counts agree only the
+        # band can hold a non-finite entry
+        band = [data.diagonal(d) for d in range(-self.r_lower, self.r_upper + 1)]
+        in_band = sum(np.count_nonzero(v) for v in band)
+        if np.count_nonzero(data) != in_band or not all(
+            np.isfinite(v).all() for v in band
+        ):
+            bad = np.argwhere(~np.isfinite(data))
+            if bad.size:
+                i, j = bad[0] + 1
+                raise ValueError(
+                    f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
+                )
             raise ValueError("entries outside the declared band must be exactly zero")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -91,12 +94,13 @@ def make_banded(
         raise ValueError(
             f"invalid dimensions: n={n}, r_lower={r_lower}, r_upper={r_upper}"
         )
+    rows, cols = [], []
+    for i in range(n):
+        lo, hi = max(0, i - r_lower), min(n, i + r_upper + 1)
+        rows += [i] * (hi - lo)
+        cols += range(lo, hi)
     data = np.zeros((n, n))
-    for i in range(1, n + 1):
-        lo = max(1, i - r_lower)
-        hi = min(n, i + r_upper)
-        for j in range(lo, hi + 1):
-            data[i - 1, j - 1] = entry_fn(i, j)
+    data[rows, cols] = [entry_fn(i + 1, j + 1) for i, j in zip(rows, cols)]
     return BandedMatrix(n, r_lower, r_upper, data)
 
 
@@ -145,20 +149,38 @@ class DominanceReport:
         object.__setattr__(self, "per_column_ratios", ratios)
 
 
+def _band_column_sums(A: BandedMatrix, fn) -> np.ndarray:
+    """Column sums of fn(A(i, j)) over the band, each summed in row order.
+
+    Diagonal d holds the entries A(i, i + d), so running d from r_upper down
+    to -r_lower adds each column's band entries top to bottom: the same order
+    and the same bits as a full ``fn(A.data).sum(axis=0)`` whenever fn maps
+    0 to 0, since the out-of-band terms of that sum are exact zeros.
+    """
+    n = A.n
+    sums = np.zeros(n)
+    for d in range(A.r_upper, -A.r_lower - 1, -1):
+        v = fn(A.data.diagonal(d))
+        if d >= 0:
+            sums[d:] += v
+        else:
+            sums[: n + d] += v
+    return sums
+
+
 def dominance_mu(A: BandedMatrix) -> DominanceReport:
     """Smallest mu with mu*|A(k,k)| >= off-diagonal column sums, per column.
 
-    The sum for column k runs over all rows i < k (the full upper part; for a
-    two-sided matrix the out-of-band terms are zero, so restricting to the
-    band gives the same value) and over rows i = k+1 .. k+r_lower. A zero
-    diagonal entry makes the condition unsatisfiable; the report then carries
-    the first offending 1-based index instead of raising.
+    The sum for column k runs over the rows i = k-r_upper .. k+r_lower of the
+    band (all rows i < k for a one-sided matrix, r_upper = N-1); the
+    out-of-band entries are exact zeros, so this is the full off-diagonal
+    column sum. Only the band diagonals are read, in O(N (r_lower+r_upper))
+    time and O(N) extra memory. A zero diagonal entry makes the condition
+    unsatisfiable; the report then carries the first offending 1-based index
+    instead of raising.
     """
-    W = np.abs(A.data)
-    diag = W.diagonal()
-    # Below-band entries are exactly zero, so full column sums minus the
-    # diagonal equal the dominance sums.
-    off = W.sum(axis=0) - diag
+    diag = np.abs(A.data.diagonal())
+    off = _band_column_sums(A, np.abs) - diag
     zero_idx = None
     if np.any(diag == 0.0):
         zero_idx = int(np.flatnonzero(diag == 0.0)[0]) + 1
@@ -194,57 +216,76 @@ def read_matrix_market(path) -> BandedMatrix:
 
     Bandwidths are inferred as the tightest values containing all nonzeros
     (with r_lower floored at 1). General and symmetric storage are supported;
-    duplicate coordinates are accumulated. Parse failures report the 1-based
-    line number.
+    duplicate coordinates are accumulated in file order. The file is read
+    line by line, and every entry and the entry count are checked before the
+    dense N x N array is allocated; parse failures report the 1-based line
+    number, and an order too large to allocate is a MatrixMarketError.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("empty file", line=1)
-    _, symmetry = _parse_header(lines[0])
+        header = fh.readline()
+        if not header:
+            raise MatrixMarketError("empty file", line=1)
+        _, symmetry = _parse_header(header)
+        lines = enumerate(fh, start=2)
 
-    lineno = 1
-    size_line = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
-    if size_line is None:
-        raise MatrixMarketError("missing size line", line=lineno)
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
-    try:
-        nrows, ncols, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
-    if nrows != ncols:
-        raise MatrixMarketError(f"matrix is not square: {nrows} x {ncols}", line=lineno)
-
-    data = np.zeros((nrows, ncols))
-    seen = 0
-    for entry_lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
+        lineno = 1
+        size_line = None
+        for lineno, raw in lines:
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("%"):
+                size_line = stripped
+                break
+        if size_line is None:
+            raise MatrixMarketError("missing size line", line=lineno)
+        parts = size_line.split()
         if len(parts) != 3:
-            raise MatrixMarketError(f"malformed entry {stripped!r}", line=entry_lineno)
+            raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
+            nrows, ncols, nnz = (int(p) for p in parts)
         except ValueError:
-            raise MatrixMarketError(f"malformed entry {stripped!r}", line=entry_lineno)
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
+        if nrows != ncols:
             raise MatrixMarketError(
-                f"index ({i}, {j}) outside 1..{nrows}", line=entry_lineno
+                f"matrix is not square: {nrows} x {ncols}", line=lineno
             )
-        data[i - 1, j - 1] += v
-        if symmetry == "symmetric" and i != j:
-            data[j - 1, i - 1] += v
-        seen += 1
+        if nrows < 1:
+            raise MatrixMarketError(f"order must be positive, got {nrows}", line=lineno)
+        size_lineno = lineno
+
+        # 0-based (row, col, value) in the order the entries are added
+        rows, cols, vals = [], [], []
+        seen = 0
+        for lineno, raw in lines:
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 3:
+                raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno)
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                v = float(parts[2])
+            except ValueError:
+                raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno)
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise MatrixMarketError(
+                    f"index ({i}, {j}) outside 1..{nrows}", line=lineno
+                )
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(v)
+            if symmetry == "symmetric" and i != j:
+                rows.append(j - 1)
+                cols.append(i - 1)
+                vals.append(v)
+            seen += 1
     if seen != nnz:
         raise MatrixMarketError(f"expected {nnz} entries, found {seen}")
+    try:
+        data = np.zeros((nrows, ncols))
+    except (MemoryError, ValueError):
+        raise MatrixMarketError(
+            f"cannot allocate a dense matrix of order {nrows}", line=size_lineno
+        ) from None
+    np.add.at(data, (np.array(rows, dtype=int), np.array(cols, dtype=int)), vals)
     return from_dense(data)

@@ -3,8 +3,10 @@ of their inverses.
 
 For a strongly regular lower band matrix A of order r the factorization
 A = L R (L unit lower triangular, R upper triangular) needs no pivoting and
-creates no fill below the band: elimination step k only touches the rows
-k+1 .. min(k+r, N) below the pivot, one rank-one update each. Column k of L
+creates no fill outside the band: elimination step k only touches the rows
+k+1 .. min(k+r, N) below the pivot and, in them, the columns
+k+1 .. min(k+s, N), s the upper bandwidth (s = N-1 for a one-sided matrix),
+one r x s rank-one update each. R keeps the upper bandwidth s. Column k of L
 holds the multipliers f_k, of length r inside the band and N-k once the
 window of rows below the pivot shrinks at the end. The inverse of L is the
 product of the elementary elimination matrices; partitioning each
@@ -50,9 +52,10 @@ class StructuredLU:
 
     ``gamma[k-1]`` is the k-th pivot R(k, k); ``f[k-1]`` holds the
     elimination multipliers of step k (length r for k <= N-r, length N-k
-    afterwards); ``R`` is the full upper triangular factor. The subrow
-    X_k = R(k, k+1:N) is exposed through :meth:`X`. Built by
-    :func:`structured_lu`, which marks all of these arrays read-only.
+    afterwards); ``R`` is the upper triangular factor, zero beyond the upper
+    bandwidth of A, and its row k right of the diagonal is the subrow X_k of
+    the generator recursion. Built by :func:`structured_lu`, which marks all
+    of these arrays read-only.
     """
 
     n: int
@@ -60,12 +63,6 @@ class StructuredLU:
     gamma: np.ndarray
     f: tuple[np.ndarray, ...]
     R: np.ndarray
-
-    def X(self, k: int) -> np.ndarray:
-        """Subrow R(k, k+1:N) for k = 1 .. N-1."""
-        if not 1 <= k <= self.n - 1:
-            raise IndexError(f"X index {k} outside 1..{self.n - 1}")
-        return self.R[k - 1, k:]
 
     def lower_factor(self) -> np.ndarray:
         """Reassemble the dense unit lower triangular factor L from the f_k."""
@@ -75,23 +72,26 @@ class StructuredLU:
         return L
 
 
-def _eliminate(W: np.ndarray, r: int, steps: int) -> list[np.ndarray]:
+def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> list[np.ndarray]:
     """Run elimination steps 1 .. ``steps`` on ``W`` in place.
 
-    Step k divides the rows k+1 .. min(k+r, N) of column k by the pivot
-    W(k, k), subtracts the multiples of row k and zeroes the eliminated
-    column. Returns the multiplier vectors f_1 .. f_steps.
+    ``W`` is banded with lower bandwidth r and upper bandwidth s. Step k
+    divides the rows k+1 .. min(k+r, N) of column k by the pivot W(k, k),
+    subtracts the multiples of row k from columns k+1 .. min(k+s, N) (the
+    rest of row k is zero: no-pivot LU creates no fill beyond s) and zeroes
+    the eliminated column. Returns the multiplier vectors f_1 .. f_steps.
     """
     n = W.shape[0]
-    floor = PIVOT_RTOL * max(W.max(), -W.min())
+    floor = PIVOT_RTOL * max(np.abs(W.diagonal(d)).max() for d in range(-r, s + 1))
     fs = []
     for k in range(1, steps + 1):
         g = W[k - 1, k - 1]
         if abs(g) <= floor:
             raise ZeroPivotError(k, float(g))
         rows = slice(k, min(k + r, n))
+        cols = slice(k, min(k + s, n))
         f = W[rows, k - 1] / g
-        W[rows, k:] -= np.outer(f, W[k - 1, k:])
+        W[rows, cols] -= np.outer(f, W[k - 1, cols])
         W[rows, k - 1] = 0.0
         fs.append(f)
     return fs
@@ -121,19 +121,12 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     """
     R = A.data.copy()
     # step N has no row left to eliminate; it only checks the last pivot
-    *fs, _ = _eliminate(R, A.r_lower, A.n)
+    *fs, _ = _eliminate(R, A.r_lower, A.r_upper, A.n)
     # freeze the buffers built here instead of copying them; gamma is a view
     # of R's diagonal
     for v in (R, *fs):
         v.flags.writeable = False
     return StructuredLU(A.n, A.r_lower, R.diagonal(), tuple(fs), R)
-
-
-def _transition(f: np.ndarray, r: int) -> np.ndarray:
-    """a(k) = [-f_k, I][:, :r]: r x r inside the band, (N-k) x (N-k+1) after it."""
-    a = np.eye(f.size, min(r, f.size + 1), k=1)
-    a[:, 0] -= f
-    return a
 
 
 def _corner(slu: StructuredLU) -> np.ndarray:
@@ -156,11 +149,13 @@ def linv_generators(slu: StructuredLU) -> GreenGenerators:
     so all entries with j > i vanish, including the block-diagonal ones).
     """
     n, r = slu.n, slu.r
+    a_stack = np.tile(np.eye(r, k=1), (n - r, 1, 1))
+    a_stack[:, :, 0] -= slu.f[: n - r]
     return GreenGenerators(
         np.tile(np.eye(1, r), (n - r, 1)),
         _corner(slu),
         np.tile(np.eye(1, r, r - 1), (n - r, 1)),
-        np.array([_transition(f, r) for f in slu.f[: n - r]]),
+        a_stack,
     )
 
 
@@ -174,26 +169,39 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
         p(k) = (e_1^T - X_k P_{k+1} a(k)) / gamma_k,
         P_k  = [p(k); P_{k+1} a(k)],
 
-    for k = N-1 .. 1 with a(k) = [-f_k, I][:, :r]. The block P_{N-r+1} is
-    the r x r bottom generator; the rows p(k), k <= N-r, are the others.
+    for k = N-1 .. 1 with a(k) = [-f_k, I][:, :r], so that
+    P a(k) = [-P f_k, P[:, :r-1]]. The block P_{N-r+1} is the r x r bottom
+    generator; the rows p(k), k <= N-r, are the others. X_k is nonzero only
+    on R(k, k+1:k+s) (s the upper bandwidth), so X_k P_{k+1} reads the first
+    s rows of P_{k+1}, and row t of P_k is row t-1 of P_{k+1} a(k): a window
+    of the first max(r, s) rows of P carries the recursion in O(N r max(r, s))
+    time and O(N r^2) memory on top of the factorization.
     """
     slu = structured_lu(A)
-    n, r = slu.n, slu.r
-    linv = linv_generators(slu)
+    n, r, s = slu.n, slu.r, A.r_upper
+    window = max(r, s)
+    e1 = np.eye(1, r)[0]
 
     P = np.array([[1.0 / slu.gamma[n - 1]]])
     bottom = P
     p_rows = np.empty((n - r, r))
     for k in range(n - 1, 0, -1):
-        ak = linv.a(k) if k <= n - r else _transition(slu.f[k - 1], r)
-        x = slu.X(k).reshape(1, -1)
-        pk = (np.eye(1, ak.shape[1]) - x @ P @ ak) / slu.gamma[k - 1]
-        P = np.vstack([pk, P @ ak])
+        x = slu.R[k - 1, k : k + s]
+        # Z = [X_k P_{k+1}; first rows of P_{k+1}], then P_k = Z a(k) with
+        # its first row turned into p(k)
+        Z = np.empty((min(window, n - k + 1), P.shape[1]))
+        Z[0] = x @ P[: x.size]
+        Z[1:] = P[: len(Z) - 1]
+        m = min(r, n - k + 1)  # a(k) has m columns
+        P = np.empty((len(Z), m))
+        P[:, 0] = -(Z @ slu.f[k - 1])
+        P[:, 1:] = Z[:, : m - 1]
+        P[0] = (e1[:m] - P[0]) / slu.gamma[k - 1]
         if k == n - r + 1:
             bottom = P
         elif k <= n - r:
-            p_rows[k - 1] = pk[0]
-    return replace(linv, p_rows=p_rows, bottom=bottom)
+            p_rows[k - 1] = P[0]
+    return replace(linv_generators(slu), p_rows=p_rows, bottom=bottom)
 
 
 def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
@@ -221,5 +229,5 @@ def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
     if not 1 <= ell <= n - r:
         raise ValueError(f"need 1 <= ell <= N - r = {n - r}, got {ell}")
     W = A.data.copy()
-    _eliminate(W, r, ell)
+    _eliminate(W, r, A.r_upper, ell)
     return W[ell:, ell:].copy()

@@ -26,6 +26,15 @@ class TestBandedMatrix:
         assert A.r_lower == 1 and A.r_upper == 0
         np.testing.assert_array_equal(A.data, [[2.0, 0.0], [1.0, 2.0]])
 
+    def test_make_banded_samples_in_row_major_order(self):
+        calls = []
+        A = gd.make_banded(5, 2, 1, lambda i, j: calls.append((i, j)) or 10.0 * i + j)
+        want = [(i, j) for i in range(1, 6) for j in range(max(1, i - 2), min(5, i + 1) + 1)]
+        assert calls == want
+        for i, j in want:
+            assert A.entry(i, j) == 10.0 * i + j
+        assert np.count_nonzero(A.data) == len(want)
+
     @pytest.mark.parametrize("n,rl,ru", [(3, 3, 1), (3, 0, 1), (2, 1, -1)])
     def test_make_banded_rejects_bad_dimensions(self, n, rl, ru):
         with pytest.raises(ValueError):
@@ -41,6 +50,17 @@ class TestBandedMatrix:
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match=r"entry \(2, 2\) is .*must be finite"):
             gd.from_dense([[4.0, 0.0], [1.0, bad]])
+
+    def test_non_finite_message_names_the_first_entry(self):
+        # an out-of-band inf fails the nonzero count; an in-band NaN fails
+        # the band scan; either way the row-major first one is named
+        W = np.eye(4)
+        W[2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"entry \(3, 3\) is nan"):
+            gd.BandedMatrix(4, 1, 1, W)
+        W[0, 3] = np.inf
+        with pytest.raises(ValueError, match=r"entry \(1, 4\) is inf"):
+            gd.BandedMatrix(4, 1, 1, W)
 
     def test_out_of_band_reads_are_exact_zero(self, ex1a_matrix):
         W = ex1a_matrix.data
@@ -176,6 +196,13 @@ class TestMatrixMarket:
         with pytest.raises(gd.MatrixMarketError, match="not square"):
             gd.read_matrix_market(path)
 
+    def test_rejects_non_positive_order(self, tmp_path):
+        path = self._write(
+            tmp_path, "%%MatrixMarket matrix coordinate real general\n-2 -2 0\n"
+        )
+        with pytest.raises(gd.MatrixMarketError, match="order must be positive"):
+            gd.read_matrix_market(path)
+
     def test_rejects_missing_header(self, tmp_path):
         path = self._write(tmp_path, "2 2 1\n1 1 1.0\n")
         with pytest.raises(gd.MatrixMarketError, match="header"):
@@ -195,4 +222,41 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 1.0\n",
         )
         with pytest.raises(gd.MatrixMarketError, match="expected 3 entries"):
+            gd.read_matrix_market(path)
+
+    def test_duplicates_accumulate(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 4\n"
+            "1 1 1.0\n"
+            "2 1 0.5\n"
+            "1 1 2.0\n"
+            "2 1 0.25\n",
+        )
+        A = gd.read_matrix_market(path)
+        np.testing.assert_array_equal(A.data, [[3.0, 0.75], [0.75, 0.0]])
+
+    # Orders of 10^9 and more: the dense array cannot be allocated at all, so
+    # nothing is committed. Never test an order that could really be allocated.
+    @pytest.mark.parametrize("order", [10**9, 10**10])
+    def test_unallocatable_order_is_a_clear_error(self, tmp_path, order):
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{order} {order} 1\n"
+            "1 1 1.0\n",
+        )
+        with pytest.raises(gd.MatrixMarketError, match=f"order {order}.*line 2"):
+            gd.read_matrix_market(path)
+
+    def test_entries_are_checked_before_allocating(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{10**9} {10**9} 2\n"
+            "1 1 1.0\n"
+            "2 oops 2.0\n",
+        )
+        with pytest.raises(gd.MatrixMarketError, match="malformed entry.*line 4"):
             gd.read_matrix_market(path)

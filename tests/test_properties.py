@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greendecay as gd
+from greendecay.banded import _band_column_sums
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -27,6 +28,26 @@ def dominant(draw, mu_max=0.9999):
     return gd.random_dominant_matrix(
         rng, n=n, r_lower=r, one_sided=draw(st.booleans()), mu_target=mu
     )
+
+
+@st.composite
+def any_band(draw):
+    """A random dominant matrix of any bandwidths r >= 1, 0 <= s <= N-1.
+
+    s = 0, s = N-1 (one-sided) and arbitrary s are drawn alike, so s < r,
+    s > r and r + s >= N-1 all occur often.
+    """
+    n = draw(st.integers(2, 24))
+    r = draw(st.integers(1, n - 1))
+    s = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+    mu = draw(st.floats(0.05, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), s), -r)
+    np.fill_diagonal(W, 0.0)
+    off = np.abs(W).sum(axis=0)
+    diag = np.where(off > 0.0, off / (mu * rng.uniform(0.25, 1.0, n)), 1.0)
+    np.fill_diagonal(W, diag * np.where(rng.random(n) < 0.5, -1.0, 1.0))
+    return gd.BandedMatrix(n, r, s, W)
 
 
 TINY = np.finfo(float).tiny
@@ -92,6 +113,34 @@ def test_reconstruction_matches_dense_inverse(A):
     ref = gens.p(A.n - A.r_lower + 1)
     alt = gd.p_tail_cross_check(gd.structured_lu(A))
     assert np.abs(alt - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@PROPERTY
+@given(A=any_band())
+def test_band_column_sums_equal_dense_sums(A):
+    # the band sums add each column top to bottom, as the dense sum does
+    W = np.abs(A.data)
+    ratios = (W.sum(axis=0) - W.diagonal()) / W.diagonal()
+    rep = gd.dominance_mu(A)
+    np.testing.assert_array_equal(rep.per_column_ratios, ratios)
+    assert rep.mu == ratios.max()
+    np.testing.assert_array_equal(_band_column_sums(A, np.abs), W.sum(axis=0))
+    # the column sums of squares behind the QR s_k
+    np.testing.assert_array_equal(
+        _band_column_sums(A, np.square), (A.data**2).sum(axis=0)
+    )
+
+
+@PROPERTY
+@given(A=any_band())
+def test_factor_keeps_the_band_and_inverts(A):
+    slu = gd.structured_lu(A)
+    assert not np.triu(slu.R, A.r_upper + 1).any()
+    assert not np.tril(slu.R, -1).any()
+    gens = gd.inverse_green_generators(A)
+    values, mask = gd.reconstruct_lower(gens)
+    inv = gd.dense_inverse(A.data)
+    assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
 
 
 @PROPERTY
