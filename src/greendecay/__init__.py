@@ -49,10 +49,8 @@ from .experiments import (
 )
 from .green import (
     GreenGenerators,
-    green_block_entry,
     green_scalar_entry,
     reconstruct_lower,
-    transition_product,
 )
 from .lu import (
     StructuredLU,
@@ -100,7 +98,6 @@ __all__ = [
     "from_dense",
     "frommer_bound",
     "generate",
-    "green_block_entry",
     "green_scalar_entry",
     "inverse_green_generators",
     "linv_generators",
@@ -115,6 +112,5 @@ __all__ = [
     "schur_complement",
     "structured_lu",
     "symmetric_spectrum",
-    "transition_product",
     "varah_bound",
 ]

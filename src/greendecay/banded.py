@@ -79,8 +79,20 @@ class BandedMatrix:
         return float(self.data[i - 1, j - 1])
 
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.abs(self.data).max()))
-        return float(np.abs(self.data - self.data.T).max()) <= rtol * scale
+        """|A(i, j) - A(j, i)| <= rtol * max|A| for all i, j.
+
+        The tolerance is relative to the largest entry, so cA is symmetric
+        exactly when A is, and the zero matrix is symmetric. Only the
+        diagonals d and -d for d <= max(r_lower, r_upper) are compared:
+        O(N (r_lower + r_upper)) time.
+        """
+        diag = self.data.diagonal
+        scale = max(np.abs(diag(d)).max() for d in range(-self.r_lower, self.r_upper + 1))
+        gap = max(
+            np.abs(diag(d) - diag(-d)).max()
+            for d in range(1, max(self.r_lower, self.r_upper) + 1)
+        )
+        return bool(gap <= rtol * scale)
 
 
 def make_banded(

@@ -29,8 +29,6 @@ from .errors import RegionError
 
 __all__ = [
     "GreenGenerators",
-    "transition_product",
-    "green_block_entry",
     "green_scalar_entry",
     "reconstruct_lower",
 ]
@@ -96,27 +94,6 @@ class GreenGenerators:
         if not 1 <= k <= len(self.a_stack):
             raise IndexError(f"a index {k} outside 1..{len(self.a_stack)}")
         return self.a_stack[k - 1]
-
-
-def transition_product(gens: GreenGenerators, i: int, j: int) -> np.ndarray:
-    """Ordered product a(i-1) * a(i-2) * ... * a(j+1); identity when j >= i-1."""
-    top = gens.n - gens.r + 1
-    if not (0 <= i <= top and 0 <= j <= top):
-        raise IndexError(f"block indices ({i}, {j}) outside 0..{top}")
-    out = np.eye(gens.r)
-    for k in range(j + 1, i):
-        out = gens.a_stack[k - 1] @ out
-    return out
-
-
-def green_block_entry(gens: GreenGenerators, i: int, j: int) -> np.ndarray:
-    """Block entry p(i) a(i-1)...a(j+1) q(j) for 0 <= j < i <= N-r+1."""
-    top = gens.n - gens.r + 1
-    if not (0 <= j < i <= top):
-        raise RegionError(
-            f"block ({i}, {j}) is not in the strictly lower block region"
-        )
-    return gens.p(i) @ transition_product(gens, i, j) @ gens.q(j)
 
 
 def _row_walk(gens: GreenGenerators, i: int, stop: int):

@@ -18,6 +18,16 @@ row/column-wise yields the Green generators of L^{-1}: the transition
 a(k) = [-f_k, I][:, :r], which is -f_k e_1^T + J (J the upper-shift matrix)
 inside the band, q_L(k) = e_r and p_L(k) = e_1^T. One backward recursion
 through the rows of R then assembles the Green generators of A^{-1} itself.
+
+The factorization never holds an N x N array. It gathers the r+s+1 band
+diagonals of A into a work array W of shape (N+r, r+s+1),
+W[i, t] = A(i, i+t-r) (0-based), the row-wise form of LAPACK ``dgbtrf``'s
+band storage; the r zero rows at the bottom let every step address a full
+(r+1) x (s+1) window. Step k works on G[k] = A(k : k+r+1, k : k+s+1), a
+window of one strided view of W (row stride w-1 inside a window, w = r+s+1),
+and stores its multipliers in place of the entries they eliminate, as
+``dgbtrf`` does. R, the pivots and the multipliers are then views of W:
+O(N (r+s)) memory and O(N r s) time in all.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .banded import BandedMatrix
 from .errors import ZeroPivotError
@@ -50,51 +61,89 @@ PIVOT_RTOL = np.finfo(float).tiny
 class StructuredLU:
     """Per-step elimination data of the banded no-pivot LU factorization.
 
-    ``gamma[k-1]`` is the k-th pivot R(k, k); ``f[k-1]`` holds the
-    elimination multipliers of step k (length r for k <= N-r, length N-k
-    afterwards); ``R`` is the upper triangular factor, zero beyond the upper
-    bandwidth of A, and its row k right of the diagonal is the subrow X_k of
-    the generator recursion. Built by :func:`structured_lu`, which marks all
-    of these arrays read-only.
+    All three arrays are read-only views of the band work array that
+    :func:`structured_lu` eliminates in; none of them is N x N unless the
+    upper bandwidth s is. ``R`` is the (N, s+1) band of the upper factor,
+    ``R[k-1, t] = R(k, k+t)``, so row k-1 right of its first entry is the
+    subrow X_k of the generator recursion; entries past column N are zero.
+    ``gamma = R[:, 0]`` holds the pivots R(k, k). ``f`` is (N-1, r):
+    ``f[k-1]`` holds the multipliers f_k of step k, and the short trailing
+    f_k (length N-k for k > N-r) are padded with zeros to length r. The
+    dense factors, for the oracle checks, come from :meth:`lower_factor`
+    and :meth:`upper_factor`.
     """
 
     n: int
     r: int
     gamma: np.ndarray
-    f: tuple[np.ndarray, ...]
+    f: np.ndarray
     R: np.ndarray
 
     def lower_factor(self) -> np.ndarray:
         """Reassemble the dense unit lower triangular factor L from the f_k."""
         L = np.eye(self.n)
-        for k, fk in enumerate(self.f, start=1):
-            L[k : k + fk.size, k - 1] = fk
+        for k in range(1, self.n):
+            L[k : k + self.r, k - 1] = self.f[k - 1, : self.n - k]
         return L
 
+    def upper_factor(self) -> np.ndarray:
+        """Reassemble the dense upper triangular factor R from its band."""
+        return _band_to_dense(self.R, 0)
 
-def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> list[np.ndarray]:
-    """Run elimination steps 1 .. ``steps`` on ``W`` in place.
 
-    ``W`` is banded with lower bandwidth r and upper bandwidth s. Step k
-    divides the rows k+1 .. min(k+r, N) of column k by the pivot W(k, k),
-    subtracts the multiples of row k from columns k+1 .. min(k+s, N) (the
-    rest of row k is zero: no-pivot LU creates no fill beyond s) and zeroes
-    the eliminated column. Returns the multiplier vectors f_1 .. f_steps.
+def _band_to_dense(band: np.ndarray, lo: int) -> np.ndarray:
+    """Dense m x m matrix M with M(i, i+t-lo) = band[i, t] (0-based), zero elsewhere."""
+    m, w = band.shape
+    i = np.arange(m)[:, None]
+    j = i + np.arange(-lo, w - lo)
+    keep = (j >= 0) & (j < m)
+    out = np.zeros((m, m))
+    out[np.broadcast_to(i, j.shape)[keep], j[keep]] = band[keep]
+    return out
+
+
+def _gather_band(A: BandedMatrix) -> np.ndarray:
+    """Work array W, shape (N+r, r+s+1), W[i, t] = A(i, i+t-r), zero outside A."""
+    n, r, s = A.n, A.r_lower, A.r_upper
+    W = np.zeros((n + r, r + s + 1))
+    for t in range(r + s + 1):
+        d = t - r
+        lo = max(0, -d)
+        diag = A.data.diagonal(d)
+        W[lo : lo + diag.size, t] = diag
+    return W
+
+
+def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
+    """View G of W with G[k, i, j] = A(k+i, k+j), shape (N, r+1, s+1)."""
+    n, w = len(W) - r, W.shape[1]
+    # as_strided does no bounds check: the last element of the last window,
+    # A(N-1+r, N-1+s), must still lie inside W
+    assert (n - 1) * w + r * (w - 1) + s + r < W.size, (W.shape, r, s)
+    b = W.itemsize
+    return as_strided(W[:, r:], shape=(n, r + 1, s + 1), strides=(w * b, (w - 1) * b, b))
+
+
+def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
+    """Run elimination steps 1 .. ``steps`` on the band work array ``W`` in place.
+
+    Step k divides the rows k+1 .. min(k+r, N) of column k by the pivot
+    A(k, k), leaving the multipliers f_k where column k was, and subtracts
+    the multiples of row k from columns k+1 .. min(k+s, N) (the rest of row
+    k is zero: no-pivot LU creates no fill beyond s).
     """
-    n = W.shape[0]
-    floor = PIVOT_RTOL * max(np.abs(W.diagonal(d)).max() for d in range(-r, s + 1))
-    fs = []
-    for k in range(1, steps + 1):
-        g = W[k - 1, k - 1]
+    n = len(W) - r
+    G = _windows(W, r, s)
+    floor = PIVOT_RTOL * np.abs(W).max()
+    for k in range(steps):
+        g = G[k, 0, 0]
         if abs(g) <= floor:
-            raise ZeroPivotError(k, float(g))
-        rows = slice(k, min(k + r, n))
-        cols = slice(k, min(k + s, n))
-        f = W[rows, k - 1] / g
-        W[rows, cols] -= np.outer(f, W[k - 1, cols])
-        W[rows, k - 1] = 0.0
-        fs.append(f)
-    return fs
+            raise ZeroPivotError(k + 1, float(g))
+        m = min(r, n - 1 - k)
+        c = min(s, n - 1 - k)
+        f = G[k, 1 : m + 1, 0]
+        f /= g
+        G[k, 1 : m + 1, 1 : c + 1] -= np.outer(f, G[k, 0, 1 : c + 1])
 
 
 def structured_lu(A: BandedMatrix) -> StructuredLU:
@@ -109,8 +158,8 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     Returns
     -------
     StructuredLU
-        Factor data with L @ R == A, where L is reassembled from the
-        multiplier columns f_k.
+        Band factor data with ``lower_factor() @ upper_factor() == A`` up
+        to roundoff.
 
     Raises
     ------
@@ -119,14 +168,14 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         is met (an exact zero always is); the error carries the 1-based step
         index.
     """
-    R = A.data.copy()
+    n, r, s = A.n, A.r_lower, A.r_upper
+    W = _gather_band(A)
     # step N has no row left to eliminate; it only checks the last pivot
-    *fs, _ = _eliminate(R, A.r_lower, A.r_upper, A.n)
-    # freeze the buffers built here instead of copying them; gamma is a view
-    # of R's diagonal
-    for v in (R, *fs):
-        v.flags.writeable = False
-    return StructuredLU(A.n, A.r_lower, R.diagonal(), tuple(fs), R)
+    _eliminate(W, r, s, n)
+    # freeze W instead of copying it; every factor array is a view of it
+    W.flags.writeable = False
+    R = W[:n, r:]
+    return StructuredLU(n, r, R[:, 0], _windows(W, r, s)[: n - 1, 1:, 0], R)
 
 
 def _corner(slu: StructuredLU) -> np.ndarray:
@@ -135,7 +184,7 @@ def _corner(slu: StructuredLU) -> np.ndarray:
     corner = np.eye(r)
     for idx, fi in enumerate(slu.f[slu.n - r :]):
         emb = np.eye(r)
-        emb[idx + 1 :, idx] = -fi
+        emb[idx + 1 :, idx] = -fi[: r - 1 - idx]
         corner = emb @ corner
     return corner
 
@@ -172,10 +221,11 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     for k = N-1 .. 1 with a(k) = [-f_k, I][:, :r], so that
     P a(k) = [-P f_k, P[:, :r-1]]. The block P_{N-r+1} is the r x r bottom
     generator; the rows p(k), k <= N-r, are the others. X_k is nonzero only
-    on R(k, k+1:k+s) (s the upper bandwidth), so X_k P_{k+1} reads the first
-    s rows of P_{k+1}, and row t of P_k is row t-1 of P_{k+1} a(k): a window
-    of the first max(r, s) rows of P carries the recursion in O(N r max(r, s))
-    time and O(N r^2) memory on top of the factorization.
+    on R(k, k+1:k+s) (s the upper bandwidth), a contiguous row of the R
+    band, so X_k P_{k+1} reads the first s rows of P_{k+1}, and row t of P_k
+    is row t-1 of P_{k+1} a(k): a window of the first max(r, s) rows of P
+    carries the recursion in O(N r max(r, s)) time and O(N r^2) memory on
+    top of the factorization.
     """
     slu = structured_lu(A)
     n, r, s = slu.n, slu.r, A.r_upper
@@ -186,7 +236,7 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     bottom = P
     p_rows = np.empty((n - r, r))
     for k in range(n - 1, 0, -1):
-        x = slu.R[k - 1, k : k + s]
+        x = slu.R[k - 1, 1 : 1 + min(s, n - k)]
         # Z = [X_k P_{k+1}; first rows of P_{k+1}], then P_k = Z a(k) with
         # its first row turned into p(k)
         Z = np.empty((min(window, n - k + 1), P.shape[1]))
@@ -194,7 +244,7 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
         Z[1:] = P[: len(Z) - 1]
         m = min(r, n - k + 1)  # a(k) has m columns
         P = np.empty((len(Z), m))
-        P[:, 0] = -(Z @ slu.f[k - 1])
+        P[:, 0] = -(Z @ slu.f[k - 1, : Z.shape[1]])
         P[:, 1:] = Z[:, : m - 1]
         P[0] = (e1[:m] - P[0]) / slu.gamma[k - 1]
         if k == n - r + 1:
@@ -212,8 +262,8 @@ def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
     the trailing elimination blocks, which is also the bottom generator of
     :func:`linv_generators`.
     """
-    n, r = slu.n, slu.r
-    return np.linalg.solve(slu.R[n - r :, n - r :], _corner(slu))
+    r = slu.r
+    return np.linalg.solve(_band_to_dense(slu.R[-r:], 0), _corner(slu))
 
 
 def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
@@ -223,11 +273,12 @@ def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
     column touches only the r rows below the pivot) and inherits the strong
     dominance condition of A with the same mu. Returned as a plain dense
     array: for ell = N - r the trailing block is r x r, too small to carry
-    the order-r band declaration.
+    the order-r band declaration. The elimination runs on the band work
+    array of :func:`structured_lu`; only the trailing block is expanded.
     """
     n, r = A.n, A.r_lower
     if not 1 <= ell <= n - r:
         raise ValueError(f"need 1 <= ell <= N - r = {n - r}, got {ell}")
-    W = A.data.copy()
+    W = _gather_band(A)
     _eliminate(W, r, A.r_upper, ell)
-    return W[ell:, ell:].copy()
+    return _band_to_dense(W[ell:n], r)

@@ -73,11 +73,15 @@ def dense_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``).
+
+    ``eigvalsh`` reads only the lower triangle, so a matrix whose asymmetry
+    exceeds 1e-12 * max|A(i, j)| is rejected; the guard is scale-invariant.
+    """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if np.abs(A - A.T).max() > 1e-12 * max(1.0, float(np.abs(A).max())):
+    if np.abs(A - A.T).max() > 1e-12 * np.abs(A).max():
         raise ValueError("matrix is not symmetric to 1e-12")
     return np.linalg.eigvalsh(A)
 

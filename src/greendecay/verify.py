@@ -67,8 +67,9 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
         mu = dominance_mu(A).mu
         scale = _one_norm(A.data)
 
-        record("factorization_residual", _one_norm(slu.lower_factor() @ slu.R - A.data) / scale)
-        record("r_vs_dense", np.abs(slu.R - dense_lu_no_pivot(A.data)[1]).max() / scale)
+        R = slu.upper_factor()
+        record("factorization_residual", _one_norm(slu.lower_factor() @ R - A.data) / scale)
+        record("r_vs_dense", np.abs(R - dense_lu_no_pivot(A.data)[1]).max() / scale)
         for f in slu.f[: n - r]:
             record("multiplier_excess", np.abs(f).sum() - mu)
         lower = (1.0 - mu**2) * np.abs(A.data.diagonal())

@@ -49,6 +49,12 @@ def test_rate_degenerate_qr_bound_allocates_o_n(band):
     assert peak_bytes(rejected, band) < MIB
 
 
+@pytest.mark.parametrize("fn", [gd.structured_lu, gd.inverse_green_generators])
+def test_factor_and_generators_allocate_o_n(band, fn):
+    # the band work array is (N + r) x (r + s + 1): 80 KiB here
+    assert peak_bytes(fn, band) < MIB
+
+
 def test_generators_add_o_n_r2_to_one_copy_of_r(band):
     # R is the one dense copy; the multipliers f_k, the window of P and the
     # stacked generators are O(N r^2), well under 1 MiB here

@@ -88,6 +88,21 @@ class TestBandedMatrix:
         A = gd.from_dense(np.diag([1.0, 2.0, 3.0]))
         assert (A.r_lower, A.r_upper) == (1, 0)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-20])
+    def test_tiny_nonsymmetric_matrix_is_not_symmetric(self, scale):
+        # the tolerance follows max|A|, not max(1, max|A|)
+        W = scale * np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+        assert not gd.from_dense(W).is_symmetric()
+
+    @pytest.mark.parametrize("k", [-1000, -60, 0, 60, 1000])
+    def test_symmetry_survives_power_of_two_scaling(self, k):
+        W = np.array([[4.0, 1.0, 0.5], [1.0, 4.0, 1.0], [0.5, 1.0, 4.0]])
+        assert gd.from_dense(2.0**k * W).is_symmetric()
+        assert not gd.from_dense(2.0**k * np.triu(W)).is_symmetric()
+
+    def test_zero_matrix_is_symmetric(self):
+        assert gd.BandedMatrix(3, 1, 2, np.zeros((3, 3))).is_symmetric()
+
 
 class TestDominance:
     def test_ex1a_mu_is_exact(self, ex1a_matrix):

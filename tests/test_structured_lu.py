@@ -13,7 +13,8 @@ class TestFactorization:
         slu = gd.structured_lu(lower2x2)
         np.testing.assert_array_equal(slu.gamma, [2.0, 2.0])
         np.testing.assert_array_equal(slu.f[0], [0.5])
-        np.testing.assert_array_equal(slu.R, [[2.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(slu.R, [[2.0], [2.0]])
+        np.testing.assert_array_equal(slu.upper_factor(), [[2.0, 0.0], [0.0, 2.0]])
 
     def test_tridiagonal(self, tridiag3):
         slu = gd.structured_lu(tridiag3)
@@ -25,7 +26,7 @@ class TestFactorization:
         slu = gd.structured_lu(gd.from_dense(np.eye(5)))
         np.testing.assert_array_equal(slu.gamma, np.ones(5))
         assert all(np.all(f == 0.0) for f in slu.f)
-        np.testing.assert_array_equal(slu.R, np.eye(5))
+        np.testing.assert_array_equal(slu.upper_factor(), np.eye(5))
 
     def test_factor_arrays_are_read_only(self, tridiag3):
         slu = gd.structured_lu(tridiag3)
@@ -47,7 +48,9 @@ class TestFactorization:
         gd.lu_bound(A)
         unit = gd.structured_lu(gd.make_banded(6, 1, 1, lambda i, j: 4.0 if i == j else -0.5))
         np.testing.assert_allclose(gd.structured_lu(A).gamma / scale, unit.gamma, rtol=1e-14)
-        np.testing.assert_allclose(gd.dense_lu_no_pivot(A.data)[1] / scale, unit.R, rtol=1e-14)
+        np.testing.assert_allclose(
+            gd.dense_lu_no_pivot(A.data)[1] / scale, unit.upper_factor(), rtol=1e-14
+        )
         for lu in (gd.structured_lu, lambda B: gd.dense_lu_no_pivot(B.data)):
             with pytest.raises(gd.ZeroPivotError) as err:
                 lu(gd.from_dense(scale * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])))
@@ -57,9 +60,10 @@ class TestFactorization:
         for A in small_ensemble:
             slu = gd.structured_lu(A)
             scale = one_norm(A.data)
-            assert one_norm(slu.lower_factor() @ slu.R - A.data) <= 1e-11 * scale
+            R = slu.upper_factor()
+            assert one_norm(slu.lower_factor() @ R - A.data) <= 1e-11 * scale
             _, R_ref = gd.dense_lu_no_pivot(A.data)
-            assert np.abs(slu.R - R_ref).max() <= 1e-10 * scale
+            assert np.abs(R - R_ref).max() <= 1e-10 * scale
 
     def test_lower_factor_band_structure(self, small_ensemble):
         # column k of L is nonzero only in rows k .. k+r
@@ -70,9 +74,13 @@ class TestFactorization:
             assert np.all(np.tril(L, -1)[d < 0] == 0.0)
 
     def test_r_is_upper_triangular(self, small_ensemble):
+        # the band R[k, t] = R(k+1, k+1+t) holds s+1 diagonals, zero past column N
         for A in small_ensemble[:6]:
-            R = gd.structured_lu(A).R
-            assert np.all(np.tril(R, -1) == 0.0)
+            slu = gd.structured_lu(A)
+            assert slu.R.shape == (A.n, A.r_upper + 1)
+            k, t = np.indices(slu.R.shape)
+            assert np.all(slu.R[k + t >= A.n] == 0.0)
+            assert np.all(np.tril(slu.upper_factor(), -1) == 0.0)
 
 
 class TestLInverseGenerators:
