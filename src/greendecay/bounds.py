@@ -1,7 +1,7 @@
 """Computable exponential decay bounds for entries of banded-matrix inverses.
 
-All bound families share one evaluable shape: a pair (M, gamma) with a region
-predicate, yielding a geometric envelope on |A^{-1}(i, j)|.
+All bound families share one evaluable shape: a pair (M, gamma) yielding a
+geometric envelope on |A^{-1}(i, j)|; :func:`eval_bound` fixes each region.
 
 LU family (from the strong dominance condition, mu < 1, bandwidth r):
 
@@ -54,18 +54,17 @@ KINDS = ("LU", "QR", "DMS-SPD", "DMS-indefinite", "Frommer", "ChuiHasson", "Vara
 
 @dataclass(frozen=True)
 class DecayBound:
-    """A geometric envelope (M, gamma) on |A^{-1}(i, j)| over a region.
+    """A geometric envelope (M, gamma) on |A^{-1}(i, j)|.
 
     ``M`` is absent for constant-free families (Chui-Hasson);
     ``rate_authoritative`` marks families whose constant is advisory (DMS).
-    Evaluate with :func:`eval_bound`.
+    Evaluate with :func:`eval_bound`, which fixes each family's region.
     """
 
     kind: str
     gamma: float
     r: int
     M: float | None = None
-    region: str = "i >= j"
     rate_authoritative: bool = False
     constant_free: bool = False
 
@@ -81,7 +80,10 @@ class DecayBound:
 def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
     """Value of the bound at 1-based (i, j), or None outside its region.
 
-    Chui-Hasson returns the bare rate power gamma^|i-j| (constant-free).
+    Region and exponent d of M * gamma^d by family: LU and QR on i >= j with
+    d = i - j; Frommer on |i-j| >= r with d = |i-j| - r; Varah everywhere
+    with d = 0; DMS and Chui-Hasson everywhere with d = |i-j|. Chui-Hasson
+    returns the bare rate power gamma^|i-j| (constant-free).
     """
     d = i - j
     if bound.kind in ("LU", "QR"):
@@ -115,7 +117,7 @@ def lu_bound(A: BandedMatrix) -> DecayBound:
     r = A.r_lower
     gamma = mu ** (1.0 / r)
     M = (1.0 + mu**2) / ((1.0 - mu) * (1.0 - mu**2) * rep.min_diag)
-    return DecayBound("LU", gamma, r, M=M, region="i >= j")
+    return DecayBound("LU", gamma, r, M=M)
 
 
 def varah_bound(A: BandedMatrix) -> float:
@@ -237,7 +239,7 @@ def qr_bound(
         gamma=gamma,
         k_threshold_met=bool(k_const >= max(t_energy, t_band)),
     )
-    return report, DecayBound("QR", gamma, r, M=M, region="i >= j")
+    return report, DecayBound("QR", gamma, r, M=M)
 
 
 def dms_rate(
@@ -266,7 +268,7 @@ def dms_rate(
         rate = ((kappa - 1.0) / (kappa + 1.0)) ** (1.0 / (2 * r))
         kind = "DMS-indefinite"
     C = 1.0 / a if constant is None else max(1.0 / a, constant)
-    return DecayBound(kind, rate, r, M=C, region="all", rate_authoritative=True)
+    return DecayBound(kind, rate, r, M=C, rate_authoritative=True)
 
 
 def frommer_bound(lambda1: float, lambda_nm1: float, r: int) -> DecayBound:
@@ -283,13 +285,7 @@ def frommer_bound(lambda1: float, lambda_nm1: float, r: int) -> DecayBound:
     ke = lambda_nm1 / lambda1
     root = math.sqrt(ke)
     q1 = (root - 1.0) / (root + 1.0)
-    return DecayBound(
-        "Frommer",
-        q1 ** (1.0 / r),
-        r,
-        M=2.0 / lambda1,
-        region=f"|i-j| >= {r}",
-    )
+    return DecayBound("Frommer", q1 ** (1.0 / r), r, M=2.0 / lambda1)
 
 
 def chui_hasson_rate(a: float, b: float, r: int) -> DecayBound:
@@ -301,4 +297,4 @@ def chui_hasson_rate(a: float, b: float, r: int) -> DecayBound:
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
     rate = ((b - a) / (b + a)) ** (1.0 / (2 * r))
-    return DecayBound("ChuiHasson", rate, r, M=None, region="all", constant_free=True)
+    return DecayBound("ChuiHasson", rate, r, M=None, constant_free=True)

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 
 class ZeroPivotError(ArithmeticError):
-    """Elimination hit a zero pivot, or one too small to divide by safely
-    relative to the largest entry of the matrix.
+    """No-pivot elimination broke down at step ``k`` (1-based).
 
-    ``k`` is the 1-based elimination step; a matrix raising this is not
-    strongly regular and admits no LU factorization without pivoting.
+    The pivot ``value`` of step k is zero, too small to divide by safely
+    relative to the largest entry of the matrix, or not finite; or the
+    elimination has overflowed by step k. A matrix raising this admits no
+    LU factorization without pivoting in floating point.
     """
 
     def __init__(self, k: int, value: float = 0.0):
         self.k = k
         self.value = value
-        super().__init__(f"zero pivot at elimination step k={k} (value={value!r})")
+        super().__init__(f"no-pivot elimination breaks down at step k={k} (pivot={value!r})")
 
 
 class DominanceError(ValueError):

@@ -42,7 +42,8 @@ class GreenGenerators:
     ``p_rows[i-1]`` is p(i) for i = 1..N-r, ``bottom`` is the r x r p(N-r+1),
     ``q_cols[j-1]`` is q(j) (as a row) for j = 1..N-r and ``a_stack[k-1]`` is
     a(k) for k = 1..N-r. N and r follow from the shapes; q(0) = I_r is
-    implicit. The 1-based accessors return views in the block shapes.
+    implicit. Arrays of the wrong shape or with non-finite entries raise
+    ValueError. The 1-based accessors return views in the block shapes.
     """
 
     p_rows: np.ndarray  # (N-r, r)
@@ -64,6 +65,8 @@ class GreenGenerators:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -96,24 +99,6 @@ class GreenGenerators:
         return self.a_stack[k - 1]
 
 
-def _row_walk(gens: GreenGenerators, i: int, stop: int):
-    """Yield (bj, v) for block columns bj = bi-1 down to ``stop``, right to left.
-
-    bi is the block row of scalar row i and v = p a(bi-1)...a(bj+1), with p
-    the row of p(bi) that holds scalar row i. The row's entry in block column
-    bj >= 1 is v . q(bj); in block column 0 (q(0) = I) its r entries are v.
-    """
-    n, r = gens.n, gens.r
-    if i <= n - r:
-        bi, v = i, gens.p_rows[i - 1]
-    else:
-        bi, v = n - r + 1, gens.bottom[i - (n - r + 1)]
-    for bj in range(bi - 1, stop - 1, -1):
-        yield bj, v
-        if bj > stop:
-            v = v @ gens.a_stack[bj - 1]
-
-
 def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     """Scalar entry B(i, j) for 1-based indices with j <= i + r - 1.
 
@@ -130,9 +115,12 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
             f"entry ({i}, {j}) with j - i = {j - i} lies outside the represented "
             f"region j <= i + r - 1 (r = {r})"
         )
+    # v = p a(bi-1)...a(bj+1) for the row p of p(bi) that holds scalar row i
+    bi = min(i, n - r + 1)
+    v = gens.p_rows[i - 1] if i <= n - r else gens.bottom[i - bi]
     bj = 0 if j <= r else j - r
-    for _, v in _row_walk(gens, i, bj):
-        pass  # v ends as p a(bi-1)...a(bj+1)
+    for k in range(bi - 1, bj, -1):
+        v = v @ gens.a_stack[k - 1]
     return float(v[j - 1] if bj == 0 else v @ gens.q_cols[bj - 1])
 
 
@@ -143,15 +131,20 @@ def reconstruct_lower(gens: GreenGenerators) -> tuple[np.ndarray, np.ndarray]:
     represented region j <= i + r - 1; non-represented entries hold zero
     rather than a (necessarily wrong) extrapolation.
 
-    The evaluation walks each scalar row right to left, reusing the running
-    product p(i) a(i-1)...a(j+1), so the whole region costs O(N^2 r^2).
+    Block row i = 1..N-r is p(i) C[:, :w], w = i+r-1, where column j of the
+    r x N array C holds a(i-1)...a(bj+1) q(bj), bj the block column of
+    scalar column j; C then takes a(i) on those columns and q(i) as column
+    w+1 (q(0) = I fills the first r). The bottom block row is p(N-r+1) C.
+    One numpy step per block row: O(N^2 r) flops and no N x N array besides
+    ``values`` and ``mask``.
     """
     n, r = gens.n, gens.r
     values = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for bj, v in _row_walk(gens, i, 0):
-            if bj:
-                values[i - 1, bj + r - 1] = v @ gens.q_cols[bj - 1]
-            else:
-                values[i - 1, :r] = v
+    C = np.eye(r, n)
+    for i in range(1, n - r + 1):
+        w = i + r - 1
+        values[i - 1, :w] = gens.p_rows[i - 1] @ C[:, :w]
+        C[:, :w] = gens.a_stack[i - 1] @ C[:, :w]
+        C[:, w] = gens.q_cols[i - 1]
+    values[n - r :] = gens.bottom @ C
     return values, np.tri(n, k=r - 1, dtype=bool)

@@ -124,6 +124,7 @@ def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
     return as_strided(W[:, r:], shape=(n, r + 1, s + 1), strides=(w * b, (w - 1) * b, b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     """Run elimination steps 1 .. ``steps`` on the band work array ``W`` in place.
 
@@ -131,19 +132,26 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     A(k, k), leaving the multipliers f_k where column k was, and subtracts
     the multiples of row k from columns k+1 .. min(k+s, N) (the rest of row
     k is zero: no-pivot LU creates no fill beyond s).
+
+    A pivot that is zero, below the floor or not finite raises
+    ZeroPivotError at its step. Overflow runs on, but inf and NaN never turn
+    finite (0 * inf is NaN) and reach a later pivot along their row; only an
+    early stop (:func:`schur_complement`) leaves them to the final check.
     """
     n = len(W) - r
     G = _windows(W, r, s)
     floor = PIVOT_RTOL * np.abs(W).max()
     for k in range(steps):
         g = G[k, 0, 0]
-        if abs(g) <= floor:
+        if not floor < abs(g) < np.inf:
             raise ZeroPivotError(k + 1, float(g))
         m = min(r, n - 1 - k)
         c = min(s, n - 1 - k)
         f = G[k, 1 : m + 1, 0]
         f /= g
         G[k, 1 : m + 1, 1 : c + 1] -= np.outer(f, G[k, 0, 1 : c + 1])
+    if not np.isfinite(W).all():
+        raise ZeroPivotError(steps, float(G[steps - 1, 0, 0]))
 
 
 def structured_lu(A: BandedMatrix) -> StructuredLU:
@@ -165,8 +173,8 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     ------
     ZeroPivotError
         If a pivot no larger than ``PIVOT_RTOL * max|A(i, j)|`` in magnitude
-        is met (an exact zero always is); the error carries the 1-based step
-        index.
+        is met (an exact zero always is), or the elimination overflows; the
+        error carries the 1-based step index.
     """
     n, r, s = A.n, A.r_lower, A.r_upper
     W = _gather_band(A)
@@ -208,6 +216,7 @@ def linv_generators(slu: StructuredLU) -> GreenGenerators:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     """Green generators of A^{-1} for a strongly regular lower band matrix.
 
@@ -225,7 +234,7 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     band, so X_k P_{k+1} reads the first s rows of P_{k+1}, and row t of P_k
     is row t-1 of P_{k+1} a(k): a window of the first max(r, s) rows of P
     carries the recursion in O(N r max(r, s)) time and O(N r^2) memory on
-    top of the factorization.
+    top of the factorization. Generators that overflow raise ValueError.
     """
     slu = structured_lu(A)
     n, r, s = slu.n, slu.r, A.r_upper

@@ -26,13 +26,15 @@ __all__ = [
 _PIVOT_RTOL = np.finfo(float).tiny
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dense_lu_no_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classical Doolittle factorization A = L R without pivoting.
 
     Requires all leading principal minors nonzero (guaranteed under strong
-    column dominance). Raises ZeroPivotError with the 1-based step index
-    otherwise, or when a pivot is no larger than tiny * max|A(i, j)|. L is
-    unit lower triangular, R upper triangular.
+    column dominance). Raises ZeroPivotError with the 1-based step index at
+    the first pivot no larger than tiny * max|A(i, j)| or not finite; the
+    full trailing update carries any overflow (0 * inf is NaN) into a later
+    pivot. L is unit lower triangular, R upper triangular.
     """
     U = np.array(a, dtype=float, copy=True)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -40,16 +42,14 @@ def dense_lu_no_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = U.shape[0]
     floor = _PIVOT_RTOL * np.abs(U).max()
     L = np.eye(n)
-    for k in range(n - 1):
+    for k in range(n):
         p = U[k, k]
-        if abs(p) <= floor:
+        if not floor < abs(p) < np.inf:
             raise ZeroPivotError(k + 1, float(p))
         m = U[k + 1 :, k] / p
         L[k + 1 :, k] = m
         U[k + 1 :, k + 1 :] -= np.outer(m, U[k, k + 1 :])
         U[k + 1 :, k] = 0.0
-    if abs(U[n - 1, n - 1]) <= floor:
-        raise ZeroPivotError(n, float(U[n - 1, n - 1]))
     return L, U
 
 

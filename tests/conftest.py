@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import greendecay as gd
+
+# Hypothesis imports its patch writer (and with it libcst, when installed)
+# only while reporting a failing example. Under -W error, libcst's import-time
+# DeprecationWarning from mypy_extensions would then abort the session with
+# an INTERNALERROR in place of the failure report. Import it once here, with
+# that warning silenced for the import alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -60,3 +60,11 @@ def test_generators_add_o_n_r2_to_one_copy_of_r(band):
     # stacked generators are O(N r^2), well under 1 MiB here
     peak = peak_bytes(gd.inverse_green_generators, band)
     assert peak < band.data.nbytes + MIB
+
+
+def test_reconstruct_lower_allocates_only_values_and_mask(band):
+    # the recurrence keeps one r x N array of open columns and r x N
+    # temporaries; only the returned values and mask are N x N
+    gens = gd.inverse_green_generators(band)
+    values, mask = gd.reconstruct_lower(gens)
+    assert peak_bytes(gd.reconstruct_lower, gens) < values.nbytes + mask.nbytes + MIB

@@ -82,6 +82,16 @@ class TestGeneratorContainer:
             with pytest.raises(ValueError, match="shape"):
                 gd.GreenGenerators(*args)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        n, r = 5, 2
+        good = [np.zeros((n - r, r)), np.eye(r), np.zeros((n - r, r)), np.zeros((n - r, r, r))]
+        for idx in range(4):
+            args = [arr.copy() for arr in good]
+            args[idx].flat[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                gd.GreenGenerators(*args)
+
     def test_accessors_are_read_only_views_of_copies(self):
         p_rows = RNG.uniform(-1, 1, (4, 2))
         g = gd.GreenGenerators(p_rows, np.eye(2), np.ones((4, 2)), np.zeros((4, 2, 2)))
@@ -228,15 +238,25 @@ class TestReconstruction:
         inv = gd.dense_inverse(ex1a_matrix.data)
         assert np.abs(values - inv)[mask].max() <= 1e-10
 
-    def test_matches_scalar_entry_evaluation(self):
-        gens = random_generators(8, 2)
+    @pytest.mark.parametrize("n,r", [(2, 1), (4, 3), (8, 2), (12, 1), (15, 5)])
+    def test_matches_scalar_entry_evaluation(self, n, r):
+        # green_block_entry multiplies the definition out block by block and
+        # shares no code with the recurrence; the bottom block row included
+        gens = random_generators(n, r)
         values, mask = gd.reconstruct_lower(gens)
-        for i in range(1, 9):
-            for j in range(1, 9):
-                if mask[i - 1, j - 1]:
-                    assert values[i - 1, j - 1] == pytest.approx(
-                        gd.green_scalar_entry(gens, i, j), rel=1e-12, abs=1e-15
-                    )
+        tol = 1e-13 * np.abs(values).max()
+        top = n - r + 1
+        for i in range(1, n + 1):
+            bi, row = (i, 0) if i < top else (top, i - top)
+            for j in range(1, n + 1):
+                if not mask[i - 1, j - 1]:
+                    continue
+                bj, col = (0, j - 1) if j <= r else (j - r, 0)
+                assert values[i - 1, j - 1] == pytest.approx(
+                    gd.green_scalar_entry(gens, i, j), rel=1e-12, abs=1e-15
+                )
+                ref = green_block_entry(gens, bi, bj)[row, col]
+                assert abs(values[i - 1, j - 1] - ref) <= tol
 
 
 class TestDominantGeneratorNorms:

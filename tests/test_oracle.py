@@ -36,6 +36,23 @@ def test_lu_zero_pivot_raises():
     assert err.value.k == 2
 
 
+@pytest.mark.parametrize(
+    "a, k",
+    [
+        # step 1 makes the pivot of step 2 -inf
+        (np.array([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]]), 2),
+        # step 1 makes A(2, 3) -inf; step 2 (multiplier 0) carries it, as
+        # 0 * -inf = NaN, into the pivot of step 3
+        (np.array([[1.0, 0.0, 1e200], [1e200, 1.0, 0.0], [0.0, 0.0, 1.0]]), 3),
+    ],
+    ids=["pivot", "pivot-row"],
+)
+def test_lu_overflow_raises_with_index(a, k):
+    with pytest.raises(gd.ZeroPivotError, match=f"step k={k}") as err:
+        gd.dense_lu_no_pivot(a)
+    assert err.value.k == k and not np.isfinite(err.value.value)
+
+
 def test_lu_reproduces_random_matrices():
     for _ in range(5):
         A = RNG.uniform(-1, 1, (20, 20)) + 10.0 * np.eye(20)

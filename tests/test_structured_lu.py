@@ -4,6 +4,10 @@ import pytest
 import greendecay as gd
 
 
+# Finite, but no-pivot elimination overflows at its first step.
+OVERFLOW_3X3 = np.array([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]])
+
+
 def one_norm(M):
     return np.abs(M).sum(axis=0).max()
 
@@ -55,6 +59,26 @@ class TestFactorization:
             with pytest.raises(gd.ZeroPivotError) as err:
                 lu(gd.from_dense(scale * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])))
             assert err.value.k == 2
+
+    @pytest.mark.parametrize(
+        "lu", [gd.structured_lu, gd.inverse_green_generators], ids=["lu", "generators"]
+    )
+    def test_overflowing_pivot_raises_with_index(self, lu):
+        # finite entries, but step 1 leaves A(2, 2) = 1 - 1e400 = -inf; a
+        # floor test |pivot| <= floor is False for inf and NaN
+        A = gd.from_dense(OVERFLOW_3X3)
+        with pytest.raises(gd.ZeroPivotError, match="step k=2") as err:
+            lu(A)
+        assert err.value.k == 2 and err.value.value == -np.inf
+
+    def test_generator_overflow_is_rejected(self):
+        # the factorization is finite (its last pivot is a roundoff residue
+        # of 1e100 - 1e100), but the generator recursion overflows
+        M = np.array([[1e200, 1e200, 0.0], [1e-200, 1e-100, 1e-200], [0.0, 1e200, 1e100]])
+        A = gd.make_banded(3, 1, 1, lambda i, j: M[i - 1, j - 1])
+        assert np.isfinite(gd.structured_lu(A).R).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            gd.inverse_green_generators(A)
 
     def test_matches_dense_oracle_on_ensemble(self, small_ensemble):
         for A in small_ensemble:
@@ -222,6 +246,12 @@ class TestSchurComplement:
     def test_diagonal_matrix_unchanged(self):
         A = gd.from_dense(np.diag([2.0, 3.0, 4.0, 5.0]))
         np.testing.assert_array_equal(gd.schur_complement(A, 2), np.diag([4.0, 5.0]))
+
+    def test_overflow_in_the_trailing_block_raises(self):
+        # step 1 overflows A(2, 2) but checks no pivot after it
+        with pytest.raises(gd.ZeroPivotError, match="step k=1") as err:
+            gd.schur_complement(gd.from_dense(OVERFLOW_3X3), 1)
+        assert err.value.k == 1
 
     @pytest.mark.parametrize("ell", [0, -1, 100])
     def test_rejects_bad_step_counts(self, ell, tridiag3):
