@@ -6,10 +6,17 @@ API is 1-based (row/column indices i, j run from 1 to N), so
 ``A.entry(i, j) == A.data[i - 1, j - 1]``. All containers are immutable after
 construction (backing arrays are marked read-only) and safe to share between
 threads.
+
+``make_banded`` samples only the band: O(N (r_lower + r_upper + 1)) calls of
+its entry function, whose values are checked and written once onto the band
+diagonals of a fresh N x N array. Dense input (``BandedMatrix(...)``,
+``from_dense``, ``read_matrix_market``) is copied and scanned in full: only
+a scan can show that its entries outside the band are zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,29 +53,45 @@ class BandedMatrix:
         data = np.array(self.data, dtype=float, copy=True, order="C")
         if data.shape != (self.n, self.n):
             raise ValueError(f"data shape {data.shape} does not match n={self.n}")
-        if not (self.n > self.r_lower >= 1):
-            raise ValueError(
-                f"need N > r_lower >= 1, got N={self.n}, r_lower={self.r_lower}"
-            )
-        if not (0 <= self.r_upper <= self.n - 1):
-            raise ValueError(
-                f"need 0 <= r_upper <= N-1, got r_upper={self.r_upper}, N={self.n}"
-            )
+        _check_dimensions(self.n, self.r_lower, self.r_upper)
         # every nonzero must lie on one of the in-band diagonals (views, no
         # copy); a NaN counts as nonzero, so once the counts agree only the
         # band can hold a non-finite entry
-        band = [data.diagonal(d) for d in range(-self.r_lower, self.r_upper + 1)]
-        in_band = sum(np.count_nonzero(v) for v in band)
-        if np.count_nonzero(data) != in_band or not all(
-            np.isfinite(v).all() for v in band
-        ):
-            bad = np.argwhere(~np.isfinite(data))
-            if bad.size:
-                i, j = bad[0] + 1
-                raise ValueError(
-                    f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
-                )
+        band = _band_diagonals(data, self.r_lower, self.r_upper)
+        if np.count_nonzero(data) != sum(np.count_nonzero(v) for v in band):
+            _raise_first_non_finite(data)
             raise ValueError("entries outside the declared band must be exactly zero")
+        self._seal(data, band)
+
+    @classmethod
+    def _from_band(cls, V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
+        """Build A from its band array, ``V[i, t] = A(i, i + t - r_lower)`` (0-based).
+
+        Entries of V that fall outside the matrix are ignored. The in-matrix
+        ones are written once onto the band diagonals of a fresh zero N x N
+        array. Its out-of-band zeros hold by construction, so the copy and
+        the N^2 scan of dense input are skipped; the dimension and finiteness
+        checks, and their messages, are those of ``BandedMatrix(...)``.
+        """
+        n = len(V)
+        _check_dimensions(n, r_lower, r_upper)
+        data = np.zeros((n, n))
+        # diagonal d starts at flat index lo*(N+1) + d and steps by N+1
+        flat = data.reshape(-1)
+        for t, d in enumerate(range(-r_lower, r_upper + 1)):
+            lo, hi = max(0, -d), min(n, n - d)
+            flat[lo * (n + 1) + d :: n + 1][: hi - lo] = V[lo:hi, t]
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r_lower", r_lower)
+        object.__setattr__(self, "r_upper", r_upper)
+        self._seal(data, _band_diagonals(data, r_lower, r_upper))
+        return self
+
+    def _seal(self, data: np.ndarray, band: list) -> None:
+        """Check that the band views of ``data`` are finite, freeze and store it."""
+        if not all(np.isfinite(v).all() for v in band):
+            _raise_first_non_finite(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -101,19 +124,42 @@ def make_banded(
     r_upper: int,
     entry_fn: Callable[[int, int], float],
 ) -> BandedMatrix:
-    """Sample ``entry_fn(i, j)`` (1-based) inside the band, zeros outside."""
-    if not (n > r_lower >= 1) or r_upper < 0:
+    """Sample ``entry_fn(i, j)`` (1-based) inside the band, zeros outside.
+
+    ``entry_fn`` is called once per in-band entry, O(N (r_lower + r_upper + 1))
+    times, row by row and with j ascending in each row. The samples fill a
+    band array of shape (N, r_lower + r_upper + 1), which is checked and
+    written once onto the band diagonals of the one N x N array.
+    """
+    _check_dimensions(n, r_lower, r_upper)
+    cols = np.arange(n)[:, None] + np.arange(-r_lower, r_upper + 1)
+    i, t = np.nonzero((cols >= 0) & (cols < n))
+    V = np.zeros(cols.shape)
+    # Python ints, as a range() loop would pass them
+    V[i, t] = [entry_fn(a + 1, b + 1) for a, b in zip(i.tolist(), cols[i, t].tolist())]
+    return BandedMatrix._from_band(V, r_lower, r_upper)
+
+
+def _check_dimensions(n: int, r_lower: int, r_upper: int) -> None:
+    if not (n > r_lower >= 1):
+        raise ValueError(f"need N > r_lower >= 1, got N={n}, r_lower={r_lower}")
+    if not (0 <= r_upper <= n - 1):
+        raise ValueError(f"need 0 <= r_upper <= N-1, got r_upper={r_upper}, N={n}")
+
+
+def _band_diagonals(data: np.ndarray, r_lower: int, r_upper: int) -> list:
+    """Read-only views of the diagonals d = -r_lower .. r_upper of ``data``."""
+    return [data.diagonal(d) for d in range(-r_lower, r_upper + 1)]
+
+
+def _raise_first_non_finite(data: np.ndarray) -> None:
+    """Raise ValueError naming the row-major first non-finite entry, if any."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0] + 1
         raise ValueError(
-            f"invalid dimensions: n={n}, r_lower={r_lower}, r_upper={r_upper}"
+            f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
         )
-    rows, cols = [], []
-    for i in range(n):
-        lo, hi = max(0, i - r_lower), min(n, i + r_upper + 1)
-        rows += [i] * (hi - lo)
-        cols += range(lo, hi)
-    data = np.zeros((n, n))
-    data[rows, cols] = [entry_fn(i + 1, j + 1) for i, j in zip(rows, cols)]
-    return BandedMatrix(n, r_lower, r_upper, data)
 
 
 def from_dense(
@@ -130,11 +176,12 @@ def from_dense(
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
     n = data.shape[0]
-    ii, jj = np.nonzero(data)
-    if r_lower is None:
-        r_lower = int(max(1, (ii - jj).max(initial=0)))
-    if r_upper is None:
-        r_upper = int(max(0, (jj - ii).max(initial=0)))
+    if r_lower is None or r_upper is None:
+        ii, jj = np.nonzero(data)
+        if r_lower is None:
+            r_lower = int(max(1, (ii - jj).max(initial=0)))
+        if r_upper is None:
+            r_upper = int(max(0, (jj - ii).max(initial=0)))
     return BandedMatrix(n, r_lower, r_upper, data)
 
 
@@ -279,6 +326,10 @@ def read_matrix_market(path) -> BandedMatrix:
                 v = float(parts[2])
             except ValueError:
                 raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno)
+            if not math.isfinite(v):
+                raise MatrixMarketError(
+                    f"entry ({i}, {j}) is {parts[2]}; entries must be finite", line=lineno
+                )
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise MatrixMarketError(
                     f"index ({i}, {j}) outside 1..{nrows}", line=lineno

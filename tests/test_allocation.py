@@ -1,4 +1,4 @@
-"""Allocation guards: the per-op kernels read only the band of A.
+"""Allocation guards: construction and the per-op kernels touch only the band of A.
 
 These compare tracemalloc peaks, never timings, so they are deterministic.
 At N = 2000 the dense array is 30.5 MiB; a kernel that builds any N x N
@@ -34,6 +34,14 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_make_banded_writes_one_dense_array(band):
+    # the samples and their band array are O(N (r+s+1)); the N x N array is
+    # allocated once, written on the band and never copied
+    W = band.data
+    peak = peak_bytes(gd.make_banded, N, R, R, lambda i, j: W[i - 1, j - 1])
+    assert peak < N * N * 8 + MIB
 
 
 @pytest.mark.parametrize("fn", [gd.dominance_mu, gd.lu_bound, gd.varah_bound])

@@ -35,7 +35,7 @@ class TestBandedMatrix:
             assert A.entry(i, j) == 10.0 * i + j
         assert np.count_nonzero(A.data) == len(want)
 
-    @pytest.mark.parametrize("n,rl,ru", [(3, 3, 1), (3, 0, 1), (2, 1, -1)])
+    @pytest.mark.parametrize("n,rl,ru", [(3, 3, 1), (3, 0, 1), (2, 1, -1), (3, 1, 3)])
     def test_make_banded_rejects_bad_dimensions(self, n, rl, ru):
         with pytest.raises(ValueError):
             gd.make_banded(n, rl, ru, lambda i, j: 1.0)
@@ -263,6 +263,29 @@ class TestMatrixMarket:
             "1 1 1.0\n",
         )
         with pytest.raises(gd.MatrixMarketError, match=f"order {order}.*line 2"):
+            gd.read_matrix_market(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_entry_is_rejected_at_its_line(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 3\n"
+            "1 1 1.0\n"
+            f"2 2 {value}\n"
+            "3 3 1.0\n",
+        )
+        with pytest.raises(gd.MatrixMarketError, match=r"\(2, 2\) is .*must be finite.*line 4"):
+            gd.read_matrix_market(path)
+
+    def test_non_finite_entry_is_rejected_before_allocating(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{10**9} {10**9} 1\n"
+            "1 1 inf\n",
+        )
+        with pytest.raises(gd.MatrixMarketError, match=r"\(1, 1\) is inf; .*must be finite.*line 3"):
             gd.read_matrix_market(path)
 
     def test_entries_are_checked_before_allocating(self, tmp_path):

@@ -204,3 +204,48 @@ def test_band_check_accepts_exactly_the_band(n, rl, ru, i, j):
     else:
         with pytest.raises(ValueError, match="outside the declared band"):
             gd.BandedMatrix(n, rl, ru, W)
+
+
+@st.composite
+def band_shape(draw):
+    """N <= 30 with any bandwidths 1 <= r < N and 0 <= s < N."""
+    n = draw(st.integers(2, 30))
+    return n, draw(st.integers(1, n - 1)), draw(st.integers(0, n - 1))
+
+
+@PROPERTY
+@given(
+    shape=band_shape(),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2),
+)
+def test_make_banded_matches_the_dense_route(shape, seed, bad):
+    n, r, s = shape
+    rng = np.random.default_rng(seed)
+    # mixed signs over seven decades, with exact zeros of both signs
+    W = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+    W[rng.random((n, n)) < 0.2] = 0.0
+    W[rng.random((n, n)) < 0.1] = -0.0
+    in_band = np.triu(np.tril(np.ones((n, n), dtype=bool), s), -r)
+    i, j = np.nonzero(in_band)
+    picks = rng.choice(i.size, size=len(bad), replace=False)
+    W[i[picks], j[picks]] = bad
+    W[~in_band] = np.nan  # make_banded must never sample these
+
+    def entry_fn(a, b):
+        return W[a - 1, b - 1]
+
+    D = np.zeros((n, n))
+    for a, b in zip(i.tolist(), j.tolist()):
+        D[a, b] = entry_fn(a + 1, b + 1)
+    if not bad:
+        got = gd.make_banded(n, r, s, entry_fn).data
+        assert got.tobytes() == gd.BandedMatrix(n, r, s, D).data.tobytes()
+        return
+    first = min(zip(i[picks].tolist(), j[picks].tolist()))
+    with pytest.raises(ValueError) as dense:
+        gd.BandedMatrix(n, r, s, D)
+    with pytest.raises(ValueError) as banded:
+        gd.make_banded(n, r, s, entry_fn)
+    assert str(banded.value) == str(dense.value)
+    assert str(banded.value).startswith(f"entry ({first[0] + 1}, {first[1] + 1}) is ")
