@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -135,8 +136,8 @@ def make_banded(
     cols = np.arange(n)[:, None] + np.arange(-r_lower, r_upper + 1)
     i, t = np.nonzero((cols >= 0) & (cols < n))
     V = np.zeros(cols.shape)
-    # Python ints, as a range() loop would pass them
-    V[i, t] = [entry_fn(a + 1, b + 1) for a, b in zip(i.tolist(), cols[i, t].tolist())]
+    ij = zip((i + 1).tolist(), (cols[i, t] + 1).tolist())  # Python ints, as range() gives
+    V[i, t] = np.fromiter(starmap(entry_fn, ij), float, len(i))
     return BandedMatrix._from_band(V, r_lower, r_upper)
 
 
@@ -275,10 +276,11 @@ def read_matrix_market(path) -> BandedMatrix:
 
     Bandwidths are inferred as the tightest values containing all nonzeros
     (with r_lower floored at 1). General and symmetric storage are supported;
-    duplicate coordinates are accumulated in file order. The file is read
-    line by line, and every entry and the entry count are checked before the
-    dense N x N array is allocated; parse failures report the 1-based line
-    number, and an order too large to allocate is a MatrixMarketError.
+    duplicate coordinates are summed in file order. The file is read line by
+    line, and every entry, every sum and the entry count are checked before
+    the dense N x N array is allocated; parse failures (an overflowing sum
+    among them) report the 1-based line number, and an order too large to
+    allocate is a MatrixMarketError.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -311,8 +313,8 @@ def read_matrix_market(path) -> BandedMatrix:
             raise MatrixMarketError(f"order must be positive, got {nrows}", line=lineno)
         size_lineno = lineno
 
-        # 0-based (row, col, value) in the order the entries are added
-        rows, cols, vals = [], [], []
+        # running sum of each 1-based (row, col), added in file order from 0.0
+        sums: dict[tuple[int, int], float] = {}
         seen = 0
         for lineno, raw in lines:
             stripped = raw.strip()
@@ -334,13 +336,11 @@ def read_matrix_market(path) -> BandedMatrix:
                 raise MatrixMarketError(
                     f"index ({i}, {j}) outside 1..{nrows}", line=lineno
                 )
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            if symmetry == "symmetric" and i != j:
-                rows.append(j - 1)
-                cols.append(i - 1)
-                vals.append(v)
+            mirror = symmetry == "symmetric" and i != j
+            for key in ((i, j), (j, i))[: 1 + mirror]:
+                sums[key] = total = sums.get(key, 0.0) + v
+                if not math.isfinite(total):
+                    raise MatrixMarketError(f"entry {key} overflows to {total}", line=lineno)
             seen += 1
     if seen != nnz:
         raise MatrixMarketError(f"expected {nnz} entries, found {seen}")
@@ -350,5 +350,6 @@ def read_matrix_market(path) -> BandedMatrix:
         raise MatrixMarketError(
             f"cannot allocate a dense matrix of order {nrows}", line=size_lineno
         ) from None
-    np.add.at(data, (np.array(rows, dtype=int), np.array(cols, dtype=int)), vals)
+    rows, cols = np.array(list(sums), dtype=int).reshape(-1, 2).T - 1
+    data[rows, cols] = list(sums.values())
     return from_dense(data)

@@ -119,9 +119,9 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     bi = min(i, n - r + 1)
     v = gens.p_rows[i - 1] if i <= n - r else gens.bottom[i - bi]
     bj = 0 if j <= r else j - r
-    for k in range(bi - 1, bj, -1):
-        v = v @ gens.a_stack[k - 1]
-    return float(v[j - 1] if bj == 0 else v @ gens.q_cols[bj - 1])
+    for a in gens.a_stack[bj : bi - 1][::-1]:  # a(bi-1), ..., a(bj+1)
+        v = v.dot(a)
+    return float(v[j - 1] if bj == 0 else v.dot(gens.q_cols[bj - 1]))
 
 
 def reconstruct_lower(gens: GreenGenerators) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,12 @@ of their inverses.
 
 For a strongly regular lower band matrix A of order r the factorization
 A = L R (L unit lower triangular, R upper triangular) needs no pivoting and
-creates no fill outside the band: elimination step k only touches the rows
-k+1 .. min(k+r, N) below the pivot and, in them, the columns
-k+1 .. min(k+s, N), s the upper bandwidth (s = N-1 for a one-sided matrix),
-one r x s rank-one update each. R keeps the upper bandwidth s. Column k of L
-holds the multipliers f_k, of length r inside the band and N-k once the
-window of rows below the pivot shrinks at the end. The inverse of L is the
-product of the elementary elimination matrices; partitioning each
-elimination block
+creates no fill outside the band: elimination step k divides the r entries
+below the pivot by it, giving the multipliers f_k (column k of L), and
+makes one r x s rank-one update of the rows below, s the upper bandwidth
+(s = N-1 for a one-sided matrix). R keeps the upper bandwidth s. The
+inverse of L is the product of the elementary elimination matrices;
+partitioning each elimination block
 
     L_k = [[1, 0], [-f_k, I]]
 
@@ -19,20 +17,26 @@ a(k) = [-f_k, I][:, :r], which is -f_k e_1^T + J (J the upper-shift matrix)
 inside the band, q_L(k) = e_r and p_L(k) = e_1^T. One backward recursion
 through the rows of R then assembles the Green generators of A^{-1} itself.
 
-The factorization never holds an N x N array. It gathers the r+s+1 band
-diagonals of A into a work array W of shape (N+r, r+s+1),
+For a two-sided band neither part holds an N x N array. The factorization
+gathers the band diagonals of A into a work array W of shape (N+r, r+s+1),
 W[i, t] = A(i, i+t-r) (0-based), the row-wise form of LAPACK ``dgbtrf``'s
-band storage; the r zero rows at the bottom let every step address a full
-(r+1) x (s+1) window. Step k works on G[k] = A(k : k+r+1, k : k+s+1), a
-window of one strided view of W (row stride w-1 inside a window, w = r+s+1),
-and stores its multipliers in place of the entries they eliminate, as
-``dgbtrf`` does. R, the pivots and the multipliers are then views of W:
-O(N (r+s)) memory and O(N r s) time in all.
+band storage, with r zero rows at the bottom so that every step addresses
+a full (r+1) x (s+1) window G[k] = A(k : k+r+1, k : k+s+1) of one strided
+view of W (row stride w-1 inside a window, w = r+s+1). The multipliers
+replace the entries they eliminate, as in ``dgbtrf``, so R, the pivots and
+f are views of W: O(N (r+s)) memory and O(N r s) time. The recursion's
+state P_k is the block A^{-1}(k : k+w-1, k : k+r-1) (1-based, w = max(r, s)
+here), so p(k) = A^{-1}(k, k : k+r-1) is its first row and the bottom
+generator is the trailing r x r block of A^{-1}. All P_k are windows of one
+zero-padded band array of A^{-1}, shape (N+w-1, w+r), strided like W: step
+k writes the column A^{-1}(k : k+w-1, k) and the row p(k), and the rest of
+P_k is P_{k+1}, already in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -68,9 +72,9 @@ class StructuredLU:
     subrow X_k of the generator recursion; entries past column N are zero.
     ``gamma = R[:, 0]`` holds the pivots R(k, k). ``f`` is (N-1, r):
     ``f[k-1]`` holds the multipliers f_k of step k, and the short trailing
-    f_k (length N-k for k > N-r) are padded with zeros to length r. The
-    dense factors, for the oracle checks, come from :meth:`lower_factor`
-    and :meth:`upper_factor`.
+    f_k (length N-k for k > N-r) are padded to length r with 0 / gamma_k,
+    a zero of the pivot's sign. The dense factors, for the oracle checks,
+    come from :meth:`lower_factor` and :meth:`upper_factor`.
     """
 
     n: int
@@ -106,11 +110,9 @@ def _gather_band(A: BandedMatrix) -> np.ndarray:
     """Work array W, shape (N+r, r+s+1), W[i, t] = A(i, i+t-r), zero outside A."""
     n, r, s = A.n, A.r_lower, A.r_upper
     W = np.zeros((n + r, r + s + 1))
-    for t in range(r + s + 1):
-        d = t - r
-        lo = max(0, -d)
+    for t, d in enumerate(range(-r, s + 1)):
         diag = A.data.diagonal(d)
-        W[lo : lo + diag.size, t] = diag
+        W[max(0, -d) :, t][: diag.size] = diag
     return W
 
 
@@ -128,28 +130,26 @@ def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
 def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     """Run elimination steps 1 .. ``steps`` on the band work array ``W`` in place.
 
-    Step k divides the rows k+1 .. min(k+r, N) of column k by the pivot
-    A(k, k), leaving the multipliers f_k where column k was, and subtracts
-    the multiples of row k from columns k+1 .. min(k+s, N) (the rest of row
-    k is zero: no-pivot LU creates no fill beyond s).
+    Step k divides the r entries below the pivot A(k, k) by it, leaving the
+    multipliers f_k where column k was, and subtracts the multiples of row k
+    from the next s columns (no-pivot LU creates no fill beyond s). Past row
+    and column N the window holds zeros and computes 0 / g, 0 - f * 0 and
+    x - 0 * u: the padding stays (signed) zero, and the entries of A get the
+    arithmetic of a window cut at N.
 
     A pivot that is zero, below the floor or not finite raises
     ZeroPivotError at its step. Overflow runs on, but inf and NaN never turn
     finite (0 * inf is NaN) and reach a later pivot along their row; only an
     early stop (:func:`schur_complement`) leaves them to the final check.
     """
-    n = len(W) - r
     G = _windows(W, r, s)
     floor = PIVOT_RTOL * np.abs(W).max()
-    for k in range(steps):
-        g = G[k, 0, 0]
+    windows = zip(G[:steps, 0, 0], G[:, 1:, 0], G[:, 0, 1:], G[:, 1:, 1:])
+    for k, (g, f, u, T) in enumerate(windows, start=1):
         if not floor < abs(g) < np.inf:
-            raise ZeroPivotError(k + 1, float(g))
-        m = min(r, n - 1 - k)
-        c = min(s, n - 1 - k)
-        f = G[k, 1 : m + 1, 0]
+            raise ZeroPivotError(k, float(g))
         f /= g
-        G[k, 1 : m + 1, 1 : c + 1] -= np.outer(f, G[k, 0, 1 : c + 1])
+        T -= np.multiply.outer(f, u)
     if not np.isfinite(W).all():
         raise ZeroPivotError(steps, float(G[steps - 1, 0, 0]))
 
@@ -228,39 +228,38 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
         P_k  = [p(k); P_{k+1} a(k)],
 
     for k = N-1 .. 1 with a(k) = [-f_k, I][:, :r], so that
-    P a(k) = [-P f_k, P[:, :r-1]]. The block P_{N-r+1} is the r x r bottom
-    generator; the rows p(k), k <= N-r, are the others. X_k is nonzero only
-    on R(k, k+1:k+s) (s the upper bandwidth), a contiguous row of the R
-    band, so X_k P_{k+1} reads the first s rows of P_{k+1}, and row t of P_k
-    is row t-1 of P_{k+1} a(k): a window of the first max(r, s) rows of P
-    carries the recursion in O(N r max(r, s)) time and O(N r^2) memory on
-    top of the factorization. Generators that overflow raise ValueError.
+    P a(k) = [-P f_k, P[:, :r-1]], and X_k = R(k, k+1 : k+s). P_k is the
+    block A^{-1}(k : k+w-1, k : k+r-1), w = max(r, s), one window of the
+    band array of A^{-1} (see the module docstring); a step writes one
+    column and one row of it. Time O(N r w) and memory O(N (r + w)) on top
+    of the factorization. Generators that overflow raise ValueError.
     """
     slu = structured_lu(A)
     n, r, s = slu.n, slu.r, A.r_upper
-    window = max(r, s)
+    w = max(r, s)
+    # Q[k-1] is P_k with one more column; row 0 of columns 1 .. r holds
+    # X_k P_{k+1} until p(k) replaces it
+    Q = _windows(np.zeros((n + w - 1, w + r)), w - 1, r)
+    Q[n - 1, 0, 0] = 1.0 / slu.gamma[n - 1]
     e1 = np.eye(1, r)[0]
 
-    P = np.array([[1.0 / slu.gamma[n - 1]]])
-    bottom = P
-    p_rows = np.empty((n - r, r))
-    for k in range(n - 1, 0, -1):
-        x = slu.R[k - 1, 1 : 1 + min(s, n - k)]
-        # Z = [X_k P_{k+1}; first rows of P_{k+1}], then P_k = Z a(k) with
-        # its first row turned into p(k)
-        Z = np.empty((min(window, n - k + 1), P.shape[1]))
-        Z[0] = x @ P[: x.size]
-        Z[1:] = P[: len(Z) - 1]
-        m = min(r, n - k + 1)  # a(k) has m columns
-        P = np.empty((len(Z), m))
-        P[:, 0] = -(Z @ slu.f[k - 1, : Z.shape[1]])
-        P[:, 1:] = Z[:, : m - 1]
-        P[0] = (e1[:m] - P[0]) / slu.gamma[k - 1]
-        if k == n - r + 1:
-            bottom = P
-        elif k <= n - r:
-            p_rows[k - 1] = P[0]
-    return replace(linv_generators(slu), p_rows=p_rows, bottom=bottom)
+    def cut(k):
+        # the last w-1 steps cut their operands at row and column N: padding
+        # the products with zeros would change how BLAS sums them
+        c, m, h = min(s, n - k), min(r, n - k), n - k + 1
+        return (slu.R[k - 1, 1 : 1 + c], Q[k, :c, :m], Q[k - 1, :h, 1 : 1 + m],
+                Q[k - 1, :h, 0], Q[k - 1, 0, :r], slu.f[k - 1, :m], slu.gamma[k - 1])
+
+    # steps k = N-1 .. 1; those up to k = N-w use whole windows
+    whole = (slu.R[:, 1:], Q[1:, :s, :r], Q[:, :, 1:], Q[:, :, 0], Q[:, 0, :r], slu.f, slu.gamma)
+    steps = chain(map(cut, range(n - 1, n - w, -1)), zip(*(a[n - w - 1 :: -1] for a in whole)))
+    for x, P, Z, col, p, f, g in steps:
+        # BLAS sums a strided column (r = 1) in another order than a contiguous one
+        np.dot(x, P if r > 1 else P.copy(), out=Z[0])
+        np.negative(Z.dot(f), out=col)
+        np.subtract(e1, p, out=p)
+        p /= g
+    return replace(linv_generators(slu), p_rows=Q[: n - r, 0, :r], bottom=Q[n - r, :r, :r])
 
 
 def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:

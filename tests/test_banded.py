@@ -252,6 +252,41 @@ class TestMatrixMarket:
         A = gd.read_matrix_market(path)
         np.testing.assert_array_equal(A.data, [[3.0, 0.75], [0.75, 0.0]])
 
+    def test_duplicate_sums_keep_file_order_bits(self, tmp_path):
+        # each sum starts from 0.0 and adds in file order: 0.1 + 0.2 + 0.3 is
+        # not 0.1 + (0.2 + 0.3), -0.0 reads as 0.0, and 1e308 - 1e308 + 1e308
+        # stays finite where another order would overflow
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 7\n"
+            "1 1 0.1\n1 1 0.2\n1 1 0.3\n2 2 -0.0\n3 3 1e308\n3 3 -1e308\n3 3 1e308\n",
+        )
+        A = gd.read_matrix_market(path)
+        assert A.entry(1, 1) == 0.1 + 0.2 + 0.3 != 0.1 + (0.2 + 0.3)
+        assert not np.signbit(A.entry(2, 2))
+        assert A.entry(3, 3) == 1e308
+
+    @pytest.mark.parametrize(
+        "symmetry, entries, match",
+        [
+            ("general", "1 1 1e308\n2 2 1.0\n1 1 1e308\n", r"\(1, 1\) overflows to inf \(line 5\)"),
+            # the sum at (1, 2) starts as the mirror of (2, 1)
+            ("symmetric", "2 1 -1e308\n1 2 -1e308\n", r"\(1, 2\) overflows to -inf \(line 4\)"),
+        ],
+        ids=["general", "symmetric-mirror"],
+    )
+    def test_overflowing_duplicate_sum_is_rejected_at_its_line(
+        self, tmp_path, symmetry, entries, match
+    ):
+        count = entries.count("\n")
+        path = self._write(
+            tmp_path,
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 {count}\n{entries}",
+        )
+        with pytest.raises(gd.MatrixMarketError, match=match):
+            gd.read_matrix_market(path)
+
     # Orders of 10^9 and more: the dense array cannot be allocated at all, so
     # nothing is committed. Never test an order that could really be allocated.
     @pytest.mark.parametrize("order", [10**9, 10**10])
