@@ -9,14 +9,26 @@ threads.
 
 ``make_banded`` samples only the band: O(N (r_lower + r_upper + 1)) calls of
 its entry function, whose values are checked and written once onto the band
-diagonals of a fresh N x N array. Dense input (``BandedMatrix(...)``,
-``from_dense``, ``read_matrix_market``) is copied and scanned in full: only
-a scan can show that its entries outside the band are zero.
+diagonals of a fresh N x N array. ``read_matrix_market`` fills the same band
+array from the summed file entries. Dense input (``BandedMatrix(...)``,
+``from_dense``) is copied and scanned in full: only a scan can show that its
+entries outside the band are zero.
+
+The fresh N x N array of the band-first paths is a zero-filled private
+anonymous memory mapping, not an ``np.zeros`` allocation: the kernel maps a
+page only when it is first written, so only the pages that hold band entries
+become resident, O(N (r_lower + r_upper + 1) * 8) bytes rounded up to whole
+4 KiB pages, about one page per row for a narrow band. Reading an untouched
+page gives zeros. The mapping asks for no transparent huge pages: numpy marks
+its own large allocations for them, and then the first write into each 2 MiB
+page zeroes and keeps all of it, so the whole N^2 * 8 bytes become resident
+for a band of a few diagonals. ``A.data.nbytes`` still reports N^2 * 8.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable
@@ -38,6 +50,11 @@ __all__ = [
 @dataclass(frozen=True)
 class BandedMatrix:
     """Dense-backed real N x N matrix with declared lower/upper bandwidths.
+
+    ``data`` is a read-only, C-ordered float64 N x N array. Built by
+    ``make_banded`` or ``read_matrix_market`` it lies on a memory mapping of
+    which only the pages holding the band are resident (see the module
+    docstring); built from dense input it is a copy of that input.
 
     Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero,
     and every entry is finite (NaN and +-inf are rejected).
@@ -70,13 +87,14 @@ class BandedMatrix:
 
         Entries of V that fall outside the matrix are ignored. The in-matrix
         ones are written once onto the band diagonals of a fresh zero N x N
-        array. Its out-of-band zeros hold by construction, so the copy and
-        the N^2 scan of dense input are skipped; the dimension and finiteness
-        checks, and their messages, are those of ``BandedMatrix(...)``.
+        array from :func:`_mapped_zeros`. Its out-of-band zeros hold by
+        construction, so the copy and the N^2 scan of dense input are
+        skipped; the dimension and finiteness checks, and their messages,
+        are those of ``BandedMatrix(...)``.
         """
         n = len(V)
         _check_dimensions(n, r_lower, r_upper)
-        data = np.zeros((n, n))
+        data = _mapped_zeros(n)
         # diagonal d starts at flat index lo*(N+1) + d and steps by N+1
         flat = data.reshape(-1)
         for t, d in enumerate(range(-r_lower, r_upper + 1)):
@@ -139,6 +157,31 @@ def make_banded(
     ij = zip((i + 1).tolist(), (cols[i, t] + 1).tolist())  # Python ints, as range() gives
     V[i, t] = np.fromiter(starmap(entry_fn, ij), float, len(i))
     return BandedMatrix._from_band(V, r_lower, r_upper)
+
+
+def _mapped_zeros(n: int) -> np.ndarray:
+    """Zero float64 n x n array on a fresh private anonymous memory mapping.
+
+    Pages are mapped when first written, so untouched ones cost no memory.
+    The mapping lives as long as the array, its ``base``. A mapping that
+    cannot be made raises MemoryError, as ``np.zeros`` does. Where ``mmap``
+    has no ``MAP_PRIVATE`` (Windows) the default anonymous mapping is used,
+    also zero-filled on demand.
+    """
+    private = getattr(mmap, "MAP_PRIVATE", None)
+    flags = {} if private is None else {"flags": private | mmap.MAP_ANONYMOUS}
+    try:
+        buf = mmap.mmap(-1, n * n * 8, **flags)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map a float64 array of order {n}") from exc
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # a huge page would make 2 MiB resident for each band entry written;
+        # the hint is advisory, and a kernel without huge pages rejects it
+        try:
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:
+            pass
+    return np.frombuffer(buf, dtype=float).reshape(n, n)
 
 
 def _check_dimensions(n: int, r_lower: int, r_upper: int) -> None:
@@ -278,9 +321,11 @@ def read_matrix_market(path) -> BandedMatrix:
     (with r_lower floored at 1). General and symmetric storage are supported;
     duplicate coordinates are summed in file order. The file is read line by
     line, and every entry, every sum and the entry count are checked before
-    the dense N x N array is allocated; parse failures (an overflowing sum
-    among them) report the 1-based line number, and an order too large to
-    allocate is a MatrixMarketError.
+    anything of order N is allocated; parse failures (an overflowing sum
+    among them) report the 1-based line number. The sums fill a band array
+    of shape (N, r_lower + r_upper + 1), written once onto the band of the
+    N x N array as in ``make_banded``; an order too large to allocate either
+    is a MatrixMarketError.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -344,12 +389,21 @@ def read_matrix_market(path) -> BandedMatrix:
             seen += 1
     if seen != nnz:
         raise MatrixMarketError(f"expected {nnz} entries, found {seen}")
+    # the tightest band holding every nonzero sum, as from_dense infers it;
+    # Python ints, so no index overflows before the allocations are tried
+    keys = [key for key, total in sums.items() if total != 0.0]
+    r_lower = max([1, *(i - j for i, j in keys)])
+    r_upper = max([0, *(j - i for i, j in keys)])
+    too_big = MatrixMarketError(
+        f"cannot allocate a dense matrix of order {nrows}", line=size_lineno
+    )
     try:
-        data = np.zeros((nrows, ncols))
+        V = np.zeros((nrows, r_lower + r_upper + 1))
     except (MemoryError, ValueError):
-        raise MatrixMarketError(
-            f"cannot allocate a dense matrix of order {nrows}", line=size_lineno
-        ) from None
-    rows, cols = np.array(list(sums), dtype=int).reshape(-1, 2).T - 1
-    data[rows, cols] = list(sums.values())
-    return from_dense(data)
+        raise too_big from None
+    i, j = np.array(keys, dtype=int).reshape(-1, 2).T
+    V[i - 1, j - i + r_lower] = [sums[key] for key in keys]
+    try:
+        return BandedMatrix._from_band(V, r_lower, r_upper)
+    except MemoryError:
+        raise too_big from None

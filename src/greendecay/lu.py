@@ -28,14 +28,14 @@ f are views of W: O(N (r+s)) memory and O(N r s) time. The recursion's
 state P_k is the block A^{-1}(k : k+w-1, k : k+r-1) (1-based, w = max(r, s)
 here), so p(k) = A^{-1}(k, k : k+r-1) is its first row and the bottom
 generator is the trailing r x r block of A^{-1}. All P_k are windows of one
-zero-padded band array of A^{-1}, shape (N+w-1, w+r), strided like W: step
-k writes the column A^{-1}(k : k+w-1, k) and the row p(k), and the rest of
-P_k is P_{k+1}, already in place.
+band array of A^{-1}, shape (N, w+r), strided like W (the last w-1 of them
+cut at row N): step k writes the column A^{-1}(k : k+w-1, k) and the row
+p(k), and the rest of P_k is P_{k+1}, already in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -197,6 +197,14 @@ def _corner(slu: StructuredLU) -> np.ndarray:
     return corner
 
 
+def _column_and_transition(slu: StructuredLU) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked q(k) = e_r and a(k) = -f_k e_1^T + J, k = 1 .. N-r, shared by L^{-1} and A^{-1}."""
+    n, r = slu.n, slu.r
+    a_stack = np.tile(np.eye(r, k=1), (n - r, 1, 1))
+    a_stack[:, :, 0] -= slu.f[: n - r]
+    return np.tile(np.eye(1, r, r - 1), (n - r, 1)), a_stack
+
+
 def linv_generators(slu: StructuredLU) -> GreenGenerators:
     """Green generators of L^{-1}: p(k) = e_1^T, q(k) = e_r, a(k) = -f_k e_1^T + J.
 
@@ -206,13 +214,8 @@ def linv_generators(slu: StructuredLU) -> GreenGenerators:
     so all entries with j > i vanish, including the block-diagonal ones).
     """
     n, r = slu.n, slu.r
-    a_stack = np.tile(np.eye(r, k=1), (n - r, 1, 1))
-    a_stack[:, :, 0] -= slu.f[: n - r]
     return GreenGenerators(
-        np.tile(np.eye(1, r), (n - r, 1)),
-        _corner(slu),
-        np.tile(np.eye(1, r, r - 1), (n - r, 1)),
-        a_stack,
+        np.tile(np.eye(1, r), (n - r, 1)), _corner(slu), *_column_and_transition(slu)
     )
 
 
@@ -237,18 +240,27 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     slu = structured_lu(A)
     n, r, s = slu.n, slu.r, A.r_upper
     w = max(r, s)
-    # Q[k-1] is P_k with one more column; row 0 of columns 1 .. r holds
-    # X_k P_{k+1} until p(k) replaces it
-    Q = _windows(np.zeros((n + w - 1, w + r)), w - 1, r)
-    Q[n - 1, 0, 0] = 1.0 / slu.gamma[n - 1]
+    # B[i, t] = A^{-1}(i, i+t-w+1) (0-based). Q[k-1] is P_k with one more
+    # column; row 0 of columns 1 .. r holds X_k P_{k+1} until p(k) replaces
+    # it. Q holds the whole windows, k = 1 .. N-w+1. S is B read with a
+    # window's row stride, S[i, j] = A^{-1}(i, j) inside the band; the later
+    # windows, which would reach past row N, are slices of S. The last
+    # element of S is that of B, and np.ndarray checks that S lies in B.
+    B = np.zeros((n, w + r))
+    Q = _windows(B, w - 1, r)
+    b = B.itemsize
+    S = np.ndarray((n, n + r), B.dtype, B, (w - 1) * b, ((w + r - 1) * b, b))
+    B[n - 1, w - 1] = 1.0 / slu.gamma[n - 1]
     e1 = np.eye(1, r)[0]
 
     def cut(k):
         # the last w-1 steps cut their operands at row and column N: padding
         # the products with zeros would change how BLAS sums them
-        c, m, h = min(s, n - k), min(r, n - k), n - k + 1
-        return (slu.R[k - 1, 1 : 1 + c], Q[k, :c, :m], Q[k - 1, :h, 1 : 1 + m],
-                Q[k - 1, :h, 0], Q[k - 1, 0, :r], slu.f[k - 1, :m], slu.gamma[k - 1])
+        c, m = min(s, n - k), min(r, n - k)
+        Z = S[k - 1 :, k - 1 : k + r]  # P_k and one more column, cut at row N
+        # P_{k+1} is Z shifted by one row and one column
+        return (slu.R[k - 1, 1 : 1 + c], Z[1 : 1 + c, 1 : 1 + m], Z[:, 1 : 1 + m],
+                Z[:, 0], Z[0, :r], slu.f[k - 1, :m], slu.gamma[k - 1])
 
     # steps k = N-1 .. 1; those up to k = N-w use whole windows
     whole = (slu.R[:, 1:], Q[1:, :s, :r], Q[:, :, 1:], Q[:, :, 0], Q[:, 0, :r], slu.f, slu.gamma)
@@ -259,7 +271,9 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
         np.negative(Z.dot(f), out=col)
         np.subtract(e1, p, out=p)
         p /= g
-    return replace(linv_generators(slu), p_rows=Q[: n - r, 0, :r], bottom=Q[n - r, :r, :r])
+    return GreenGenerators(
+        B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], *_column_and_transition(slu)
+    )
 
 
 def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:

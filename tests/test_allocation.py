@@ -1,11 +1,18 @@
 """Allocation guards: construction and the per-op kernels touch only the band of A.
 
-These compare tracemalloc peaks, never timings, so they are deterministic.
-At N = 2000 the dense array is 30.5 MiB; a kernel that builds any N x N
-temporary peaks far above the limits below.
+These compare tracemalloc peaks and resident set sizes, never timings, so
+they are deterministic. At N = 2000 the dense array is 30.5 MiB; a kernel
+that builds any N x N temporary peaks far above the limits below.
+tracemalloc does not see memory mappings, so the N x N array of
+``make_banded`` is checked by the resident set size of a fresh process.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +51,38 @@ def test_make_banded_writes_one_dense_array(band):
     assert peak < N * N * 8 + MIB
 
 
+RESIDENT = """
+import json, resource, sys
+import greendecay as gd
+
+def peak():
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+
+before = peak()
+A = gd.make_banded(6000, 4, 4, lambda i, j: 9.0 if i == j else 1.0)
+flags = A.data.flags
+print(json.dumps([peak() - before, flags.writeable, flags.c_contiguous, A.data.shape]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="ru_maxrss is POSIX")
+def test_make_banded_keeps_only_the_band_resident():
+    # the 6000 x 6000 array spans 275 MiB, its 9 diagonals about one 4 KiB
+    # page per row: 23 MiB. A fresh process, so no earlier test's peak hides it.
+    src = str(Path(gd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", RESIDENT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    grown, writeable, c_contiguous, shape = json.loads(run.stdout)
+    assert grown < 64 * MIB
+    assert not writeable and c_contiguous and shape == [6000, 6000]
+
+
 @pytest.mark.parametrize("fn", [gd.dominance_mu, gd.lu_bound, gd.varah_bound])
 def test_dominance_kernels_allocate_o_n(band, fn):
     assert peak_bytes(fn, band) < MIB
@@ -68,6 +107,15 @@ def test_generators_add_o_n_r2_to_one_copy_of_r(band):
     # stacked generators are O(N r^2), well under 1 MiB here
     peak = peak_bytes(gd.inverse_green_generators, band)
     assert peak < band.data.nbytes + MIB
+
+
+def test_one_sided_generators_hold_two_n_by_n_arrays():
+    # for s = N-1 the work array of the factorization and the band array of
+    # A^{-1} are each about N x N; rows of either past row N would add more
+    n = 1000
+    rng = np.random.default_rng(4)
+    A = gd.random_dominant_matrix(rng, n=n, r_lower=3, one_sided=True, mu_target=0.5)
+    assert peak_bytes(gd.inverse_green_generators, A) < 2 * n * n * 8 + MIB
 
 
 def test_reconstruct_lower_allocates_only_values_and_mask(band):

@@ -1,3 +1,6 @@
+import errno
+import mmap
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,37 @@ class TestBandedMatrix:
 
     def test_zero_matrix_is_symmetric(self):
         assert gd.BandedMatrix(3, 1, 2, np.zeros((3, 3))).is_symmetric()
+
+
+class NoHugePageHint(mmap.mmap):
+    """A mapping whose kernel has no transparent huge pages."""
+
+    def madvise(self, *args):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+
+class TestMappedArray:
+    @staticmethod
+    def build():
+        return gd.make_banded(300, 2, 5, lambda i, j: i + 0.5 * j if i != j else 40.0)
+
+    def assert_same_array(self, expected):
+        A = self.build()
+        assert A.data.tobytes() == expected.data.tobytes()
+        assert not A.data.flags.writeable and A.data.flags.c_contiguous
+        assert (A.r_lower, A.r_upper) == (2, 5)
+
+    def test_rejected_huge_page_hint_is_ignored(self, monkeypatch):
+        if not hasattr(mmap, "MADV_NOHUGEPAGE"):
+            pytest.skip("mmap defines no MADV_NOHUGEPAGE here")
+        expected = self.build()
+        monkeypatch.setattr(mmap, "mmap", NoHugePageHint)
+        self.assert_same_array(expected)
+
+    def test_mapping_without_map_private(self, monkeypatch):
+        expected = self.build()
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        self.assert_same_array(expected)
 
 
 class TestDominance:

@@ -3,6 +3,9 @@
 Examples are derandomized, so every run checks the same bounded set.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,3 +252,38 @@ def test_make_banded_matches_the_dense_route(shape, seed, bad):
         gd.make_banded(n, r, s, entry_fn)
     assert str(banded.value) == str(dense.value)
     assert str(banded.value).startswith(f"entry ({first[0] + 1}, {first[1] + 1}) is ")
+
+
+@PROPERTY
+@given(shape=band_shape(), seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+def test_read_matrix_market_matches_from_dense(shape, seed, symmetric):
+    n, r, s = shape
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i, j in zip(*np.nonzero(np.triu(np.tril(np.ones((n, n)), s), -r))):
+        if symmetric and j > i:
+            continue
+        v = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4))
+        lines += [(i + 1, j + 1, v)] * int(rng.integers(1, 3))
+    # explicit zeros and duplicates that sum to zero, anywhere: neither
+    # widens the band
+    for i, j in rng.integers(1, n + 1, (int(rng.integers(0, 6)), 2)):
+        if symmetric and j > i:
+            i, j = j, i
+        v = float(rng.choice([0.0, 1.5]))
+        lines += [(i, j, v), (i, j, -v)]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    D = np.zeros((n, n))
+    for i, j, v in lines:  # file order, mirrored as the reader does
+        for a, b in {(i, j), (j, i)} if symmetric else [(i, j)]:
+            D[a - 1, b - 1] += v
+    kind = "symmetric" if symmetric else "general"
+    text = f"%%MatrixMarket matrix coordinate real {kind}\n{n} {n} {len(lines)}\n"
+    text += "".join(f"{i} {j} {v!r}\n" for i, j, v in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mtx"
+        path.write_text(text)
+        got = gd.read_matrix_market(path)
+    want = gd.from_dense(D)
+    assert (got.n, got.r_lower, got.r_upper) == (want.n, want.r_lower, want.r_upper)
+    assert got.data.tobytes() == want.data.tobytes()
