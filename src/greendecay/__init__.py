@@ -55,7 +55,6 @@ from .green import (
 from .lu import (
     StructuredLU,
     inverse_green_generators,
-    linv_generators,
     p_tail_cross_check,
     schur_complement,
     structured_lu,
@@ -100,7 +99,6 @@ __all__ = [
     "generate",
     "green_scalar_entry",
     "inverse_green_generators",
-    "linv_generators",
     "lu_bound",
     "make_banded",
     "p_tail_cross_check",

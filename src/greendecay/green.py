@@ -17,6 +17,14 @@ indices this covers exactly the entries with j <= i + r - 1: block column 0
 holds scalar columns 1..r, block column j >= 1 holds scalar column j + r, and
 the bottom block row holds scalar rows N-r+1..N. Note the block-diagonal
 positions (scalar (i, i+r)) are *not* encoded by the generators.
+
+For B = A^{-1}, A = L R strongly regular, the generators come in companion
+form (Eidelman, Gohberg & Haimovici, *Separable Type Representations of
+Matrices and Fast Algorithms*, vol. 1, 2014): every column generator is
+q(k) = e_r and every transition is a(k) = -f_k e_1^T + J, J the upper-shift
+matrix and f_k the multipliers of elimination step k. So the family is
+stored as the rows p, the bottom block and the N-r vectors f_k, and a(k)
+and q(k) are built when asked for.
 """
 
 from __future__ import annotations
@@ -36,32 +44,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GreenGenerators:
-    """Generator family (p, q, a) of the lower part of a lower Green matrix.
+    """Companion-form generator family (p, q, a) of the lower part of A^{-1}.
 
-    Four stacked arrays, copied and marked read-only on construction:
-    ``p_rows[i-1]`` is p(i) for i = 1..N-r, ``bottom`` is the r x r p(N-r+1),
-    ``q_cols[j-1]`` is q(j) (as a row) for j = 1..N-r and ``a_stack[k-1]`` is
-    a(k) for k = 1..N-r. N and r follow from the shapes; q(0) = I_r is
-    implicit. Arrays of the wrong shape or with non-finite entries raise
-    ValueError. The 1-based accessors return views in the block shapes.
+    Three stacked arrays, copied and marked read-only on construction:
+    ``p_rows[i-1]`` is p(i) for i = 1..N-r, ``bottom`` is the r x r p(N-r+1)
+    and ``f[k-1]`` is the f_k of the transition a(k) = -f_k e_1^T + J for
+    k = 1..N-r. N and r follow from the shapes. Arrays of the wrong shape or
+    with non-finite entries raise ValueError. The 1-based accessors return
+    the blocks in their block shapes: p(i) as read-only views, q(j) and a(k)
+    as new arrays (q(0) = I_r, q(j) = e_r for j >= 1).
     """
 
     p_rows: np.ndarray  # (N-r, r)
     bottom: np.ndarray  # (r, r)
-    q_cols: np.ndarray  # (N-r, r)
-    a_stack: np.ndarray  # (N-r, r, r)
+    f: np.ndarray  # (N-r, r)
 
     def __post_init__(self):
-        shape = np.shape(self.a_stack)
-        if len(shape) != 3 or min(shape) < 1:
-            raise ValueError(f"a_stack has shape {shape}, expected (N-r, r, r), N > r >= 1")
-        k, r = shape[:2]
-        for name, want in (
-            ("p_rows", (k, r)),
-            ("bottom", (r, r)),
-            ("q_cols", (k, r)),
-            ("a_stack", (k, r, r)),
-        ):
+        shape = np.shape(self.f)
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(f"f has shape {shape}, expected (N-r, r), N > r >= 1")
+        r = shape[1]
+        for name, want in (("p_rows", shape), ("bottom", (r, r)), ("f", shape)):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
@@ -86,17 +89,26 @@ class GreenGenerators:
         return self.p_rows[i - 1 : i] if i <= k else self.bottom
 
     def q(self, j: int) -> np.ndarray:
-        """Column generator q(j), j = 0 .. N-r; q(0) is the identity."""
-        k = len(self.q_cols)
+        """Column generator q(j), j = 0 .. N-r; q(0) is the identity, the rest e_r."""
+        k = len(self.f)
         if not 0 <= j <= k:
             raise IndexError(f"q index {j} outside 0..{k}")
-        return np.eye(self.r) if j == 0 else self.q_cols[j - 1, :, None]
+        return np.eye(self.r) if j == 0 else np.eye(self.r, 1, 1 - self.r)
 
     def a(self, k: int) -> np.ndarray:
-        """Transition matrix a(k), k = 1 .. N-r."""
-        if not 1 <= k <= len(self.a_stack):
-            raise IndexError(f"a index {k} outside 1..{len(self.a_stack)}")
-        return self.a_stack[k - 1]
+        """Transition matrix a(k) = -f_k e_1^T + J, k = 1 .. N-r."""
+        if not 1 <= k <= len(self.f):
+            raise IndexError(f"a index {k} outside 1..{len(self.f)}")
+        return _transitions(self.f[k - 1 : k])[0]
+
+
+def _transitions(f: np.ndarray) -> np.ndarray:
+    """The companion matrices -f_k e_1^T + J, stacked in the order of the rows of ``f``."""
+    m, r = f.shape
+    a = np.empty((m, r, r))
+    a[:] = np.eye(r, k=1)
+    a[:, :, 0] -= f
+    return a
 
 
 def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
@@ -106,6 +118,12 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     scalar columns 1..r, block column j - r gives scalar column j, and the
     bottom block row gives scalar rows N-r+1..N in full. Entries with
     j - i >= r are not represented and raise RegionError.
+
+    The L transitions between the two blocks are multiplied pairwise, one
+    batched product per level, so the walk makes O(log L) numpy calls for
+    O(L r^3) flops. Under dominance every partial product is bounded, and in
+    any order of association the rounding error is a small multiple of
+    L r u |p||a|...|a||q|, u the unit roundoff.
     """
     n, r = gens.n, gens.r
     if not (1 <= i <= n and 1 <= j <= n):
@@ -119,9 +137,14 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     bi = min(i, n - r + 1)
     v = gens.p_rows[i - 1] if i <= n - r else gens.bottom[i - bi]
     bj = 0 if j <= r else j - r
-    for a in gens.a_stack[bj : bi - 1][::-1]:  # a(bi-1), ..., a(bj+1)
-        v = v.dot(a)
-    return float(v[j - 1] if bj == 0 else v.dot(gens.q_cols[bj - 1]))
+    T = _transitions(gens.f[bj : bi - 1][::-1])  # a(bi-1), ..., a(bj+1)
+    while len(T) > 1:
+        if len(T) % 2:  # v takes the first factor of an odd chain
+            v, T = v @ T[0], T[1:]
+        T = T[::2] @ T[1::2]
+    if len(T):
+        v = v @ T[0]
+    return float(v[j - 1] if bj == 0 else v[r - 1])
 
 
 def reconstruct_lower(gens: GreenGenerators) -> tuple[np.ndarray, np.ndarray]:
@@ -133,18 +156,18 @@ def reconstruct_lower(gens: GreenGenerators) -> tuple[np.ndarray, np.ndarray]:
 
     Block row i = 1..N-r is p(i) C[:, :w], w = i+r-1, where column j of the
     r x N array C holds a(i-1)...a(bj+1) q(bj), bj the block column of
-    scalar column j; C then takes a(i) on those columns and q(i) as column
-    w+1 (q(0) = I fills the first r). The bottom block row is p(N-r+1) C.
-    One numpy step per block row: O(N^2 r) flops and no N x N array besides
-    ``values`` and ``mask``.
+    scalar column j; C then takes a(i) on those columns, and column w+1
+    joins as q(i) = e_r, which it holds from the start (q(0) = I fills the
+    first r). The bottom block row is p(N-r+1) C. One numpy step per block
+    row: O(N^2 r) flops and no N x N array besides ``values`` and ``mask``.
     """
     n, r = gens.n, gens.r
     values = np.zeros((n, n))
     C = np.eye(r, n)
-    for i in range(1, n - r + 1):
+    C[r - 1, r:] = 1.0
+    for i, a in enumerate(_transitions(gens.f), start=1):
         w = i + r - 1
         values[i - 1, :w] = gens.p_rows[i - 1] @ C[:, :w]
-        C[:, :w] = gens.a_stack[i - 1] @ C[:, :w]
-        C[:, w] = gens.q_cols[i - 1]
+        C[:, :w] = a @ C[:, :w]
     values[n - r :] = gens.bottom @ C
     return values, np.tri(n, k=r - 1, dtype=bool)

@@ -14,8 +14,10 @@ partitioning each elimination block
 
 row/column-wise yields the Green generators of L^{-1}: the transition
 a(k) = [-f_k, I][:, :r], which is -f_k e_1^T + J (J the upper-shift matrix)
-inside the band, q_L(k) = e_r and p_L(k) = e_1^T. One backward recursion
-through the rows of R then assembles the Green generators of A^{-1} itself.
+inside the band, q_L(k) = e_r and p_L(k) = e_1^T. A^{-1} shares the
+transitions and the column generators, so its ``GreenGenerators`` store
+f_1 .. f_{N-r} in their place; one backward recursion through the rows of R
+assembles the row generators p(k) of A^{-1}.
 
 For a two-sided band neither part holds an N x N array. The factorization
 gathers the band diagonals of A into a work array W of shape (N+r, r+s+1),
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .banded import BandedMatrix
 from .errors import ZeroPivotError
@@ -48,7 +49,6 @@ from .green import GreenGenerators
 __all__ = [
     "StructuredLU",
     "structured_lu",
-    "linv_generators",
     "inverse_green_generators",
     "p_tail_cross_check",
     "schur_complement",
@@ -119,11 +119,9 @@ def _gather_band(A: BandedMatrix) -> np.ndarray:
 def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
     """View G of W with G[k, i, j] = A(k+i, k+j), shape (N, r+1, s+1)."""
     n, w = len(W) - r, W.shape[1]
-    # as_strided does no bounds check: the last element of the last window,
-    # A(N-1+r, N-1+s), must still lie inside W
-    assert (n - 1) * w + r * (w - 1) + s + r < W.size, (W.shape, r, s)
     b = W.itemsize
-    return as_strided(W[:, r:], shape=(n, r + 1, s + 1), strides=(w * b, (w - 1) * b, b))
+    # np.ndarray checks that the last window, up to A(N-1+r, N-1+s), lies in W
+    return np.ndarray((n, r + 1, s + 1), W.dtype, W, r * b, (w * b, (w - 1) * b, b))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -143,7 +141,7 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     early stop (:func:`schur_complement`) leaves them to the final check.
     """
     G = _windows(W, r, s)
-    floor = PIVOT_RTOL * np.abs(W).max()
+    floor = PIVOT_RTOL * max(W.max(), -W.min())  # max|W| without a copy of |W|
     windows = zip(G[:steps, 0, 0], G[:, 1:, 0], G[:, 0, 1:], G[:, 1:, 1:])
     for k, (g, f, u, T) in enumerate(windows, start=1):
         if not floor < abs(g) < np.inf:
@@ -195,28 +193,6 @@ def _corner(slu: StructuredLU) -> np.ndarray:
         emb[idx + 1 :, idx] = -fi[: r - 1 - idx]
         corner = emb @ corner
     return corner
-
-
-def _column_and_transition(slu: StructuredLU) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked q(k) = e_r and a(k) = -f_k e_1^T + J, k = 1 .. N-r, shared by L^{-1} and A^{-1}."""
-    n, r = slu.n, slu.r
-    a_stack = np.tile(np.eye(r, k=1), (n - r, 1, 1))
-    a_stack[:, :, 0] -= slu.f[: n - r]
-    return np.tile(np.eye(1, r, r - 1), (n - r, 1)), a_stack
-
-
-def linv_generators(slu: StructuredLU) -> GreenGenerators:
-    """Green generators of L^{-1}: p(k) = e_1^T, q(k) = e_r, a(k) = -f_k e_1^T + J.
-
-    The bottom generator is the r x r product of the embedded trailing
-    elimination blocks. Together with zeros on the non-represented upper
-    region this reconstructs L^{-1} exactly (L^{-1} is unit lower triangular,
-    so all entries with j > i vanish, including the block-diagonal ones).
-    """
-    n, r = slu.n, slu.r
-    return GreenGenerators(
-        np.tile(np.eye(1, r), (n - r, 1)), _corner(slu), *_column_and_transition(slu)
-    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -271,9 +247,7 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
         np.negative(Z.dot(f), out=col)
         np.subtract(e1, p, out=p)
         p /= g
-    return GreenGenerators(
-        B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], *_column_and_transition(slu)
-    )
+    return GreenGenerators(B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], slu.f[: n - r])
 
 
 def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
@@ -281,8 +255,7 @@ def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:
 
     Independent of the backward recursion in :func:`inverse_green_generators`;
     the two must agree to roundoff. L_tail is the composite r x r product of
-    the trailing elimination blocks, which is also the bottom generator of
-    :func:`linv_generators`.
+    the trailing elimination blocks, the trailing r x r block of L^{-1}.
     """
     r = slu.r
     return np.linalg.solve(_band_to_dense(slu.R[-r:], 0), _corner(slu))

@@ -80,9 +80,9 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
             S = from_dense(schur_complement(A, ell), r_lower=r, r_upper=min(A.r_upper, m - 1))
             record("schur_mu_excess", dominance_mu(S).mu - mu)
             sub = inverse_green_generators(S)
-            for i in range(1, m - r + 1):
-                record("suffix_mismatch", np.abs(sub.p(i) - gens.p(i + ell)).max())
-                record("suffix_mismatch", np.abs(sub.a(i) - gens.a(i + ell)).max())
+            # a(i) and a(i + ell) differ only in column 0, -f_i against -f_{i+ell}
+            record("suffix_mismatch", np.abs(sub.p_rows - gens.p_rows[ell:]).max())
+            record("suffix_mismatch", np.abs(sub.f - gens.f[ell:]).max())
             record("suffix_mismatch", np.abs(sub.p(m - r + 1) - gens.p(n - r + 1)).max())
 
         values, mask = reconstruct_lower(gens)

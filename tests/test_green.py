@@ -2,19 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import greendecay as gd
 
 RNG = np.random.default_rng(99)
 
 
-def random_generators(n, r, rng=RNG, a_scale=1.0):
+def random_generators(n, r, rng=RNG, f_scale=1.0):
     """A syntactically valid generator family with random small blocks."""
     p_rows = rng.uniform(-1, 1, (n - r, r))
     bottom = rng.uniform(-1, 1, (r, r))
-    q_cols = rng.uniform(-1, 1, (n - r, r))
-    a_stack = a_scale * rng.uniform(-1, 1, (n - r, r, r))
-    return gd.GreenGenerators(p_rows, bottom, q_cols, a_stack)
+    f = f_scale * rng.uniform(-1, 1, (n - r, r))
+    return gd.GreenGenerators(p_rows, bottom, f)
 
 
 def transition_product(gens, i, j):
@@ -24,7 +25,7 @@ def transition_product(gens, i, j):
         raise IndexError(f"block indices ({i}, {j}) outside 0..{top}")
     out = np.eye(gens.r)
     for k in range(j + 1, i):
-        out = gens.a_stack[k - 1] @ out
+        out = gens.a(k) @ out
     return out
 
 
@@ -61,21 +62,21 @@ class TestBlockScheme:
 
     def test_rejects_n_not_larger_than_r(self):
         with pytest.raises(ValueError):
-            gd.GreenGenerators(np.zeros((0, 3)), np.eye(3), np.zeros((0, 3)), np.zeros((0, 3, 3)))
+            gd.GreenGenerators(np.zeros((0, 3)), np.eye(3), np.zeros((0, 3)))
 
 
 class TestGeneratorContainer:
     def test_q0_is_the_implicit_identity(self):
         assert [f.name for f in dataclasses.fields(gd.GreenGenerators)] == [
-            "p_rows", "bottom", "q_cols", "a_stack"
+            "p_rows", "bottom", "f"
         ]
         np.testing.assert_array_equal(random_generators(5, 2).q(0), np.eye(2))
 
     def test_rejects_wrong_shapes(self):
         n, r = 5, 2
-        good = (np.zeros((n - r, r)), np.zeros((r, r)), np.zeros((n - r, r)), np.zeros((n - r, r, r)))
+        good = (np.zeros((n - r, r)), np.zeros((r, r)), np.zeros((n - r, r)))
         for idx, bad in enumerate(
-            (np.zeros((n - r, r + 1)), np.zeros((r, r + 1)), np.zeros((n - r + 1, r)), np.zeros((r, r)))
+            (np.zeros((n - r, r + 1)), np.zeros((r, r + 1)), np.zeros((n - r, r, 1)))
         ):
             args = list(good)
             args[idx] = bad
@@ -85,8 +86,8 @@ class TestGeneratorContainer:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_entries(self, bad):
         n, r = 5, 2
-        good = [np.zeros((n - r, r)), np.eye(r), np.zeros((n - r, r)), np.zeros((n - r, r, r))]
-        for idx in range(4):
+        good = [np.zeros((n - r, r)), np.eye(r), np.zeros((n - r, r))]
+        for idx in range(3):
             args = [arr.copy() for arr in good]
             args[idx].flat[-1] = bad
             with pytest.raises(ValueError, match="non-finite"):
@@ -94,14 +95,35 @@ class TestGeneratorContainer:
 
     def test_accessors_are_read_only_views_of_copies(self):
         p_rows = RNG.uniform(-1, 1, (4, 2))
-        g = gd.GreenGenerators(p_rows, np.eye(2), np.ones((4, 2)), np.zeros((4, 2, 2)))
-        p_rows[0, 0] = 7.0  # the container holds its own copy
-        assert g.p(1)[0, 0] != 7.0
-        for block, stack in ((g.p(2), g.p_rows), (g.p(5), g.bottom), (g.q(3), g.q_cols), (g.a(4), g.a_stack)):
+        f = RNG.uniform(-1, 1, (4, 2))
+        g = gd.GreenGenerators(p_rows, np.eye(2), f)
+        p_rows[0, 0] = f[3, 0] = 7.0  # the container holds its own copies
+        assert g.p(1)[0, 0] != 7.0 and g.a(4)[0, 0] != -7.0
+        for block, stack in ((g.p(2), g.p_rows), (g.p(5), g.bottom)):
             assert np.shares_memory(block, stack)
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 1.0
-        assert g.p(2).shape == (1, 2) and g.q(3).shape == (2, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            g.f[0, 0] = 1.0
+        # a(k) and q(j) are built on request and share nothing with the family
+        for block in (g.q(3), g.a(4)):
+            assert not np.shares_memory(block, g.f)
+        assert g.p(2).shape == (1, 2) and g.q(3).shape == (2, 1) and g.a(4).shape == (2, 2)
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_companion_blocks_bit_for_bit(self, r):
+        # a(k) is the upper shift J with column 0 replaced by -f_k (as
+        # 0.0 - f_k, which is the same bits up to the sign of a zero); q(j) = e_r
+        f = RNG.uniform(-1, 1, (6, r))
+        f[0] = 0.0
+        g = gd.GreenGenerators(RNG.uniform(-1, 1, (6, r)), np.eye(r), f)
+        for k in range(1, 7):
+            want = np.eye(r, k=1)
+            want[:, 0] = 0.0 - f[k - 1]
+            got = g.a(k)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert g.q(k).tobytes() == np.eye(r, 1, 1 - r).tobytes()
 
     def test_index_ranges(self):
         g = random_generators(6, 2)
@@ -129,8 +151,10 @@ class TestTransitionProduct:
             transition_product(g, 3, 0), g.a(2) @ g.a(1), rtol=1e-15
         )
 
-    def test_zero_transitions_give_zero(self):
-        g = random_generators(7, 2, a_scale=0.0)
+    def test_zero_multipliers_give_the_nilpotent_shift(self):
+        # with f = 0 every a(k) is J, and r of them multiply to J^r = 0
+        g = random_generators(7, 2, f_scale=0.0)
+        np.testing.assert_array_equal(transition_product(g, 3, 1), np.eye(2, k=1))
         assert np.all(transition_product(g, 4, 1) == 0.0)
 
     def test_semigroup_property(self):
@@ -232,6 +256,89 @@ class TestScalarEntries:
             limit = self.FAR_TOL * b.M * b.gamma ** (i - j)
             assert abs(gd.green_scalar_entry(gens, i, j) - inv[i - 1, j - 1]) <= limit, (i, j)
             assert abs(values[i - 1, j - 1] - inv[i - 1, j - 1]) <= limit, (i, j)
+
+
+def block_position(gens, i, j):
+    """Block row and column of scalar (i, j), and its row and column inside the block."""
+    top = gens.n - gens.r + 1
+    bi, row = (i, 0) if i < top else (top, i - top)
+    bj, col = (0, j - 1) if j <= gens.r else (j - gens.r, 0)
+    return bi, bj, row, col
+
+
+def sequential_walk(gens, i, j, absolute=False):
+    """p a(bi-1) ... a(bj+1) q(bj) for scalar (i, j), one factor at a time.
+
+    With ``absolute`` every factor is replaced by its absolute value, which
+    gives |p||a|...|a||q|, the scale of the rounding error of any order.
+    """
+    mag = np.abs if absolute else (lambda x: x)
+    bi, bj, row, col = block_position(gens, i, j)
+    v = mag(gens.p(bi)[row])
+    for k in range(bi - 1, bj, -1):
+        v = v @ mag(gens.a(k))
+    return float((v @ mag(gens.q(bj)))[col])
+
+
+class TestPairwiseWalk:
+    # chain lengths L = bi - 1 - bj around the powers of two, where the
+    # pairing changes between odd and even levels
+    LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33)
+
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_every_entry_against_the_block_definition(self, r):
+        # N = r + 37: chains up to L = 37, with rows in the bottom block
+        # (i > N - r) and columns in block column 0 (j <= r) for each length
+        n = r + 37
+        gens = random_generators(n, r, np.random.default_rng(r), f_scale=1.0 / r)
+        seen = {"interior": set(), "bottom": set(), "first_columns": set()}
+        for i in range(1, n + 1):
+            for j in range(1, min(n, i + r - 1) + 1):
+                bi, bj, row, col = block_position(gens, i, j)
+                length = bi - 1 - bj
+                if i > n - r:
+                    seen["bottom"].add(length)
+                if bj == 0:
+                    seen["first_columns"].add(length)
+                if i <= n - r and bj > 0:
+                    seen["interior"].add(length)
+                ref = green_block_entry(gens, bi, bj)[row, col]
+                assert gd.green_scalar_entry(gens, i, j) == pytest.approx(
+                    ref, rel=1e-12, abs=1e-15
+                ), (i, j)
+        for kind, lengths in seen.items():
+            assert set(self.LENGTHS) <= lengths, kind
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(
+        r=st.integers(1, 6),
+        length=st.one_of(st.sampled_from(LENGTHS), st.integers(0, 80)),
+        mu=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+        bottom=st.booleans(),
+        first_columns=st.booleans(),
+    )
+    def test_rounding_within_the_componentwise_bound(
+        self, r, length, mu, seed, bottom, first_columns
+    ):
+        # random multipliers with |f_k|_1 <= mu < 1, so |a(k)|_1 <= 1: the
+        # pairwise walk and the one-at-a-time walk both round within a small
+        # multiple of L u |p||a|...|a||q| of the exact entry (worst measured
+        # difference: 0.17 of this limit over 4000 draws)
+        assume(length or not (bottom and first_columns))  # that needs N = r
+        rng = np.random.default_rng(seed)
+        bj = 0 if first_columns else int(rng.integers(1, 4))
+        bi = bj + 1 + length
+        n = bi + r - 1 if bottom else bi + r + 1  # bi = N - r + 1 or bi < N - r
+        f = rng.uniform(-1, 1, (n - r, r))
+        f *= mu * rng.uniform(0, 1, (n - r, 1)) / np.abs(f).sum(axis=1, keepdims=True)
+        gens = gd.GreenGenerators(rng.uniform(-1, 1, (n - r, r)), rng.uniform(-1, 1, (r, r)), f)
+        i = bi + int(rng.integers(r)) if bottom else bi
+        j = int(rng.integers(1, r + 1)) if bj == 0 else bj + r
+        assert block_position(gens, i, j)[:2] == (bi, bj)
+        u = np.finfo(float).eps / 2
+        limit = 4 * length * u * sequential_walk(gens, i, j, absolute=True)
+        assert abs(gd.green_scalar_entry(gens, i, j) - sequential_walk(gens, i, j)) <= limit
 
 
 class TestReconstruction:

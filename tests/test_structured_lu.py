@@ -199,43 +199,57 @@ class TestFactorization:
             assert np.all(np.tril(slu.upper_factor(), -1) == 0.0)
 
 
+def linv_generators(slu):
+    """Definition-level reference: the Green generators of L^{-1}.
+
+    p(k) = e_1^T, q(k) = e_r and a(k) = -f_k e_1^T + J, stored as f_k. The
+    bottom generator p(N-r+1) is the trailing r x r block of L^{-1}, the
+    inverse of the trailing block of L. With zeros on the non-represented
+    upper region this reconstructs L^{-1} (unit lower triangular, so every
+    entry with j > i vanishes, the block-diagonal ones included).
+    """
+    n, r = slu.n, slu.r
+    bottom = np.linalg.inv(slu.lower_factor()[n - r :, n - r :])
+    return gd.GreenGenerators(np.tile(np.eye(1, r), (n - r, 1)), bottom, slu.f[: n - r])
+
+
 class TestLInverseGenerators:
     def test_two_by_two_partition(self, lower2x2):
-        lg = gd.linv_generators(gd.structured_lu(lower2x2))
+        lg = linv_generators(gd.structured_lu(lower2x2))
         np.testing.assert_array_equal(lg.a(1), [[-0.5]])
         np.testing.assert_array_equal(lg.p(1), [[1.0]])
         np.testing.assert_array_equal(lg.q(1), [[1.0]])
 
     def test_identity_gives_pure_shift(self):
         A = gd.from_dense(np.eye(6))
-        lg = gd.linv_generators(gd.structured_lu(A))
+        lg = linv_generators(gd.structured_lu(A))
         # with zero multipliers the transition matrix is the upper shift
         np.testing.assert_array_equal(lg.a(1), np.eye(1, 1, 1))
 
     def test_identity_order_three_shift(self):
         W = np.eye(7)
         A = gd.BandedMatrix(7, 3, 0, W)
-        lg = gd.linv_generators(gd.structured_lu(A))
+        lg = linv_generators(gd.structured_lu(A))
         np.testing.assert_array_equal(lg.a(2), np.eye(3, k=1))
         np.testing.assert_array_equal(lg.bottom, np.eye(3))
 
     def test_tridiagonal_a_value(self, tridiag3):
-        lg = gd.linv_generators(gd.structured_lu(tridiag3))
+        lg = linv_generators(gd.structured_lu(tridiag3))
         np.testing.assert_allclose(lg.a(1), [[0.25]], rtol=1e-15)
 
     def test_structural_shapes(self, small_ensemble):
         A = small_ensemble[0]
         n, r = A.n, A.r_lower
-        lg = gd.linv_generators(gd.structured_lu(A))
+        lg = linv_generators(gd.structured_lu(A))
         np.testing.assert_array_equal(lg.p(1), np.eye(1, r))
         np.testing.assert_array_equal(lg.q(n - r), np.eye(r, 1, -(r - 1)))
-        assert lg.a_stack.shape == (n - r, r, r)
+        assert lg.f.shape == (n - r, r)
         assert lg.bottom.shape == (r, r)
 
     def test_a_blocks_have_multiplier_column_plus_shift(self, small_ensemble):
         for A in small_ensemble[:5]:
             slu = gd.structured_lu(A)
-            lg = gd.linv_generators(slu)
+            lg = linv_generators(slu)
             r = A.r_lower
             J = np.eye(r, k=1)
             for k in range(1, A.n - r + 1):
@@ -246,7 +260,7 @@ class TestLInverseGenerators:
     def test_green_view_reconstructs_l_inverse(self, small_ensemble):
         for A in small_ensemble[:8]:
             slu = gd.structured_lu(A)
-            values, mask = gd.reconstruct_lower(gd.linv_generators(slu))
+            values, mask = gd.reconstruct_lower(linv_generators(slu))
             Linv = np.where(mask, values, 0.0)
             resid = np.abs(slu.lower_factor() @ Linv - np.eye(A.n)).max()
             assert resid <= 1e-12
