@@ -7,22 +7,27 @@ API is 1-based (row/column indices i, j run from 1 to N), so
 construction (backing arrays are marked read-only) and safe to share between
 threads.
 
-``make_banded`` samples only the band: O(N (r_lower + r_upper + 1)) calls of
-its entry function, whose values are checked and written once onto the band
-diagonals of a fresh N x N array. ``read_matrix_market`` fills the same band
-array from the summed file entries. Dense input (``BandedMatrix(...)``,
-``from_dense``) is copied and scanned in full: only a scan can show that its
-entries outside the band are zero.
+Every constructor builds A from its band array V of shape
+(N, r_lower + r_upper + 1), ``V[i, t] = A(i, i + t - r_lower)`` (0-based),
+and one writer puts V onto the band diagonals of a fresh N x N array;
+:meth:`BandedMatrix.band` reads the band array back. No other module knows
+how ``data`` is laid out. ``make_banded`` samples only the band:
+O(N (r_lower + r_upper + 1)) calls of its entry function.
+``read_matrix_market`` fills V from the summed file entries. Dense input
+(``BandedMatrix(...)``, ``from_dense``) is scanned in full but not copied:
+only a scan can show that its entries outside the band are zero, and then
+its band diagonals are read into V. A -0.0 outside the band of dense input
+is therefore stored as +0.0.
 
-The fresh N x N array of the band-first paths is a zero-filled private
-anonymous memory mapping, not an ``np.zeros`` allocation: the kernel maps a
-page only when it is first written, so only the pages that hold band entries
-become resident, O(N (r_lower + r_upper + 1) * 8) bytes rounded up to whole
-4 KiB pages, about one page per row for a narrow band. Reading an untouched
-page gives zeros. The mapping asks for no transparent huge pages: numpy marks
-its own large allocations for them, and then the first write into each 2 MiB
-page zeroes and keeps all of it, so the whole N^2 * 8 bytes become resident
-for a band of a few diagonals. ``A.data.nbytes`` still reports N^2 * 8.
+The fresh N x N array is a zero-filled private anonymous memory mapping,
+not an ``np.zeros`` allocation: the kernel maps a page only when it is first
+written, so only the pages that hold band entries become resident,
+O(N (r_lower + r_upper + 1) * 8) bytes rounded up to whole 4 KiB pages,
+about one page per row for a narrow band. Reading an untouched page gives
+zeros. The mapping asks for no transparent huge pages: numpy marks its own
+large allocations for them, and then the first write into each 2 MiB page
+zeroes and keeps all of it, so the whole N^2 * 8 bytes become resident for
+a band of a few diagonals. ``A.data.nbytes`` still reports N^2 * 8.
 """
 
 from __future__ import annotations
@@ -51,10 +56,10 @@ __all__ = [
 class BandedMatrix:
     """Dense-backed real N x N matrix with declared lower/upper bandwidths.
 
-    ``data`` is a read-only, C-ordered float64 N x N array. Built by
-    ``make_banded`` or ``read_matrix_market`` it lies on a memory mapping of
-    which only the pages holding the band are resident (see the module
-    docstring); built from dense input it is a copy of that input.
+    ``data`` is a read-only, C-ordered float64 N x N array on a memory
+    mapping of which only the pages holding the band are resident (see the
+    module docstring), whatever the constructor: dense input is checked and
+    its band copied over, the array itself is not kept.
 
     Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero,
     and every entry is finite (NaN and +-inf are rejected).
@@ -68,51 +73,55 @@ class BandedMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float, copy=True, order="C")
+        data = np.asarray(self.data, dtype=float)
         if data.shape != (self.n, self.n):
             raise ValueError(f"data shape {data.shape} does not match n={self.n}")
         _check_dimensions(self.n, self.r_lower, self.r_upper)
-        # every nonzero must lie on one of the in-band diagonals (views, no
-        # copy); a NaN counts as nonzero, so once the counts agree only the
-        # band can hold a non-finite entry
-        band = _band_diagonals(data, self.r_lower, self.r_upper)
-        if np.count_nonzero(data) != sum(np.count_nonzero(v) for v in band):
+        V = _read_band(data, self.r_lower, self.r_upper)
+        # every nonzero must lie in the band; a NaN counts as nonzero, so
+        # once the counts agree only the band can hold a non-finite entry
+        if np.count_nonzero(data) != np.count_nonzero(V):
             _raise_first_non_finite(data)
             raise ValueError("entries outside the declared band must be exactly zero")
-        self._seal(data, band)
+        self._store(V)
 
     @classmethod
     def _from_band(cls, V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
         """Build A from its band array, ``V[i, t] = A(i, i + t - r_lower)`` (0-based).
 
-        Entries of V that fall outside the matrix are ignored. The in-matrix
-        ones are written once onto the band diagonals of a fresh zero N x N
-        array from :func:`_mapped_zeros`. Its out-of-band zeros hold by
-        construction, so the copy and the N^2 scan of dense input are
-        skipped; the dimension and finiteness checks, and their messages,
-        are those of ``BandedMatrix(...)``.
+        Entries of V that fall outside the matrix are ignored. The dimension
+        and finiteness checks, and their messages, are those of
+        ``BandedMatrix(...)``; the out-of-band zeros hold by construction, so
+        there is nothing to scan.
         """
         n = len(V)
         _check_dimensions(n, r_lower, r_upper)
-        data = _mapped_zeros(n)
-        # diagonal d starts at flat index lo*(N+1) + d and steps by N+1
-        flat = data.reshape(-1)
-        for t, d in enumerate(range(-r_lower, r_upper + 1)):
-            lo, hi = max(0, -d), min(n, n - d)
-            flat[lo * (n + 1) + d :: n + 1][: hi - lo] = V[lo:hi, t]
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r_lower", r_lower)
         object.__setattr__(self, "r_upper", r_upper)
-        self._seal(data, _band_diagonals(data, r_lower, r_upper))
+        self._store(V)
         return self
 
-    def _seal(self, data: np.ndarray, band: list) -> None:
-        """Check that the band views of ``data`` are finite, freeze and store it."""
-        if not all(np.isfinite(v).all() for v in band):
+    def _store(self, V: np.ndarray) -> None:
+        """Write the band V onto fresh mapped zeros, check it is finite, freeze and store it."""
+        data = _band_to_dense(V, self.r_lower, _mapped_zeros(self.n))
+        # only an entry that reached data is an error; V's entries outside
+        # the matrix are ignored
+        if not np.isfinite(V).all():
             _raise_first_non_finite(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+
+    def band(self, pad: int = 0) -> np.ndarray:
+        """New band array V of shape (N + pad, r_lower + r_upper + 1).
+
+        ``V[i, t] = A(i, i + t - r_lower)`` (0-based), the row-wise form of
+        LAPACK's band storage; entries outside the matrix, the ``pad`` rows
+        at the bottom among them, are zero. The array is the caller's to
+        overwrite.
+        """
+        return _read_band(self.data, self.r_lower, self.r_upper, pad)
 
     def entry(self, i: int, j: int) -> float:
         """1-based entry access: A(i, j)."""
@@ -191,9 +200,38 @@ def _check_dimensions(n: int, r_lower: int, r_upper: int) -> None:
         raise ValueError(f"need 0 <= r_upper <= N-1, got r_upper={r_upper}, N={n}")
 
 
-def _band_diagonals(data: np.ndarray, r_lower: int, r_upper: int) -> list:
-    """Read-only views of the diagonals d = -r_lower .. r_upper of ``data``."""
-    return [data.diagonal(d) for d in range(-r_lower, r_upper + 1)]
+def _band_to_dense(V: np.ndarray, r_lower: int, out: np.ndarray | None = None) -> np.ndarray:
+    """m x m matrix M with M(i, i + t - r_lower) = V[i, t] (0-based), zero elsewhere.
+
+    V has m rows; its entries that fall outside the matrix are ignored. The
+    band is written into ``out``, a C-ordered m x m array of zeros (a new
+    one by default), one strided slice per diagonal: diagonal d starts at
+    flat index lo*(m+1) + d and steps by m+1. Nothing off the band is
+    touched.
+    """
+    m, w = V.shape
+    out = np.zeros((m, m)) if out is None else out
+    flat = out.reshape(-1)
+    for t in range(max(0, r_lower - m + 1), min(w, r_lower + m)):
+        d = t - r_lower
+        lo, hi = max(0, -d), min(m, m - d)
+        flat[lo * (m + 1) + d :: m + 1][: hi - lo] = V[lo:hi, t]
+    return out
+
+
+def _read_band(data: np.ndarray, r_lower: int, r_upper: int, pad: int = 0) -> np.ndarray:
+    """Band array of the N x N ``data``, shape (N + pad, r_lower + r_upper + 1).
+
+    The inverse of :func:`_band_to_dense` on the band: ``V[i, t] =
+    data[i, i + t - r_lower]``, zero where that lies outside the matrix.
+    Only the band diagonals of ``data`` are read.
+    """
+    n = len(data)
+    V = np.zeros((n + pad, r_lower + r_upper + 1))
+    for t, d in enumerate(range(-r_lower, r_upper + 1)):
+        diag = data.diagonal(d)
+        V[max(0, -d) :, t][: diag.size] = diag
+    return V
 
 
 def _raise_first_non_finite(data: np.ndarray) -> None:

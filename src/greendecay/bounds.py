@@ -148,37 +148,40 @@ class QRHypothesisReport:
     x0_term_unchecked: bool = True
 
 
-def _qr_row_energy(A: BandedMatrix) -> float:
+def _qr_row_energy(V: np.ndarray, r: int) -> float:
     """C0 = max over k = 1..N-r of E(k) = sum_{i<k} sum_{j>k} A(i, j)^2.
 
     E(1) = 0 and E(k+1) = E(k) + sum_{j>k} A(k, j)^2 - sum_{i<k+1} A(i, k+1)^2,
     so C0 follows from the strict upper row and column sums of squares over
-    the upper band diagonals: O(N r_upper) time and O(N) extra memory.
+    the upper band diagonals, the columns r+1 .. of A's band array V
+    (:meth:`BandedMatrix.band`, lower bandwidth r): O(N r_upper) time and
+    O(N) memory beyond V.
     """
-    n = A.n
+    n = len(V)
     upper_rows = np.zeros(n)
     upper_cols = np.zeros(n)
-    for d in range(1, A.r_upper + 1):
-        v = np.square(A.data.diagonal(d))
+    for d in range(1, V.shape[1] - r):
+        v = np.square(V[: n - d, r + d])
         upper_rows[: n - d] += v
         upper_cols[d:] += v
     # E[k-1] = E(k+1) for k = 1..N-r-1
-    E = np.cumsum(upper_rows[: n - A.r_lower - 1] - upper_cols[1 : n - A.r_lower])
+    E = np.cumsum(upper_rows[: n - r - 1] - upper_cols[1 : n - r])
     return float(E.max(initial=0.0))
 
 
 def qr_bound(
     A: BandedMatrix,
-    c0: float | None = None,
     k_const: float | None = None,
 ) -> tuple[QRHypothesisReport, DecayBound]:
     """QR-based envelope with hypothesis report.
 
+    The row-block energy constant C0 of the report is computed from A, and
+    only once the hypotheses hold. A is read through its band array
+    (:meth:`BandedMatrix.band`), in O(N (r_lower + r_upper)) time and memory.
+
     Parameters
     ----------
     A : BandedMatrix
-    c0 : float, optional
-        Row-block energy constant; computed from A when omitted.
     k_const : float, optional
         Dominance constant K in |A(k,k)| >= K * s_k + 1, where s_k is the
         2-norm of the off-diagonal column segment (full upper part plus the
@@ -192,7 +195,8 @@ def qr_bound(
         (mu r sqrt(r))^(1/r) is >= 1 (rate-degenerate).
     """
     r = A.r_lower
-    diag = np.abs(A.data.diagonal())
+    V = A.band()
+    diag = np.abs(V[:, r])
     # the band column sum of squares minus the diagonal term: the same bits
     # as the full column sum, whose out-of-band terms are exact zeros
     s = np.sqrt(np.maximum(_band_column_sums(A, np.square) - diag**2, 0.0))
@@ -226,8 +230,7 @@ def qr_bound(
         )
     gamma = gamma_pow ** (1.0 / r)
     # C0 only decides k_threshold_met, so it is computed once the hypotheses hold
-    if c0 is None:
-        c0 = _qr_row_energy(A)
+    c0 = _qr_row_energy(V, r)
     t_energy = 4.0 * (3.0 + 2.0 * c0 * r * math.sqrt(r))
     t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
     report = QRHypothesisReport(

@@ -41,6 +41,10 @@ __all__ = [
     "reconstruct_lower",
 ]
 
+# green_scalar_entry multiplies its chain in chunks of this many transitions,
+# so a walk holds O(CHAIN_CHUNK r^2) floats however long the chain is
+CHAIN_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class GreenGenerators:
@@ -120,8 +124,10 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     j - i >= r are not represented and raise RegionError.
 
     The L transitions between the two blocks are multiplied pairwise, one
-    batched product per level, so the walk makes O(log L) numpy calls for
-    O(L r^3) flops. Under dominance every partial product is bounded, and in
+    batched product per level, in chunks of ``CHAIN_CHUNK`` consecutive
+    transitions that the row is carried through in turn: O(L r^3) flops in
+    O(log L) numpy calls per chunk, and O(CHAIN_CHUNK r^2) memory. Under
+    dominance every partial product is bounded, and in
     any order of association the rounding error is a small multiple of
     L r u |p||a|...|a||q|, u the unit roundoff.
     """
@@ -137,12 +143,13 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     bi = min(i, n - r + 1)
     v = gens.p_rows[i - 1] if i <= n - r else gens.bottom[i - bi]
     bj = 0 if j <= r else j - r
-    T = _transitions(gens.f[bj : bi - 1][::-1])  # a(bi-1), ..., a(bj+1)
-    while len(T) > 1:
-        if len(T) % 2:  # v takes the first factor of an odd chain
-            v, T = v @ T[0], T[1:]
-        T = T[::2] @ T[1::2]
-    if len(T):
+    chain = gens.f[bj : bi - 1][::-1]  # the f of a(bi-1), ..., a(bj+1)
+    for start in range(0, len(chain), CHAIN_CHUNK):
+        T = _transitions(chain[start : start + CHAIN_CHUNK])
+        while len(T) > 1:
+            if len(T) % 2:  # v takes the first factor of an odd chain
+                v, T = v @ T[0], T[1:]
+            T = T[::2] @ T[1::2]
         v = v @ T[0]
     return float(v[j - 1] if bj == 0 else v[r - 1])
 

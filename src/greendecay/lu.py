@@ -20,8 +20,8 @@ f_1 .. f_{N-r} in their place; one backward recursion through the rows of R
 assembles the row generators p(k) of A^{-1}.
 
 For a two-sided band neither part holds an N x N array. The factorization
-gathers the band diagonals of A into a work array W of shape (N+r, r+s+1),
-W[i, t] = A(i, i+t-r) (0-based), the row-wise form of LAPACK ``dgbtrf``'s
+eliminates in the work array W = ``A.band(r)``, of shape (N+r, r+s+1),
+W[i, t] = A(i, i+t-r) (0-based): the row-wise form of LAPACK ``dgbtrf``'s
 band storage, with r zero rows at the bottom so that every step addresses
 a full (r+1) x (s+1) window G[k] = A(k : k+r+1, k : k+s+1) of one strided
 view of W (row stride w-1 inside a window, w = r+s+1). The multipliers
@@ -42,7 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from .banded import BandedMatrix
+from .banded import BandedMatrix, _band_to_dense
 from .errors import ZeroPivotError
 from .green import GreenGenerators
 
@@ -93,27 +93,6 @@ class StructuredLU:
     def upper_factor(self) -> np.ndarray:
         """Reassemble the dense upper triangular factor R from its band."""
         return _band_to_dense(self.R, 0)
-
-
-def _band_to_dense(band: np.ndarray, lo: int) -> np.ndarray:
-    """Dense m x m matrix M with M(i, i+t-lo) = band[i, t] (0-based), zero elsewhere."""
-    m, w = band.shape
-    i = np.arange(m)[:, None]
-    j = i + np.arange(-lo, w - lo)
-    keep = (j >= 0) & (j < m)
-    out = np.zeros((m, m))
-    out[np.broadcast_to(i, j.shape)[keep], j[keep]] = band[keep]
-    return out
-
-
-def _gather_band(A: BandedMatrix) -> np.ndarray:
-    """Work array W, shape (N+r, r+s+1), W[i, t] = A(i, i+t-r), zero outside A."""
-    n, r, s = A.n, A.r_lower, A.r_upper
-    W = np.zeros((n + r, r + s + 1))
-    for t, d in enumerate(range(-r, s + 1)):
-        diag = A.data.diagonal(d)
-        W[max(0, -d) :, t][: diag.size] = diag
-    return W
 
 
 def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
@@ -175,7 +154,7 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         error carries the 1-based step index.
     """
     n, r, s = A.n, A.r_lower, A.r_upper
-    W = _gather_band(A)
+    W = A.band(r)
     # step N has no row left to eliminate; it only checks the last pivot
     _eliminate(W, r, s, n)
     # freeze W instead of copying it; every factor array is a view of it
@@ -274,6 +253,6 @@ def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
     n, r = A.n, A.r_lower
     if not 1 <= ell <= n - r:
         raise ValueError(f"need 1 <= ell <= N - r = {n - r}, got {ell}")
-    W = _gather_band(A)
+    W = A.band(r)
     _eliminate(W, r, A.r_upper, ell)
     return _band_to_dense(W[ell:n], r)

@@ -51,6 +51,15 @@ def test_make_banded_writes_one_dense_array(band):
     assert peak < N * N * 8 + MIB
 
 
+def test_dense_input_keeps_only_the_band(band):
+    # dense input is scanned in place and only its band is read out, into an
+    # (N, r+s+1) array written onto the memory mapping, which tracemalloc
+    # does not see; a copy of the input would be 30.5 MiB
+    W = band.data
+    assert peak_bytes(gd.BandedMatrix, N, R, R, W) < MIB
+    assert peak_bytes(gd.from_dense, W, R, R) < MIB
+
+
 RESIDENT = """
 import json, resource, sys
 import greendecay as gd

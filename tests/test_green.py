@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,27 @@ class TestPairwiseWalk:
         u = np.finfo(float).eps / 2
         limit = 4 * length * u * sequential_walk(gens, i, j, absolute=True)
         assert abs(gd.green_scalar_entry(gens, i, j) - sequential_walk(gens, i, j)) <= limit
+
+    def test_long_chain_holds_one_chunk(self):
+        # entry (N, 1) at N = 10^5, r = 4 walks all N - r transitions, 98
+        # chunks of them; each f_k is close to -e_1 (|f_k|_1 <= 1), so the
+        # entry decays only to ~exp(-0.4) and the comparison sees real values
+        n, r = 10**5, 4
+        rng = np.random.default_rng(5)
+        f = 1e-6 * rng.uniform(-1, 1, (n - r, r))
+        f[:, 0] -= 1 - 4e-6
+        gens = gd.GreenGenerators(rng.uniform(-1, 1, (n - r, r)), rng.uniform(-1, 1, (r, r)), f)
+        tracemalloc.start()
+        try:
+            value = gd.green_scalar_entry(gens, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one chunk of 1024 r x r transitions is 128 KiB
+        u = np.finfo(float).eps / 2
+        limit = 4 * (n - r) * u * sequential_walk(gens, n, 1, absolute=True)
+        assert abs(value - sequential_walk(gens, n, 1)) <= limit
+        assert abs(value) > 0.1
 
 
 class TestReconstruction:

@@ -286,3 +286,46 @@ def test_read_matrix_market_matches_from_dense(shape, seed, symmetric):
     want = gd.from_dense(D)
     assert (got.n, got.r_lower, got.r_upper) == (want.n, want.r_lower, want.r_upper)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+@PROPERTY
+@given(
+    shape=st.one_of(band_shape(), st.integers(2, 30).map(lambda n: (n, n // 2, n - 1))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_constructor_writes_the_same_bytes(shape, seed):
+    # one band V, with exact zeros of both signs inside it, through every
+    # constructor; one-sided shapes (s = N-1) are drawn on their own too
+    n, r, s = shape
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n, r + s + 1))
+    V[rng.random(V.shape) < 0.2] = 0.0
+    V[rng.random(V.shape) < 0.2] = -0.0
+    cols = np.arange(n)[:, None] + np.arange(-r, s + 1)
+    inside = (cols >= 0) & (cols < n)
+    V[~inside] = 0.0
+    D = np.zeros((n, n))  # the band written entry by entry
+    D[np.nonzero(inside)[0], cols[inside]] = V[inside]
+    signed = D.copy()
+    in_band = np.triu(np.tril(np.ones((n, n), dtype=bool), s), -r)
+    signed[~in_band] = -0.0  # out of band, a -0.0 is stored as +0.0
+    want = D.tobytes()
+    built = {
+        "BandedMatrix": gd.BandedMatrix(n, r, s, signed),
+        "from_dense": gd.from_dense(signed, r, s),
+        "make_banded": gd.make_banded(n, r, s, lambda i, j: D[i - 1, j - 1]),
+    }
+    for name, A in built.items():
+        assert A.data.tobytes() == want, name
+        assert A.band().tobytes() == V.tobytes(), name
+    # the reader sums a file's entries from +0.0 and drops zero sums, so a
+    # -0.0 in the band reads as +0.0 there; its bandwidths are inferred
+    i, j = np.nonzero(D)
+    text = f"%%MatrixMarket matrix coordinate real general\n{n} {n} {i.size}\n"
+    entries = zip(i.tolist(), j.tolist(), D[i, j].tolist())
+    text += "".join(f"{a + 1} {b + 1} {v!r}\n" for a, b, v in entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mtx"
+        path.write_text(text)
+        got = gd.read_matrix_market(path)
+    assert got.data.tobytes() == (D + 0.0).tobytes()
