@@ -8,107 +8,88 @@ factorization, derives a-priori geometric envelopes M * gamma^(i-j) on
 |A^{-1}(i, j)| from a strong column-dominance condition, and compares them
 with the classical spectrum-based decay bounds on a set of reproducible
 experiments.
+
+The public names below live in their submodules, and the package imports a
+submodule (and numpy with it) only when one of its names is first used
+(PEP 562): ``import greendecay`` loads nothing, and a CLI command loads only
+the modules it runs. ``gd.make_banded``, ``from greendecay import *`` and
+``greendecay.lu`` resolve as with eager imports.
 """
 
-from .banded import (
-    BandedMatrix,
-    DominanceReport,
-    dominance_mu,
-    from_dense,
-    make_banded,
-    read_matrix_market,
-)
-from .bounds import (
-    DecayBound,
-    QRHypothesisReport,
-    chui_hasson_rate,
-    dms_rate,
-    eval_bound,
-    frommer_bound,
-    lu_bound,
-    qr_bound,
-    varah_bound,
-)
-from .ensembles import dominant_ensemble, random_dominant_matrix
-from .errors import (
-    DominanceError,
-    HypothesisError,
-    MatrixMarketError,
-    RegionError,
-    ZeroPivotError,
-)
-from .experiments import (
-    CSV_COLUMNS,
-    EXPERIMENT_NAMES,
-    ExperimentReport,
-    ExperimentSpec,
-    FamilyResult,
-    emit_csv,
-    generate,
-    run_experiment,
-)
-from .green import (
-    GreenGenerators,
-    green_scalar_entry,
-    reconstruct_lower,
-)
-from .lu import (
-    StructuredLU,
-    inverse_green_generators,
-    p_tail_cross_check,
-    schur_complement,
-    structured_lu,
-)
-from .oracle import (
-    dense_inverse,
-    dense_lu_no_pivot,
-    determinant_fraction_free,
-    symmetric_spectrum,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandedMatrix",
-    "CSV_COLUMNS",
-    "DecayBound",
-    "DominanceError",
-    "DominanceReport",
-    "EXPERIMENT_NAMES",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "FamilyResult",
-    "GreenGenerators",
-    "HypothesisError",
-    "MatrixMarketError",
-    "QRHypothesisReport",
-    "RegionError",
-    "StructuredLU",
-    "ZeroPivotError",
-    "chui_hasson_rate",
-    "dense_inverse",
-    "dense_lu_no_pivot",
-    "determinant_fraction_free",
-    "dms_rate",
-    "dominance_mu",
-    "dominant_ensemble",
-    "emit_csv",
-    "eval_bound",
-    "from_dense",
-    "frommer_bound",
-    "generate",
-    "green_scalar_entry",
-    "inverse_green_generators",
-    "lu_bound",
-    "make_banded",
-    "p_tail_cross_check",
-    "qr_bound",
-    "random_dominant_matrix",
-    "read_matrix_market",
-    "reconstruct_lower",
-    "run_experiment",
-    "schur_complement",
-    "structured_lu",
-    "symmetric_spectrum",
-    "varah_bound",
-]
+# the defining submodule of every public name
+_SUBMODULE_NAMES = {
+    "banded": (
+        "BandedMatrix",
+        "DominanceReport",
+        "dominance_mu",
+        "from_dense",
+        "make_banded",
+        "read_matrix_market",
+    ),
+    "bounds": (
+        "DecayBound",
+        "QRHypothesisReport",
+        "chui_hasson_rate",
+        "dms_rate",
+        "eval_bound",
+        "frommer_bound",
+        "lu_bound",
+        "qr_bound",
+        "varah_bound",
+    ),
+    "ensembles": ("dominant_ensemble", "random_dominant_matrix"),
+    "errors": (
+        "DominanceError",
+        "HypothesisError",
+        "MatrixMarketError",
+        "RegionError",
+        "ZeroPivotError",
+    ),
+    "experiments": (
+        "CSV_COLUMNS",
+        "EXPERIMENT_NAMES",
+        "ExperimentReport",
+        "ExperimentSpec",
+        "FamilyResult",
+        "emit_csv",
+        "generate",
+        "run_experiment",
+    ),
+    "green": ("GreenGenerators", "green_scalar_entry", "reconstruct_lower"),
+    "lu": (
+        "StructuredLU",
+        "inverse_green_generators",
+        "p_tail_cross_check",
+        "schur_complement",
+        "structured_lu",
+    ),
+    "oracle": (
+        "dense_inverse",
+        "dense_lu_no_pivot",
+        "determinant_fraction_free",
+        "symmetric_spectrum",
+    ),
+}
+_SUBMODULES = frozenset({*_SUBMODULE_NAMES, "cli", "verify"})
+_ORIGIN = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

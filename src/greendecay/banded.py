@@ -234,6 +234,11 @@ def _read_band(data: np.ndarray, r_lower: int, r_upper: int, pad: int = 0) -> np
     return V
 
 
+def _diagonal(A: BandedMatrix, d: int) -> np.ndarray:
+    """Read-only view of diagonal d of A, the entries A(i, i + d); no copy."""
+    return A.data.diagonal(d)
+
+
 def _raise_first_non_finite(data: np.ndarray) -> None:
     """Raise ValueError naming the row-major first non-finite entry, if any."""
     bad = np.argwhere(~np.isfinite(data))

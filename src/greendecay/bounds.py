@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import BandedMatrix, _band_column_sums, dominance_mu
+from .banded import BandedMatrix, _band_column_sums, _diagonal, dominance_mu
 from .errors import DominanceError, HypothesisError
 
 __all__ = [
@@ -148,20 +148,19 @@ class QRHypothesisReport:
     x0_term_unchecked: bool = True
 
 
-def _qr_row_energy(V: np.ndarray, r: int) -> float:
+def _qr_row_energy(A: BandedMatrix) -> float:
     """C0 = max over k = 1..N-r of E(k) = sum_{i<k} sum_{j>k} A(i, j)^2.
 
     E(1) = 0 and E(k+1) = E(k) + sum_{j>k} A(k, j)^2 - sum_{i<k+1} A(i, k+1)^2,
     so C0 follows from the strict upper row and column sums of squares over
-    the upper band diagonals, the columns r+1 .. of A's band array V
-    (:meth:`BandedMatrix.band`, lower bandwidth r): O(N r_upper) time and
-    O(N) memory beyond V.
+    the upper band diagonals of A, read as views: O(N r_upper) time and O(N)
+    extra memory.
     """
-    n = len(V)
+    n, r = A.n, A.r_lower
     upper_rows = np.zeros(n)
     upper_cols = np.zeros(n)
-    for d in range(1, V.shape[1] - r):
-        v = np.square(V[: n - d, r + d])
+    for d in range(1, A.r_upper + 1):
+        v = np.square(_diagonal(A, d))
         upper_rows[: n - d] += v
         upper_cols[d:] += v
     # E[k-1] = E(k+1) for k = 1..N-r-1
@@ -176,8 +175,8 @@ def qr_bound(
     """QR-based envelope with hypothesis report.
 
     The row-block energy constant C0 of the report is computed from A, and
-    only once the hypotheses hold. A is read through its band array
-    (:meth:`BandedMatrix.band`), in O(N (r_lower + r_upper)) time and memory.
+    only once the hypotheses hold. A is read through views of its band
+    diagonals, in O(N (r_lower + r_upper)) time and O(N) extra memory.
 
     Parameters
     ----------
@@ -195,8 +194,7 @@ def qr_bound(
         (mu r sqrt(r))^(1/r) is >= 1 (rate-degenerate).
     """
     r = A.r_lower
-    V = A.band()
-    diag = np.abs(V[:, r])
+    diag = np.abs(_diagonal(A, 0))
     # the band column sum of squares minus the diagonal term: the same bits
     # as the full column sum, whose out-of-band terms are exact zeros
     s = np.sqrt(np.maximum(_band_column_sums(A, np.square) - diag**2, 0.0))
@@ -230,7 +228,7 @@ def qr_bound(
         )
     gamma = gamma_pow ** (1.0 / r)
     # C0 only decides k_threshold_met, so it is computed once the hypotheses hold
-    c0 = _qr_row_energy(V, r)
+    c0 = _qr_row_energy(A)
     t_energy = 4.0 * (3.0 + 2.0 * c0 * r * math.sqrt(r))
     t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
     report = QRHypothesisReport(

@@ -6,6 +6,11 @@
 
 Exit codes: 0 on success, 2 when no bound family is applicable to the given
 matrix (the run still writes its table), 1 on errors.
+
+The parser reads only ``experiments.EXPERIMENT_NAMES``; each command imports
+the rest of what it runs when it runs, so a process pays only for its own
+command: ``run`` and ``bounds`` never load ``lu``, ``green``, ``ensembles``
+or ``verify``.
 """
 
 from __future__ import annotations
@@ -13,10 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .banded import dominance_mu, read_matrix_market
-from .bounds import lu_bound, varah_bound
-from .experiments import EXPERIMENT_NAMES, ExperimentSpec, emit_csv, run_experiment
-from .verify import run_all
+from .experiments import EXPERIMENT_NAMES
 
 __all__ = ["main"]
 
@@ -45,6 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .experiments import ExperimentSpec, emit_csv, run_experiment
+
     spec = ExperimentSpec(
         name=args.name,
         seed=args.seed,
@@ -78,6 +82,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .banded import dominance_mu, read_matrix_market
+    from .bounds import lu_bound, varah_bound
+
     A = read_matrix_market(args.path)
     rep = dominance_mu(A)
     print(f"N={A.n}, r_lower={A.r_lower}, r_upper={A.r_upper}")
@@ -99,14 +106,17 @@ def main(argv=None) -> int:
     # every package error derives from one of these: DominanceError,
     # HypothesisError, MatrixMarketError and numpy's LinAlgError (singular
     # reference inverse, non-converged eigvalsh) from ValueError,
-    # ZeroPivotError from ArithmeticError
+    # ZeroPivotError from ArithmeticError; a path that cannot be read or
+    # written (missing, a directory, no permission) raises an OSError
     try:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
+        from .verify import run_all
+
         return 0 if run_all(trials=args.trials, seed=args.seed) else 1
-    except (ValueError, ArithmeticError, FileNotFoundError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

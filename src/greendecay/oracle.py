@@ -8,11 +8,14 @@ oracle runs fraction-free elimination in exact rational arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ZeroPivotError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "dense_lu_no_pivot",
@@ -94,6 +97,8 @@ def determinant_fraction_free(a: np.ndarray) -> Fraction:
     (flipping the sign); a column with no nonzero candidate makes the
     determinant zero. Intended for small N only; entry sizes grow quickly.
     """
+    from fractions import Fraction  # only this oracle needs it
+
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

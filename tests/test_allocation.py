@@ -105,6 +105,18 @@ def test_rate_degenerate_qr_bound_allocates_o_n(band):
     assert peak_bytes(rejected, band) < MIB
 
 
+def test_one_sided_qr_bound_reads_no_band_copy():
+    # s = N-1, so a copy of the band array would be N x (N + r): 7.7 MiB here
+    rng = np.random.default_rng(4)
+    A = gd.random_dominant_matrix(rng, n=1000, r_lower=3, one_sided=True)
+
+    def rejected(A):
+        with pytest.raises(gd.HypothesisError):
+            gd.qr_bound(A)
+
+    assert peak_bytes(rejected, A) < MIB / 2
+
+
 @pytest.mark.parametrize("fn", [gd.structured_lu, gd.inverse_green_generators])
 def test_factor_and_generators_allocate_o_n(band, fn):
     # the band work array is (N + r) x (r + s + 1): 80 KiB here
