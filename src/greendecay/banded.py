@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedMatrix:
     """Dense-backed real N x N matrix with declared lower/upper bandwidths.
 
@@ -129,21 +129,22 @@ class BandedMatrix:
             raise IndexError(f"indices ({i}, {j}) outside 1..{self.n}")
         return float(self.data[i - 1, j - 1])
 
-    def is_symmetric(self, rtol: float = 1e-12) -> bool:
-        """|A(i, j) - A(j, i)| <= rtol * max|A| for all i, j.
+    def is_symmetric(self) -> bool:
+        """|A(i, j) - A(j, i)| <= 1e-12 * max|A| for all i, j.
 
         The tolerance is relative to the largest entry, so cA is symmetric
         exactly when A is, and the zero matrix is symmetric. Only the
         diagonals d and -d for d <= max(r_lower, r_upper) are compared:
         O(N (r_lower + r_upper)) time.
         """
-        diag = self.data.diagonal
-        scale = max(np.abs(diag(d)).max() for d in range(-self.r_lower, self.r_upper + 1))
+        scale = max(
+            np.abs(_diagonal(self, d)).max() for d in range(-self.r_lower, self.r_upper + 1)
+        )
         gap = max(
-            np.abs(diag(d) - diag(-d)).max()
+            np.abs(_diagonal(self, d) - _diagonal(self, -d)).max()
             for d in range(1, max(self.r_lower, self.r_upper) + 1)
         )
-        return bool(gap <= rtol * scale)
+        return bool(gap <= 1e-12 * scale)
 
 
 def make_banded(
@@ -272,7 +273,7 @@ def from_dense(
     return BandedMatrix(n, r_lower, r_upper, data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceReport:
     """Result of the strong column-dominance check.
 
@@ -296,18 +297,23 @@ class DominanceReport:
 
 
 def _band_column_sums(A: BandedMatrix, fn) -> np.ndarray:
-    """Column sums of fn(A(i, j)) over the band, each summed in row order.
+    """Off-diagonal column sums of fn(A(i, j)) over the band, in row order.
 
     Diagonal d holds the entries A(i, i + d), so running d from r_upper down
-    to -r_lower adds each column's band entries top to bottom: the same order
-    and the same bits as a full ``fn(A.data).sum(axis=0)`` whenever fn maps
-    0 to 0, since the out-of-band terms of that sum are exact zeros.
+    to -r_lower, skipping d = 0, adds each column's off-diagonal band entries
+    top to bottom. Whenever fn maps 0 to 0 this gives the same bits as the
+    full ``fn(A.data).sum(axis=0)`` with the diagonal set to zero, since the
+    zero terms of that sum change nothing. The diagonal is skipped rather
+    than subtracted afterwards: a diagonal that dwarfs the rest of its column
+    would cancel the off-diagonal terms to zero.
     """
     n = A.n
     sums = np.zeros(n)
     for d in range(A.r_upper, -A.r_lower - 1, -1):
-        v = fn(A.data.diagonal(d))
-        if d >= 0:
+        if d == 0:
+            continue
+        v = fn(_diagonal(A, d))
+        if d > 0:
             sums[d:] += v
         else:
             sums[: n + d] += v
@@ -325,8 +331,8 @@ def dominance_mu(A: BandedMatrix) -> DominanceReport:
     unsatisfiable; the report then carries the first offending 1-based index
     instead of raising.
     """
-    diag = np.abs(A.data.diagonal())
-    off = _band_column_sums(A, np.abs) - diag
+    diag = np.abs(_diagonal(A, 0))
+    off = _band_column_sums(A, np.abs)
     zero_idx = None
     if np.any(diag == 0.0):
         zero_idx = int(np.flatnonzero(diag == 0.0)[0]) + 1

@@ -18,9 +18,8 @@ Varah:       ||A^{-1}||_1 <= 1 / ((1 - mu) min_k |A(k, k)|) — a flat
              entrywise envelope.
 DMS:         rate lambda0 = ((sqrt(b/a)-1)/(sqrt(b/a)+1))^(1/r) for SPD
              spectrum in [a, b]; lambda1 = ((b/a-1)/(b/a+1))^(1/2r) for
-             symmetric indefinite spectrum in [-b,-a] u [a,b]. The
-             multiplicative constant is advisory (default 1/a); these bounds
-             are rate-authoritative only.
+             symmetric indefinite spectrum in [-b,-a] u [a,b]. The rate is
+             the result; the constant M = 1/a is advisory.
 Frommer:     C = 2/lambda_1, q1 = (sqrt(ke)-1)/(sqrt(ke)+1) with effective
              condition number ke = lambda_{N-1}/lambda_1; value
              C * q1^(|i-j|/r - 1) on |i-j| >= r.
@@ -56,17 +55,15 @@ KINDS = ("LU", "QR", "DMS-SPD", "DMS-indefinite", "Frommer", "ChuiHasson", "Vara
 class DecayBound:
     """A geometric envelope (M, gamma) on |A^{-1}(i, j)|.
 
-    ``M`` is absent for constant-free families (Chui-Hasson);
-    ``rate_authoritative`` marks families whose constant is advisory (DMS).
-    Evaluate with :func:`eval_bound`, which fixes each family's region.
+    ``M`` is None for the constant-free family (Chui-Hasson) and advisory
+    for DMS. Evaluate with :func:`eval_bound`, which fixes each family's
+    region.
     """
 
     kind: str
     gamma: float
     r: int
     M: float | None = None
-    rate_authoritative: bool = False
-    constant_free: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -132,20 +129,17 @@ def varah_bound(A: BandedMatrix) -> float:
 class QRHypothesisReport:
     """Derived constants and hypothesis status of the QR-based bound.
 
+    M and gamma are those of the DecayBound returned with the report.
     ``k_threshold_met`` checks K against the two computable threshold terms
     4(3 + 2 C0 r sqrt(r)) and 2 sqrt(r^3 ((sqrt(3)+1)/2)^(2r) - 1); the third
-    term depends on an undefined constant and is excluded, which
-    ``x0_term_unchecked`` records.
+    term depends on an undefined constant and is never checked.
     """
 
     C0: float
     K: float
     delta: float
     mu: float
-    M: float
-    gamma: float
     k_threshold_met: bool
-    x0_term_unchecked: bool = True
 
 
 def _qr_row_energy(A: BandedMatrix) -> float:
@@ -154,71 +148,60 @@ def _qr_row_energy(A: BandedMatrix) -> float:
     E(1) = 0 and E(k+1) = E(k) + sum_{j>k} A(k, j)^2 - sum_{i<k+1} A(i, k+1)^2,
     so C0 follows from the strict upper row and column sums of squares over
     the upper band diagonals of A, read as views: O(N r_upper) time and O(N)
-    extra memory.
+    extra memory. A row sum or an E(k) that overflows gives C0 = inf, which
+    no K meets; the column sums are finite, as :func:`qr_bound` checked, so
+    no inf - inf arises.
     """
     n, r = A.n, A.r_lower
     upper_rows = np.zeros(n)
     upper_cols = np.zeros(n)
-    for d in range(1, A.r_upper + 1):
-        v = np.square(_diagonal(A, d))
-        upper_rows[: n - d] += v
-        upper_cols[d:] += v
-    # E[k-1] = E(k+1) for k = 1..N-r-1
-    E = np.cumsum(upper_rows[: n - r - 1] - upper_cols[1 : n - r])
+    with np.errstate(over="ignore"):
+        for d in range(1, A.r_upper + 1):
+            v = np.square(_diagonal(A, d))
+            upper_rows[: n - d] += v
+            upper_cols[d:] += v
+        # E[k-1] = E(k+1) for k = 1..N-r-1
+        E = np.cumsum(upper_rows[: n - r - 1] - upper_cols[1 : n - r])
     return float(E.max(initial=0.0))
 
 
-def qr_bound(
-    A: BandedMatrix,
-    k_const: float | None = None,
-) -> tuple[QRHypothesisReport, DecayBound]:
+def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
     """QR-based envelope with hypothesis report.
 
-    The row-block energy constant C0 of the report is computed from A, and
-    only once the hypotheses hold. A is read through views of its band
-    diagonals, in O(N (r_lower + r_upper)) time and O(N) extra memory.
-
-    Parameters
-    ----------
-    A : BandedMatrix
-    k_const : float, optional
-        Dominance constant K in |A(k,k)| >= K * s_k + 1, where s_k is the
-        2-norm of the off-diagonal column segment (full upper part plus the
-        r rows below the diagonal). When omitted, the largest feasible K is
-        used. Supplying an infeasible K raises HypothesisError.
+    K is the largest dominance constant with |A(k,k)| >= K * s_k + 1 in
+    every column k, where s_k is the 2-norm of the off-diagonal column
+    segment (full upper part plus the r rows below the diagonal); a smaller
+    K only weakens the envelope. The row-block energy constant C0 of the
+    report is computed from A, and only once the hypotheses hold. A is read
+    through views of its band diagonals, in O(N (r_lower + r_upper)) time
+    and O(N) extra memory.
 
     Raises
     ------
     HypothesisError
-        If no positive K is feasible, or the resulting rate
-        (mu r sqrt(r))^(1/r) is >= 1 (rate-degenerate).
+        If some |A(k,k)| <= 1 (no K is feasible), some s_k^2 overflows, or
+        the resulting rate (mu r sqrt(r))^(1/r) is >= 1 (rate-degenerate).
     """
     r = A.r_lower
     diag = np.abs(_diagonal(A, 0))
-    # the band column sum of squares minus the diagonal term: the same bits
-    # as the full column sum, whose out-of-band terms are exact zeros
-    s = np.sqrt(np.maximum(_band_column_sums(A, np.square) - diag**2, 0.0))
-
-    if k_const is None:
-        if np.any(diag <= 1.0):
-            worst = int(np.argmin(diag)) + 1
-            raise HypothesisError(
-                f"|A(k,k)| must exceed 1 for a feasible K; column {worst} has "
-                f"|A(k,k)| = {float(diag[worst - 1])!r}"
-            )
-        active = s > 0.0
-        k_const = float(((diag - 1.0)[active] / s[active]).min()) if active.any() else math.inf
-    else:
-        slack = diag - k_const * s - 1.0
-        if np.any(slack < -1e-12 * np.maximum(1.0, diag)):
-            worst = int(np.argmin(slack)) + 1
-            raise HypothesisError(
-                f"supplied K = {k_const} violates |A(k,k)| >= K*s_k + 1 at column {worst}"
-            )
-    if k_const <= 0.0:
-        raise HypothesisError(f"dominance constant K must be positive, got {k_const}")
-
-    delta = 0.0 if math.isinf(k_const) else 2.0 / k_const
+    if np.any(diag <= 1.0):
+        worst = int(np.argmin(diag)) + 1
+        raise HypothesisError(
+            f"|A(k,k)| must exceed 1 for a feasible K; column {worst} has "
+            f"|A(k,k)| = {float(diag[worst - 1])!r}"
+        )
+    with np.errstate(over="ignore"):
+        s2 = _band_column_sums(A, np.square)
+    if not np.isfinite(s2).all():
+        worst = int(np.argmin(np.isfinite(s2))) + 1
+        raise HypothesisError(
+            f"s_k^2, the off-diagonal sum of squares, overflows in column {worst}"
+        )
+    s = np.sqrt(s2)
+    active = s > 0.0
+    # positive: every diag - 1 > 0 and every s_k is finite
+    K = float(((diag - 1.0)[active] / s[active]).min()) if active.any() else math.inf
+    delta = 0.0 if math.isinf(K) else 2.0 / K
     mu = delta / math.sqrt(1.0 + delta**2)
     M = 2.0 * mu + 1.0
     gamma_pow = mu * r * math.sqrt(r)
@@ -233,30 +216,22 @@ def qr_bound(
     t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
     report = QRHypothesisReport(
         C0=float(c0),
-        K=float(k_const),
+        K=K,
         delta=delta,
         mu=mu,
-        M=M,
-        gamma=gamma,
-        k_threshold_met=bool(k_const >= max(t_energy, t_band)),
+        k_threshold_met=bool(K >= max(t_energy, t_band)),
     )
     return report, DecayBound("QR", gamma, r, M=M)
 
 
-def dms_rate(
-    a: float,
-    b: float,
-    r: int,
-    definite: bool = True,
-    constant: float | None = None,
-) -> DecayBound:
+def dms_rate(a: float, b: float, r: int, definite: bool = True) -> DecayBound:
     """Polynomial-approximation decay rate for symmetric spectra.
 
     ``definite=True``: spectrum in [a, b], 0 < a <= b, rate
     ((sqrt(b/a)-1)/(sqrt(b/a)+1))^(1/r). ``definite=False``: spectrum in
     [-b, -a] u [a, b], rate ((b/a-1)/(b/a+1))^(1/2r). The literature's
-    multiplicative constant lives outside this rate; the returned bound uses
-    max(1/a, constant) (default 1/a) and is flagged rate-authoritative.
+    multiplicative constant lives outside this rate; the returned bound
+    carries the advisory M = 1/a.
     """
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
@@ -268,8 +243,7 @@ def dms_rate(
     else:
         rate = ((kappa - 1.0) / (kappa + 1.0)) ** (1.0 / (2 * r))
         kind = "DMS-indefinite"
-    C = 1.0 / a if constant is None else max(1.0 / a, constant)
-    return DecayBound(kind, rate, r, M=C, rate_authoritative=True)
+    return DecayBound(kind, rate, r, M=1.0 / a)
 
 
 def frommer_bound(lambda1: float, lambda_nm1: float, r: int) -> DecayBound:
@@ -298,4 +272,4 @@ def chui_hasson_rate(a: float, b: float, r: int) -> DecayBound:
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
     rate = ((b - a) / (b + a)) ** (1.0 / (2 * r))
-    return DecayBound("ChuiHasson", rate, r, M=None, constant_free=True)
+    return DecayBound("ChuiHasson", rate, r)

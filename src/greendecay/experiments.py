@@ -194,13 +194,13 @@ def _ex5() -> BandedMatrix:
     return from_dense(W, r_lower=1, r_upper=n - 1)
 
 
-def _restore_dominance(A: BandedMatrix, target: float = 0.95) -> BandedMatrix:
-    """Scale the diagonal up if random noise pushed mu to 1 or beyond."""
+def _restore_dominance(A: BandedMatrix) -> BandedMatrix:
+    """Scale the diagonal up so that mu <= 0.95 if random noise pushed it higher."""
     rep = dominance_mu(A)
-    if rep.satisfied and rep.mu <= target:
+    if rep.satisfied and rep.mu <= 0.95:
         return A
     W = A.data.copy()
-    scale = max(rep.mu, 1.0) / target
+    scale = max(rep.mu, 1.0) / 0.95
     idx = np.arange(A.n)
     W[idx, idx] *= scale
     return BandedMatrix(A.n, A.r_lower, A.r_upper, W)

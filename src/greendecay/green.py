@@ -46,7 +46,7 @@ __all__ = [
 CHAIN_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenGenerators:
     """Companion-form generator family (p, q, a) of the lower part of A^{-1}.
 

@@ -61,7 +61,7 @@ __all__ = [
 PIVOT_RTOL = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredLU:
     """Per-step elimination data of the banded no-pivot LU factorization.
 

@@ -106,6 +106,20 @@ class TestBandedMatrix:
     def test_zero_matrix_is_symmetric(self):
         assert gd.BandedMatrix(3, 1, 2, np.zeros((3, 3))).is_symmetric()
 
+    def test_array_holders_compare_by_identity(self, tridiag3):
+        # a generated == would compare arrays, whose truth value is ambiguous,
+        # and a generated __hash__ would hash them; identity semantics instead
+        for make in (
+            lambda: gd.from_dense(tridiag3.data),
+            lambda: gd.dominance_mu(tridiag3),
+            lambda: gd.structured_lu(tridiag3),
+            lambda: gd.inverse_green_generators(tridiag3),
+        ):
+            a, b = make(), make()
+            assert a == a and hash(a) == hash(a)
+            assert a != b
+            assert len({a, b}) == 2
+
 
 class NoHugePageHint(mmap.mmap):
     """A mapping whose kernel has no transparent huge pages."""

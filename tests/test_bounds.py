@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ class TestLuBound:
         with pytest.raises(gd.DominanceError) as err:
             gd.lu_bound(A)
         assert err.value.mu == 2.0
+
+    def test_diagonal_dwarfing_its_column(self):
+        # 1e16 + 1 rounds to 1e16, so subtracting the diagonal from the
+        # column sum would give mu = 0 and claim A^{-1} is diagonal
+        A = gd.from_dense(1e16 * np.eye(4) + np.eye(4, k=-1))
+        b = gd.lu_bound(A)
+        assert gd.dominance_mu(A).mu == 1e-16
+        exact = abs(gd.dense_inverse(A.data)[1, 0])
+        assert exact == pytest.approx(1e-32, rel=1e-15)
+        assert gd.eval_bound(b, 2, 1) >= exact
 
 
 class TestEvalBound:
@@ -90,27 +101,40 @@ class TestVarah:
 
 
 class TestQrBound:
-    def test_supplied_k_order_one(self):
-        A = gd.from_dense(30.0 * np.eye(4) + np.eye(4, k=-1))
-        report, bound = gd.qr_bound(A, k_const=20.0)
+    def test_k_order_one(self):
+        A = gd.from_dense(21.0 * np.eye(4) + np.eye(4, k=-1))
+        report, bound = gd.qr_bound(A)
+        assert report.K == 20.0  # (21 - 1) / 1
         assert report.delta == pytest.approx(0.1, rel=1e-15)
         assert report.mu == pytest.approx(0.09950371902099893, rel=1e-12)
-        assert report.M == pytest.approx(1.199007438041998, rel=1e-12)
+        assert bound.M == pytest.approx(1.199007438041998, rel=1e-12)
         assert bound.gamma == pytest.approx(report.mu, rel=1e-15)  # r = 1
 
     def test_large_k_limit(self):
-        A = gd.from_dense(1e13 * np.eye(3) + np.eye(3, k=-1))
-        report, bound = gd.qr_bound(A, k_const=1e12)
+        A = gd.from_dense((1e12 + 1.0) * np.eye(3) + np.eye(3, k=-1))
+        report, bound = gd.qr_bound(A)
+        assert report.K == 1e12
         assert report.mu == pytest.approx(0.0, abs=2e-12)
-        assert report.M == pytest.approx(1.0, abs=5e-12)
+        assert bound.M == pytest.approx(1.0, abs=5e-12)
         assert bound.gamma == pytest.approx(0.0, abs=2e-12)
 
-    def test_supplied_k_order_two(self):
-        W = 30.0 * np.eye(5) + 0.1 * np.eye(5, k=-2)
+    def test_k_order_two(self):
+        W = 2.0 * np.eye(5) + 0.1 * np.eye(5, k=-2)
         A = gd.from_dense(W, r_lower=2, r_upper=0)
-        report, bound = gd.qr_bound(A, k_const=10.0)
+        report, bound = gd.qr_bound(A)
+        assert report.K == pytest.approx(10.0, rel=1e-15)  # (2 - 1) / 0.1
         assert report.mu == pytest.approx(0.19611613513818402, rel=1e-12)
         assert bound.gamma == pytest.approx(0.7447819789879647, rel=1e-12)
+
+    def test_diagonal_dwarfing_its_column(self):
+        # 1e18 + 1 rounds to 1e18, so subtracting the diagonal's square from
+        # the column's would give s_k = 0, K = inf and gamma = 0
+        A = gd.from_dense(1e9 * np.eye(4) + np.eye(4, k=-1))
+        report, bound = gd.qr_bound(A)
+        assert report.K == 1e9 - 1.0
+        exact = abs(gd.dense_inverse(A.data)[1, 0])
+        assert exact == pytest.approx(1e-18, rel=1e-15)
+        assert gd.eval_bound(bound, 2, 1) >= exact
 
     def test_auto_k_is_largest_feasible(self):
         W = np.array([[5.0, 0.0], [2.0, 5.0]])
@@ -118,11 +142,6 @@ class TestQrBound:
         report, _ = gd.qr_bound(A)
         # |A(1,1)| = 5 >= K * 2 + 1  =>  K = 2
         assert report.K == pytest.approx(2.0, rel=1e-15)
-
-    def test_infeasible_supplied_k_rejected(self):
-        A = gd.from_dense(np.array([[5.0, 0.0], [2.0, 5.0]]))
-        with pytest.raises(gd.HypothesisError, match="violates"):
-            gd.qr_bound(A, k_const=3.0)
 
     def test_small_diagonal_rejected(self):
         A = gd.from_dense(np.array([[1.0, 0.0], [0.5, 1.0]]))
@@ -133,6 +152,31 @@ class TestQrBound:
         with pytest.raises(gd.HypothesisError, match="degenerate"):
             gd.qr_bound(ex1a_matrix)
 
+    def test_overflowing_sum_of_squares_rejected(self, ex1a_matrix):
+        # (0.25e300)^2 overflows; as inf the sums would give s_k = inf, K = 0
+        A = gd.from_dense(1e300 * ex1a_matrix.data, r_lower=3, r_upper=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gd.HypothesisError, match="overflows in column 1"):
+                gd.qr_bound(A)
+
+    @pytest.mark.parametrize("n,rows", [(6, 1), (100, 100)])
+    def test_overflowing_row_energy_meets_no_threshold(self, n, rows):
+        # every column's s_k^2 is finite, but with one full upper row its
+        # sum of squares, 5e308, overflows; with a full upper triangle each
+        # row sum is finite but E(50) ~ 2.5e309 is not. Either way C0 = inf
+        # and the K threshold cannot be met
+        U = np.triu(np.full((n, n), 1e154 if rows == 1 else 1e153), 1)
+        U[rows:] = 0.0
+        W = 1e160 * np.eye(n) + np.eye(n, k=-1) + U
+        A = gd.from_dense(W, r_lower=1, r_upper=n - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, bound = gd.qr_bound(A)
+        assert report.C0 == math.inf
+        assert not report.k_threshold_met
+        assert gd.eval_bound(bound, 2, 1) >= abs(gd.dense_inverse(W)[1, 0])
+
     def test_rejection_skips_the_row_energy(self, ex1a_matrix, monkeypatch):
         # C0 feeds only k_threshold_met, so a rejected matrix never pays for it
         def unreachable(*args):
@@ -142,10 +186,9 @@ class TestQrBound:
         with pytest.raises(gd.HypothesisError, match="degenerate"):
             gd.qr_bound(ex1a_matrix)
 
-    def test_threshold_flag_and_x0_marker(self):
+    def test_threshold_flag(self):
         A = gd.from_dense(1e4 * np.eye(4) + np.eye(4, k=-1))
         report, _ = gd.qr_bound(A)
-        assert report.x0_term_unchecked
         c0 = report.C0
         t_energy = 4.0 * (3.0 + 2.0 * c0)
         t_band = 2.0 * math.sqrt(((math.sqrt(3.0) + 1.0) / 2.0) ** 2 - 1.0)
@@ -176,18 +219,15 @@ class TestDmsRate:
         b = gd.dms_rate(1.0, 9.0, 1, definite=True)
         assert b.gamma == pytest.approx(0.5, rel=1e-15)
         assert b.kind == "DMS-SPD"
-        assert b.rate_authoritative
 
     def test_indefinite_rate(self):
         b = gd.dms_rate(1.0, 9.0, 1, definite=False)
         assert b.gamma == pytest.approx(math.sqrt(0.8), rel=1e-15)
         assert b.kind == "DMS-indefinite"
 
-    def test_default_constant_is_reciprocal_lower_endpoint(self):
-        b = gd.dms_rate(4.0, 8.0, 2)
-        assert b.M == 0.25
-        assert gd.dms_rate(4.0, 8.0, 2, constant=1.0).M == 1.0
-        assert gd.dms_rate(4.0, 8.0, 2, constant=0.01).M == 0.25  # never below 1/a
+    def test_constant_is_reciprocal_lower_endpoint(self):
+        assert gd.dms_rate(4.0, 8.0, 2).M == 0.25
+        assert gd.dms_rate(4.0, 8.0, 2, definite=False).M == 0.25
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (3.0, 2.0)])
     def test_rejects_bad_interval(self, a, b):
@@ -226,7 +266,7 @@ class TestChuiHasson:
     def test_reference_rate(self):
         b = gd.chui_hasson_rate(1.0, 3.0, 1)
         assert b.gamma == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert b.M is None and b.constant_free
+        assert b.M is None
         assert gd.eval_bound(b, 3, 1) == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_indefinite_rate_for_unit_interval(self):

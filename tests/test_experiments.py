@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "must be finite" in captured.err
         assert "mu =" not in captured.out
+
+    def test_ex3_marks_an_overflowing_qr_family_inapplicable(
+        self, ex1a_matrix, tmp_path, capsys
+    ):
+        # the squares of 1e300 * ex1a's entries overflow: the run names that
+        # for the qr family, warns nothing, and the LU envelope still holds
+        W = 1e300 * ex1a_matrix.data
+        entries = [(i + 1, j + 1, W[i, j]) for i, j in zip(*np.nonzero(W))]
+        path = tmp_path / "big.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n50 50 {len(entries)}\n"
+            + "".join(f"{i} {j} {float(v)!r}\n" for i, j, v in entries)
+        )
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "ex3", "--input", str(path), "--out", str(out)]) == 0
+        assert "qr           not applicable: s_k^2" in capsys.readouterr().out
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert {row[header.index("qr")] for row in rows} == {"NA"}
+        lu = [float(row[header.index("lu")]) for row in rows]
+        exact = [float(row[header.index("exact")]) for row in rows]
+        assert all(e <= b for e, b in zip(exact, lu))
 
     def test_missing_input_is_an_error(self, capsys):
         assert cli_main(["run", "ex3"]) == 1
