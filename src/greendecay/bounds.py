@@ -117,12 +117,12 @@ def lu_bound(A: BandedMatrix) -> DecayBound:
     return DecayBound("LU", gamma, r, M=M)
 
 
-def varah_bound(A: BandedMatrix) -> float:
-    """Bound 1/((1-mu) min|A(k,k)|) on ||A^{-1}||_1 (hence on every entry)."""
+def varah_bound(A: BandedMatrix) -> DecayBound:
+    """Varah's flat envelope M = 1/((1-mu) min|A(k,k)|) on ||A^{-1}||_1."""
     rep = dominance_mu(A)
     if not rep.satisfied:
         raise DominanceError(rep.mu, rep.zero_diagonal_index)
-    return 1.0 / ((1.0 - rep.mu) * rep.min_diag)
+    return DecayBound("Varah", 0.0, A.r_lower, M=1.0 / ((1.0 - rep.mu) * rep.min_diag))
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,10 @@ def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
     # positive: every diag - 1 > 0 and every s_k is finite
     K = float(((diag - 1.0)[active] / s[active]).min()) if active.any() else math.inf
     delta = 0.0 if math.isinf(K) else 2.0 / K
-    mu = delta / math.sqrt(1.0 + delta**2)
+    try:
+        mu = delta / math.sqrt(1.0 + delta**2)
+    except OverflowError:  # delta > ~1.3e154, where mu is 1 to working precision
+        mu = 1.0
     M = 2.0 * mu + 1.0
     gamma_pow = mu * r * math.sqrt(r)
     if gamma_pow >= 1.0:

@@ -7,18 +7,17 @@
 Exit codes: 0 on success, 2 when no bound family is applicable to the given
 matrix (the run still writes its table), 1 on errors.
 
-The parser reads only ``experiments.EXPERIMENT_NAMES``; each command imports
-the rest of what it runs when it runs, so a process pays only for its own
-command: ``run`` and ``bounds`` never load ``lu``, ``green``, ``ensembles``
-or ``verify``.
+``run`` and ``verify`` pass on only the options given, so the library's
+defaults apply; an unknown experiment name is an error (exit 1) whose message
+lists the names. Each command imports what it runs when it runs: ``bounds``
+loads only ``banded``, ``bounds`` and ``errors``, ``run`` adds ``experiments``
+and ``oracle``, and only ``verify`` loads ``lu``, ``green`` and ``ensembles``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .experiments import EXPERIMENT_NAMES
 
 __all__ = ["main"]
 
@@ -30,36 +29,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a named experiment and write its CSV table")
-    run.add_argument("name", choices=EXPERIMENT_NAMES)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--column", type=int, default=1, help="probe column (1-based)")
-    run.add_argument("--input", help="Matrix Market file (required for ex3)")
+    run = sub.add_parser(
+        "run",
+        help="run a named experiment and write its CSV table",
+        argument_default=argparse.SUPPRESS,
+    )
+    run.add_argument("name", help="experiment name")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--column", type=int, help="probe column (1-based)")
+    run.add_argument("--input", dest="input_path", help="Matrix Market file (required for ex3)")
     run.add_argument("--out", help="output CSV path (default: <name>.csv)")
 
     bounds = sub.add_parser("bounds", help="print mu, gamma, M and the Varah bound")
     bounds.add_argument("path", help="Matrix Market file")
 
-    verify = sub.add_parser("verify", help="run the invariant sweep")
-    verify.add_argument("--trials", type=int, default=20)
-    verify.add_argument("--seed", type=int, default=20260810)
+    verify = sub.add_parser(
+        "verify", help="run the invariant sweep", argument_default=argparse.SUPPRESS
+    )
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--seed", type=int)
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(options: dict) -> int:
     from .experiments import ExperimentSpec, emit_csv, run_experiment
 
-    spec = ExperimentSpec(
-        name=args.name,
-        seed=args.seed,
-        column=args.column,
-        input_path=args.input,
-    )
-    report = run_experiment(spec)
-    out = args.out or f"{args.name}.csv"
+    out = options.pop("out", None) or f"{options['name']}.csv"
+    report = run_experiment(ExperimentSpec(**options))
     emit_csv(report, out)
     print(
-        f"{args.name}: N={report.n}, r_lower={report.r_lower}, "
+        f"{report.spec.name}: N={report.n}, r_lower={report.r_lower}, "
         f"r_upper={report.r_upper}, mu={report.mu:.6g}, "
         f"dominance={'yes' if report.dominance_satisfied else 'NO'}, "
         f"symmetric={'yes' if report.symmetric else 'no'}"
@@ -81,11 +80,11 @@ def _cmd_run(args) -> int:
     return 0 if report.applicable_families else 2
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(path: str) -> int:
     from .banded import dominance_mu, read_matrix_market
     from .bounds import lu_bound, varah_bound
 
-    A = read_matrix_market(args.path)
+    A = read_matrix_market(path)
     rep = dominance_mu(A)
     print(f"N={A.n}, r_lower={A.r_lower}, r_upper={A.r_upper}")
     print(f"mu = {rep.mu!r} (satisfied: {'yes' if rep.satisfied else 'no'})")
@@ -97,25 +96,26 @@ def _cmd_bounds(args) -> int:
     b = lu_bound(A)
     print(f"gamma = {b.gamma!r}")
     print(f"M = {b.M!r}")
-    print(f"varah = {varah_bound(A)!r}")
+    print(f"varah = {varah_bound(A).M!r}")
     return 0
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    command = options.pop("command")
     # every package error derives from one of these: DominanceError,
     # HypothesisError, MatrixMarketError and numpy's LinAlgError (singular
     # reference inverse, non-converged eigvalsh) from ValueError,
     # ZeroPivotError from ArithmeticError; a path that cannot be read or
     # written (missing, a directory, no permission) raises an OSError
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
+        if command == "run":
+            return _cmd_run(options)
+        if command == "bounds":
+            return _cmd_bounds(options["path"])
         from .verify import run_all
 
-        return 0 if run_all(trials=args.trials, seed=args.seed) else 1
+        return 0 if run_all(**options) else 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,10 @@
 
 Each named experiment builds a matrix, probes one column of the exact
 (reference) inverse and evaluates every applicable bound family at each
-entry. Results serialize to CSV with columns
+entry. ``_EXPERIMENTS`` maps each name, in the paper's order, to its recipe
+(a function of the :class:`ExperimentSpec`) and its report note;
+``EXPERIMENT_NAMES`` and :func:`generate` read it, and ``ExperimentSpec`` is
+the one check of a name. Results serialize to CSV with columns
 
     i,j,exact,lu,qr,varah,dms,frommer,chui_hasson
 
@@ -73,18 +76,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-EXPERIMENT_NAMES = (
-    "ex1a",
-    "ex1b",
-    "ex1c",
-    "ex1d",
-    "ex2",
-    "ex3",
-    "ex4a",
-    "ex4b",
-    "ex5",
-)
-
 CSV_COLUMNS = ("i", "j", "exact", "lu", "qr", "varah", "dms", "frommer", "chui_hasson")
 
 
@@ -106,25 +97,25 @@ class ExperimentSpec:
             raise ValueError(f"probe column must be >= 1, got {self.column}")
 
 
-def _ex1a() -> BandedMatrix:
+def _ex1a(spec: ExperimentSpec) -> BandedMatrix:
     return make_banded(50, 3, 3, lambda i, j: 6.25 if i == j else 0.25)
 
 
-def _ex1_variant(name: str) -> BandedMatrix:
-    W = _ex1a().data.copy()
-    if name == "ex1b":
+def _ex1_variant(spec: ExperimentSpec) -> BandedMatrix:
+    W = _ex1a(spec).data.copy()
+    if spec.name == "ex1b":
         W[19, 19] = 100.0
-    elif name == "ex1c":
+    elif spec.name == "ex1c":
         idx = np.arange(25)
         W[idx, idx] += 100.0
-    elif name == "ex1d":
+    else:  # ex1d
         for k in (9, 10, 11):
             W[k, k] = -W[k, k]
     return from_dense(W, r_lower=3, r_upper=3)
 
 
-def _ex2() -> BandedMatrix:
-    W = _ex1a().data.copy()
+def _ex2(spec: ExperimentSpec) -> BandedMatrix:
+    W = _ex1a(spec).data.copy()
     W[20:23, 19] *= 25.0
     W[19, 19] = -100.0
     W[21:24, 20] *= 25.0
@@ -134,8 +125,12 @@ def _ex2() -> BandedMatrix:
     return from_dense(W, r_lower=3, r_upper=3)
 
 
-def _ex3(path: str) -> BandedMatrix:
-    base = read_matrix_market(path)
+def _ex3(spec: ExperimentSpec) -> BandedMatrix:
+    if spec.input_path is None:
+        raise FileNotFoundError(
+            "experiment ex3 needs --input pointing to a Matrix Market file"
+        )
+    base = read_matrix_market(spec.input_path)
     W = base.data.copy()
     half = base.n // 2
     idx = np.arange(base.n)
@@ -152,8 +147,8 @@ def _one_sided_noise(rng: np.random.Generator, n: int, r_lower: int) -> np.ndarr
     return np.where(keep, noise, 0.0)
 
 
-def _ex4a(seed: int) -> BandedMatrix:
-    rng = np.random.default_rng(seed)
+def _ex4a(spec: ExperimentSpec) -> BandedMatrix:
+    rng = np.random.default_rng(spec.seed)
     n, r = 100, 5
     W = np.zeros((n, n))
     for b in range(n // 2):
@@ -171,8 +166,8 @@ def _ex4a(seed: int) -> BandedMatrix:
     return _restore_dominance(from_dense(W, r_lower=r, r_upper=n - 1))
 
 
-def _ex4b(seed: int) -> BandedMatrix:
-    rng = np.random.default_rng(seed)
+def _ex4b(spec: ExperimentSpec) -> BandedMatrix:
+    rng = np.random.default_rng(spec.seed)
     n, r = 100, 5
     W = np.zeros((n, n))
     mags = 10.0 ** rng.uniform(0.0, 4.0, n)
@@ -182,7 +177,7 @@ def _ex4b(seed: int) -> BandedMatrix:
     return _restore_dominance(from_dense(W, r_lower=r, r_upper=n - 1))
 
 
-def _ex5() -> BandedMatrix:
+def _ex5(spec: ExperimentSpec) -> BandedMatrix:
     n = 20
     W = np.zeros((n, n))
     for i in range(n):
@@ -206,38 +201,29 @@ def _restore_dominance(A: BandedMatrix) -> BandedMatrix:
     return BandedMatrix(A.n, A.r_lower, A.r_upper, W)
 
 
+# every experiment in the paper's order: its recipe and its report note
+_EXPERIMENTS = {
+    "ex1a": (_ex1a, None),
+    "ex1b": (_ex1_variant, None),
+    "ex1c": (_ex1_variant, None),
+    "ex1d": (_ex1_variant, None),
+    "ex2": (_ex2, "nonsymmetric variant with a real spectrum: two eigenvalues near "
+            "-100 (-101.2 and -98.9), one near 1 and the other 47 in [5.6, 7.7]"),
+    "ex3": (_ex3, None),
+    "ex4a": (_ex4a, "generator targets an eigenvalue regime (ellipse with semiaxes "
+             "2 and 1); the concrete matrix entries are one realization of it"),
+    "ex4b": (_ex4b, "generator targets log-distributed real parts in "
+             "[-1e4,-1] u [1,1e4]; the concrete matrix entries are one realization"),
+    "ex5": (_ex5, "generator targets eigenvalue clusters near +-12 via a 0.5 "
+            "subdiagonal and an exponentially decaying upper part"),
+}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+
+
 def generate(spec: ExperimentSpec) -> BandedMatrix:
     """Build the matrix of a named experiment (deterministic under the seed)."""
-    name = spec.name
-    if name == "ex1a":
-        return _ex1a()
-    if name in ("ex1b", "ex1c", "ex1d"):
-        return _ex1_variant(name)
-    if name == "ex2":
-        return _ex2()
-    if name == "ex3":
-        if spec.input_path is None:
-            raise FileNotFoundError(
-                "experiment ex3 needs --input pointing to a Matrix Market file"
-            )
-        return _ex3(spec.input_path)
-    if name == "ex4a":
-        return _ex4a(spec.seed)
-    if name == "ex4b":
-        return _ex4b(spec.seed)
-    return _ex5()
-
-
-_NOTES = {
-    "ex2": "nonsymmetric variant with a real spectrum: two eigenvalues near "
-    "-100 (-101.2 and -98.9), one near 1 and the other 47 in [5.6, 7.7]",
-    "ex4a": "generator targets an eigenvalue regime (ellipse with semiaxes "
-    "2 and 1); the concrete matrix entries are one realization of it",
-    "ex4b": "generator targets log-distributed real parts in "
-    "[-1e4,-1] u [1,1e4]; the concrete matrix entries are one realization",
-    "ex5": "generator targets eigenvalue clusters near +-12 via a 0.5 "
-    "subdiagonal and an exponentially decaying upper part",
-}
+    recipe, _ = _EXPERIMENTS[spec.name]
+    return recipe(spec)
 
 
 @dataclass(frozen=True)
@@ -285,7 +271,7 @@ def _bound_table(
     table: dict[str, tuple[DecayBound | None, str]] = {}
     if rep.satisfied:
         table["lu"] = (lu_bound(A), "")
-        table["varah"] = (DecayBound("Varah", 0.0, A.r_lower, M=varah_bound(A)), "")
+        table["varah"] = (varah_bound(A), "")
     else:
         reason = f"dominance condition fails (mu = {rep.mu:.6g})"
         table["lu"] = table["varah"] = (None, reason)
@@ -353,9 +339,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         for i in range(1, n + 1)
     )
 
-    notes = []
-    if spec.name in _NOTES:
-        notes.append(_NOTES[spec.name])
+    _, note = _EXPERIMENTS[spec.name]
+    notes = [] if note is None else [note]
     if not rep.satisfied:
         notes.append(f"dominance condition violated: mu = {rep.mu:.6g}")
 

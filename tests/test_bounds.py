@@ -82,17 +82,20 @@ class TestEvalBound:
 
 class TestVarah:
     def test_ex1a_value(self, ex1a_matrix):
-        assert gd.varah_bound(ex1a_matrix) == pytest.approx(1.0 / (0.76 * 6.25), rel=1e-15)
+        b = gd.varah_bound(ex1a_matrix)
+        assert (b.kind, b.gamma, b.r) == ("Varah", 0.0, 3)
+        assert b.M == pytest.approx(1.0 / (0.76 * 6.25), rel=1e-15)
 
     def test_diagonal_is_tight(self):
         A = gd.from_dense(2.0 * np.eye(4))
-        assert gd.varah_bound(A) == 0.5  # equals ||A^{-1}||_1 exactly
+        assert gd.varah_bound(A).M == 0.5  # equals ||A^{-1}||_1 exactly
 
     def test_dominates_reference_inverse_norm(self):
         A = gd.make_banded(10, 1, 1, lambda i, j: 4.0 if i == j else -1.0)
-        v = gd.varah_bound(A)
-        assert v == 0.5
-        assert one_norm(gd.dense_inverse(A.data)) <= v
+        b = gd.varah_bound(A)
+        assert b.M == 0.5
+        assert one_norm(gd.dense_inverse(A.data)) <= b.M
+        assert gd.eval_bound(b, 1, 10) == gd.eval_bound(b, 10, 1) == 0.5
 
     def test_rejects_non_dominant(self):
         A = gd.make_banded(4, 1, 1, lambda i, j: 1.0)
@@ -151,6 +154,15 @@ class TestQrBound:
     def test_degenerate_rate_rejected(self, ex1a_matrix):
         with pytest.raises(gd.HypothesisError, match="degenerate"):
             gd.qr_bound(ex1a_matrix)
+
+    def test_overflowing_delta_squared_is_rate_degenerate(self):
+        # K = 2.2e-166, so delta^2 = (2/K)^2 overflows a float: mu is 1 to
+        # working precision and the rate (mu r sqrt(r))^(1/r) is 1
+        A = gd.from_dense((1.0 + 2.0**-52) * np.eye(4) + 1e150 * np.eye(4, k=-1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gd.HypothesisError, match="degenerate"):
+                gd.qr_bound(A)
 
     def test_overflowing_sum_of_squares_rejected(self, ex1a_matrix):
         # (0.25e300)^2 overflows; as inf the sums would give s_k = inf, K = 0
@@ -319,4 +331,4 @@ class TestSoundness:
                 envelope = b.M * np.where(d == 0, 1.0, b.gamma ** np.maximum(d, 0))
             lower = d >= 0
             assert np.all(np.abs(inv)[lower] <= envelope[lower] * (1.0 + 1e-12))
-            assert one_norm(inv) <= gd.varah_bound(A) * (1.0 + 1e-12)
+            assert one_norm(inv) <= gd.varah_bound(A).M * (1.0 + 1e-12)

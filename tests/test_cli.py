@@ -17,14 +17,6 @@ TRIDIAGONAL_MTX = (
     "%%MatrixMarket matrix coordinate real general\n"
     "3 3 7\n1 1 4.0\n2 1 -1.0\n1 2 -1.0\n2 2 4.0\n3 2 -1.0\n2 3 -1.0\n3 3 4.0\n"
 )
-# modules that only `verify` (and the exact-determinant oracle) need
-NOT_FOR_RUN_OR_BOUNDS = [
-    "greendecay.lu",
-    "greendecay.green",
-    "greendecay.ensembles",
-    "greendecay.verify",
-    "fractions",
-]
 
 
 def run_fresh(code: str, *args: str) -> list:
@@ -87,12 +79,23 @@ class TestImportBoundaries:
             "greendecay.oracle",
         ]
 
-    def test_bounds_loads_no_factorization(self, tmp_path):
+    def test_bounds_loads_only_what_it_runs(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text(TRIDIAGONAL_MTX)
         code, loaded = run_fresh(LOADED_AFTER_CLI, "bounds", str(path))
         assert code == 0
-        assert not set(loaded) & set(NOT_FOR_RUN_OR_BOUNDS)
+        assert loaded == [
+            "greendecay",
+            "greendecay.banded",
+            "greendecay.bounds",
+            "greendecay.cli",
+            "greendecay.errors",
+        ]
+
+    def test_verify_loads_no_experiments(self):
+        code, loaded = run_fresh(LOADED_AFTER_CLI, "verify", "--trials", "1")
+        assert code == 0
+        assert "greendecay.verify" in loaded and "greendecay.experiments" not in loaded
 
     def test_every_public_name_is_its_modules_object(self):
         # from a fresh process, so every name goes through the lazy lookup

@@ -120,6 +120,11 @@ class TestGenerate:
         assert (w.real > 0).sum() == (w.real < 0).sum() == 10
         assert 11.1 <= np.abs(w.real).min() and np.abs(w.real).max() <= 12.9
 
+    def test_names_in_the_papers_order(self):
+        assert gd.EXPERIMENT_NAMES == (
+            "ex1a", "ex1b", "ex1c", "ex1d", "ex2", "ex3", "ex4a", "ex4b", "ex5"
+        )
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             gd.ExperimentSpec("ex9z")
@@ -339,10 +344,11 @@ class TestCli:
         assert cli_main(["bounds", str(path)]) == 1
         capsys.readouterr()
 
-    def test_unknown_experiment_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["run", "nope"])
-        capsys.readouterr()
+    def test_unknown_experiment_is_an_error(self, capsys):
+        assert cli_main(["run", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown experiment 'nope'; choose one of (")
 
     def test_run_without_any_applicable_family_exits_2(
         self, tmp_path, capsys, monkeypatch
@@ -356,6 +362,19 @@ class TestCli:
         assert cli_main(["run", "ex1a", "--out", str(out)]) == 2
         assert out.exists()  # the table is still written, all families NA
         capsys.readouterr()
+
+    def test_overflowing_qr_rate_is_not_applicable(self, tmp_path, capsys, monkeypatch):
+        # K = 2.2e-166: delta^2 overflows, mu rounds to 1, the rate degenerates
+        W = np.array([[1.0 + 2.0**-52, 0.0], [1e150, 1.0 + 2.0**-52]])
+        monkeypatch.setattr("greendecay.experiments.generate", lambda spec: gd.from_dense(W))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
+            assert cli_main(["run", "ex1a", "--out", str(tmp_path / "qr.csv")]) == 2
+        assert not rep.families["qr"].applicable
+        assert rep.families["qr"].note.startswith("rate degenerate")
+        assert all(row["qr"] is None for row in rep.rows)
+        assert "qr           not applicable: rate degenerate" in capsys.readouterr().out
 
     def test_verify_passes(self, capsys):
         assert cli_main(["verify", "--trials", "6", "--seed", "5"]) == 0
