@@ -54,7 +54,6 @@ _SUBMODULE_NAMES = {
         "EXPERIMENT_NAMES",
         "ExperimentReport",
         "ExperimentSpec",
-        "FamilyResult",
         "emit_csv",
         "generate",
         "run_experiment",
@@ -70,7 +69,6 @@ _SUBMODULE_NAMES = {
     "oracle": (
         "dense_inverse",
         "dense_lu_no_pivot",
-        "determinant_fraction_free",
         "symmetric_spectrum",
     ),
 }

@@ -123,6 +123,10 @@ class BandedMatrix:
         """
         return _read_band(self.data, self.r_lower, self.r_upper, pad)
 
+    def to_dense(self) -> np.ndarray:
+        """New writable dense N x N array of A, the caller's to overwrite."""
+        return np.array(self.data)
+
     def entry(self, i: int, j: int) -> float:
         """1-based entry access: A(i, j)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):

@@ -129,7 +129,8 @@ def varah_bound(A: BandedMatrix) -> DecayBound:
 class QRHypothesisReport:
     """Derived constants and hypothesis status of the QR-based bound.
 
-    M and gamma are those of the DecayBound returned with the report.
+    delta = 2/K and mu = delta / sqrt(1 + delta^2) follow from K, and M and
+    gamma are those of the DecayBound returned with the report.
     ``k_threshold_met`` checks K against the two computable threshold terms
     4(3 + 2 C0 r sqrt(r)) and 2 sqrt(r^3 ((sqrt(3)+1)/2)^(2r) - 1); the third
     term depends on an undefined constant and is never checked.
@@ -137,8 +138,6 @@ class QRHypothesisReport:
 
     C0: float
     K: float
-    delta: float
-    mu: float
     k_threshold_met: bool
 
 
@@ -217,13 +216,7 @@ def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
     c0 = _qr_row_energy(A)
     t_energy = 4.0 * (3.0 + 2.0 * c0 * r * math.sqrt(r))
     t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
-    report = QRHypothesisReport(
-        C0=float(c0),
-        K=K,
-        delta=delta,
-        mu=mu,
-        k_threshold_met=bool(K >= max(t_energy, t_band)),
-    )
+    report = QRHypothesisReport(float(c0), K, bool(K >= max(t_energy, t_band)))
     return report, DecayBound("QR", gamma, r, M=M)
 
 

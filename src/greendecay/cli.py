@@ -57,23 +57,20 @@ def _cmd_run(options: dict) -> int:
     out = options.pop("out", None) or f"{options['name']}.csv"
     report = run_experiment(ExperimentSpec(**options))
     emit_csv(report, out)
+    A, rep = report.A, report.dominance
     print(
-        f"{report.spec.name}: N={report.n}, r_lower={report.r_lower}, "
-        f"r_upper={report.r_upper}, mu={report.mu:.6g}, "
-        f"dominance={'yes' if report.dominance_satisfied else 'NO'}, "
+        f"{report.spec.name}: N={A.n}, r_lower={A.r_lower}, "
+        f"r_upper={A.r_upper}, mu={rep.mu:.6g}, "
+        f"dominance={'yes' if rep.satisfied else 'NO'}, "
         f"symmetric={'yes' if report.symmetric else 'no'}"
     )
-    for name, fam in report.families.items():
-        if fam.applicable:
-            consts = []
-            if fam.M is not None:
-                consts.append(f"M={fam.M:.6g}")
-            if fam.gamma is not None:
-                consts.append(f"gamma={fam.gamma:.6g}")
-            extra = f" [{fam.note}]" if fam.note else ""
-            print(f"  {name:12s} {', '.join(consts)}{extra}")
-        else:
-            print(f"  {name:12s} not applicable: {fam.note}")
+    for name, (bound, note) in report.families.items():
+        if bound is None:
+            print(f"  {name:12s} not applicable: {note}")
+            continue
+        M = "" if bound.M is None else f"M={bound.M:.6g}, "  # Chui-Hasson has no M
+        extra = f" [{note}]" if note else ""
+        print(f"  {name:12s} {M}gamma={bound.gamma:.6g}{extra}")
     for note in report.notes:
         print(f"  note: {note}")
     print(f"wrote {out}")

@@ -68,7 +68,6 @@ from .oracle import dense_inverse, symmetric_spectrum
 __all__ = [
     "EXPERIMENT_NAMES",
     "ExperimentSpec",
-    "FamilyResult",
     "ExperimentReport",
     "generate",
     "run_experiment",
@@ -93,6 +92,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose one of {EXPERIMENT_NAMES}"
             )
+        if not isinstance(self.column, (int, np.integer)):
+            raise ValueError(f"probe column must be an integer, got {self.column!r}")
         if self.column < 1:
             raise ValueError(f"probe column must be >= 1, got {self.column}")
 
@@ -102,7 +103,7 @@ def _ex1a(spec: ExperimentSpec) -> BandedMatrix:
 
 
 def _ex1_variant(spec: ExperimentSpec) -> BandedMatrix:
-    W = _ex1a(spec).data.copy()
+    W = _ex1a(spec).to_dense()
     if spec.name == "ex1b":
         W[19, 19] = 100.0
     elif spec.name == "ex1c":
@@ -115,7 +116,7 @@ def _ex1_variant(spec: ExperimentSpec) -> BandedMatrix:
 
 
 def _ex2(spec: ExperimentSpec) -> BandedMatrix:
-    W = _ex1a(spec).data.copy()
+    W = _ex1a(spec).to_dense()
     W[20:23, 19] *= 25.0
     W[19, 19] = -100.0
     W[21:24, 20] *= 25.0
@@ -131,7 +132,7 @@ def _ex3(spec: ExperimentSpec) -> BandedMatrix:
             "experiment ex3 needs --input pointing to a Matrix Market file"
         )
     base = read_matrix_market(spec.input_path)
-    W = base.data.copy()
+    W = base.to_dense()
     half = base.n // 2
     idx = np.arange(base.n)
     W[idx[:half], idx[:half]] += 1.0
@@ -194,7 +195,7 @@ def _restore_dominance(A: BandedMatrix) -> BandedMatrix:
     rep = dominance_mu(A)
     if rep.satisfied and rep.mu <= 0.95:
         return A
-    W = A.data.copy()
+    W = A.to_dense()
     scale = max(rep.mu, 1.0) / 0.95
     idx = np.arange(A.n)
     W[idx, idx] *= scale
@@ -227,33 +228,25 @@ def generate(spec: ExperimentSpec) -> BandedMatrix:
 
 
 @dataclass(frozen=True)
-class FamilyResult:
-    """Constants of one bound family within a report (or why it is absent)."""
-
-    applicable: bool
-    M: float | None = None
-    gamma: float | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
-    """Exact probe-column values next to every applicable bound family."""
+    """Exact probe-column values next to every applicable bound family.
+
+    ``A`` is the experiment's matrix and ``dominance`` its dominance report.
+    ``families`` maps each family to its bound and note, or to None and the
+    reason it does not apply (see :func:`_bound_table`).
+    """
 
     spec: ExperimentSpec
-    n: int
-    r_lower: int
-    r_upper: int
-    mu: float
-    dominance_satisfied: bool
+    A: BandedMatrix
+    dominance: DominanceReport
     symmetric: bool
-    families: dict[str, FamilyResult]
+    families: dict[str, tuple[DecayBound | None, str]]
     rows: tuple[dict, ...]
     notes: tuple[str, ...] = ()
 
     @property
     def applicable_families(self) -> tuple[str, ...]:
-        return tuple(k for k, v in self.families.items() if v.applicable)
+        return tuple(k for k, (bound, _) in self.families.items() if bound is not None)
 
 
 _SPECTRAL = ("dms", "frommer", "chui_hasson")
@@ -286,7 +279,7 @@ def _bound_table(
         reason = "nonsymmetric matrix; spectrum-based baselines skipped"
         return table | dict.fromkeys(_SPECTRAL, (None, reason))
 
-    w = symmetric_spectrum(A.data).tolist()
+    w = symmetric_spectrum(A.to_dense()).tolist()
     r = A.r_lower
     lo, hi = min(map(abs, w)), max(map(abs, w))
     if w[0] > 0.0:
@@ -306,25 +299,18 @@ def _bound_table(
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Generate, invert (reference), bound, and tabulate one experiment.
 
-    The report's families and every row's bound cells come from one table
-    (see :func:`_bound_table`); a family that does not apply has ``None``
-    (``NA`` in the CSV) in every row.
+    The report's families are one table (see :func:`_bound_table`), and
+    every row's bound cells come from it; a family that does not apply has
+    ``None`` (``NA`` in the CSV) in every row.
     """
     A = generate(spec)
     n = A.n
     if spec.column > n:
         raise ValueError(f"probe column {spec.column} exceeds N = {n}")
-    inv = dense_inverse(A.data)
+    inv = dense_inverse(A.to_dense())
     rep = dominance_mu(A)
     symmetric = A.is_symmetric()
     table = _bound_table(A, rep, symmetric)
-
-    families = {
-        name: FamilyResult(False, note=note)
-        if bound is None
-        else FamilyResult(True, M=bound.M, gamma=bound.gamma, note=note)
-        for name, (bound, note) in table.items()
-    }
     j = spec.column
     rows = tuple(
         {
@@ -346,13 +332,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     return ExperimentReport(
         spec=spec,
-        n=n,
-        r_lower=A.r_lower,
-        r_upper=A.r_upper,
-        mu=rep.mu,
-        dominance_satisfied=rep.satisfied,
+        A=A,
+        dominance=rep,
         symmetric=symmetric,
-        families=families,
+        families=table,
         rows=rows,
         notes=tuple(notes),
     )

@@ -23,8 +23,8 @@ form (Eidelman, Gohberg & Haimovici, *Separable Type Representations of
 Matrices and Fast Algorithms*, vol. 1, 2014): every column generator is
 q(k) = e_r and every transition is a(k) = -f_k e_1^T + J, J the upper-shift
 matrix and f_k the multipliers of elimination step k. So the family is
-stored as the rows p, the bottom block and the N-r vectors f_k, and a(k)
-and q(k) are built when asked for.
+stored as the rows p, the bottom block and the N-r vectors f_k; the
+evaluators build the transitions from f as they need them.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class GreenGenerators:
     Three stacked arrays, copied and marked read-only on construction:
     ``p_rows[i-1]`` is p(i) for i = 1..N-r, ``bottom`` is the r x r p(N-r+1)
     and ``f[k-1]`` is the f_k of the transition a(k) = -f_k e_1^T + J for
-    k = 1..N-r. N and r follow from the shapes. Arrays of the wrong shape or
-    with non-finite entries raise ValueError. The 1-based accessors return
-    the blocks in their block shapes: p(i) as read-only views, q(j) and a(k)
-    as new arrays (q(0) = I_r, q(j) = e_r for j >= 1).
+    k = 1..N-r; the column generators are q(0) = I_r and q(j) = e_r for
+    j >= 1. N and r follow from the shapes. Arrays of the wrong shape or
+    with non-finite entries raise ValueError. The 1-based accessor p(i)
+    returns a read-only view in the block's shape.
     """
 
     p_rows: np.ndarray  # (N-r, r)
@@ -91,19 +91,6 @@ class GreenGenerators:
         if not 1 <= i <= k + 1:
             raise IndexError(f"p index {i} outside 1..{k + 1}")
         return self.p_rows[i - 1 : i] if i <= k else self.bottom
-
-    def q(self, j: int) -> np.ndarray:
-        """Column generator q(j), j = 0 .. N-r; q(0) is the identity, the rest e_r."""
-        k = len(self.f)
-        if not 0 <= j <= k:
-            raise IndexError(f"q index {j} outside 0..{k}")
-        return np.eye(self.r) if j == 0 else np.eye(self.r, 1, 1 - self.r)
-
-    def a(self, k: int) -> np.ndarray:
-        """Transition matrix a(k) = -f_k e_1^T + J, k = 1 .. N-r."""
-        if not 1 <= k <= len(self.f):
-            raise IndexError(f"a index {k} outside 1..{len(self.f)}")
-        return _transitions(self.f[k - 1 : k])[0]
 
 
 def _transitions(f: np.ndarray) -> np.ndarray:

@@ -1,28 +1,17 @@
 """Independent dense reference computations used to validate structured results.
 
 These routines deliberately avoid the band-structured code paths: the LU
-oracle is classical full-matrix elimination, the inverse and the symmetric
-spectrum are LAPACK-backed (``inv`` and ``eigvalsh``), and the determinant
-oracle runs fraction-free elimination in exact rational arithmetic.
+oracle is classical full-matrix elimination, and the inverse and the
+symmetric spectrum are LAPACK-backed (``inv`` and ``eigvalsh``).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ZeroPivotError
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-__all__ = [
-    "dense_lu_no_pivot",
-    "dense_inverse",
-    "symmetric_spectrum",
-    "determinant_fraction_free",
-]
+__all__ = ["dense_lu_no_pivot", "dense_inverse", "symmetric_spectrum"]
 
 # Its own copy of the structured LU's scale-relative pivot floor, so that the
 # oracle does not depend on the code it checks.
@@ -87,35 +76,3 @@ def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
     if np.abs(A - A.T).max() > 1e-12 * np.abs(A).max():
         raise ValueError("matrix is not symmetric to 1e-12")
     return np.linalg.eigvalsh(A)
-
-
-def determinant_fraction_free(a: np.ndarray) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    Floating inputs are binary rationals, so the result is the exact
-    determinant of the stored matrix. A zero pivot is replaced by a row swap
-    (flipping the sign); a column with no nonzero candidate makes the
-    determinant zero. Intended for small N only; entry sizes grow quickly.
-    """
-    from fractions import Fraction  # only this oracle needs it
-
-    A = np.asarray(a, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    M = [[Fraction(A[i, j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
-            M[i][k] = Fraction(0)
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]

@@ -63,15 +63,16 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
         n, r = A.n, A.r_lower
         slu = structured_lu(A)
         gens = inverse_green_generators(A)
-        inv = dense_inverse(A.data)
+        D = A.to_dense()
+        inv = dense_inverse(D)
         mu = dominance_mu(A).mu
-        scale = _one_norm(A.data)
+        scale = _one_norm(D)
 
         R = slu.upper_factor()
-        record("factorization_residual", _one_norm(slu.lower_factor() @ R - A.data) / scale)
-        record("r_vs_dense", np.abs(R - dense_lu_no_pivot(A.data)[1]).max() / scale)
+        record("factorization_residual", _one_norm(slu.lower_factor() @ R - D) / scale)
+        record("r_vs_dense", np.abs(R - dense_lu_no_pivot(D)[1]).max() / scale)
         record("multiplier_excess", (np.abs(slu.f[: n - r]).sum(axis=1) - mu).max())
-        lower = (1.0 - mu**2) * np.abs(A.data.diagonal())
+        lower = (1.0 - mu**2) * np.abs(D.diagonal())
         record("pivot_floor_excess", (lower - np.abs(slu.gamma)).max())
 
         for ell in _sample_steps(n, r):

@@ -39,3 +39,17 @@ def tridiag3():
 @pytest.fixture()
 def lower2x2():
     return gd.from_dense(np.array([[2.0, 0.0], [1.0, 2.0]]))
+
+
+def q_block(gens, j):
+    """Column generator q(j), j = 0 .. N-r: q(0) = I_r, the rest e_r (r x 1)."""
+    assert 0 <= j <= len(gens.f)
+    return np.eye(gens.r) if j == 0 else np.eye(gens.r, 1, 1 - gens.r)
+
+
+def a_block(gens, k):
+    """Transition a(k) = -f_k e_1^T + J, k = 1 .. N-r, J the upper shift."""
+    assert 1 <= k <= len(gens.f)
+    a = np.eye(gens.r, k=1)
+    a[:, 0] = 0.0 - gens.f[k - 1]
+    return a

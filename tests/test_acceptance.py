@@ -12,6 +12,7 @@ import time
 import pytest
 
 import greendecay as gd
+from conftest import a_block
 from greendecay.cli import main as cli_main
 from greendecay.verify import invariants
 
@@ -56,7 +57,7 @@ def test_criterion_2_inverse_reconstruction(worst, lower2x2):
     gens = gd.inverse_green_generators(lower2x2)
     hand_ok = (
         abs(gens.p(1)[0, 0] - 0.5) < 1e-15
-        and abs(gens.a(1)[0, 0] + 0.5) < 1e-15
+        and abs(a_block(gens, 1)[0, 0] + 0.5) < 1e-15
         and abs(gens.p(2)[0, 0] - 0.5) < 1e-15
         and abs(gd.green_scalar_entry(gens, 2, 1) + 0.25) < 1e-15
     )
@@ -147,8 +148,8 @@ def test_criterion_7_figure_orderings():
     )
 
     r1d = gd.run_experiment(gd.ExperimentSpec("ex1d"))
-    m_lu = r1d.families["lu"].M
-    lam1 = r1d.families["dms"].gamma
+    m_lu = r1d.families["lu"][0].M
+    lam1 = r1d.families["dms"][0].gamma
     anchored_ok = all(
         row["lu"] <= m_lu * lam1 ** (row["i"] - 1) * (1.0 + 1e-12)
         for row in r1d.rows
@@ -157,9 +158,9 @@ def test_criterion_7_figure_orderings():
 
     r5 = gd.run_experiment(gd.ExperimentSpec("ex5"))
     qr_ok = (
-        r5.families["lu"].applicable
-        and r5.families["qr"].applicable
-        and r5.families["lu"].gamma < r5.families["qr"].gamma
+        r5.families["lu"][0] is not None
+        and r5.families["qr"][0] is not None
+        and r5.families["lu"][0].gamma < r5.families["qr"][0].gamma
     )
     ok = tail_ok and anchored_ok and qr_ok
     report(
@@ -167,8 +168,8 @@ def test_criterion_7_figure_orderings():
         ok,
         f"ex1a: interval-rate curve below dominance curve beyond distance 10: {tail_ok}; "
         f"ex1d: dominance curve below anchored indefinite-rate curve: {anchored_ok}; "
-        f"ex5: gamma_LU={r5.families['lu'].gamma:.4f} < "
-        f"gamma_QR={r5.families['qr'].gamma:.4f}: {qr_ok}",
+        f"ex5: gamma_LU={r5.families['lu'][0].gamma:.4f} < "
+        f"gamma_QR={r5.families['qr'][0].gamma:.4f}: {qr_ok}",
     )
 
 

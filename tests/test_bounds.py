@@ -107,26 +107,23 @@ class TestQrBound:
     def test_k_order_one(self):
         A = gd.from_dense(21.0 * np.eye(4) + np.eye(4, k=-1))
         report, bound = gd.qr_bound(A)
-        assert report.K == 20.0  # (21 - 1) / 1
-        assert report.delta == pytest.approx(0.1, rel=1e-15)
-        assert report.mu == pytest.approx(0.09950371902099893, rel=1e-12)
+        assert report.K == 20.0  # (21 - 1) / 1, so delta = 2/K = 0.1
         assert bound.M == pytest.approx(1.199007438041998, rel=1e-12)
-        assert bound.gamma == pytest.approx(report.mu, rel=1e-15)  # r = 1
+        assert bound.gamma == pytest.approx(0.09950371902099893, rel=1e-12)  # r = 1: mu
 
     def test_large_k_limit(self):
         A = gd.from_dense((1e12 + 1.0) * np.eye(3) + np.eye(3, k=-1))
         report, bound = gd.qr_bound(A)
         assert report.K == 1e12
-        assert report.mu == pytest.approx(0.0, abs=2e-12)
         assert bound.M == pytest.approx(1.0, abs=5e-12)
-        assert bound.gamma == pytest.approx(0.0, abs=2e-12)
+        assert bound.gamma == pytest.approx(0.0, abs=2e-12)  # r = 1: mu
 
     def test_k_order_two(self):
         W = 2.0 * np.eye(5) + 0.1 * np.eye(5, k=-2)
         A = gd.from_dense(W, r_lower=2, r_upper=0)
         report, bound = gd.qr_bound(A)
         assert report.K == pytest.approx(10.0, rel=1e-15)  # (2 - 1) / 0.1
-        assert report.mu == pytest.approx(0.19611613513818402, rel=1e-12)
+        assert bound.M == pytest.approx(2.0 * 0.19611613513818402 + 1.0, rel=1e-12)  # 2 mu + 1
         assert bound.gamma == pytest.approx(0.7447819789879647, rel=1e-12)
 
     def test_diagonal_dwarfing_its_column(self):

@@ -18,6 +18,64 @@ TWO_SIDED_MTX = (
     "2 1 1.0\n3 2 1.0\n4 3 -1.0\n5 4 1.0\n1 2 0.5\n"
 )
 
+# the full stdout of `run <name> --out out.csv` (ex4b with --seed 7), byte
+# for byte: the summary line, one line per family and the notes
+RUN_STDOUT = {
+    "ex1a": """\
+ex1a: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=yes
+  lu           M=0.236261, gamma=0.621447
+  varah        M=0.210526, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.05687 >= 1
+  dms          M=0.178551, gamma=0.431995
+  frommer      M=0.357103, gamma=0.429816
+  chui_hasson  gamma=0.736957
+wrote out.csv
+""",
+    "ex1d": """\
+ex1d: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=yes
+  lu           M=0.236261, gamma=0.621447
+  varah        M=0.210526, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.05687 >= 1
+  dms          M=0.178369, gamma=0.73616
+  frommer      not applicable: spectrum is not positive
+  chui_hasson  gamma=0.73616
+wrote out.csv
+""",
+    "ex2": """\
+ex2: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=no
+  lu           M=1.47663, gamma=0.621447
+  varah        M=1.31579, gamma=0
+  qr           not applicable: |A(k,k)| must exceed 1 for a feasible K; column 30 has |A(k,k)| = 1.0
+  dms          not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  frommer      not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  chui_hasson  not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  note: nonsymmetric variant with a real spectrum: two eigenvalues near -100 (-101.2 and -98.9), one near 1 and the other 47 in [5.6, 7.7]
+wrote out.csv
+""",
+    "ex5": """\
+ex5: N=20, r_lower=1, r_upper=19, mu=0.0833332, dominance=yes, symmetric=no
+  lu           M=0.0921805, gamma=0.0833332
+  varah        M=0.0909091, gamma=0
+  qr           M=1.2088, gamma=0.104399
+  dms          not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  frommer      not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  chui_hasson  not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  note: generator targets eigenvalue clusters near +-12 via a 0.5 subdiagonal and an exponentially decaying upper part
+wrote out.csv
+""",
+    "ex4b": """\
+ex4b: N=100, r_lower=5, r_upper=99, mu=0.0464467, dominance=yes, symmetric=no
+  lu           M=1.01763, gamma=0.541241
+  varah        M=1.01325, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.17083 >= 1
+  dms          not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  frommer      not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  chui_hasson  not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  note: generator targets log-distributed real parts in [-1e4,-1] u [1,1e4]; the concrete matrix entries are one realization
+wrote out.csv
+""",
+}
+
 
 class TestGenerate:
     def test_ex1a_recipe(self):
@@ -133,14 +191,14 @@ class TestGenerate:
 class TestRunExperiment:
     def test_ex1a_families_and_ordering(self):
         rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
-        assert rep.mu == 0.24
-        assert rep.dominance_satisfied and rep.symmetric
-        lu = rep.families["lu"]
+        assert rep.dominance.mu == 0.24
+        assert rep.dominance.satisfied and rep.symmetric
+        lu, _ = rep.families["lu"]
         assert lu.M == pytest.approx(0.23626, abs=5e-6)
         assert lu.gamma == pytest.approx(0.24 ** (1 / 3), rel=1e-12)
-        assert not rep.families["qr"].applicable  # rate degenerate here
-        assert rep.families["dms"].applicable
-        assert rep.families["frommer"].applicable
+        assert rep.families["qr"][0] is None  # rate degenerate here
+        assert rep.families["dms"][0] is not None
+        assert rep.families["frommer"][0] is not None
         # interval-based decay wins for SPD Toeplitz matrices at large distance
         for row in rep.rows:
             if row["i"] - 1 >= 10:
@@ -148,9 +206,9 @@ class TestRunExperiment:
 
     def test_ex1d_rate_ordering(self):
         rep = gd.run_experiment(gd.ExperimentSpec("ex1d"))
-        assert rep.families["dms"].applicable
-        assert not rep.families["frommer"].applicable  # indefinite spectrum
-        assert rep.families["lu"].gamma <= rep.families["dms"].gamma
+        assert rep.families["dms"][0] is not None
+        assert rep.families["frommer"][0] is None  # indefinite spectrum
+        assert rep.families["lu"][0].gamma <= rep.families["dms"][0].gamma
 
     def test_every_emitted_bound_dominates_exact(self):
         for name in ("ex1a", "ex1b", "ex1c", "ex1d", "ex2", "ex4a", "ex4b", "ex5"):
@@ -164,23 +222,24 @@ class TestRunExperiment:
         # one large outlier eigenvalue ruins the full-interval rate but not
         # the effective-condition-number one
         rep = gd.run_experiment(gd.ExperimentSpec("ex1b"))
-        assert rep.families["frommer"].gamma < rep.families["dms"].gamma
+        assert rep.families["frommer"][0].gamma < rep.families["dms"][0].gamma
         tail = [r for r in rep.rows if r["i"] - 1 >= 20]
         assert tail and all(r["frommer"] < r["dms"] for r in tail)
 
     def test_ex5_lu_rate_beats_qr_rate(self):
         rep = gd.run_experiment(gd.ExperimentSpec("ex5"))
-        assert rep.families["lu"].applicable and rep.families["qr"].applicable
-        assert rep.families["lu"].gamma < rep.families["qr"].gamma
+        assert rep.families["lu"][0] is not None and rep.families["qr"][0] is not None
+        assert rep.families["lu"][0].gamma < rep.families["qr"][0].gamma
 
     def test_nonsymmetric_skips_spectral_baselines(self):
         rep = gd.run_experiment(gd.ExperimentSpec("ex2"))
         for fam in ("dms", "frommer", "chui_hasson"):
-            assert not rep.families[fam].applicable
-            assert "nonsymmetric" in rep.families[fam].note
+            bound, note = rep.families[fam]
+            assert bound is None and "nonsymmetric" in note
         # column 30's diagonal is 1.0, which the 2-norm family rejects
-        assert rep.families["qr"].note.endswith("|A(k,k)| = 1.0")
-        assert "np." not in rep.families["qr"].note
+        bound, note = rep.families["qr"]
+        assert bound is None and note.endswith("|A(k,k)| = 1.0")
+        assert "np." not in note
 
     def test_probe_column_region(self):
         rep = gd.run_experiment(gd.ExperimentSpec("ex1a", column=5))
@@ -188,11 +247,13 @@ class TestRunExperiment:
         assert first["lu"] is None  # above the diagonal
         assert first["varah"] is not None
         diag_row = next(r for r in rep.rows if r["i"] == 5)
-        assert diag_row["lu"] == rep.families["lu"].M
+        assert diag_row["lu"] == rep.families["lu"][0].M
 
     def test_probe_column_out_of_range(self):
-        with pytest.raises(ValueError, match="probe column"):
-            gd.run_experiment(gd.ExperimentSpec("ex1a", column=77))
+        for column in (77, 2.5):
+            with pytest.raises(ValueError, match="probe column"):
+                gd.run_experiment(gd.ExperimentSpec("ex1a", column=column))
+        assert gd.ExperimentSpec("ex1a", column=np.int64(2)).column == 2
 
     def test_dominance_failure_marks_envelopes_inapplicable(self, monkeypatch):
         # invertible but mu = 2: dominance-based families report the
@@ -200,11 +261,11 @@ class TestRunExperiment:
         bad = gd.make_banded(4, 1, 1, lambda i, j: 1.0 if i == j else -1.0)
         monkeypatch.setattr("greendecay.experiments.generate", lambda spec: bad)
         rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
-        assert not rep.dominance_satisfied
+        assert not rep.dominance.satisfied
         for fam in ("lu", "varah", "qr"):
-            assert not rep.families[fam].applicable
-        assert "mu = 2" in rep.families["lu"].note
-        assert rep.families["dms"].applicable  # symmetric indefinite spectrum
+            assert rep.families[fam][0] is None
+        assert "mu = 2" in rep.families["lu"][1]
+        assert rep.families["dms"][0] is not None  # symmetric indefinite spectrum
         assert all(r["lu"] is None and r["varah"] is None for r in rep.rows)
         assert any("violated" in n for n in rep.notes)
 
@@ -256,11 +317,8 @@ class TestEmitCsv:
         rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
         trimmed = gd.ExperimentReport(
             spec=rep.spec,
-            n=rep.n,
-            r_lower=rep.r_lower,
-            r_upper=rep.r_upper,
-            mu=rep.mu,
-            dominance_satisfied=rep.dominance_satisfied,
+            A=rep.A,
+            dominance=rep.dominance,
             symmetric=rep.symmetric,
             families=rep.families,
             rows=rep.rows[:2],
@@ -278,6 +336,13 @@ class TestCli:
         assert cli_main(["run", "ex1a", "--seed", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", list(RUN_STDOUT))
+    def test_run_stdout_is_pinned(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seed = ["--seed", "7"] if name == "ex4b" else []
+        assert cli_main(["run", name, *seed, "--out", "out.csv"]) == 0
+        assert capsys.readouterr().out == RUN_STDOUT[name]
 
     def test_run_summary_mentions_families(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -371,8 +436,8 @@ class TestCli:
             warnings.simplefilter("error")
             rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
             assert cli_main(["run", "ex1a", "--out", str(tmp_path / "qr.csv")]) == 2
-        assert not rep.families["qr"].applicable
-        assert rep.families["qr"].note.startswith("rate degenerate")
+        bound, note = rep.families["qr"]
+        assert bound is None and note.startswith("rate degenerate")
         assert all(row["qr"] is None for row in rep.rows)
         assert "qr           not applicable: rate degenerate" in capsys.readouterr().out
 

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import greendecay as gd
+from conftest import a_block, q_block
+from greendecay.green import _transitions
 
 RNG = np.random.default_rng(99)
 
@@ -26,7 +28,7 @@ def transition_product(gens, i, j):
         raise IndexError(f"block indices ({i}, {j}) outside 0..{top}")
     out = np.eye(gens.r)
     for k in range(j + 1, i):
-        out = gens.a(k) @ out
+        out = a_block(gens, k) @ out
     return out
 
 
@@ -37,14 +39,14 @@ def green_block_entry(gens, i, j):
         raise gd.RegionError(
             f"block ({i}, {j}) is not in the strictly lower block region"
         )
-    return gens.p(i) @ transition_product(gens, i, j) @ gens.q(j)
+    return gens.p(i) @ transition_product(gens, i, j) @ q_block(gens, j)
 
 
 def block_sizes(g):
-    """Row and column block sizes (blocks 0 .. N-r+1) read off the accessors."""
+    """Row and column block sizes (blocks 0 .. N-r+1) read off the generators."""
     top = g.n - g.r + 1
     rows = [0] + [g.p(i).shape[0] for i in range(1, top + 1)]
-    cols = [g.q(j).shape[1] for j in range(top)] + [0]
+    cols = [q_block(g, j).shape[1] for j in range(top)] + [0]
     return rows, cols
 
 
@@ -67,11 +69,10 @@ class TestBlockScheme:
 
 
 class TestGeneratorContainer:
-    def test_q0_is_the_implicit_identity(self):
+    def test_holds_three_stacked_arrays(self):
         assert [f.name for f in dataclasses.fields(gd.GreenGenerators)] == [
             "p_rows", "bottom", "f"
         ]
-        np.testing.assert_array_equal(random_generators(5, 2).q(0), np.eye(2))
 
     def test_rejects_wrong_shapes(self):
         n, r = 5, 2
@@ -99,41 +100,34 @@ class TestGeneratorContainer:
         f = RNG.uniform(-1, 1, (4, 2))
         g = gd.GreenGenerators(p_rows, np.eye(2), f)
         p_rows[0, 0] = f[3, 0] = 7.0  # the container holds its own copies
-        assert g.p(1)[0, 0] != 7.0 and g.a(4)[0, 0] != -7.0
+        assert g.p(1)[0, 0] != 7.0 and g.f[3, 0] != 7.0
         for block, stack in ((g.p(2), g.p_rows), (g.p(5), g.bottom)):
             assert np.shares_memory(block, stack)
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             g.f[0, 0] = 1.0
-        # a(k) and q(j) are built on request and share nothing with the family
-        for block in (g.q(3), g.a(4)):
-            assert not np.shares_memory(block, g.f)
-        assert g.p(2).shape == (1, 2) and g.q(3).shape == (2, 1) and g.a(4).shape == (2, 2)
+        assert g.p(2).shape == (1, 2)
 
     @pytest.mark.parametrize("r", [1, 2, 5])
     def test_companion_blocks_bit_for_bit(self, r):
         # a(k) is the upper shift J with column 0 replaced by -f_k (as
-        # 0.0 - f_k, which is the same bits up to the sign of a zero); q(j) = e_r
+        # 0.0 - f_k, which is the same bits up to the sign of a zero)
         f = RNG.uniform(-1, 1, (6, r))
         f[0] = 0.0
-        g = gd.GreenGenerators(RNG.uniform(-1, 1, (6, r)), np.eye(r), f)
+        stack = _transitions(f)
+        assert stack.shape == (6, r, r)
         for k in range(1, 7):
             want = np.eye(r, k=1)
             want[:, 0] = 0.0 - f[k - 1]
-            got = g.a(k)
+            got = stack[k - 1]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-            assert g.q(k).tobytes() == np.eye(r, 1, 1 - r).tobytes()
 
     def test_index_ranges(self):
         g = random_generators(6, 2)
         with pytest.raises(IndexError):
             g.p(0)
-        with pytest.raises(IndexError):
-            g.q(5)
-        with pytest.raises(IndexError):
-            g.a(5)
 
 
 class TestTransitionProduct:
@@ -149,7 +143,7 @@ class TestTransitionProduct:
     def test_two_factor_product(self):
         g = random_generators(8, 2)
         np.testing.assert_allclose(
-            transition_product(g, 3, 0), g.a(2) @ g.a(1), rtol=1e-15
+            transition_product(g, 3, 0), a_block(g, 2) @ a_block(g, 1), rtol=1e-15
         )
 
     def test_zero_multipliers_give_the_nilpotent_shift(self):
@@ -189,11 +183,11 @@ class TestTransitionProduct:
 class TestBlockEntries:
     def test_first_subdiagonal_block(self):
         g = random_generators(7, 2)
-        np.testing.assert_allclose(green_block_entry(g, 2, 1), g.p(2) @ g.q(1))
+        np.testing.assert_allclose(green_block_entry(g, 2, 1), g.p(2) @ q_block(g, 1))
 
     def test_first_column_block_uses_identity_q(self):
         g = random_generators(7, 2)
-        np.testing.assert_allclose(green_block_entry(g, 2, 0), g.p(2) @ g.a(1))
+        np.testing.assert_allclose(green_block_entry(g, 2, 0), g.p(2) @ a_block(g, 1))
 
     def test_two_by_two_inverse_block(self, lower2x2):
         gens = gd.inverse_green_generators(lower2x2)
@@ -277,8 +271,8 @@ def sequential_walk(gens, i, j, absolute=False):
     bi, bj, row, col = block_position(gens, i, j)
     v = mag(gens.p(bi)[row])
     for k in range(bi - 1, bj, -1):
-        v = v @ mag(gens.a(k))
-    return float((v @ mag(gens.q(bj)))[col])
+        v = v @ mag(a_block(gens, k))
+    return float((v @ mag(q_block(gens, bj)))[col])
 
 
 class TestPairwiseWalk:
@@ -417,4 +411,4 @@ class TestDominantGeneratorNorms:
         for A in small_ensemble[:8]:
             gens = gd.inverse_green_generators(A)
             for k in range(1, gens.n - gens.r + 1):
-                assert np.abs(gens.a(k)).sum(axis=0).max() <= 1.0 + 1e-12
+                assert np.abs(a_block(gens, k)).sum(axis=0).max() <= 1.0 + 1e-12

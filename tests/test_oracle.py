@@ -157,30 +157,58 @@ def test_eigensystem_residuals_and_invariants():
 
 
 # ----------------------------------------------------------------------
-# exact determinant oracle
+# exact determinant reference
 # ----------------------------------------------------------------------
 
+def determinant_fraction_free(a):
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    Floating inputs are binary rationals, so the result is the exact
+    determinant of the stored matrix. A zero pivot is replaced by a row swap
+    (flipping the sign); a column with no nonzero candidate makes the
+    determinant zero. Intended for small N only; entry sizes grow quickly.
+    """
+    A = np.asarray(a, dtype=float)
+    n = A.shape[0]
+    M = [[Fraction(A[i, j]) for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
+            M[i][k] = Fraction(0)
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
 def test_determinant_small_cases():
-    assert gd.determinant_fraction_free(np.array([[2.0, 0.0], [1.0, 2.0]])) == 4
+    assert determinant_fraction_free(np.array([[2.0, 0.0], [1.0, 2.0]])) == 4
     M = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
-    assert gd.determinant_fraction_free(M) == -3
-    assert gd.determinant_fraction_free(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
+    assert determinant_fraction_free(M) == -3
+    assert determinant_fraction_free(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
     # zero leading entries force row swaps: an upper triangular matrix with
     # diagonal 1..8 and its first two rows swapped has determinant -8!
     U = np.triu(np.arange(64.0).reshape(8, 8) % 5 - 2.0, 1) + np.diag(np.arange(1.0, 9.0))
     assert U[1, 0] == 0.0
-    assert gd.determinant_fraction_free(U[[1, 0, 2, 3, 4, 5, 6, 7]]) == -40320
+    assert determinant_fraction_free(U[[1, 0, 2, 3, 4, 5, 6, 7]]) == -40320
     # a zero pivot in the middle: det [[1,1,0],[1,1,1],[0,1,1]] = -1
     M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    assert gd.determinant_fraction_free(M) == -1
+    assert determinant_fraction_free(M) == -1
     # a column without any nonzero entry
-    assert gd.determinant_fraction_free(np.triu(np.ones((8, 8)), 1)) == 0
+    assert determinant_fraction_free(np.triu(np.ones((8, 8)), 1)) == 0
 
 
 def test_determinant_matches_numpy():
     for _ in range(4):
         A = RNG.uniform(-2, 2, (6, 6))
-        exact = float(gd.determinant_fraction_free(A))
+        exact = float(determinant_fraction_free(A))
         assert exact == pytest.approx(np.linalg.det(A), rel=1e-9)
 
 
@@ -192,7 +220,7 @@ def test_pivots_equal_determinant_quotients():
         gamma = gd.structured_lu(A).gamma
         prev = Fraction(1)
         for k in range(1, 11):
-            det_k = gd.determinant_fraction_free(A.data[:k, :k])
+            det_k = determinant_fraction_free(A.data[:k, :k])
             quotient = det_k / prev
             assert float(quotient) == pytest.approx(gamma[k - 1], rel=1e-9)
             prev = det_k

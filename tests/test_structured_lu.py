@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import greendecay as gd
+from conftest import a_block
 
 
 # Finite, but no-pivot elimination overflows at its first step.
@@ -216,33 +217,31 @@ def linv_generators(slu):
 class TestLInverseGenerators:
     def test_two_by_two_partition(self, lower2x2):
         lg = linv_generators(gd.structured_lu(lower2x2))
-        np.testing.assert_array_equal(lg.a(1), [[-0.5]])
+        np.testing.assert_array_equal(a_block(lg, 1), [[-0.5]])
         np.testing.assert_array_equal(lg.p(1), [[1.0]])
-        np.testing.assert_array_equal(lg.q(1), [[1.0]])
 
     def test_identity_gives_pure_shift(self):
         A = gd.from_dense(np.eye(6))
         lg = linv_generators(gd.structured_lu(A))
         # with zero multipliers the transition matrix is the upper shift
-        np.testing.assert_array_equal(lg.a(1), np.eye(1, 1, 1))
+        np.testing.assert_array_equal(a_block(lg, 1), np.eye(1, 1, 1))
 
     def test_identity_order_three_shift(self):
         W = np.eye(7)
         A = gd.BandedMatrix(7, 3, 0, W)
         lg = linv_generators(gd.structured_lu(A))
-        np.testing.assert_array_equal(lg.a(2), np.eye(3, k=1))
+        np.testing.assert_array_equal(a_block(lg, 2), np.eye(3, k=1))
         np.testing.assert_array_equal(lg.bottom, np.eye(3))
 
     def test_tridiagonal_a_value(self, tridiag3):
         lg = linv_generators(gd.structured_lu(tridiag3))
-        np.testing.assert_allclose(lg.a(1), [[0.25]], rtol=1e-15)
+        np.testing.assert_allclose(a_block(lg, 1), [[0.25]], rtol=1e-15)
 
     def test_structural_shapes(self, small_ensemble):
         A = small_ensemble[0]
         n, r = A.n, A.r_lower
         lg = linv_generators(gd.structured_lu(A))
         np.testing.assert_array_equal(lg.p(1), np.eye(1, r))
-        np.testing.assert_array_equal(lg.q(n - r), np.eye(r, 1, -(r - 1)))
         assert lg.f.shape == (n - r, r)
         assert lg.bottom.shape == (r, r)
 
@@ -255,7 +254,7 @@ class TestLInverseGenerators:
             for k in range(1, A.n - r + 1):
                 want = J.copy()
                 want[:, 0] -= slu.f[k - 1]
-                np.testing.assert_array_equal(lg.a(k), want)
+                np.testing.assert_array_equal(a_block(lg, k), want)
 
     def test_green_view_reconstructs_l_inverse(self, small_ensemble):
         for A in small_ensemble[:8]:
@@ -270,8 +269,7 @@ class TestInverseGenerators:
     def test_two_by_two_values(self, lower2x2):
         gens = gd.inverse_green_generators(lower2x2)
         np.testing.assert_allclose(gens.p(1), [[0.5]], rtol=1e-15)
-        np.testing.assert_allclose(gens.q(1), [[1.0]], rtol=1e-15)
-        np.testing.assert_allclose(gens.a(1), [[-0.5]], rtol=1e-15)
+        np.testing.assert_allclose(a_block(gens, 1), [[-0.5]], rtol=1e-15)
         np.testing.assert_allclose(gens.p(2), [[0.5]], rtol=1e-15)
 
     def test_scaled_identity(self):
@@ -279,7 +277,7 @@ class TestInverseGenerators:
         gens = gd.inverse_green_generators(A)
         for i in range(1, 7):
             np.testing.assert_array_equal(gens.p(i), [[0.5]])
-            np.testing.assert_array_equal(gens.a(i), [[0.0]])
+            np.testing.assert_array_equal(a_block(gens, i), [[0.0]])
         values, _ = gd.reconstruct_lower(gens)
         np.testing.assert_allclose(np.diag(values), 0.5 * np.ones(7), rtol=1e-15)
 
@@ -462,10 +460,7 @@ class TestGeneratorSuffix:
                         sub.p(i), gens.p(i + ell), rtol=1e-10, atol=1e-12
                     )
                     np.testing.assert_allclose(
-                        sub.a(i), gens.a(i + ell), rtol=1e-10, atol=1e-12
-                    )
-                    np.testing.assert_allclose(
-                        sub.q(i), gens.q(i + ell), rtol=1e-10, atol=1e-12
+                        a_block(sub, i), a_block(gens, i + ell), rtol=1e-10, atol=1e-12
                     )
                 np.testing.assert_allclose(
                     sub.p(n - ell - r + 1), gens.p(n - r + 1), rtol=1e-10, atol=1e-12
