@@ -290,7 +290,6 @@ class DominanceReport:
 
     mu: float
     min_diag: float
-    satisfied: bool
     per_column_ratios: np.ndarray
     zero_diagonal_index: int | None = None
 
@@ -298,6 +297,10 @@ class DominanceReport:
         ratios = np.asarray(self.per_column_ratios, dtype=float)
         ratios.flags.writeable = False
         object.__setattr__(self, "per_column_ratios", ratios)
+
+    @property
+    def satisfied(self) -> bool:
+        return self.mu < 1.0 and self.min_diag > 0.0
 
 
 def _band_column_sums(A: BandedMatrix, fn) -> np.ndarray:
@@ -342,10 +345,7 @@ def dominance_mu(A: BandedMatrix) -> DominanceReport:
         zero_idx = int(np.flatnonzero(diag == 0.0)[0]) + 1
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(diag > 0.0, off / diag, np.inf)
-    mu = float(ratios.max())
-    min_diag = float(diag.min())
-    satisfied = mu < 1.0 and min_diag > 0.0
-    return DominanceReport(mu, min_diag, satisfied, ratios, zero_idx)
+    return DominanceReport(float(ratios.max()), float(diag.min()), ratios, zero_idx)
 
 
 def _parse_header(line: str) -> tuple[str, str]:

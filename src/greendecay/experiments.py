@@ -92,6 +92,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose one of {EXPERIMENT_NAMES}"
             )
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.column, (int, np.integer)):
             raise ValueError(f"probe column must be an integer, got {self.column!r}")
         if self.column < 1:

@@ -17,7 +17,10 @@ a(k) = [-f_k, I][:, :r], which is -f_k e_1^T + J (J the upper-shift matrix)
 inside the band, q_L(k) = e_r and p_L(k) = e_1^T. A^{-1} shares the
 transitions and the column generators, so its ``GreenGenerators`` store
 f_1 .. f_{N-r} in their place; one backward recursion through the rows of R
-assembles the row generators p(k) of A^{-1}.
+assembles the row generators p(k) of A^{-1}. The generators thus depend on A
+only through f and R, the two arrays a ``StructuredLU`` holds, and
+:func:`inverse_green_generators` takes that factorization in place of A, so
+a caller that needs the factors as well as the generators factors A once.
 
 For a two-sided band neither part holds an N x N array. The factorization
 eliminates in the work array W = ``A.band(r)``, of shape (N+r, r+s+1),
@@ -65,23 +68,37 @@ PIVOT_RTOL = np.finfo(float).tiny
 class StructuredLU:
     """Per-step elimination data of the banded no-pivot LU factorization.
 
-    All three arrays are read-only views of the band work array that
-    :func:`structured_lu` eliminates in; none of them is N x N unless the
-    upper bandwidth s is. ``R`` is the (N, s+1) band of the upper factor,
+    Both arrays are read-only views of the band work array that
+    :func:`structured_lu` eliminates in; neither is N x N unless the upper
+    bandwidth s is. ``R`` is the (N, s+1) band of the upper factor,
     ``R[k-1, t] = R(k, k+t)``, so row k-1 right of its first entry is the
     subrow X_k of the generator recursion; entries past column N are zero.
-    ``gamma = R[:, 0]`` holds the pivots R(k, k). ``f`` is (N-1, r):
-    ``f[k-1]`` holds the multipliers f_k of step k, and the short trailing
-    f_k (length N-k for k > N-r) are padded to length r with 0 / gamma_k,
-    a zero of the pivot's sign. The dense factors, for the oracle checks,
-    come from :meth:`lower_factor` and :meth:`upper_factor`.
+    ``f`` is (N-1, r): ``f[k-1]`` holds the multipliers f_k of step k, and
+    the short trailing f_k (length N-k for k > N-r) are padded to length r
+    with 0 / gamma_k, a zero of the pivot's sign. N, r and s follow from the
+    shapes, and ``gamma`` is the view ``R[:, 0]`` of the pivots R(k, k). The
+    dense factors, for the oracle checks, come from :meth:`lower_factor` and
+    :meth:`upper_factor`.
     """
 
-    n: int
-    r: int
-    gamma: np.ndarray
-    f: np.ndarray
-    R: np.ndarray
+    f: np.ndarray  # (N-1, r)
+    R: np.ndarray  # (N, s+1)
+
+    @property
+    def n(self) -> int:
+        return len(self.R)
+
+    @property
+    def r(self) -> int:
+        return self.f.shape[1]
+
+    @property
+    def s(self) -> int:
+        return self.R.shape[1] - 1
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.R[:, 0]
 
     def lower_factor(self) -> np.ndarray:
         """Reassemble the dense unit lower triangular factor L from the f_k."""
@@ -159,8 +176,7 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     _eliminate(W, r, s, n)
     # freeze W instead of copying it; every factor array is a view of it
     W.flags.writeable = False
-    R = W[:n, r:]
-    return StructuredLU(n, r, R[:, 0], _windows(W, r, s)[: n - 1, 1:, 0], R)
+    return StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
 
 
 def _corner(slu: StructuredLU) -> np.ndarray:
@@ -175,8 +191,11 @@ def _corner(slu: StructuredLU) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
+def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     """Green generators of A^{-1} for a strongly regular lower band matrix.
+
+    ``A`` is the matrix, which is factored with :func:`structured_lu`, or its
+    factorization, of which only ``f`` and ``R`` are read.
 
     The transition and column generators of A^{-1} coincide with those of
     L^{-1}; the row generators satisfy the backward recursion
@@ -192,8 +211,8 @@ def inverse_green_generators(A: BandedMatrix) -> GreenGenerators:
     column and one row of it. Time O(N r w) and memory O(N (r + w)) on top
     of the factorization. Generators that overflow raise ValueError.
     """
-    slu = structured_lu(A)
-    n, r, s = slu.n, slu.r, A.r_upper
+    slu = A if isinstance(A, StructuredLU) else structured_lu(A)
+    n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
     # B[i, t] = A^{-1}(i, i+t-w+1) (0-based). Q[k-1] is P_k with one more
     # column; row 0 of columns 1 .. r holds X_k P_{k+1} until p(k) replaces

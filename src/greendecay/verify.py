@@ -62,7 +62,7 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
     for A in mats:
         n, r = A.n, A.r_lower
         slu = structured_lu(A)
-        gens = inverse_green_generators(A)
+        gens = inverse_green_generators(slu)
         D = A.to_dense()
         inv = dense_inverse(D)
         mu = dominance_mu(A).mu

@@ -27,6 +27,13 @@ def small_ensemble():
 
 
 @pytest.fixture(scope="session")
+def acceptance_ensemble():
+    """The acceptance suite's 100 matrices: N up to 200, r up to 8, extremes pinned."""
+    pinned = ((200, 8, False), (200, 8, True), (173, 1, True), (151, 5, False))
+    return gd.dominant_ensemble(100, 977, n_max=200, r_max=8, pinned=pinned)
+
+
+@pytest.fixture(scope="session")
 def ex1a_matrix():
     return gd.make_banded(50, 3, 3, lambda i, j: 6.25 if i == j else 0.25)
 
@@ -39,6 +46,10 @@ def tridiag3():
 @pytest.fixture()
 def lower2x2():
     return gd.from_dense(np.array([[2.0, 0.0], [1.0, 2.0]]))
+
+
+def one_norm(M):
+    return np.abs(M).sum(axis=0).max()
 
 
 def q_block(gens, j):

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line (visible under ``pytest -s`` or on failure).
 
-The shared ensemble holds 100 random strongly dominant banded matrices with
-N up to 200 and lower bandwidth up to 8, mixed signs, one- and two-sided,
-with the extreme sizes pinned so every run exercises them.
+The shared ensemble, conftest's ``acceptance_ensemble``, holds 100 random
+strongly dominant banded matrices with N up to 200 and lower bandwidth up to
+8, mixed signs, one- and two-sided, with the extreme sizes pinned so every
+run exercises them.
 """
 
 import math
@@ -16,8 +17,6 @@ from conftest import a_block
 from greendecay.cli import main as cli_main
 from greendecay.verify import invariants
 
-ENSEMBLE_SEED = 977
-PINNED = ((200, 8, False), (200, 8, True), (173, 1, True), (151, 5, False))
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -26,19 +25,14 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def ensemble():
-    return gd.dominant_ensemble(100, ENSEMBLE_SEED, n_max=200, r_max=8, pinned=PINNED)
-
-
-@pytest.fixture(scope="module")
-def worst(ensemble):
+def worst(acceptance_ensemble):
     """Worst value of each invariant over the ensemble, as `verify` reports it."""
-    return invariants(ensemble)
+    return invariants(acceptance_ensemble)
 
 
-def test_criterion_1_structured_vs_dense_factorization(ensemble, worst):
+def test_criterion_1_structured_vs_dense_factorization(acceptance_ensemble, worst):
     start = time.perf_counter()
-    for A in ensemble:
+    for A in acceptance_ensemble:
         gd.structured_lu(A)
         gd.dense_lu_no_pivot(A.data)
     elapsed = time.perf_counter() - start

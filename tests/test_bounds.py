@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 import greendecay as gd
-
-
-def one_norm(M):
-    return np.abs(M).sum(axis=0).max()
+from conftest import one_norm
 
 
 class TestLuBound:

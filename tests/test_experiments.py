@@ -77,6 +77,37 @@ wrote out.csv
 }
 
 
+# the full stdout of `verify` and of `verify --seed 3 --trials 40`, byte for
+# byte: one line per check with its worst value and limit, then the verdict
+VERIFY_STDOUT = {
+    (): """\
+PASS factorization residual |LR - A|_1 / |A|_1: worst 2.102e-16 (limit 1.0e-11)
+PASS structured R vs dense elimination: worst 0.000e+00 (limit 1.0e-10)
+PASS multiplier norms |f_k|_1 - mu: worst 0.000e+00 (limit 1.0e-12)
+PASS pivot floor (1-mu^2)|A(k,k)| - |gamma_k|: worst -2.323e-02 (limit 1.0e-12)
+PASS Schur complement mu inheritance: worst 0.000e+00 (limit 1.0e-12)
+PASS generator suffix property: worst 0.000e+00 (limit 1.0e-10)
+PASS inverse reconstruction on represented region: worst 3.426e-16 (limit 1.0e-10)
+PASS trailing generator cross-check: worst 1.110e-16 (limit 1.0e-12)
+PASS LU bound soundness on the lower part: worst -6.455e-81 (limit 0.0e+00)
+PASS Varah bound vs reference inverse 1-norm: worst -7.937e-04 (limit 0.0e+00)
+ALL CHECKS PASSED (10/10)
+""",
+    ("--seed", "3", "--trials", "40"): """\
+PASS factorization residual |LR - A|_1 / |A|_1: worst 2.303e-16 (limit 1.0e-11)
+PASS structured R vs dense elimination: worst 0.000e+00 (limit 1.0e-10)
+PASS multiplier norms |f_k|_1 - mu: worst 5.551e-17 (limit 1.0e-12)
+PASS pivot floor (1-mu^2)|A(k,k)| - |gamma_k|: worst -1.002e-02 (limit 1.0e-12)
+PASS Schur complement mu inheritance: worst 0.000e+00 (limit 1.0e-12)
+PASS generator suffix property: worst 0.000e+00 (limit 1.0e-10)
+PASS inverse reconstruction on represented region: worst 2.840e-16 (limit 1.0e-10)
+PASS trailing generator cross-check: worst 5.551e-17 (limit 1.0e-12)
+PASS LU bound soundness on the lower part: worst -1.271e-62 (limit 0.0e+00)
+PASS Varah bound vs reference inverse 1-norm: worst -2.255e-03 (limit 0.0e+00)
+ALL CHECKS PASSED (10/10)
+""",
+}
+
 class TestGenerate:
     def test_ex1a_recipe(self):
         A = gd.generate(gd.ExperimentSpec("ex1a"))
@@ -255,6 +286,12 @@ class TestRunExperiment:
                 gd.run_experiment(gd.ExperimentSpec("ex1a", column=column))
         assert gd.ExperimentSpec("ex1a", column=np.int64(2)).column == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            gd.run_experiment(gd.ExperimentSpec("ex4a", seed=seed))
+        assert gd.ExperimentSpec("ex4a", seed=np.int64(7)).seed == 7
+
     def test_dominance_failure_marks_envelopes_inapplicable(self, monkeypatch):
         # invertible but mu = 2: dominance-based families report the
         # diagnostic instead of raising; interval rates still apply
@@ -344,6 +381,11 @@ class TestCli:
         assert cli_main(["run", name, *seed, "--out", "out.csv"]) == 0
         assert capsys.readouterr().out == RUN_STDOUT[name]
 
+    @pytest.mark.parametrize("args", list(VERIFY_STDOUT), ids=["default", "seed3_trials40"])
+    def test_verify_stdout_is_pinned(self, args, capsys):
+        assert cli_main(["verify", *args]) == 0
+        assert capsys.readouterr().out == VERIFY_STDOUT[args]
+
     def test_run_summary_mentions_families(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert cli_main(["run", "ex1d", "--out", str(out)]) == 0
@@ -415,6 +457,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: unknown experiment 'nope'; choose one of (")
 
+    def test_negative_seed_is_an_error(self, capsys):
+        assert cli_main(["run", "ex4a", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_run_without_any_applicable_family_exits_2(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -465,6 +513,20 @@ class TestCli:
 
 
 class TestInvariants:
+    def test_each_matrix_is_factored_once(self, monkeypatch):
+        mats = gd.dominant_ensemble(6, 5, n_max=40, r_max=4)
+        factored = []
+        real = gd.structured_lu
+
+        def counted(A):
+            factored.append(A)
+            return real(A)
+
+        monkeypatch.setattr("greendecay.lu.structured_lu", counted)
+        monkeypatch.setattr("greendecay.verify.structured_lu", counted)
+        invariants(mats)
+        assert [sum(B is A for B in factored) for A in mats] == [1] * len(mats)
+
     def test_perturbed_generator_fails_the_sweep(self, monkeypatch):
         # the shared sweep must see a 1e-6 error in the bottom generator block
         real = gd.inverse_green_generators

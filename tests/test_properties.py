@@ -12,13 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greendecay as gd
+from conftest import one_norm
 from greendecay.banded import _band_column_sums
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
-
-
-def one_norm(M):
-    return np.abs(M).sum(axis=0).max()
 
 
 @st.composite

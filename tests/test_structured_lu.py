@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 import greendecay as gd
-from conftest import a_block
+from conftest import a_block, one_norm
 
 
 # Finite, but no-pivot elimination overflows at its first step.
 OVERFLOW_3X3 = np.array([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]])
-
-
-def one_norm(M):
-    return np.abs(M).sum(axis=0).max()
 
 
 def dyadic_lu_product(n, zero_step, one_sided):
@@ -323,6 +319,20 @@ class TestInverseGenerators:
                     np.testing.assert_array_equal(got, ref)
                 else:
                     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_factorization_gives_the_same_generators(self, acceptance_ensemble):
+        # the recursion reads only f and R, so passing the factorization in
+        # place of the matrix changes no bit; the last matrix has band_long's shape
+        band = gd.make_banded(4000, 4, 4, lambda i, j: 10.0 if i == j else np.sin(i + 2 * j))
+        mats = [*acceptance_ensemble, band]
+        assert {A.r_lower for A in mats} >= {1, 8}
+        assert {A.r_upper == A.n - 1 for A in mats} == {True, False}
+        for A in mats:
+            slu = gd.structured_lu(A)
+            assert (slu.n, slu.r, slu.s) == (A.n, A.r_lower, A.r_upper)
+            got, ref = gd.inverse_green_generators(slu), gd.inverse_green_generators(A)
+            for name in ("p_rows", "bottom", "f"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_row_generators_are_entries_of_the_inverse(self, small_ensemble, ex1a_matrix):
         for A in [*small_ensemble, ex1a_matrix]:
