@@ -7,9 +7,10 @@ class ZeroPivotError(ArithmeticError):
     """No-pivot elimination broke down at step ``k`` (1-based).
 
     The pivot ``value`` of step k is zero, too small to divide by safely
-    relative to the largest entry of the matrix, or not finite; or the
-    elimination has overflowed by step k. A matrix raising this admits no
-    LU factorization without pivoting in floating point.
+    relative to the largest entry of the matrix, not finite, or no larger
+    than the rounding error it was computed with; or the elimination has
+    overflowed by step k. A matrix raising this admits no LU factorization
+    without pivoting in floating point.
     """
 
     def __init__(self, k: int, value: float = 0.0):

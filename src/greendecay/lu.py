@@ -29,13 +29,18 @@ band storage, with r zero rows at the bottom so that every step addresses
 a full (r+1) x (s+1) window G[k] = A(k : k+r+1, k : k+s+1) of one strided
 view of W (row stride w-1 inside a window, w = r+s+1). The multipliers
 replace the entries they eliminate, as in ``dgbtrf``, so R, the pivots and
-f are views of W: O(N (r+s)) memory and O(N r s) time. The recursion's
-state P_k is the block A^{-1}(k : k+w-1, k : k+r-1) (1-based, w = max(r, s)
-here), so p(k) = A^{-1}(k, k : k+r-1) is its first row and the bottom
-generator is the trailing r x r block of A^{-1}. All P_k are windows of one
-band array of A^{-1}, shape (N, w+r), strided like W (the last w-1 of them
-cut at row N): step k writes the column A^{-1}(k : k+w-1, k) and the row
-p(k), and the rest of P_k is P_{k+1}, already in place.
+f are views of W: O(N (r+s)) memory and O(N r s) time.
+
+Narrow windows (r s <= 48) are eliminated on Python floats, wider ones,
+the one-sided among them, with numpy calls on the window views; both round
+every operation alike and leave the same bits (see :func:`_eliminate`).
+
+The recursion's state P_k is the block A^{-1}(k : k+w-1, k : k+r-1)
+(1-based, w = max(r, s) here), so p(k) = A^{-1}(k, k : k+r-1) is its first
+row and the bottom generator is the trailing r x r block of A^{-1}. All P_k
+are windows of one band array of A^{-1}, shape (N, w+r), strided like W (the
+last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
+k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ __all__ = [
 # The floor scales with A, so cA factors whenever A does; under strong
 # dominance the pivots stay above (1 - mu^2)|A(k, k)|.
 PIVOT_RTOL = np.finfo(float).tiny
+
+# Largest r * s that _eliminate runs on Python floats; wider windows run in
+# numpy. Set below the measured break-even near r * s = 55.
+_ROWS_MAX_UPDATES = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +129,6 @@ def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
     return np.ndarray((n, r + 1, s + 1), W.dtype, W, r * b, (w * b, (w - 1) * b, b))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     """Run elimination steps 1 .. ``steps`` on the band work array ``W`` in place.
 
@@ -131,21 +139,64 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     x - 0 * u: the padding stays (signed) zero, and the entries of A get the
     arithmetic of a window cut at N.
 
+    A step's r divisions and r s multiply-subtracts run in one of two loops,
+    chosen by r s alone. As three numpy calls on views of the window
+    (:func:`_eliminate_windows`) a step costs a few microseconds of call
+    overhead at any r and s; as Python floats on the rows of ``W.tolist()``
+    (:func:`_eliminate_rows`) it costs in proportion to r s. The row loop
+    takes 0.45 of the window loop's time at r = s = 4 and breaks even near
+    r s = 55 (N = 500, medians of 11 runs on a shared 2-vCPU host), so it
+    runs up to ``_ROWS_MAX_UPDATES`` = 48; one-sided windows (s = N-1) keep
+    numpy. Each loop rounds every quotient, product and difference once, as
+    an IEEE double operation on the same operands in the same order, with no
+    fused multiply-add, so on return both have left the same bits in W, and
+    both raise the same error.
+
     A pivot that is zero, below the floor or not finite raises
     ZeroPivotError at its step. Overflow runs on, but inf and NaN never turn
     finite (0 * inf is NaN) and reach a later pivot along their row; only an
     early stop (:func:`schur_complement`) leaves them to the final check.
     """
-    G = _windows(W, r, s)
     floor = PIVOT_RTOL * max(W.max(), -W.min())  # max|W| without a copy of |W|
+    loop = _eliminate_rows if r * s <= _ROWS_MAX_UPDATES else _eliminate_windows
+    loop(W, r, s, steps, float(floor))
+    if not np.isfinite(W).all():
+        raise ZeroPivotError(steps, float(W[steps - 1, r]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _eliminate_windows(W: np.ndarray, r: int, s: int, steps: int, floor: float) -> None:
+    """The steps of :func:`_eliminate` as three numpy calls on each window."""
+    G = _windows(W, r, s)
     windows = zip(G[:steps, 0, 0], G[:, 1:, 0], G[:, 0, 1:], G[:, 1:, 1:])
     for k, (g, f, u, T) in enumerate(windows, start=1):
         if not floor < abs(g) < np.inf:
             raise ZeroPivotError(k, float(g))
         f /= g
         T -= np.multiply.outer(f, u)
-    if not np.isfinite(W).all():
-        raise ZeroPivotError(steps, float(G[steps - 1, 0, 0]))
+
+
+def _eliminate_rows(W: np.ndarray, r: int, s: int, steps: int, floor: float) -> None:
+    """The steps of :func:`_eliminate` on the rows of W as lists of floats.
+
+    Row k+i of window k holds f_i at column r-i and T[i, j] at r-i+j, and
+    row k holds u_j at r+j. A Python float operation rounds once, as a numpy
+    one does, and f_i * u_j is rounded before it is subtracted, as in
+    ``T -= np.multiply.outer(f, u)``.
+    """
+    rows = W.tolist()
+    plan = [(i, r - i, [(r - i + j, r + j) for j in range(1, s + 1)]) for i in range(1, r + 1)]
+    for k in range(steps):
+        top = rows[k]
+        g = top[r]
+        if not floor < abs(g) < np.inf:
+            raise ZeroPivotError(k + 1, g)
+        for i, c, cols in plan:
+            row = rows[k + i]
+            f = row[c] = row[c] / g
+            for t, j in cols:
+                row[t] -= f * top[j]
+    W[:] = rows
 
 
 def structured_lu(A: BandedMatrix) -> StructuredLU:
@@ -167,8 +218,10 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     ------
     ZeroPivotError
         If a pivot no larger than ``PIVOT_RTOL * max|A(i, j)|`` in magnitude
-        is met (an exact zero always is), or the elimination overflows; the
-        error carries the 1-based step index.
+        is met (an exact zero always is), the elimination overflows, or a
+        computed pivot gamma_k is no larger than its own rounding error
+        bound gamma_{r+1} (|L||R|)(k, k); the error carries the 1-based step
+        index of the first such pivot.
     """
     n, r, s = A.n, A.r_lower, A.r_upper
     W = A.band(r)
@@ -176,7 +229,32 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     _eliminate(W, r, s, n)
     # freeze W instead of copying it; every factor array is a view of it
     W.flags.writeable = False
-    return StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
+    slu = StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
+    _reject_residue_pivots(slu)
+    return slu
+
+
+def _reject_residue_pivots(slu: StructuredLU) -> None:
+    """Raise ZeroPivotError at the first pivot that may be rounding residue.
+
+    The computed factors are exact for A + dA with |dA| <= gamma_{r+1} |L||R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
+    9.3; no entry of L R sums more than r+1 terms), gamma_m = m u / (1 - m u).
+    A pivot no larger than that bound on its own entry is indistinguishable
+    from zero, although the floor test passed it: the residue of a
+    cancellation such as 1e100 - 1e100. (|L||R|)(k, k) sums
+    |L(k, k-t)| |R(k-t, k)| over t = 0 .. min(r, s), L(k, k) = 1.
+    """
+    n, r, s = slu.n, slu.r, slu.s
+    u = np.finfo(float).eps / 2
+    scale = np.abs(slu.gamma)  # the term t = 0
+    for t in range(1, min(r, s) + 1):
+        # L(k, k-t) = f[k-t-1, t-1] and R(k-t, k) = R[k-t-1, t], k = t+1 .. N
+        scale[t:] += np.abs(slu.f[: n - t, t - 1]) * np.abs(slu.R[: n - t, t])
+    residue = np.abs(slu.gamma) <= (r + 1) * u / (1 - (r + 1) * u) * scale
+    if residue.any():
+        k = int(residue.argmax())
+        raise ZeroPivotError(k + 1, float(slu.gamma[k]))
 
 
 def _corner(slu: StructuredLU) -> np.ndarray:

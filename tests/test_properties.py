@@ -3,8 +3,10 @@
 Examples are derandomized, so every run checks the same bounded set.
 """
 
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import greendecay as gd
 from conftest import one_norm
+from greendecay import lu
 from greendecay.banded import _band_column_sums
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
@@ -185,6 +188,48 @@ def test_band_kernel_matches_dense_elimination(A, data):
     np.testing.assert_array_equal(
         gd.schur_complement(A, ell), dense_elimination(A.data, r, s, ell)[0][ell:, ell:]
     )
+
+
+# Values of lu._ROWS_MAX_UPDATES under which _eliminate takes one loop for
+# every r * s: the row loop on Python floats, or the numpy window loop.
+ROW_LOOP, WINDOW_LOOP = math.inf, -1
+
+
+def eliminate_with(loop, A, steps):
+    """W's bytes after ``steps`` elimination steps in the given loop, or (k, pivot bytes)."""
+    W = A.band(A.r_lower)
+    with mock.patch.object(lu, "_ROWS_MAX_UPDATES", loop):
+        try:
+            lu._eliminate(W, A.r_lower, A.r_upper, steps)
+        except gd.ZeroPivotError as err:
+            return err.k, np.float64(err.value).tobytes()
+    return W.tobytes()
+
+
+@PROPERTY
+@given(A=any_band(), data=st.data())
+def test_row_and_window_loops_leave_the_same_bits(A, data):
+    # r * s falls on both sides of lu._ROWS_MAX_UPDATES, one-sided s = N-1
+    # included, and steps < N is the schur_complement path
+    steps = data.draw(st.one_of(st.just(A.n), st.integers(1, A.n)), label="steps")
+    assert eliminate_with(ROW_LOOP, A, steps) == eliminate_with(WINDOW_LOOP, A, steps)
+
+
+@pytest.mark.parametrize(
+    "dense, steps, k, pivot",
+    [
+        ([[0.0, 1.0], [1.0, 0.0]], 2, 1, 0.0),
+        ([[1e-310, 1.0], [1.0, 1.0]], 2, 1, 1e-310),
+        ([[TINY, 1.0], [1.0, 1.0]], 2, 1, TINY),
+        # step 1 overflows A(2, 2), which no later pivot test reads
+        ([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]], 1, 1, 1.0),
+    ],
+    ids=["zero-pivot", "below-floor", "at-floor", "final-check"],
+)
+def test_row_and_window_loops_raise_alike(dense, steps, k, pivot):
+    A = gd.from_dense(np.array(dense))
+    want = (k, np.float64(pivot).tobytes())
+    assert eliminate_with(ROW_LOOP, A, steps) == eliminate_with(WINDOW_LOOP, A, steps) == want
 
 
 @PROPERTY

@@ -161,13 +161,30 @@ class TestFactorization:
         assert err.value.k == 2 and err.value.value == -np.inf
 
     def test_generator_overflow_is_rejected(self):
-        # the factorization is finite (its last pivot is a roundoff residue
-        # of 1e100 - 1e100), but the generator recursion overflows
-        M = np.array([[1e200, 1e200, 0.0], [1e-200, 1e-100, 1e-200], [0.0, 1e200, 1e100]])
-        A = gd.make_banded(3, 1, 1, lambda i, j: M[i - 1, j - 1])
+        # the factorization is exact (pivots 1e-200, multipliers 1e200), but
+        # A^{-1}(2, 1) = -1e400, an entry of P_1, overflows the recursion
+        M = np.diag(np.full(3, 1e-200)) + np.diag(np.ones(2), -1)
+        A = gd.make_banded(3, 1, 2, lambda i, j: M[i - 1, j - 1])
         assert np.isfinite(gd.structured_lu(A).R).all()
         with pytest.raises(ValueError, match="non-finite"):
             gd.inverse_green_generators(A)
+
+    @pytest.mark.parametrize(
+        "lu", [gd.structured_lu, gd.inverse_green_generators], ids=["lu", "generators"]
+    )
+    def test_cancellation_residue_pivot_raises(self, lu):
+        # LAPACK calls this matrix singular. Every pivot passes the floor,
+        # but the last, 1.94e84, is what rounding leaves of 1e100 - 1e100:
+        # |gamma_3| / (u (|L||R|)(3, 3)) = 1.75, only 12.5 % below the
+        # threshold gamma_{r+1} / u = 2 / (1 - 2u)
+        M = np.array([[1e200, 1e200, 0.0], [1e-200, 1e-100, 1e-200], [0.0, 1e200, 1e100]])
+        A = gd.make_banded(3, 1, 1, lambda i, j: M[i - 1, j - 1])
+        with pytest.raises(gd.ZeroPivotError, match="step k=3") as err:
+            lu(A)
+        gamma, u = err.value.value, np.finfo(float).eps / 2
+        assert gamma == pytest.approx(1.94e84, rel=1e-2)
+        # (|L||R|)(3, 3) = |L(3, 2)| |R(2, 3)| + |gamma_3|, L(3, 2) = 1e300
+        assert gamma / (u * (1e300 * 1e-200 + gamma)) == pytest.approx(1.75, abs=0.01)
 
     def test_matches_dense_oracle_on_ensemble(self, small_ensemble):
         for A in small_ensemble:
