@@ -41,12 +41,21 @@ row and the bottom generator is the trailing r x r block of A^{-1}. All P_k
 are windows of one band array of A^{-1}, shape (N, w+r), strided like W (the
 last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
 k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
+
+The recursion, too, runs in one of two ways. Long, narrow bands (r max(r, s)
+<= 48 and N >= 512) hold P_k in the local floats of a kernel generated for
+their (r, s) (see :func:`_kernel_source`), which steps through the rows of R
+and f zero-padded past row N; every other shape runs four numpy calls per
+step on the windows of the band array. The kernel sums its products left to
+right, BLAS in its own order, so the two give generators that agree to
+roundoff, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -69,8 +78,13 @@ __all__ = [
 PIVOT_RTOL = np.finfo(float).tiny
 
 # Largest r * s that _eliminate runs on Python floats; wider windows run in
-# numpy. Set below the measured break-even near r * s = 55.
+# numpy. Set below the measured break-even near r * s = 55. The generator
+# recursion runs on Python floats up to the same r * max(r, s).
 _ROWS_MAX_UPDATES = 48
+
+# Smallest N whose generator recursion runs through a generated kernel: its
+# one-time compile pays off from N = 32 at r = s = 1 to N = 512 at r = s = 6.
+_KERNEL_MIN_N = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,11 +301,34 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     block A^{-1}(k : k+w-1, k : k+r-1), w = max(r, s), one window of the
     band array of A^{-1} (see the module docstring); a step writes one
     column and one row of it. Time O(N r w) and memory O(N (r + w)) on top
-    of the factorization. Generators that overflow raise ValueError.
+    of the factorization.
+
+    A step costs a few microseconds of numpy call overhead on the windows,
+    or time in proportion to r w in a kernel of Python floats generated and
+    compiled once per (r, s) (:func:`_kernel_generators`). The kernel takes
+    shapes with r w <= ``_ROWS_MAX_UPDATES`` = 48 and N >= ``_KERNEL_MIN_N``
+    = 512. Counting its compile (0.1 ms at r = s = 1 to 1.3 ms at r w =
+    48), it breaks even with the window loop near N = 32 at r = s = 1, 64
+    at r = 2, s = 3, 128 at r = s = 4, 512 at r = s = 6 and 512 .. 1000 at
+    r w = 48 (process CPU, medians of 7, one BLAS thread, shared 2-vCPU
+    host); at N = 4000, r = s = 4 it takes about 0.4 of the window loop's
+    time. Its generators agree with the window loop's to roundoff (worst
+    3.0e-16 relative to max|p| on 6000 random bands of N <= 24).
+
+    A pivot gamma_k that is zero or not finite, possible only in a
+    ``StructuredLU`` built by hand, raises ZeroPivotError at the first such
+    k; generators that overflow raise ValueError.
     """
     slu = A if isinstance(A, StructuredLU) else structured_lu(A)
     n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
+    size = np.abs(slu.gamma)
+    bad = ~((size > 0.0) & (size < np.inf))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ZeroPivotError(k + 1, float(slu.gamma[k]))
+    if r * w <= _ROWS_MAX_UPDATES and n >= _KERNEL_MIN_N:
+        return _kernel_generators(slu)
     # B[i, t] = A^{-1}(i, i+t-w+1) (0-based). Q[k-1] is P_k with one more
     # column; row 0 of columns 1 .. r holds X_k P_{k+1} until p(k) replaces
     # it. Q holds the whole windows, k = 1 .. N-w+1. S is B read with a
@@ -324,6 +361,75 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
         np.subtract(e1, p, out=p)
         p /= g
     return GreenGenerators(B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], slu.f[: n - r])
+
+
+def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
+    """The recursion of :func:`inverse_green_generators` as one generated kernel.
+
+    The kernel (:func:`_kernel_source`) walks the rows of R and f as Python
+    floats, zero-padded past row and column N, so every step runs the
+    products of a whole window: the first r-1 steps lead to the bottom
+    generator, the rest yield p(N-r) .. p(1).
+    """
+    n, r, s = slu.n, slu.r, slu.s
+    kernel = _recursion_kernel(r, s)
+    state = (1.0 / float(slu.gamma[n - 1]),) + (0.0,) * (max(r, s) * r - 1)
+    steps = zip(slu.R[-2::-1].tolist(), slu.f[::-1].tolist())
+    _, state = kernel(islice(steps, r - 1), state)
+    bottom = np.reshape(state[: r * r], (r, r))
+    p_rows, _ = kernel(steps, state)
+    return GreenGenerators(np.reshape(p_rows, (n - r, r))[::-1], bottom, slu.f[: n - r])
+
+
+@cache
+def _recursion_kernel(r: int, s: int):
+    """The compiled :func:`_kernel_source` of shape (r, s), built once per shape."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(r, s), f"<generator kernel r={r} s={s}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(r: int, s: int) -> str:
+    """Python source of the generator recursion for bandwidths r and s.
+
+    ``kernel(steps, state)`` runs one step per item ``(R[k-1], f[k-1])`` of
+    ``steps`` on the state P_{k+1}: w x r (w = max(r, s)) local floats
+    ``p{i}_{j}``, given row by row in ``state``. It returns the rows p(k) of
+    the P_k it made, concatenated in one list, and the last P_k. Step k
+    forms y = X_k P_{k+1}, then row 0 of P_k, (e_1^T - [-y f, y[:r-1]]) /
+    gamma_k, and rows i = 1 .. w-1, [-P_{k+1}[i-1] f, P_{k+1}[i-1, :r-1]].
+    Each product is rounded, then the products are summed left to right
+    with no fused multiply-add, so the bits depend on r and s only, not on
+    a BLAS build. ``test_generated_source_is_pinned`` shows the source for
+    r = 2, s = 1.
+    """
+    w = max(r, s)
+    P = [[f"p{i}_{j}" for j in range(r)] for i in range(w)]
+    x = [f"x{t}" for t in range(s)]
+    f = [f"f{j}" for j in range(r)]
+    y = [f"y{j}" for j in range(r)]
+
+    def dot(u, v):
+        return " + ".join(f"{a} * {b}" for a, b in zip(u, v)) or "0.0"
+
+    def tup(names):
+        return f"({', '.join(names)}{',' * (len(names) == 1)})"
+
+    rows = [[f"(1.0 + ({dot(y, f)})) / g", *(f"-{v} / g" for v in y[:-1])]]
+    rows += [[f"-({dot(P[i - 1], f)})", *P[i - 1][:-1]] for i in range(1, w)]
+    state = tup([*chain(*P)])
+    return "\n".join([
+        "def kernel(steps, state):",
+        f"    {state} = state",
+        "    out = []",
+        "    push = out.extend",
+        f"    for {tup(['g', *x])}, {tup(f)} in steps:",
+        *(f"        {y[j]} = {dot(x, [P[t][j] for t in range(s)])}" for j in range(r)),
+        f"        {state} = {tup([*chain(*rows)])}",
+        f"        push({tup(P[0])})",
+        f"    return out, {state}",
+        "",
+    ])
 
 
 def p_tail_cross_check(slu: StructuredLU) -> np.ndarray:

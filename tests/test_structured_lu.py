@@ -1,8 +1,13 @@
+import math
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import greendecay as gd
 from conftest import a_block, one_norm
+from greendecay import lu
 
 
 # Finite, but no-pivot elimination overflows at its first step.
@@ -74,6 +79,56 @@ def reference_row_generators(A):
         elif k <= n - r:
             p_rows[k - 1] = P[0]
     return p_rows, bottom
+
+
+def dot_left_to_right(u, v):
+    """Sum of the products u_i v_i, each rounded, summed left to right; 0.0 if empty.
+
+    Not ``sum``, which compensates the rounding of float sums from Python 3.12 on.
+    """
+    return reduce(operator.add, map(operator.mul, u, v)) if u else 0.0
+
+
+def python_row_generators(slu):
+    """The generator recursion on Python floats, written from its definition.
+
+    Test reference for the generated kernel: P_k is a w x r list of rows
+    (w = max(r, s)), zero past row and column N, and every product is
+    rounded and summed left to right, as the kernel is generated. Returns
+    (p_rows, bottom).
+    """
+    n, r, s = slu.n, slu.r, slu.s
+    w = max(r, s)
+    R, F = slu.R.tolist(), slu.f.tolist()
+    P = [[0.0] * r for _ in range(w)]
+    P[0][0] = 1.0 / R[n - 1][0]
+    bottom, p_rows = P[:r], []
+    for k in range(n - 1, 0, -1):
+        g, x, f = R[k - 1][0], R[k - 1][1:], F[k - 1]
+        y = [dot_left_to_right(x, [row[j] for row in P[:s]]) for j in range(r)]
+        first = [(1.0 + dot_left_to_right(y, f)) / g] + [-v / g for v in y[: r - 1]]
+        P = [first] + [[-dot_left_to_right(row, f)] + row[: r - 1] for row in P[: w - 1]]
+        if k == n - r + 1:
+            bottom = P[:r]
+        elif k <= n - r:
+            p_rows.append(P[0])
+    return np.array(p_rows[::-1]), np.array(bottom)
+
+
+def dominant_band(n, r, s):
+    """Column dominant A of bandwidths r and s, entries sin(i + 2j) off the diagonal."""
+    return gd.make_banded(n, r, s, lambda i, j: r + s + 2.0 if i == j else np.sin(i + 2 * j))
+
+
+# Every (r, s) whose generator recursion runs as a generated kernel at N >= 512:
+# 123 shapes, r <= 6 and s <= 48.
+MAX_UPDATES = lu._ROWS_MAX_UPDATES
+KERNEL_SHAPES = [
+    (r, s)
+    for r in range(1, math.isqrt(MAX_UPDATES) + 1)
+    for s in range(MAX_UPDATES + 1)
+    if r * max(r, s) <= MAX_UPDATES
+]
 
 
 def dense_elimination(D, steps):
@@ -368,6 +423,78 @@ class TestInverseGenerators:
             M = gd.lu_bound(A).M
             for i in range(1, A.n - A.r_lower + 2):
                 assert np.abs(gens.p(i)).max() <= M + 1e-12
+
+
+class TestGeneratorKernel:
+    """The recursion of inverse_green_generators as a generated kernel.
+
+    Shapes with r max(r, s) <= lu._ROWS_MAX_UPDATES and N >= lu._KERNEL_MIN_N
+    take it; tests of smaller N force it by lowering _KERNEL_MIN_N.
+    """
+
+    @pytest.mark.parametrize(
+        "n, r, s",
+        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 12), (512, 5, 2),
+         (512, 6, 8)],
+    )
+    def test_kernel_keeps_the_reference_bits(self, n, r, s):
+        slu = gd.structured_lu(dominant_band(n, r, s))
+        gens = gd.inverse_green_generators(slu)
+        p_rows, bottom = python_row_generators(slu)
+        np.testing.assert_array_equal(gens.p_rows, p_rows)
+        np.testing.assert_array_equal(gens.bottom, bottom)
+
+    @pytest.mark.parametrize("r, s", KERNEL_SHAPES, ids=[f"r{r}-s{s}" for r, s in KERNEL_SHAPES])
+    def test_every_admitted_shape_keeps_the_reference_bits(self, monkeypatch, r, s):
+        # N = r + w + 2 runs whole windows and the last w-1 steps, which
+        # reach past row N
+        monkeypatch.setattr(lu, "_KERNEL_MIN_N", 0)
+        slu = gd.structured_lu(dominant_band(r + max(r, s) + 2, r, s))
+        gens = gd.inverse_green_generators(slu)
+        p_rows, bottom = python_row_generators(slu)
+        np.testing.assert_array_equal(gens.p_rows, p_rows)
+        np.testing.assert_array_equal(gens.bottom, bottom)
+
+    def test_generated_source_is_pinned(self):
+        assert lu._kernel_source(2, 1) == (
+            "def kernel(steps, state):\n"
+            "    (p0_0, p0_1, p1_0, p1_1) = state\n"
+            "    out = []\n"
+            "    push = out.extend\n"
+            "    for (g, x0), (f0, f1) in steps:\n"
+            "        y0 = x0 * p0_0\n"
+            "        y1 = x0 * p0_1\n"
+            "        (p0_0, p0_1, p1_0, p1_1) = ((1.0 + (y0 * f0 + y1 * f1)) / g, -y0 / g,"
+            " -(p0_0 * f0 + p0_1 * f1), p0_0)\n"
+            "        push((p0_0, p0_1))\n"
+            "    return out, (p0_0, p0_1, p1_0, p1_1)\n"
+        )
+
+    def test_generator_overflow_is_rejected_on_both_paths(self, monkeypatch):
+        # the matrix of TestFactorization.test_generator_overflow_is_rejected
+        M = np.diag(np.full(3, 1e-200)) + np.diag(np.ones(2), -1)
+        A = gd.make_banded(3, 1, 2, lambda i, j: M[i - 1, j - 1])
+        messages = []
+        for min_n in (0, math.inf):
+            monkeypatch.setattr(lu, "_KERNEL_MIN_N", min_n)
+            with pytest.raises(ValueError, match="non-finite") as err:
+                gd.inverse_green_generators(A)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("min_n", [0, math.inf], ids=["kernel", "windows"])
+    @pytest.mark.parametrize("pivot", [0.0, np.nan], ids=["zero", "nan"])
+    def test_bad_pivot_of_a_built_factorization_raises(self, monkeypatch, min_n, pivot):
+        # a StructuredLU built by hand skips structured_lu's pivot checks; the
+        # first bad pivot, step 4 here, is named before either path divides
+        slu = gd.structured_lu(dominant_band(8, 2, 1))
+        R = slu.R.copy()
+        R[3, 0], R[5, 0] = pivot, 0.0
+        monkeypatch.setattr(lu, "_KERNEL_MIN_N", min_n)
+        with pytest.raises(gd.ZeroPivotError, match="step k=4") as err:
+            gd.inverse_green_generators(gd.StructuredLU(slu.f, R))
+        assert err.value.k == 4
+        assert np.float64(err.value.value).tobytes() == np.float64(pivot).tobytes()
 
 
 class TestTailCrossCheck:
