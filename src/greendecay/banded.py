@@ -1,17 +1,17 @@
 """Banded matrix container, column-dominance metrics, and Matrix Market input.
 
-Matrices are stored densely with the declared bandwidths enforced exactly:
-every entry outside the band is bit-exact zero, not merely small. The public
-API is 1-based (row/column indices i, j run from 1 to N), so
-``A.entry(i, j) == A.data[i - 1, j - 1]``. All containers are immutable after
-construction (backing arrays are marked read-only) and safe to share between
-threads.
+The declared bandwidths are enforced exactly: every entry outside the band
+is bit-exact zero, not merely small. The public API is 1-based (row/column
+indices i, j run from 1 to N), so ``A.entry(i, j) == A.to_dense()[i - 1, j - 1]``.
+All containers are immutable after construction (backing arrays are marked
+read-only) and safe to share between threads.
 
 Every constructor builds A from its band array V of shape
 (N, r_lower + r_upper + 1), ``V[i, t] = A(i, i + t - r_lower)`` (0-based),
-and one writer puts V onto the band diagonals of a fresh N x N array;
-:meth:`BandedMatrix.band` reads the band array back. No other module knows
-how ``data`` is laid out. ``make_banded`` samples only the band:
+with zeros where that lies outside the matrix, and keeps V, read-only. The
+readers read V alone: :meth:`BandedMatrix.band` copies it, ``entry`` and
+``_diagonal`` index it, so none of them touches more than the band. No other
+module knows how V is laid out. ``make_banded`` samples only the band:
 O(N (r_lower + r_upper + 1)) calls of its entry function.
 ``read_matrix_market`` fills V from the summed file entries. Dense input
 (``BandedMatrix(...)``, ``from_dense``) is scanned in full but not copied:
@@ -19,7 +19,9 @@ only a scan can show that its entries outside the band are zero, and then
 its band diagonals are read into V. A -0.0 outside the band of dense input
 is therefore stored as +0.0.
 
-The fresh N x N array is a zero-filled private anonymous memory mapping,
+One writer also puts V onto the band diagonals of a fresh N x N array,
+``data``, the dense image behind :meth:`BandedMatrix.to_dense` and callers
+outside the package. It is a zero-filled private anonymous memory mapping,
 not an ``np.zeros`` allocation: the kernel maps a page only when it is first
 written, so only the pages that hold band entries become resident,
 O(N (r_lower + r_upper + 1) * 8) bytes rounded up to whole 4 KiB pages,
@@ -54,12 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BandedMatrix:
-    """Dense-backed real N x N matrix with declared lower/upper bandwidths.
+    """Real N x N matrix with declared lower/upper bandwidths, kept as its band.
 
-    ``data`` is a read-only, C-ordered float64 N x N array on a memory
-    mapping of which only the pages holding the band are resident (see the
-    module docstring), whatever the constructor: dense input is checked and
-    its band copied over, the array itself is not kept.
+    The band array V (see the module docstring), kept read-only as ``_V``,
+    is what every reader uses. ``data`` is its read-only, C-ordered float64
+    N x N image on a memory mapping of which only the pages holding the band
+    are resident, whatever the constructor: dense input is checked and its
+    band copied over, the array itself is not kept.
 
     Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero,
     and every entry is finite (NaN and +-inf are rejected).
@@ -89,10 +92,10 @@ class BandedMatrix:
     def _from_band(cls, V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
         """Build A from its band array, ``V[i, t] = A(i, i + t - r_lower)`` (0-based).
 
-        Entries of V that fall outside the matrix are ignored. The dimension
-        and finiteness checks, and their messages, are those of
-        ``BandedMatrix(...)``; the out-of-band zeros hold by construction, so
-        there is nothing to scan.
+        V is the caller's new array, kept as it is, and its entries that fall
+        outside the matrix are zero. The dimension and finiteness checks, and
+        their messages, are those of ``BandedMatrix(...)``; the out-of-band
+        zeros hold by construction, so there is nothing to scan.
         """
         n = len(V)
         _check_dimensions(n, r_lower, r_upper)
@@ -104,13 +107,14 @@ class BandedMatrix:
         return self
 
     def _store(self, V: np.ndarray) -> None:
-        """Write the band V onto fresh mapped zeros, check it is finite, freeze and store it."""
+        """Write the band V onto fresh mapped zeros, check it is finite, freeze and store both."""
         data = _band_to_dense(V, self.r_lower, _mapped_zeros(self.n))
-        # only an entry that reached data is an error; V's entries outside
-        # the matrix are ignored
+        # V's entries outside the matrix are zero, so a non-finite one is in data
         if not np.isfinite(V).all():
             _raise_first_non_finite(data)
-        data.flags.writeable = False
+        for arr in (V, data):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_V", V)
         object.__setattr__(self, "data", data)
 
     def band(self, pad: int = 0) -> np.ndarray:
@@ -121,7 +125,7 @@ class BandedMatrix:
         at the bottom among them, are zero. The array is the caller's to
         overwrite.
         """
-        return _read_band(self.data, self.r_lower, self.r_upper, pad)
+        return np.concatenate((self._V, np.zeros((pad, self._V.shape[1]))))
 
     def to_dense(self) -> np.ndarray:
         """New writable dense N x N array of A, the caller's to overwrite."""
@@ -131,7 +135,8 @@ class BandedMatrix:
         """1-based entry access: A(i, j)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"indices ({i}, {j}) outside 1..{self.n}")
-        return float(self.data[i - 1, j - 1])
+        t = j - i + self.r_lower
+        return float(self._V[i - 1, t]) if 0 <= t < self._V.shape[1] else 0.0
 
     def is_symmetric(self) -> bool:
         """|A(i, j) - A(j, i)| <= 1e-12 * max|A| for all i, j.
@@ -224,15 +229,15 @@ def _band_to_dense(V: np.ndarray, r_lower: int, out: np.ndarray | None = None) -
     return out
 
 
-def _read_band(data: np.ndarray, r_lower: int, r_upper: int, pad: int = 0) -> np.ndarray:
-    """Band array of the N x N ``data``, shape (N + pad, r_lower + r_upper + 1).
+def _read_band(data: np.ndarray, r_lower: int, r_upper: int) -> np.ndarray:
+    """Band array of the N x N ``data``, shape (N, r_lower + r_upper + 1).
 
     The inverse of :func:`_band_to_dense` on the band: ``V[i, t] =
     data[i, i + t - r_lower]``, zero where that lies outside the matrix.
     Only the band diagonals of ``data`` are read.
     """
     n = len(data)
-    V = np.zeros((n + pad, r_lower + r_upper + 1))
+    V = np.zeros((n, r_lower + r_upper + 1))
     for t, d in enumerate(range(-r_lower, r_upper + 1)):
         diag = data.diagonal(d)
         V[max(0, -d) :, t][: diag.size] = diag
@@ -240,8 +245,15 @@ def _read_band(data: np.ndarray, r_lower: int, r_upper: int, pad: int = 0) -> np
 
 
 def _diagonal(A: BandedMatrix, d: int) -> np.ndarray:
-    """Read-only view of diagonal d of A, the entries A(i, i + d); no copy."""
-    return A.data.diagonal(d)
+    """Diagonal d of A, the N - |d| entries A(i, i + d).
+
+    Inside the band it is a read-only view of a column of V, no copy; a d
+    outside the band gives new zeros.
+    """
+    n, r = A.n, A.r_lower
+    if not -r <= d <= A.r_upper:
+        return np.zeros(n - abs(d))
+    return A._V[max(0, -d) : n - max(0, d), r + d]
 
 
 def _raise_first_non_finite(data: np.ndarray) -> None:
@@ -309,8 +321,8 @@ def _band_column_sums(A: BandedMatrix, fn) -> np.ndarray:
     Diagonal d holds the entries A(i, i + d), so running d from r_upper down
     to -r_lower, skipping d = 0, adds each column's off-diagonal band entries
     top to bottom. Whenever fn maps 0 to 0 this gives the same bits as the
-    full ``fn(A.data).sum(axis=0)`` with the diagonal set to zero, since the
-    zero terms of that sum change nothing. The diagonal is skipped rather
+    full ``fn(A.to_dense()).sum(axis=0)`` with the diagonal set to zero,
+    since the zero terms of that sum change nothing. The diagonal is skipped rather
     than subtracted afterwards: a diagonal that dwarfs the rest of its column
     would cancel the off-diagonal terms to zero.
     """

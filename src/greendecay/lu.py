@@ -31,10 +31,6 @@ view of W (row stride w-1 inside a window, w = r+s+1). The multipliers
 replace the entries they eliminate, as in ``dgbtrf``, so R, the pivots and
 f are views of W: O(N (r+s)) memory and O(N r s) time.
 
-Narrow windows (r s <= 48) are eliminated on Python floats, wider ones,
-the one-sided among them, with numpy calls on the window views; both round
-every operation alike and leave the same bits (see :func:`_eliminate`).
-
 The recursion's state P_k is the block A^{-1}(k : k+w-1, k : k+r-1)
 (1-based, w = max(r, s) here), so p(k) = A^{-1}(k, k : k+r-1) is its first
 row and the bottom generator is the trailing r x r block of A^{-1}. All P_k
@@ -42,17 +38,25 @@ are windows of one band array of A^{-1}, shape (N, w+r), strided like W (the
 last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
 k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
 
-The recursion, too, runs in one of two ways. Long, narrow bands (r max(r, s)
-<= 48 and N >= 512) hold P_k in the local floats of a kernel generated for
-their (r, s) (see :func:`_kernel_source`), which steps through the rows of R
-and f zero-padded past row N; every other shape runs four numpy calls per
-step on the windows of the band array. The kernel sums its products left to
-right, BLAS in its own order, so the two give generators that agree to
-roundoff, not bit for bit.
+Both stages run in one of two ways, picked by one rule. Long, narrow bands
+(r max(r, s) <= 48 and N >= 512) run as one pipeline of Python floats, two
+kernels generated for their (r, s): the elimination kernel
+(:func:`_elimination_source`) holds the trailing r x s block of the window
+in local floats, reads the entries that enter each window from W and
+pushes each step's f_k and row k of R onto one flat list, and the
+recursion kernel (:func:`_recursion_source`) holds P_k in local floats and
+reads that same list backwards, zero-padded past row N. ``f`` and ``R``
+are views of one array built once from the list. Every other shape, and
+every Schur complement, runs numpy calls on the windows: three per
+elimination step, four per recursion step. Both eliminations round every
+operation alike and leave the same bits; the recursion kernel sums its
+products left to right, BLAS in its own order, so the two recursions give
+generators that agree to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -77,13 +81,14 @@ __all__ = [
 # dominance the pivots stay above (1 - mu^2)|A(k, k)|.
 PIVOT_RTOL = np.finfo(float).tiny
 
-# Largest r * s that _eliminate runs on Python floats; wider windows run in
-# numpy. Set below the measured break-even near r * s = 55. The generator
-# recursion runs on Python floats up to the same r * max(r, s).
+# Largest r * max(r, s) whose factorization and generator recursion run as
+# generated kernels on Python floats; wider bands run numpy calls on windows,
+# whose call overhead per step does not grow with r and s.
 _ROWS_MAX_UPDATES = 48
 
-# Smallest N whose generator recursion runs through a generated kernel: its
-# one-time compile pays off from N = 32 at r = s = 1 to N = 512 at r = s = 6.
+# Smallest N whose factorization and recursion run as generated kernels: the
+# one-time compile of both pays off from N = 40 at r = s = 1 to N = 300 at
+# r = s = 6 and 600 .. 1000 at r max(r, s) = 48 with r >= 2.
 _KERNEL_MIN_N = 512
 
 
@@ -91,9 +96,10 @@ _KERNEL_MIN_N = 512
 class StructuredLU:
     """Per-step elimination data of the banded no-pivot LU factorization.
 
-    Both arrays are read-only views of the band work array that
-    :func:`structured_lu` eliminates in; neither is N x N unless the upper
-    bandwidth s is. ``R`` is the (N, s+1) band of the upper factor,
+    Both arrays are read-only views of one array that :func:`structured_lu`
+    makes: the band work array it eliminates in, or the ``[f | R]`` array
+    of its elimination kernel; neither is N x N unless the upper bandwidth s
+    is. ``R`` is the (N, s+1) band of the upper factor,
     ``R[k-1, t] = R(k, k+t)``, so row k-1 right of its first entry is the
     subrow X_k of the generator recursion; entries past column N are zero.
     ``f`` is (N-1, r): ``f[k-1]`` holds the multipliers f_k of step k, and
@@ -143,44 +149,35 @@ def _windows(W: np.ndarray, r: int, s: int) -> np.ndarray:
     return np.ndarray((n, r + 1, s + 1), W.dtype, W, r * b, (w * b, (w - 1) * b, b))
 
 
+def _pivot_floor(W: np.ndarray) -> float:
+    """PIVOT_RTOL * max|W|, without a copy of |W|."""
+    return float(PIVOT_RTOL * max(W.max(), -W.min()))
+
+
+def _on_floats(n: int, r: int, s: int) -> bool:
+    """Whether the factorization and the recursion of this shape run as generated kernels."""
+    return r * max(r, s) <= _ROWS_MAX_UPDATES and n >= _KERNEL_MIN_N
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
     """Run elimination steps 1 .. ``steps`` on the band work array ``W`` in place.
 
     Step k divides the r entries below the pivot A(k, k) by it, leaving the
     multipliers f_k where column k was, and subtracts the multiples of row k
-    from the next s columns (no-pivot LU creates no fill beyond s). Past row
-    and column N the window holds zeros and computes 0 / g, 0 - f * 0 and
-    x - 0 * u: the padding stays (signed) zero, and the entries of A get the
-    arithmetic of a window cut at N.
-
-    A step's r divisions and r s multiply-subtracts run in one of two loops,
-    chosen by r s alone. As three numpy calls on views of the window
-    (:func:`_eliminate_windows`) a step costs a few microseconds of call
-    overhead at any r and s; as Python floats on the rows of ``W.tolist()``
-    (:func:`_eliminate_rows`) it costs in proportion to r s. The row loop
-    takes 0.45 of the window loop's time at r = s = 4 and breaks even near
-    r s = 55 (N = 500, medians of 11 runs on a shared 2-vCPU host), so it
-    runs up to ``_ROWS_MAX_UPDATES`` = 48; one-sided windows (s = N-1) keep
-    numpy. Each loop rounds every quotient, product and difference once, as
-    an IEEE double operation on the same operands in the same order, with no
-    fused multiply-add, so on return both have left the same bits in W, and
-    both raise the same error.
+    from the next s columns (no-pivot LU creates no fill beyond s): three
+    numpy calls on views of window k. Past row and column N the window holds
+    zeros and computes 0 / g, 0 - f * 0 and x - 0 * u: the padding stays
+    (signed) zero, and the entries of A get the arithmetic of a window cut
+    at N. Long, narrow bands are factored by :func:`_eliminate_kernel`
+    instead, with the same arithmetic and the same bits.
 
     A pivot that is zero, below the floor or not finite raises
     ZeroPivotError at its step. Overflow runs on, but inf and NaN never turn
     finite (0 * inf is NaN) and reach a later pivot along their row; only an
     early stop (:func:`schur_complement`) leaves them to the final check.
     """
-    floor = PIVOT_RTOL * max(W.max(), -W.min())  # max|W| without a copy of |W|
-    loop = _eliminate_rows if r * s <= _ROWS_MAX_UPDATES else _eliminate_windows
-    loop(W, r, s, steps, float(floor))
-    if not np.isfinite(W).all():
-        raise ZeroPivotError(steps, float(W[steps - 1, r]))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _eliminate_windows(W: np.ndarray, r: int, s: int, steps: int, floor: float) -> None:
-    """The steps of :func:`_eliminate` as three numpy calls on each window."""
+    floor = _pivot_floor(W)
     G = _windows(W, r, s)
     windows = zip(G[:steps, 0, 0], G[:, 1:, 0], G[:, 0, 1:], G[:, 1:, 1:])
     for k, (g, f, u, T) in enumerate(windows, start=1):
@@ -188,29 +185,35 @@ def _eliminate_windows(W: np.ndarray, r: int, s: int, steps: int, floor: float) 
             raise ZeroPivotError(k, float(g))
         f /= g
         T -= np.multiply.outer(f, u)
+    if not np.isfinite(W).all():
+        raise ZeroPivotError(steps, float(W[steps - 1, r]))
 
 
-def _eliminate_rows(W: np.ndarray, r: int, s: int, steps: int, floor: float) -> None:
-    """The steps of :func:`_eliminate` on the rows of W as lists of floats.
+def _eliminate_kernel(W: np.ndarray, r: int, s: int, steps: int) -> tuple[np.ndarray, list]:
+    """Steps 1 .. ``steps`` of :func:`_eliminate` in the generated kernel.
 
-    Row k+i of window k holds f_i at column r-i and T[i, j] at r-i+j, and
-    row k holds u_j at r+j. A Python float operation rounds once, as a numpy
-    one does, and f_i * u_j is rounded before it is subtracted, as in
-    ``T -= np.multiply.outer(f, u)``.
+    The kernel (:func:`_elimination_source`) starts from the r x s block
+    A(1 : r, 1 : s) of window 1 and takes the r+s+1 entries that enter
+    window k, the column A(k : k+r-1, k+s) and the row A(k+r, k : k+s), as
+    one step of a flat list of Python floats read from W; W itself is not
+    written. Each step's f_k and row k of R go, in that order, into one flat
+    list. Returns the (steps, r+s+1) read-only array ``[f | R]`` of that
+    list, row k-1 for step k, and the list itself. The pivot floor and the
+    final check are those of :func:`_eliminate`; the check also covers the
+    kernel's last block, the r x s entries that W would hold below row
+    ``steps`` and that an early stop leaves unread by any pivot test.
     """
-    rows = W.tolist()
-    plan = [(i, r - i, [(r - i + j, r + j) for j in range(1, s + 1)]) for i in range(1, r + 1)]
-    for k in range(steps):
-        top = rows[k]
-        g = top[r]
-        if not floor < abs(g) < np.inf:
-            raise ZeroPivotError(k + 1, g)
-        for i, c, cols in plan:
-            row = rows[k + i]
-            f = row[c] = row[c] / g
-            for t, j in cols:
-                row[t] -= f * top[j]
-    W[:] = rows
+    m = r + s + 1
+    G = _windows(W, r, s)
+    entering = iter(np.concatenate((G[:steps, :r, s], G[:steps, r]), axis=1).ravel().tolist())
+    kernel = _kernel(_elimination_source, r, s)
+    state = tuple(G[0, :r, :s].ravel().tolist())
+    flat, state = kernel(zip(*[entering] * m), state, _pivot_floor(W))
+    F = np.fromiter(flat, float, len(flat)).reshape(steps, m)
+    if not (np.isfinite(F).all() and np.isfinite(state).all()):
+        raise ZeroPivotError(steps, float(F[steps - 1, r]))
+    F.flags.writeable = False
+    return F, flat
 
 
 def structured_lu(A: BandedMatrix) -> StructuredLU:
@@ -226,7 +229,10 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     -------
     StructuredLU
         Band factor data with ``lower_factor() @ upper_factor() == A`` up
-        to roundoff.
+        to roundoff. Long, narrow bands (r max(r, s) <= 48 and N >= 512)
+        are factored by a kernel generated for their (r, s), every other
+        shape by numpy calls on the windows of the band work array; both
+        round every operation alike and leave the same bits.
 
     Raises
     ------
@@ -237,15 +243,25 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         bound gamma_{r+1} (|L||R|)(k, k); the error carries the 1-based step
         index of the first such pivot.
     """
+    return _factor(A)[0]
+
+
+def _factor(A: BandedMatrix) -> tuple[StructuredLU, list | None]:
+    """:func:`structured_lu`, with the flat list of f and R where the kernel made one."""
     n, r, s = A.n, A.r_lower, A.r_upper
     W = A.band(r)
     # step N has no row left to eliminate; it only checks the last pivot
-    _eliminate(W, r, s, n)
-    # freeze W instead of copying it; every factor array is a view of it
-    W.flags.writeable = False
-    slu = StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
+    if _on_floats(n, r, s):
+        F, flat = _eliminate_kernel(W, r, s, n)
+        slu = StructuredLU(F[: n - 1, :r], F[:, r:])
+    else:
+        flat = None
+        _eliminate(W, r, s, n)
+        # freeze W instead of copying it; every factor array is a view of it
+        W.flags.writeable = False
+        slu = StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
     _reject_residue_pivots(slu)
-    return slu
+    return slu, flat
 
 
 def _reject_residue_pivots(slu: StructuredLU) -> None:
@@ -307,19 +323,24 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     or time in proportion to r w in a kernel of Python floats generated and
     compiled once per (r, s) (:func:`_kernel_generators`). The kernel takes
     shapes with r w <= ``_ROWS_MAX_UPDATES`` = 48 and N >= ``_KERNEL_MIN_N``
-    = 512. Counting its compile (0.1 ms at r = s = 1 to 1.3 ms at r w =
-    48), it breaks even with the window loop near N = 32 at r = s = 1, 64
-    at r = 2, s = 3, 128 at r = s = 4, 512 at r = s = 6 and 512 .. 1000 at
-    r w = 48 (process CPU, medians of 7, one BLAS thread, shared 2-vCPU
-    host); at N = 4000, r = s = 4 it takes about 0.4 of the window loop's
-    time. Its generators agree with the window loop's to roundoff (worst
-    3.0e-16 relative to max|p| on 6000 random bands of N <= 24).
+    = 512, the shapes :func:`structured_lu` factors in its own kernel;
+    given A, the recursion reads that kernel's list of f and R as it is,
+    given the factorization, one list made from ``[f | R]``. Counting both
+    compiles (0.2 ms at r = s = 1 to 2 ms at r w = 48), factorization and
+    recursion from A together break even with the window loops near N = 40
+    at r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6
+    and 600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians
+    of 7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48 they stay
+    slower to N = 1024. At N = 4000, r = s = 4 they take about 0.3 of the
+    window loops' time. The generators agree with the window loop's to
+    roundoff (worst 3.0e-16 relative to max|p| on 6000 random bands of N <=
+    24).
 
     A pivot gamma_k that is zero or not finite, possible only in a
     ``StructuredLU`` built by hand, raises ZeroPivotError at the first such
     k; generators that overflow raise ValueError.
     """
-    slu = A if isinstance(A, StructuredLU) else structured_lu(A)
+    slu, flat = (A, None) if isinstance(A, StructuredLU) else _factor(A)
     n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
     size = np.abs(slu.gamma)
@@ -327,8 +348,8 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     if bad.any():
         k = int(bad.argmax())
         raise ZeroPivotError(k + 1, float(slu.gamma[k]))
-    if r * w <= _ROWS_MAX_UPDATES and n >= _KERNEL_MIN_N:
-        return _kernel_generators(slu)
+    if _on_floats(n, r, s):
+        return _kernel_generators(slu, flat)
     # B[i, t] = A^{-1}(i, i+t-w+1) (0-based). Q[k-1] is P_k with one more
     # column; row 0 of columns 1 .. r holds X_k P_{k+1} until p(k) replaces
     # it. Q holds the whole windows, k = 1 .. N-w+1. S is B read with a
@@ -363,18 +384,25 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     return GreenGenerators(B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], slu.f[: n - r])
 
 
-def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
+def _kernel_generators(slu: StructuredLU, flat: list | None) -> GreenGenerators:
     """The recursion of :func:`inverse_green_generators` as one generated kernel.
 
-    The kernel (:func:`_kernel_source`) walks the rows of R and f as Python
-    floats, zero-padded past row and column N, so every step runs the
+    ``flat`` is the elimination kernel's list of f_k and row k of R for
+    k = 1 .. N (:func:`_eliminate_kernel`), or None, and then one list of
+    ``[f | R]`` for k = 1 .. N-1 is made from ``slu``. The kernel
+    (:func:`_recursion_source`) reads the list backwards from step N-1 as
+    Python floats, zero-padded past row and column N, so every step runs the
     products of a whole window: the first r-1 steps lead to the bottom
     generator, the rest yield p(N-r) .. p(1).
     """
     n, r, s = slu.n, slu.r, slu.s
-    kernel = _recursion_kernel(r, s)
+    m = r + s + 1
+    if flat is None:
+        flat = np.concatenate((slu.f, slu.R[:-1]), axis=1).ravel().tolist()
+    kernel = _kernel(_recursion_source, r, s)
     state = (1.0 / float(slu.gamma[n - 1]),) + (0.0,) * (max(r, s) * r - 1)
-    steps = zip(slu.R[-2::-1].tolist(), slu.f[::-1].tolist())
+    backwards = islice(reversed(flat), len(flat) - (n - 1) * m, None)
+    steps = zip(*[backwards] * m)  # one step of m floats per item
     _, state = kernel(islice(steps, r - 1), state)
     bottom = np.reshape(state[: r * r], (r, r))
     p_rows, _ = kernel(steps, state)
@@ -382,26 +410,74 @@ def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
 
 
 @cache
-def _recursion_kernel(r: int, s: int):
-    """The compiled :func:`_kernel_source` of shape (r, s), built once per shape."""
-    namespace: dict = {}
-    exec(compile(_kernel_source(r, s), f"<generator kernel r={r} s={s}>", "exec"), namespace)
+def _kernel(source, r: int, s: int):
+    """The function ``kernel`` that ``source(r, s)`` defines, compiled once per shape."""
+    namespace = {"ZeroPivotError": ZeroPivotError, "inf": math.inf}
+    exec(compile(source(r, s), f"<{source.__name__} r={r} s={s}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _kernel_source(r: int, s: int) -> str:
+def _tuple(names: list[str]) -> str:
+    """Source of the tuple of ``names``."""
+    return f"({', '.join(names)}{',' * (len(names) == 1)})"
+
+
+def _elimination_source(r: int, s: int) -> str:
+    """Python source of the band elimination for bandwidths r and s.
+
+    ``kernel(steps, state, floor)`` runs one step per item of ``steps``, the
+    entries that enter window k in one tuple. Window k of :func:`_windows`,
+    G[i, j] = A(k+i, k+j) for i <= r and j <= s, is held in local floats:
+    its first r rows and s columns, ``t{i}_{j}``, are the state (given row
+    by row in ``state``), and the column ``c{i}`` = G[i, s], i < r, and the
+    row ``b{j}`` = G[r, j] enter with the step. The step tests the pivot
+    g = G[0, 0] against ``floor``, divides f_i = G[i, 0] / g, pushes f_k
+    and row k of R, (g, G[0, 1 : s+1]), onto one list and forms the next
+    state G[i, j] - f_i * G[0, j], i = 1 .. r, j = 1 .. s: the operations
+    of :func:`_eliminate`, each rounded once. It returns the list and the
+    last state. A pivot that fails the floor test raises ZeroPivotError at
+    its step. ``test_elimination_source_is_pinned`` shows the source for
+    r = 2, s = 1.
+    """
+
+    def G(i, j):
+        return f"b{j}" if i == r else f"c{i}" if j == s else f"t{i}_{j}"
+
+    state = _tuple([G(i, j) for i in range(r) for j in range(s)])
+    f = [f"f{i}" for i in range(r)]
+    new = [f"{G(i, j)} - {f[i - 1]} * {G(0, j)}" for i in range(1, r + 1) for j in range(1, s + 1)]
+    entering = _tuple([*(G(i, s) for i in range(r)), *(G(r, j) for j in range(s + 1))])
+    return "\n".join([
+        "def kernel(steps, state, floor):",
+        *([f"    {state} = state"] if s else []),
+        "    out = []",
+        "    push = out.extend",
+        f"    for k, {entering} in enumerate(steps, 1):",
+        f"        g = {G(0, 0)}",
+        "        if not floor < abs(g) < inf:",
+        "            raise ZeroPivotError(k, g)",
+        *(f"        {f[i - 1]} = {G(i, 0)} / g" for i in range(1, r + 1)),
+        f"        push({_tuple([*f, 'g', *(G(0, j) for j in range(1, s + 1))])})",
+        *([f"        {state} = {_tuple(new)}"] if s else []),
+        f"    return out, {state if s else '()'}",
+        "",
+    ])
+
+
+def _recursion_source(r: int, s: int) -> str:
     """Python source of the generator recursion for bandwidths r and s.
 
-    ``kernel(steps, state)`` runs one step per item ``(R[k-1], f[k-1])`` of
-    ``steps`` on the state P_{k+1}: w x r (w = max(r, s)) local floats
-    ``p{i}_{j}``, given row by row in ``state``. It returns the rows p(k) of
-    the P_k it made, concatenated in one list, and the last P_k. Step k
-    forms y = X_k P_{k+1}, then row 0 of P_k, (e_1^T - [-y f, y[:r-1]]) /
-    gamma_k, and rows i = 1 .. w-1, [-P_{k+1}[i-1] f, P_{k+1}[i-1, :r-1]].
-    Each product is rounded, then the products are summed left to right
-    with no fused multiply-add, so the bits depend on r and s only, not on
-    a BLAS build. ``test_generated_source_is_pinned`` shows the source for
-    r = 2, s = 1.
+    ``kernel(steps, state)`` runs one step per item of ``steps``, step k's
+    row k of R and f_k read backwards, ``(R(k, k+s), .., R(k, k+1), gamma_k,
+    f_k[r-1], .., f_k[0])``, on the state P_{k+1}: w x r (w = max(r, s))
+    local floats ``p{i}_{j}``, given row by row in ``state``. It returns the
+    rows p(k) of the P_k it made, concatenated in one list, and the last
+    P_k. Step k forms y = X_k P_{k+1}, then row 0 of P_k, (e_1^T - [-y f,
+    y[:r-1]]) / gamma_k, and rows i = 1 .. w-1, [-P_{k+1}[i-1] f,
+    P_{k+1}[i-1, :r-1]]. Each product is rounded, then the products are
+    summed left to right with no fused multiply-add, so the bits depend on
+    r and s only, not on a BLAS build. ``test_generated_source_is_pinned``
+    shows the source for r = 2, s = 1.
     """
     w = max(r, s)
     P = [[f"p{i}_{j}" for j in range(r)] for i in range(w)]
@@ -412,21 +488,18 @@ def _kernel_source(r: int, s: int) -> str:
     def dot(u, v):
         return " + ".join(f"{a} * {b}" for a, b in zip(u, v)) or "0.0"
 
-    def tup(names):
-        return f"({', '.join(names)}{',' * (len(names) == 1)})"
-
     rows = [[f"(1.0 + ({dot(y, f)})) / g", *(f"-{v} / g" for v in y[:-1])]]
     rows += [[f"-({dot(P[i - 1], f)})", *P[i - 1][:-1]] for i in range(1, w)]
-    state = tup([*chain(*P)])
+    state = _tuple([*chain(*P)])
     return "\n".join([
         "def kernel(steps, state):",
         f"    {state} = state",
         "    out = []",
         "    push = out.extend",
-        f"    for {tup(['g', *x])}, {tup(f)} in steps:",
+        f"    for {_tuple([*x[::-1], 'g', *f[::-1]])} in steps:",
         *(f"        {y[j]} = {dot(x, [P[t][j] for t in range(s)])}" for j in range(r)),
-        f"        {state} = {tup([*chain(*rows)])}",
-        f"        push({tup(P[0])})",
+        f"        {state} = {_tuple([*chain(*rows)])}",
+        f"        push({_tuple(P[0])})",
         f"    return out, {state}",
         "",
     ])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import greendecay as gd
 from conftest import one_norm
 from greendecay import lu
-from greendecay.banded import _band_column_sums
+from greendecay.banded import _band_column_sums, _diagonal
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -190,29 +190,51 @@ def test_band_kernel_matches_dense_elimination(A, data):
     )
 
 
-# Values of lu._ROWS_MAX_UPDATES under which _eliminate takes one loop for
-# every r * s: the row loop on Python floats, or the numpy window loop.
-ROW_LOOP, WINDOW_LOOP = math.inf, -1
+# Values of lu._KERNEL_MIN_N that force one path onto every shape, with
+# lu._ROWS_MAX_UPDATES lifted: the generated kernels, or the numpy window loops.
+KERNEL, WINDOWS = 0, math.inf
 
 
-def eliminate_with(loop, A, steps):
-    """W's bytes after ``steps`` elimination steps in the given loop, or (k, pivot bytes)."""
-    W = A.band(A.r_lower)
-    with mock.patch.object(lu, "_ROWS_MAX_UPDATES", loop):
+def forced(min_n):
+    """Patch lu so that every shape takes the path min_n stands for."""
+    return mock.patch.multiple(lu, _KERNEL_MIN_N=min_n, _ROWS_MAX_UPDATES=math.inf)
+
+
+def factor_with(min_n, A):
+    """Bytes of structured_lu's f and R on the path min_n forces, or (k, pivot bytes)."""
+    with forced(min_n):
         try:
-            lu._eliminate(W, A.r_lower, A.r_upper, steps)
+            slu = gd.structured_lu(A)
         except gd.ZeroPivotError as err:
             return err.k, np.float64(err.value).tobytes()
-    return W.tobytes()
+    return slu.f.tobytes(), slu.R.tobytes()
+
+
+def eliminate_with(min_n, A, steps):
+    """Bytes of f_1 .. f_steps and R's rows 1 .. steps after ``steps`` elimination
+    steps in the loop min_n stands for, or (k, pivot bytes); steps < N is an early stop."""
+    r, s = A.r_lower, A.r_upper
+    W = A.band(r)
+    try:
+        if min_n == KERNEL:
+            F, _ = lu._eliminate_kernel(W, r, s, steps)
+            f, R = F[:, :r], F[:, r:]
+        else:
+            lu._eliminate(W, r, s, steps)
+            f, R = lu._windows(W, r, s)[:steps, 1:, 0], W[:steps, r:]
+    except gd.ZeroPivotError as err:
+        return err.k, np.float64(err.value).tobytes()
+    return f.tobytes(), R.tobytes()
 
 
 @PROPERTY
 @given(A=any_band(), data=st.data())
-def test_row_and_window_loops_leave_the_same_bits(A, data):
-    # r * s falls on both sides of lu._ROWS_MAX_UPDATES, one-sided s = N-1
-    # included, and steps < N is the schur_complement path
-    steps = data.draw(st.one_of(st.just(A.n), st.integers(1, A.n)), label="steps")
-    assert eliminate_with(ROW_LOOP, A, steps) == eliminate_with(WINDOW_LOOP, A, steps)
+def test_kernel_and_window_eliminations_leave_the_same_bits(A, data):
+    # every shape, one-sided s = N-1 included, through structured_lu, and an
+    # early stop (steps < N, as schur_complement makes) through both loops
+    assert factor_with(KERNEL, A) == factor_with(WINDOWS, A)
+    steps = data.draw(st.integers(1, A.n), label="steps")
+    assert eliminate_with(KERNEL, A, steps) == eliminate_with(WINDOWS, A, steps)
 
 
 # Worst measured gap between the kernel and the window recursion, relative
@@ -224,13 +246,16 @@ KERNEL_RTOL = 4e-15
 @PROPERTY
 @given(A=any_band())
 def test_kernel_and_window_recursions_agree(A):
-    # lu._KERNEL_MIN_N = 0 with no bound on r * max(r, s) forces the
-    # generated kernel onto every shape, one-sided ones included; an infinite
-    # _KERNEL_MIN_N forces the numpy window loop
+    # every shape, one-sided ones included; given A, the recursion kernel
+    # reads the elimination kernel's list, given the factorization one list
+    # made from [f | R], and both give the same bits
     slu = gd.structured_lu(A)
-    with mock.patch.multiple(lu, _KERNEL_MIN_N=0, _ROWS_MAX_UPDATES=math.inf):
+    with forced(KERNEL):
         kernel = gd.inverse_green_generators(slu)
-    with mock.patch.object(lu, "_KERNEL_MIN_N", math.inf):
+        from_A = gd.inverse_green_generators(A)
+    for name in ("p_rows", "bottom", "f"):
+        assert getattr(from_A, name).tobytes() == getattr(kernel, name).tobytes()
+    with forced(WINDOWS):
         window = gd.inverse_green_generators(slu)
     scale = max(np.abs(window.p_rows).max(), np.abs(window.bottom).max())
     assert np.abs(kernel.p_rows - window.p_rows).max() <= KERNEL_RTOL * scale
@@ -243,15 +268,18 @@ def test_kernel_and_window_recursions_agree(A):
         ([[0.0, 1.0], [1.0, 0.0]], 2, 1, 0.0),
         ([[1e-310, 1.0], [1.0, 1.0]], 2, 1, 1e-310),
         ([[TINY, 1.0], [1.0, 1.0]], 2, 1, TINY),
-        # step 1 overflows A(2, 2), which no later pivot test reads
+        # step 1 overflows A(2, 2), which no later pivot test reads; the
+        # kernel holds it in its last block, not in f or R
         ([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]], 1, 1, 1.0),
     ],
     ids=["zero-pivot", "below-floor", "at-floor", "final-check"],
 )
-def test_row_and_window_loops_raise_alike(dense, steps, k, pivot):
+def test_kernel_and_window_eliminations_raise_alike(dense, steps, k, pivot):
     A = gd.from_dense(np.array(dense))
     want = (k, np.float64(pivot).tobytes())
-    assert eliminate_with(ROW_LOOP, A, steps) == eliminate_with(WINDOW_LOOP, A, steps) == want
+    assert eliminate_with(KERNEL, A, steps) == eliminate_with(WINDOWS, A, steps) == want
+    if steps == A.n:
+        assert factor_with(KERNEL, A) == factor_with(WINDOWS, A) == want
 
 
 @PROPERTY
@@ -394,3 +422,29 @@ def test_every_constructor_writes_the_same_bytes(shape, seed):
         path.write_text(text)
         got = gd.read_matrix_market(path)
     assert got.data.tobytes() == (D + 0.0).tobytes()
+
+
+@PROPERTY
+@given(A=any_band(), data=st.data())
+def test_band_reads_equal_dense_reads(A, data):
+    # band(pad), _diagonal and entry read the kept band V; each must give the
+    # bytes of the dense image, a -0.0 inside the band among them
+    n, r, s = A.n, A.r_lower, A.r_upper
+    D = A.to_dense()
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(max(0, i - r), min(n - 1, i + s)), label="j")
+    D[i, j] = -0.0
+    A = gd.BandedMatrix(n, r, s, D)
+    D = A.to_dense()
+    assert np.signbit(D[i, j])
+    pad = data.draw(st.integers(0, r + 1), label="pad")
+    want = np.zeros((n + pad, r + s + 1))
+    for t, d in enumerate(range(-r, s + 1)):
+        want[max(0, -d) : n - max(0, d), t] = D.diagonal(d)
+    assert A.band(pad).tobytes() == want.tobytes()
+    for d in range(1 - n, n):
+        assert _diagonal(A, d).tobytes() == D.diagonal(d).tobytes()
+        if not -r <= d <= s:
+            assert _diagonal(A, d).size == n - abs(d) and not _diagonal(A, d).any()
+    entries = [[A.entry(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
+    assert np.array(entries).tobytes() == D.tobytes()

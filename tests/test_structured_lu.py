@@ -160,7 +160,9 @@ class TestFactorization:
         assert all(np.all(f == 0.0) for f in slu.f)
         np.testing.assert_array_equal(slu.upper_factor(), np.eye(5))
 
-    def test_factor_arrays_are_read_only(self, tridiag3):
+    @pytest.mark.parametrize("min_n", [0, math.inf], ids=["kernel", "windows"])
+    def test_factor_arrays_are_read_only(self, tridiag3, monkeypatch, min_n):
+        monkeypatch.setattr(lu, "_KERNEL_MIN_N", min_n)
         slu = gd.structured_lu(tridiag3)
         for arr in (slu.R, slu.gamma, *slu.f):
             with pytest.raises(ValueError, match="read-only"):
@@ -172,13 +174,19 @@ class TestFactorization:
             gd.structured_lu(A)
         assert err.value.k == 1
 
+    @pytest.mark.parametrize("min_n", [0, math.inf], ids=["kernel", "windows"])
     @pytest.mark.parametrize("one_sided", [False, True], ids=["two-sided", "one-sided"])
     @pytest.mark.parametrize("tail", [1, 0], ids=["step-N-1", "step-N"])
     @pytest.mark.parametrize(
         "lu", [gd.structured_lu, gd.inverse_green_generators], ids=["lu", "generators"]
     )
-    def test_zero_pivot_in_the_tail_raises_with_index(self, lu, tail, one_sided):
-        # the last steps eliminate windows that reach into the padding rows
+    def test_zero_pivot_in_the_tail_raises_with_index(
+        self, lu, tail, one_sided, min_n, monkeypatch
+    ):
+        # the last steps eliminate windows that reach into the padding rows;
+        # one-sided shapes take the kernel only with r max(r, s) unbounded
+        monkeypatch.setattr(gd.lu, "_KERNEL_MIN_N", min_n)
+        monkeypatch.setattr(gd.lu, "_ROWS_MAX_UPDATES", math.inf)
         n = 7
         k = n - tail
         A = dyadic_lu_product(n, k, one_sided)
@@ -426,10 +434,11 @@ class TestInverseGenerators:
 
 
 class TestGeneratorKernel:
-    """The recursion of inverse_green_generators as a generated kernel.
+    """The factorization and the recursion as generated kernels.
 
     Shapes with r max(r, s) <= lu._ROWS_MAX_UPDATES and N >= lu._KERNEL_MIN_N
-    take it; tests of smaller N force it by lowering _KERNEL_MIN_N.
+    take them; tests of smaller N force them by lowering _KERNEL_MIN_N, and
+    an infinite _KERNEL_MIN_N forces the numpy window loops.
     """
 
     @pytest.mark.parametrize(
@@ -448,26 +457,50 @@ class TestGeneratorKernel:
     def test_every_admitted_shape_keeps_the_reference_bits(self, monkeypatch, r, s):
         # N = r + w + 2 runs whole windows and the last w-1 steps, which
         # reach past row N
+        A = dominant_band(r + max(r, s) + 2, r, s)
+        monkeypatch.setattr(lu, "_KERNEL_MIN_N", math.inf)
+        windows = gd.structured_lu(A)
         monkeypatch.setattr(lu, "_KERNEL_MIN_N", 0)
-        slu = gd.structured_lu(dominant_band(r + max(r, s) + 2, r, s))
+        slu = gd.structured_lu(A)
+        assert slu.f.tobytes() == windows.f.tobytes() and slu.R.tobytes() == windows.R.tobytes()
         gens = gd.inverse_green_generators(slu)
         p_rows, bottom = python_row_generators(slu)
         np.testing.assert_array_equal(gens.p_rows, p_rows)
         np.testing.assert_array_equal(gens.bottom, bottom)
+        from_A = gd.inverse_green_generators(A)
+        assert from_A.p_rows.tobytes() == gens.p_rows.tobytes()
+        assert from_A.bottom.tobytes() == gens.bottom.tobytes()
 
     def test_generated_source_is_pinned(self):
-        assert lu._kernel_source(2, 1) == (
+        assert lu._recursion_source(2, 1) == (
             "def kernel(steps, state):\n"
             "    (p0_0, p0_1, p1_0, p1_1) = state\n"
             "    out = []\n"
             "    push = out.extend\n"
-            "    for (g, x0), (f0, f1) in steps:\n"
+            "    for (x0, g, f1, f0) in steps:\n"
             "        y0 = x0 * p0_0\n"
             "        y1 = x0 * p0_1\n"
             "        (p0_0, p0_1, p1_0, p1_1) = ((1.0 + (y0 * f0 + y1 * f1)) / g, -y0 / g,"
             " -(p0_0 * f0 + p0_1 * f1), p0_0)\n"
             "        push((p0_0, p0_1))\n"
             "    return out, (p0_0, p0_1, p1_0, p1_1)\n"
+        )
+
+    def test_elimination_source_is_pinned(self):
+        assert lu._elimination_source(2, 1) == (
+            "def kernel(steps, state, floor):\n"
+            "    (t0_0, t1_0) = state\n"
+            "    out = []\n"
+            "    push = out.extend\n"
+            "    for k, (c0, c1, b0, b1) in enumerate(steps, 1):\n"
+            "        g = t0_0\n"
+            "        if not floor < abs(g) < inf:\n"
+            "            raise ZeroPivotError(k, g)\n"
+            "        f0 = t1_0 / g\n"
+            "        f1 = b0 / g\n"
+            "        push((f0, f1, g, c0))\n"
+            "        (t0_0, t1_0) = (c1 - f0 * c0, b1 - f1 * c0)\n"
+            "    return out, (t0_0, t1_0)\n"
         )
 
     def test_generator_overflow_is_rejected_on_both_paths(self, monkeypatch):
