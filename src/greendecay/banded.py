@@ -19,9 +19,12 @@ only a scan can show that its entries outside the band are zero, and then
 its band diagonals are read into V. A -0.0 outside the band of dense input
 is therefore stored as +0.0.
 
-One writer also puts V onto the band diagonals of a fresh N x N array,
-``data``, the dense image behind :meth:`BandedMatrix.to_dense` and callers
-outside the package. It is a zero-filled private anonymous memory mapping,
+One writer, :func:`_band_to_dense`, puts V onto the band diagonals of a
+fresh N x N array of zeros. :meth:`BandedMatrix.to_dense` writes a new one
+from the kept V on each call. Each constructor also writes V once onto
+``data``, an N x N image that nothing in the package reads: it is kept only
+for callers outside the package, until they read ``to_dense()`` instead and
+it can be deleted. It is a zero-filled private anonymous memory mapping,
 not an ``np.zeros`` allocation: the kernel maps a page only when it is first
 written, so only the pages that hold band entries become resident,
 O(N (r_lower + r_upper + 1) * 8) bytes rounded up to whole 4 KiB pages,
@@ -59,10 +62,12 @@ class BandedMatrix:
     """Real N x N matrix with declared lower/upper bandwidths, kept as its band.
 
     The band array V (see the module docstring), kept read-only as ``_V``,
-    is what every reader uses. ``data`` is its read-only, C-ordered float64
-    N x N image on a memory mapping of which only the pages holding the band
-    are resident, whatever the constructor: dense input is checked and its
-    band copied over, the array itself is not kept.
+    is what every reader uses, :meth:`to_dense` among them. ``data`` is its
+    read-only, C-ordered float64 N x N image on a memory mapping of which
+    only the pages holding the band are resident, whatever the constructor:
+    dense input is checked and its band copied over, the array itself is not
+    kept. Nothing in the package reads ``data``; it is written only for
+    callers outside it.
 
     Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero,
     and every entry is finite (NaN and +-inf are rejected).
@@ -128,8 +133,12 @@ class BandedMatrix:
         return np.concatenate((self._V, np.zeros((pad, self._V.shape[1]))))
 
     def to_dense(self) -> np.ndarray:
-        """New writable dense N x N array of A, the caller's to overwrite."""
-        return np.array(self.data)
+        """New writable dense N x N array of A, the caller's to overwrite.
+
+        The kept band V is written onto fresh zeros: O(N^2) memory and
+        O(N (r_lower + r_upper + 1)) writes.
+        """
+        return _band_to_dense(self._V, self.r_lower)
 
     def entry(self, i: int, j: int) -> float:
         """1-based entry access: A(i, j)."""

@@ -39,8 +39,8 @@ last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
 k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
 
 Both stages run in one of two ways, picked by one rule. Long, narrow bands
-(r max(r, s) <= 48 and N >= 512) run as one pipeline of Python floats, two
-kernels generated for their (r, s): the elimination kernel
+((r+1) max(r, s) <= 54 and N >= 512) run as one pipeline of Python floats,
+two kernels generated for their (r, s): the elimination kernel
 (:func:`_elimination_source`) holds the trailing r x s block of the window
 in local floats, reads the entries that enter each window from W and
 pushes each step's f_k and row k of R onto one flat list, and the
@@ -81,14 +81,19 @@ __all__ = [
 # dominance the pivots stay above (1 - mu^2)|A(k, k)|.
 PIVOT_RTOL = np.finfo(float).tiny
 
-# Largest r * max(r, s) whose factorization and generator recursion run as
-# generated kernels on Python floats; wider bands run numpy calls on windows,
-# whose call overhead per step does not grow with r and s.
-_ROWS_MAX_UPDATES = 48
+# Largest (r + 1) * max(r, s) whose factorization and generator recursion run
+# as generated kernels on Python floats; wider bands run numpy calls on
+# windows, whose call overhead per step barely grows with r and s. A kernel
+# step costs about r s updates plus r + s + 1 entries in and out, which
+# r * max(r, s) alone misses at r = 1: there the warm elimination kernel
+# catches up with the window loop near s = 30 and takes 1.4 to 1.8 times its
+# CPU at s = 48. On every admitted shape each warm kernel takes at most about
+# 0.8 of its window loop's CPU (r = 1, s = 26 and 27 the closest).
+_KERNEL_MAX_BLOCK = 54
 
 # Smallest N whose factorization and recursion run as generated kernels: the
 # one-time compile of both pays off from N = 40 at r = s = 1 to N = 300 at
-# r = s = 6 and 600 .. 1000 at r max(r, s) = 48 with r >= 2.
+# r = s = 6 and about N = 500 on the widest admitted shapes.
 _KERNEL_MIN_N = 512
 
 
@@ -130,11 +135,17 @@ class StructuredLU:
         return self.R[:, 0]
 
     def lower_factor(self) -> np.ndarray:
-        """Reassemble the dense unit lower triangular factor L from the f_k."""
-        L = np.eye(self.n)
-        for k in range(1, self.n):
-            L[k : k + self.r, k - 1] = self.f[k - 1, : self.n - k]
-        return L
+        """Reassemble the dense unit lower triangular factor L from its band.
+
+        The f_k fill the (N, r+1) band of L, ``V[i, t] = L(i, i+t-r)``, in
+        the windows of :func:`structured_lu`'s work array; r padding rows
+        take the padded f_k past row N, and ``_band_to_dense`` ignores them.
+        """
+        n, r = self.n, self.r
+        V = np.zeros((n + r, r + 1))
+        V[:, r] = 1.0
+        _windows(V, r, 0)[: n - 1, 1:, 0] = self.f
+        return _band_to_dense(V[:n], r)
 
     def upper_factor(self) -> np.ndarray:
         """Reassemble the dense upper triangular factor R from its band."""
@@ -156,7 +167,7 @@ def _pivot_floor(W: np.ndarray) -> float:
 
 def _on_floats(n: int, r: int, s: int) -> bool:
     """Whether the factorization and the recursion of this shape run as generated kernels."""
-    return r * max(r, s) <= _ROWS_MAX_UPDATES and n >= _KERNEL_MIN_N
+    return (r + 1) * max(r, s) <= _KERNEL_MAX_BLOCK and n >= _KERNEL_MIN_N
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -229,7 +240,7 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     -------
     StructuredLU
         Band factor data with ``lower_factor() @ upper_factor() == A`` up
-        to roundoff. Long, narrow bands (r max(r, s) <= 48 and N >= 512)
+        to roundoff. Long, narrow bands ((r+1) max(r, s) <= 54, N >= 512)
         are factored by a kernel generated for their (r, s), every other
         shape by numpy calls on the windows of the band work array; both
         round every operation alike and leave the same bits.
@@ -322,17 +333,17 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     A step costs a few microseconds of numpy call overhead on the windows,
     or time in proportion to r w in a kernel of Python floats generated and
     compiled once per (r, s) (:func:`_kernel_generators`). The kernel takes
-    shapes with r w <= ``_ROWS_MAX_UPDATES`` = 48 and N >= ``_KERNEL_MIN_N``
-    = 512, the shapes :func:`structured_lu` factors in its own kernel;
-    given A, the recursion reads that kernel's list of f and R as it is,
-    given the factorization, one list made from ``[f | R]``. Counting both
-    compiles (0.2 ms at r = s = 1 to 2 ms at r w = 48), factorization and
-    recursion from A together break even with the window loops near N = 40
-    at r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6
-    and 600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians
-    of 7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48 they stay
-    slower to N = 1024. At N = 4000, r = s = 4 they take about 0.3 of the
-    window loops' time. The generators agree with the window loop's to
+    shapes with (r+1) w <= ``_KERNEL_MAX_BLOCK`` = 54 and N >=
+    ``_KERNEL_MIN_N`` = 512, the shapes :func:`structured_lu` factors in its
+    own kernel; given A, the recursion reads that kernel's list of f and R
+    as it is, given the factorization, one list made from ``[f | R]``.
+    Counting both compiles (0.2 ms at r = s = 1 to 2.5 ms on the widest
+    admitted shapes), factorization and recursion from A together break
+    even with the window loops near N = 40 at r = s = 1, 64 at r = 2, s = 3,
+    128 at r = s = 4, 300 at r = s = 6 and about 500 at r = 1, s = 27,
+    r = 2, s = 18 and r = 5, s = 9 (process CPU, medians of 7-9, one BLAS
+    thread, shared 2-vCPU host). At N = 4000, r = s = 4 they take about 0.3
+    of the window loops' time. The generators agree with the window loop's to
     roundoff (worst 3.0e-16 relative to max|p| on 6000 random bands of N <=
     24).
 

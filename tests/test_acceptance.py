@@ -34,7 +34,7 @@ def test_criterion_1_structured_vs_dense_factorization(acceptance_ensemble, wors
     start = time.perf_counter()
     for A in acceptance_ensemble:
         gd.structured_lu(A)
-        gd.dense_lu_no_pivot(A.data)
+        gd.dense_lu_no_pivot(A.to_dense())
     elapsed = time.perf_counter() - start
     err = worst["r_vs_dense"]
     ok = err <= 1e-10 and elapsed < 10.0

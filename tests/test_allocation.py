@@ -5,9 +5,16 @@ they are deterministic. At N = 2000 the dense array is 30.5 MiB; a kernel
 that builds any N x N temporary peaks far above the limits below.
 tracemalloc does not see memory mappings, so the N x N array of
 ``make_banded`` is checked by the resident set size of a fresh process.
+
+This is the one test module that reads ``A.data``, the N x N image that
+each constructor still writes for callers outside the package: its flags,
+its resident pages, its memory mapping, and that ``to_dense()`` and
+``lower_factor()``, which write the kept bands instead, give its bytes.
 """
 
+import errno
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -146,3 +153,89 @@ def test_reconstruct_lower_allocates_only_values_and_mask(band):
     gens = gd.inverse_green_generators(band)
     values, mask = gd.reconstruct_lower(gens)
     assert peak_bytes(gd.reconstruct_lower, gens) < values.nbytes + mask.nbytes + MIB
+
+
+def test_image_is_read_only(lower2x2):
+    with pytest.raises(ValueError):
+        lower2x2.data[0, 0] = 9.0
+
+
+class NoHugePageHint(mmap.mmap):
+    """A mapping whose kernel has no transparent huge pages."""
+
+    def madvise(self, *args):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+
+class TestMappedArray:
+    @staticmethod
+    def build():
+        return gd.make_banded(300, 2, 5, lambda i, j: i + 0.5 * j if i != j else 40.0)
+
+    def assert_same_array(self, expected):
+        A = self.build()
+        assert A.data.tobytes() == expected.data.tobytes()
+        assert not A.data.flags.writeable and A.data.flags.c_contiguous
+        assert (A.r_lower, A.r_upper) == (2, 5)
+
+    def test_rejected_huge_page_hint_is_ignored(self, monkeypatch):
+        if not hasattr(mmap, "MADV_NOHUGEPAGE"):
+            pytest.skip("mmap defines no MADV_NOHUGEPAGE here")
+        expected = self.build()
+        monkeypatch.setattr(mmap, "mmap", NoHugePageHint)
+        self.assert_same_array(expected)
+
+    def test_mapping_without_map_private(self, monkeypatch):
+        expected = self.build()
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        self.assert_same_array(expected)
+
+
+def one_sided_with_negative_zero(tmp_path):
+    # -0.0 on the first subdiagonal: the band, the image and f_k keep its sign
+    return gd.make_banded(
+        40, 2, 39, lambda i, j: 9.0 if i == j else -0.0 if i == j + 1 else np.sin(i + 2 * j)
+    )
+
+
+def matrix_market(tmp_path):
+    path = tmp_path / "m.mtx"
+    rows = [f"{i} {j} {9.0 if i == j else float(np.cos(i - 3 * j))!r}"
+            for i in range(1, 31) for j in range(max(1, i - 3), min(30, i + 1) + 1)]
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        f"30 30 {len(rows)}\n" + "\n".join(rows) + "\n"
+    )
+    return gd.read_matrix_market(path)
+
+
+BUILDS = {
+    "make_banded": lambda tmp_path: gd.make_banded(
+        50, 3, 2, lambda i, j: 7.0 if i == j else np.sin(i + 2 * j)
+    ),
+    "make_banded-one-sided": one_sided_with_negative_zero,
+    "from_dense": lambda tmp_path: gd.from_dense(
+        np.triu(np.tril(np.cos(np.add.outer(np.arange(25.0), 2 * np.arange(25.0))), 4), -2)
+        + 8.0 * np.eye(25)
+    ),
+    "read_matrix_market": matrix_market,
+    "dominant_ensemble": lambda tmp_path: gd.dominant_ensemble(1, seed=11)[0],
+}
+
+
+def row_loop_lower_factor(slu):
+    """Dense L written one column at a time from the f_k (the reference)."""
+    L = np.eye(slu.n)
+    for k in range(1, slu.n):
+        L[k : k + slu.r, k - 1] = slu.f[k - 1, : slu.n - k]
+    return L
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_band_writers_give_the_image_and_row_loop_bytes(tmp_path, build):
+    A = build(tmp_path)
+    dense = A.to_dense()
+    assert dense.tobytes() == np.array(A.data).tobytes()
+    assert dense.flags.writeable and dense.flags.c_contiguous
+    slu = gd.structured_lu(A)
+    assert slu.lower_factor().tobytes() == row_loop_lower_factor(slu).tobytes()

@@ -42,7 +42,7 @@ class TestLuBound:
         A = gd.from_dense(1e16 * np.eye(4) + np.eye(4, k=-1))
         b = gd.lu_bound(A)
         assert gd.dominance_mu(A).mu == 1e-16
-        exact = abs(gd.dense_inverse(A.data)[1, 0])
+        exact = abs(gd.dense_inverse(A.to_dense())[1, 0])
         assert exact == pytest.approx(1e-32, rel=1e-15)
         assert gd.eval_bound(b, 2, 1) >= exact
 
@@ -91,7 +91,7 @@ class TestVarah:
         A = gd.make_banded(10, 1, 1, lambda i, j: 4.0 if i == j else -1.0)
         b = gd.varah_bound(A)
         assert b.M == 0.5
-        assert one_norm(gd.dense_inverse(A.data)) <= b.M
+        assert one_norm(gd.dense_inverse(A.to_dense())) <= b.M
         assert gd.eval_bound(b, 1, 10) == gd.eval_bound(b, 10, 1) == 0.5
 
     def test_rejects_non_dominant(self):
@@ -129,7 +129,7 @@ class TestQrBound:
         A = gd.from_dense(1e9 * np.eye(4) + np.eye(4, k=-1))
         report, bound = gd.qr_bound(A)
         assert report.K == 1e9 - 1.0
-        exact = abs(gd.dense_inverse(A.data)[1, 0])
+        exact = abs(gd.dense_inverse(A.to_dense())[1, 0])
         assert exact == pytest.approx(1e-18, rel=1e-15)
         assert gd.eval_bound(bound, 2, 1) >= exact
 
@@ -160,7 +160,7 @@ class TestQrBound:
 
     def test_overflowing_sum_of_squares_rejected(self, ex1a_matrix):
         # (0.25e300)^2 overflows; as inf the sums would give s_k = inf, K = 0
-        A = gd.from_dense(1e300 * ex1a_matrix.data, r_lower=3, r_upper=3)
+        A = gd.from_dense(1e300 * ex1a_matrix.to_dense(), r_lower=3, r_upper=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(gd.HypothesisError, match="overflows in column 1"):
@@ -210,7 +210,7 @@ class TestQrBound:
             np.fill_diagonal(W, 50.0)
             A = gd.from_dense(W, r_lower=2, r_upper=n - 1)
             report, _ = gd.qr_bound(A)
-            W2 = A.data**2
+            W2 = A.to_dense()**2
             want = 0.0
             for k in range(1, n - 2 + 1):
                 want = max(want, W2[: k - 1, k:].sum())
@@ -318,7 +318,7 @@ class TestSoundness:
         # mixed-sign, one- and two-sided dominant matrices
         mats = gd.dominant_ensemble(100, seed=31337, n_max=150, r_max=6)
         for A in mats:
-            inv = gd.dense_inverse(A.data)
+            inv = gd.dense_inverse(A.to_dense())
             b = gd.lu_bound(A)
             d = np.subtract.outer(np.arange(A.n), np.arange(A.n))
             with np.errstate(over="ignore"):

@@ -132,7 +132,7 @@ class TestGenerate:
         for k in (10, 11, 12):
             assert A.entry(k, k) == -6.25
         assert A.entry(9, 9) == 6.25
-        w = gd.symmetric_spectrum(A.data)
+        w = gd.symmetric_spectrum(A.to_dense())
         assert w[0] < 0.0 < w[-1]  # symmetric indefinite
 
     def test_ex2_statement_sequence(self):
@@ -149,7 +149,7 @@ class TestGenerate:
         assert gd.dominance_mu(A).satisfied
         # the spectrum the run note states: real, two eigenvalues near -100,
         # one near 1 and the other 47 in [5.6, 7.7]
-        w = np.sort_complex(np.linalg.eigvals(A.data))
+        w = np.sort_complex(np.linalg.eigvals(A.to_dense()))
         assert np.abs(w.imag).max() <= 1e-9 * np.abs(w).max()
         np.testing.assert_allclose(w.real[:3], [-101.207, -98.871, 0.99937], atol=1e-3)
         assert w.real[3:].size == 47
@@ -171,7 +171,7 @@ class TestGenerate:
         A = gd.generate(gd.ExperimentSpec("ex4a", seed=3))
         assert (A.n, A.r_lower, A.r_upper) == (100, 5, 99)
         assert gd.dominance_mu(A).satisfied
-        w = np.linalg.eigvals(A.data)
+        w = np.linalg.eigvals(A.to_dense())
         assert np.abs(w.real).max() <= 2.2  # near the ellipse semiaxis 2
         assert np.abs(w.imag).max() <= 1.2
         assert (w.real > 0).any() and (w.real < 0).any()
@@ -180,11 +180,11 @@ class TestGenerate:
     def test_ex4b_regime(self):
         A = gd.generate(gd.ExperimentSpec("ex4b", seed=3))
         assert gd.dominance_mu(A).satisfied
-        diag = A.data.diagonal()
+        diag = A.to_dense().diagonal()
         assert np.abs(diag).min() >= 1.0 and np.abs(diag).max() <= 1.0e4
         assert (diag > 0).any() and (diag < 0).any()
         # at seed 7 the spectrum itself is real and its |Re| spans [1.03, 9594]
-        w = np.linalg.eigvals(gd.generate(gd.ExperimentSpec("ex4b", seed=7)).data)
+        w = np.linalg.eigvals(gd.generate(gd.ExperimentSpec("ex4b", seed=7)).to_dense())
         assert np.abs(w.imag).max() <= 1e-9 * np.abs(w).max()
         assert np.abs(w.real).min() == pytest.approx(1.035, abs=1e-3)
         assert np.abs(w.real).max() == pytest.approx(9594.03, abs=1e-2)
@@ -193,8 +193,8 @@ class TestGenerate:
         A = gd.generate(gd.ExperimentSpec("ex4a", seed=11))
         B = gd.generate(gd.ExperimentSpec("ex4a", seed=11))
         C = gd.generate(gd.ExperimentSpec("ex4a", seed=12))
-        np.testing.assert_array_equal(A.data, B.data)
-        assert np.abs(A.data - C.data).max() > 0.0
+        np.testing.assert_array_equal(A.to_dense(), B.to_dense())
+        assert np.abs(A.to_dense() - C.to_dense()).max() > 0.0
 
     def test_ex5_structure(self):
         A = gd.generate(gd.ExperimentSpec("ex5"))
@@ -204,7 +204,7 @@ class TestGenerate:
         assert A.entry(3, 5) == 0.5 * 2.0**-2
         assert gd.dominance_mu(A).mu < 0.1
         # eigenvalues: ten in [11.1, 12.9] and ten in [-12.9, -11.1], all real
-        w = np.linalg.eigvals(A.data)
+        w = np.linalg.eigvals(A.to_dense())
         assert np.abs(w.imag).max() <= 1e-9 * np.abs(w).max()
         assert (w.real > 0).sum() == (w.real < 0).sum() == 10
         assert 11.1 <= np.abs(w.real).min() and np.abs(w.real).max() <= 12.9
@@ -423,7 +423,7 @@ class TestCli:
     ):
         # the squares of 1e300 * ex1a's entries overflow: the run names that
         # for the qr family, warns nothing, and the LU envelope still holds
-        W = 1e300 * ex1a_matrix.data
+        W = 1e300 * ex1a_matrix.to_dense()
         entries = [(i + 1, j + 1, W[i, j]) for i, j in zip(*np.nonzero(W))]
         path = tmp_path / "big.mtx"
         path.write_text(

@@ -214,7 +214,7 @@ class TestScalarEntries:
 
     def test_ex1a_matches_reference_inverse(self, ex1a_matrix):
         gens = gd.inverse_green_generators(ex1a_matrix)
-        inv = gd.dense_inverse(ex1a_matrix.data)
+        inv = gd.dense_inverse(ex1a_matrix.to_dense())
         assert gd.green_scalar_entry(gens, 1, 1) == pytest.approx(inv[0, 0], abs=1e-10)
         assert gd.green_scalar_entry(gens, 30, 5) == pytest.approx(inv[29, 4], abs=1e-10)
         assert gd.green_scalar_entry(gens, 10, 12) == pytest.approx(inv[9, 11], abs=1e-10)
@@ -242,7 +242,7 @@ class TestScalarEntries:
         A = gd.generate(gd.ExperimentSpec(name, seed=7))
         gens = gd.inverse_green_generators(A)
         b = gd.lu_bound(A)
-        inv = gd.dense_inverse(A.data)
+        inv = gd.dense_inverse(A.to_dense())
         n = A.n
         values, _ = gd.reconstruct_lower(gens)
         far = [(i, j) for i in range(1, n + 1) for j in range(1, i - (n + 1) // 2 + 1)]
@@ -364,7 +364,7 @@ class TestReconstruction:
         np.testing.assert_array_equal(mask, [[True, False], [True, True]])
         # the masked-out (1,2) entry is zero in the true inverse as well, so
         # the zero-filled reconstruction equals it entrywise
-        np.testing.assert_allclose(values, np.linalg.inv(lower2x2.data), atol=1e-15)
+        np.testing.assert_allclose(values, np.linalg.inv(lower2x2.to_dense()), atol=1e-15)
 
     def test_diagonal_matrix_reciprocals(self):
         d = np.array([2.0, 4.0, 5.0, 8.0])
@@ -382,7 +382,7 @@ class TestReconstruction:
     def test_ex1a_against_reference_inverse(self, ex1a_matrix):
         gens = gd.inverse_green_generators(ex1a_matrix)
         values, mask = gd.reconstruct_lower(gens)
-        inv = gd.dense_inverse(ex1a_matrix.data)
+        inv = gd.dense_inverse(ex1a_matrix.to_dense())
         assert np.abs(values - inv)[mask].max() <= 1e-10
 
     @pytest.mark.parametrize("n,r", [(2, 1), (4, 3), (8, 2), (12, 1), (15, 5)])

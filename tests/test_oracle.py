@@ -26,7 +26,7 @@ def test_lu_identity():
 
 def test_lu_pivot_is_determinant_quotient(tridiag3):
     # R(2,2) = det(A[:2,:2]) / det(A[:1,:1]) = 15/4
-    _, R = gd.dense_lu_no_pivot(tridiag3.data)
+    _, R = gd.dense_lu_no_pivot(tridiag3.to_dense())
     assert R[1, 1] == pytest.approx(3.75, rel=1e-15)
 
 
@@ -111,7 +111,7 @@ def test_spectrum_two_by_two():
 
 def test_spectrum_tridiagonal(tridiag3):
     want = [4.0 - np.sqrt(2.0), 4.0, 4.0 + np.sqrt(2.0)]
-    np.testing.assert_allclose(gd.symmetric_spectrum(tridiag3.data), want, rtol=1e-12)
+    np.testing.assert_allclose(gd.symmetric_spectrum(tridiag3.to_dense()), want, rtol=1e-12)
 
 
 def test_rejects_nonsymmetric():
@@ -220,7 +220,7 @@ def test_pivots_equal_determinant_quotients():
         gamma = gd.structured_lu(A).gamma
         prev = Fraction(1)
         for k in range(1, 11):
-            det_k = determinant_fraction_free(A.data[:k, :k])
+            det_k = determinant_fraction_free(A.to_dense()[:k, :k])
             quotient = det_k / prev
             assert float(quotient) == pytest.approx(gamma[k - 1], rel=1e-9)
             prev = det_k

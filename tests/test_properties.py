@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+# imported by name: in tests, only test_allocation.py reads an attribute named data
+from hypothesis.strategies import data as draws
 
 import greendecay as gd
 from conftest import one_norm
@@ -77,13 +79,13 @@ def test_power_of_two_scaling_is_exact(A, k):
     # scaling by 2^k is exact, so every derived quantity moves by an exact
     # power of two or not at all
     c = 2.0**k
-    B = gd.BandedMatrix(A.n, A.r_lower, A.r_upper, c * A.data)
+    B = gd.BandedMatrix(A.n, A.r_lower, A.r_upper, c * A.to_dense())
     slu, slu_c = gd.structured_lu(A), gd.structured_lu(B)
     assert_scaled(slu_c.R, slu.R, c)
     assert_scaled(slu_c.gamma, slu.gamma, c)
     for f, f_c in zip(slu.f, slu_c.f):
         np.testing.assert_array_equal(f_c, f)
-    assert_scaled(gd.dense_lu_no_pivot(B.data)[1], slu.upper_factor(), c)
+    assert_scaled(gd.dense_lu_no_pivot(B.to_dense())[1], slu.upper_factor(), c)
     assert gd.dominance_mu(B).mu == gd.dominance_mu(A).mu
     lu, lu_c = gd.lu_bound(A), gd.lu_bound(B)
     assert lu_c.gamma == lu.gamma
@@ -96,8 +98,8 @@ def test_power_of_two_scaling_is_exact(A, k):
 @PROPERTY
 @given(A=dominant(), k=st.integers(-60, 60))
 def test_lu_envelope_is_sound(A, k):
-    A = gd.BandedMatrix(A.n, A.r_lower, A.r_upper, 2.0**k * A.data)
-    inv = gd.dense_inverse(A.data)
+    A = gd.BandedMatrix(A.n, A.r_lower, A.r_upper, 2.0**k * A.to_dense())
+    inv = gd.dense_inverse(A.to_dense())
     b = gd.lu_bound(A)
     d = np.subtract.outer(np.arange(A.n), np.arange(A.n))
     lower = d >= 0
@@ -110,7 +112,7 @@ def test_lu_envelope_is_sound(A, k):
 def test_reconstruction_matches_dense_inverse(A):
     gens = gd.inverse_green_generators(A)
     values, mask = gd.reconstruct_lower(gens)
-    inv = gd.dense_inverse(A.data)
+    inv = gd.dense_inverse(A.to_dense())
     assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
     ref = gens.p(A.n - A.r_lower + 1)
     alt = gd.p_tail_cross_check(gd.structured_lu(A))
@@ -122,10 +124,11 @@ def test_reconstruction_matches_dense_inverse(A):
 def test_band_column_sums_equal_dense_sums(A):
     # the band sums add each column's off-diagonal entries top to bottom, as
     # the dense sum with the diagonal zeroed does
-    off = A.data.copy()
+    off = A.to_dense()
+    diag = np.abs(off.diagonal())
     np.fill_diagonal(off, 0.0)
     W = np.abs(off)
-    ratios = W.sum(axis=0) / np.abs(A.data.diagonal())
+    ratios = W.sum(axis=0) / diag
     rep = gd.dominance_mu(A)
     np.testing.assert_array_equal(rep.per_column_ratios, ratios)
     assert rep.mu == ratios.max()
@@ -139,11 +142,11 @@ def test_band_column_sums_equal_dense_sums(A):
 def test_factor_keeps_the_band_and_inverts(A):
     # no-pivot LU makes no fill beyond the upper bandwidth, so the (N, s+1)
     # band holds all of R
-    assert not np.triu(gd.dense_lu_no_pivot(A.data)[1], A.r_upper + 1).any()
+    assert not np.triu(gd.dense_lu_no_pivot(A.to_dense())[1], A.r_upper + 1).any()
     assert gd.structured_lu(A).R.shape == (A.n, A.r_upper + 1)
     gens = gd.inverse_green_generators(A)
     values, mask = gd.reconstruct_lower(gens)
-    inv = gd.dense_inverse(A.data)
+    inv = gd.dense_inverse(A.to_dense())
     assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
 
 
@@ -168,11 +171,12 @@ def dense_elimination(W, r, s, steps):
 
 
 @PROPERTY
-@given(A=any_band(), data=st.data())
+@given(A=any_band(), data=draws())
 def test_band_kernel_matches_dense_elimination(A, data):
     n, r, s = A.n, A.r_lower, A.r_upper
     slu = gd.structured_lu(A)
-    W, fs = dense_elimination(A.data, r, s, n)
+    D = A.to_dense()
+    W, fs = dense_elimination(D, r, s, n)
     # R, gamma and f read off the band equal the dense elimination's bits
     np.testing.assert_array_equal(slu.upper_factor(), W)
     for t in range(s + 1):
@@ -183,21 +187,21 @@ def test_band_kernel_matches_dense_elimination(A, data):
     for k, f in enumerate(fs[:-1]):
         np.testing.assert_array_equal(slu.f[k, : f.size], f)
         assert not slu.f[k, f.size :].any()
-    assert one_norm(slu.lower_factor() @ slu.upper_factor() - A.data) <= 1e-13 * one_norm(A.data)
+    assert one_norm(slu.lower_factor() @ slu.upper_factor() - D) <= 1e-13 * one_norm(D)
     ell = data.draw(st.integers(1, n - r), label="ell")
     np.testing.assert_array_equal(
-        gd.schur_complement(A, ell), dense_elimination(A.data, r, s, ell)[0][ell:, ell:]
+        gd.schur_complement(A, ell), dense_elimination(D, r, s, ell)[0][ell:, ell:]
     )
 
 
 # Values of lu._KERNEL_MIN_N that force one path onto every shape, with
-# lu._ROWS_MAX_UPDATES lifted: the generated kernels, or the numpy window loops.
+# lu._KERNEL_MAX_BLOCK lifted: the generated kernels, or the numpy window loops.
 KERNEL, WINDOWS = 0, math.inf
 
 
 def forced(min_n):
     """Patch lu so that every shape takes the path min_n stands for."""
-    return mock.patch.multiple(lu, _KERNEL_MIN_N=min_n, _ROWS_MAX_UPDATES=math.inf)
+    return mock.patch.multiple(lu, _KERNEL_MIN_N=min_n, _KERNEL_MAX_BLOCK=math.inf)
 
 
 def factor_with(min_n, A):
@@ -228,7 +232,7 @@ def eliminate_with(min_n, A, steps):
 
 
 @PROPERTY
-@given(A=any_band(), data=st.data())
+@given(A=any_band(), data=draws())
 def test_kernel_and_window_eliminations_leave_the_same_bits(A, data):
     # every shape, one-sided s = N-1 included, through structured_lu, and an
     # early stop (steps < N, as schur_complement makes) through both loops
@@ -334,8 +338,8 @@ def test_make_banded_matches_the_dense_route(shape, seed, bad):
     for a, b in zip(i.tolist(), j.tolist()):
         D[a, b] = entry_fn(a + 1, b + 1)
     if not bad:
-        got = gd.make_banded(n, r, s, entry_fn).data
-        assert got.tobytes() == gd.BandedMatrix(n, r, s, D).data.tobytes()
+        got = gd.make_banded(n, r, s, entry_fn).to_dense()
+        assert got.tobytes() == gd.BandedMatrix(n, r, s, D).to_dense().tobytes()
         return
     first = min(zip(i[picks].tolist(), j[picks].tolist()))
     with pytest.raises(ValueError) as dense:
@@ -378,7 +382,7 @@ def test_read_matrix_market_matches_from_dense(shape, seed, symmetric):
         got = gd.read_matrix_market(path)
     want = gd.from_dense(D)
     assert (got.n, got.r_lower, got.r_upper) == (want.n, want.r_lower, want.r_upper)
-    assert got.data.tobytes() == want.data.tobytes()
+    assert got.to_dense().tobytes() == want.to_dense().tobytes()
 
 
 @PROPERTY
@@ -409,7 +413,7 @@ def test_every_constructor_writes_the_same_bytes(shape, seed):
         "make_banded": gd.make_banded(n, r, s, lambda i, j: D[i - 1, j - 1]),
     }
     for name, A in built.items():
-        assert A.data.tobytes() == want, name
+        assert A.to_dense().tobytes() == want, name
         assert A.band().tobytes() == V.tobytes(), name
     # the reader sums a file's entries from +0.0 and drops zero sums, so a
     # -0.0 in the band reads as +0.0 there; its bandwidths are inferred
@@ -421,11 +425,11 @@ def test_every_constructor_writes_the_same_bytes(shape, seed):
         path = Path(tmp) / "m.mtx"
         path.write_text(text)
         got = gd.read_matrix_market(path)
-    assert got.data.tobytes() == (D + 0.0).tobytes()
+    assert got.to_dense().tobytes() == (D + 0.0).tobytes()
 
 
 @PROPERTY
-@given(A=any_band(), data=st.data())
+@given(A=any_band(), data=draws())
 def test_band_reads_equal_dense_reads(A, data):
     # band(pad), _diagonal and entry read the kept band V; each must give the
     # bytes of the dense image, a -0.0 inside the band among them

@@ -44,7 +44,7 @@ def identity_error(A):
     n, r = A.n, A.r_lower
     gens = gd.inverse_green_generators(A)
     b = gd.lu_bound(A)
-    inv = gd.dense_inverse(A.data)
+    inv = gd.dense_inverse(A.to_dense())
     env = b.M * b.gamma ** np.maximum(np.subtract.outer(np.arange(n), np.arange(n)), 0)
     rows = np.arange(n - r)[:, None]
     cols = rows + np.arange(r)
@@ -120,15 +120,22 @@ def dominant_band(n, r, s):
     return gd.make_banded(n, r, s, lambda i, j: r + s + 2.0 if i == j else np.sin(i + 2 * j))
 
 
-# Every (r, s) whose generator recursion runs as a generated kernel at N >= 512:
-# 123 shapes, r <= 6 and s <= 48.
-MAX_UPDATES = lu._ROWS_MAX_UPDATES
+# Every (r, s) that lu._on_floats runs as generated kernels at N >= 512: 90
+# shapes, r <= 6 and s <= 27. The grid's last row and column admit nothing,
+# so the rule admits no shape beyond it.
+GRID = 64
 KERNEL_SHAPES = [
-    (r, s)
-    for r in range(1, math.isqrt(MAX_UPDATES) + 1)
-    for s in range(MAX_UPDATES + 1)
-    if r * max(r, s) <= MAX_UPDATES
+    (r, s) for r in range(1, GRID + 1) for s in range(GRID + 1)
+    if lu._on_floats(lu._KERNEL_MIN_N, r, s)
 ]
+assert not any(r == GRID or s == GRID for r, s in KERNEL_SHAPES)
+
+# For each r <= 7 the narrowest s the rule rejects, and r = 1, s = 48, where
+# the warm elimination kernel took 1.4 to 1.8 times the window loop's CPU.
+PAST_THE_RULE = sorted(
+    {(r, min(s for s in range(GRID) if not lu._on_floats(lu._KERNEL_MIN_N, r, s)))
+     for r in range(1, 8)} | {(1, 48)}
+)
 
 
 def dense_elimination(D, steps):
@@ -184,13 +191,13 @@ class TestFactorization:
         self, lu, tail, one_sided, min_n, monkeypatch
     ):
         # the last steps eliminate windows that reach into the padding rows;
-        # one-sided shapes take the kernel only with r max(r, s) unbounded
+        # one-sided shapes take the kernel only with (r+1) max(r, s) unbounded
         monkeypatch.setattr(gd.lu, "_KERNEL_MIN_N", min_n)
-        monkeypatch.setattr(gd.lu, "_ROWS_MAX_UPDATES", math.inf)
+        monkeypatch.setattr(gd.lu, "_KERNEL_MAX_BLOCK", math.inf)
         n = 7
         k = n - tail
         A = dyadic_lu_product(n, k, one_sided)
-        pivots = dense_elimination(A.data, k - 1).diagonal()[:k]
+        pivots = dense_elimination(A.to_dense(), k - 1).diagonal()[:k]
         np.testing.assert_array_equal(pivots, [2.0] * (k - 1) + [0.0])
         with pytest.raises(gd.ZeroPivotError, match=f"step k={k}") as err:
             lu(A)
@@ -205,9 +212,9 @@ class TestFactorization:
         unit = gd.structured_lu(gd.make_banded(6, 1, 1, lambda i, j: 4.0 if i == j else -0.5))
         np.testing.assert_allclose(gd.structured_lu(A).gamma / scale, unit.gamma, rtol=1e-14)
         np.testing.assert_allclose(
-            gd.dense_lu_no_pivot(A.data)[1] / scale, unit.upper_factor(), rtol=1e-14
+            gd.dense_lu_no_pivot(A.to_dense())[1] / scale, unit.upper_factor(), rtol=1e-14
         )
-        for lu in (gd.structured_lu, lambda B: gd.dense_lu_no_pivot(B.data)):
+        for lu in (gd.structured_lu, lambda B: gd.dense_lu_no_pivot(B.to_dense())):
             with pytest.raises(gd.ZeroPivotError) as err:
                 lu(gd.from_dense(scale * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])))
             assert err.value.k == 2
@@ -252,10 +259,11 @@ class TestFactorization:
     def test_matches_dense_oracle_on_ensemble(self, small_ensemble):
         for A in small_ensemble:
             slu = gd.structured_lu(A)
-            scale = one_norm(A.data)
+            D = A.to_dense()
+            scale = one_norm(D)
             R = slu.upper_factor()
-            assert one_norm(slu.lower_factor() @ R - A.data) <= 1e-11 * scale
-            _, R_ref = gd.dense_lu_no_pivot(A.data)
+            assert one_norm(slu.lower_factor() @ R - D) <= 1e-11 * scale
+            _, R_ref = gd.dense_lu_no_pivot(D)
             assert np.abs(R - R_ref).max() <= 1e-10 * scale
 
     def test_lower_factor_band_structure(self, small_ensemble):
@@ -360,14 +368,14 @@ class TestInverseGenerators:
     def test_ex1a_region_agreement(self, ex1a_matrix):
         gens = gd.inverse_green_generators(ex1a_matrix)
         values, mask = gd.reconstruct_lower(gens)
-        inv = gd.dense_inverse(ex1a_matrix.data)
+        inv = gd.dense_inverse(ex1a_matrix.to_dense())
         assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
 
     def test_ensemble_region_agreement(self, small_ensemble):
         for A in small_ensemble:
             gens = gd.inverse_green_generators(A)
             values, mask = gd.reconstruct_lower(gens)
-            inv = gd.dense_inverse(A.data)
+            inv = gd.dense_inverse(A.to_dense())
             assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
 
     @pytest.mark.parametrize("one_sided", [True, False])
@@ -381,7 +389,7 @@ class TestInverseGenerators:
         slu = gd.structured_lu(A)
         gens = gd.inverse_green_generators(A)
         values, mask = gd.reconstruct_lower(gens)
-        inv = gd.dense_inverse(A.data)
+        inv = gd.dense_inverse(A.to_dense())
         assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
         ref = gens.p(n - r + 1)
         alt = gd.p_tail_cross_check(slu)
@@ -436,15 +444,15 @@ class TestInverseGenerators:
 class TestGeneratorKernel:
     """The factorization and the recursion as generated kernels.
 
-    Shapes with r max(r, s) <= lu._ROWS_MAX_UPDATES and N >= lu._KERNEL_MIN_N
+    Shapes with (r+1) max(r, s) <= lu._KERNEL_MAX_BLOCK and N >= lu._KERNEL_MIN_N
     take them; tests of smaller N force them by lowering _KERNEL_MIN_N, and
     an infinite _KERNEL_MIN_N forces the numpy window loops.
     """
 
     @pytest.mark.parametrize(
         "n, r, s",
-        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 12), (512, 5, 2),
-         (512, 6, 8)],
+        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 10), (512, 5, 2),
+         (512, 6, 7)],
     )
     def test_kernel_keeps_the_reference_bits(self, n, r, s):
         slu = gd.structured_lu(dominant_band(n, r, s))
@@ -470,6 +478,14 @@ class TestGeneratorKernel:
         from_A = gd.inverse_green_generators(A)
         assert from_A.p_rows.tobytes() == gens.p_rows.tobytes()
         assert from_A.bottom.tobytes() == gens.bottom.tobytes()
+
+    @pytest.mark.parametrize("r, s", PAST_THE_RULE, ids=[f"r{r}-s{s}" for r, s in PAST_THE_RULE])
+    def test_shapes_past_the_rule_run_the_window_loops(self, monkeypatch, r, s):
+        def no_kernel(*args):
+            raise AssertionError(f"a kernel was built for r={r}, s={s}")
+
+        monkeypatch.setattr(lu, "_kernel", no_kernel)
+        gd.inverse_green_generators(dominant_band(lu._KERNEL_MIN_N, r, s))
 
     def test_generated_source_is_pinned(self):
         assert lu._recursion_source(2, 1) == (
@@ -573,11 +589,11 @@ class TestSchurComplement:
         # block must still be that of dense elimination, bit for bit, with
         # the rows below the reach of step ell still those of A
         for A in small_ensemble:
-            n, r = A.n, A.r_lower
+            n, r, D = A.n, A.r_lower, A.to_dense()
             for ell in sorted({1, n - r - 1, n - r} - {0}):
                 T = gd.schur_complement(A, ell)
-                np.testing.assert_array_equal(T, dense_elimination(A.data, ell)[ell:, ell:])
-                np.testing.assert_array_equal(T[r:], A.data[ell + r :, ell:])
+                np.testing.assert_array_equal(T, dense_elimination(D, ell)[ell:, ell:])
+                np.testing.assert_array_equal(T[r:], D[ell + r :, ell:])
 
     @pytest.mark.parametrize("ell", [0, -1, 100])
     def test_rejects_bad_step_counts(self, ell, tridiag3):
@@ -615,7 +631,7 @@ class TestSchurComplement:
             n, r = A.n, A.r_lower
             mu = gd.dominance_mu(A).mu
             slu = gd.structured_lu(A)
-            diag = np.abs(A.data.diagonal())
+            diag = np.abs(A.to_dense().diagonal())
             assert np.all((1.0 - mu**2) * diag <= np.abs(slu.gamma) * (1.0 + 1e-12))
             for ell in (1, max(1, (n - r) // 2)):
                 T = gd.schur_complement(A, ell)
