@@ -130,6 +130,15 @@ KERNEL_SHAPES = [
 ]
 assert not any(r == GRID or s == GRID for r, s in KERNEL_SHAPES)
 
+# The 33 shapes with r max(r, s) <= 48 that the rule rejects: the kernels were
+# once admitted there, and a test per stage may admit the recursion kernel
+# there again, so their bits stay checked with _KERNEL_MAX_BLOCK lifted.
+FORCED_SHAPES = [
+    (r, s) for r in range(1, 7) for s in range(49)
+    if r * max(r, s) <= 48 and (r, s) not in KERNEL_SHAPES
+]
+BIT_SHAPES = sorted(KERNEL_SHAPES + FORCED_SHAPES)
+
 # For each r <= 7 the narrowest s the rule rejects, and r = 1, s = 48, where
 # the warm elimination kernel took 1.4 to 1.8 times the window loop's CPU.
 PAST_THE_RULE = sorted(
@@ -445,23 +454,25 @@ class TestGeneratorKernel:
     """The factorization and the recursion as generated kernels.
 
     Shapes with (r+1) max(r, s) <= lu._KERNEL_MAX_BLOCK and N >= lu._KERNEL_MIN_N
-    take them; tests of smaller N force them by lowering _KERNEL_MIN_N, and
-    an infinite _KERNEL_MIN_N forces the numpy window loops.
+    take them; tests of smaller N force them by lowering _KERNEL_MIN_N, tests
+    of wider shapes by lifting _KERNEL_MAX_BLOCK, and an infinite
+    _KERNEL_MIN_N forces the numpy window loops.
     """
 
     @pytest.mark.parametrize(
         "n, r, s",
-        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 10), (512, 5, 2),
-         (512, 6, 7)],
+        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 10), (700, 4, 12),
+         (512, 5, 2), (512, 6, 7), (512, 6, 8)],
     )
-    def test_kernel_keeps_the_reference_bits(self, n, r, s):
+    def test_kernel_keeps_the_reference_bits(self, monkeypatch, n, r, s):
+        monkeypatch.setattr(lu, "_KERNEL_MAX_BLOCK", math.inf)
         slu = gd.structured_lu(dominant_band(n, r, s))
         gens = gd.inverse_green_generators(slu)
         p_rows, bottom = python_row_generators(slu)
         np.testing.assert_array_equal(gens.p_rows, p_rows)
         np.testing.assert_array_equal(gens.bottom, bottom)
 
-    @pytest.mark.parametrize("r, s", KERNEL_SHAPES, ids=[f"r{r}-s{s}" for r, s in KERNEL_SHAPES])
+    @pytest.mark.parametrize("r, s", BIT_SHAPES, ids=[f"r{r}-s{s}" for r, s in BIT_SHAPES])
     def test_every_admitted_shape_keeps_the_reference_bits(self, monkeypatch, r, s):
         # N = r + w + 2 runs whole windows and the last w-1 steps, which
         # reach past row N
@@ -469,6 +480,7 @@ class TestGeneratorKernel:
         monkeypatch.setattr(lu, "_KERNEL_MIN_N", math.inf)
         windows = gd.structured_lu(A)
         monkeypatch.setattr(lu, "_KERNEL_MIN_N", 0)
+        monkeypatch.setattr(lu, "_KERNEL_MAX_BLOCK", math.inf)
         slu = gd.structured_lu(A)
         assert slu.f.tobytes() == windows.f.tobytes() and slu.R.tobytes() == windows.R.tobytes()
         gens = gd.inverse_green_generators(slu)
