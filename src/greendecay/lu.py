@@ -38,15 +38,20 @@ are windows of one band array of A^{-1}, shape (N, w+r), strided like W (the
 last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
 k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
 
-Both stages run in one of two ways, picked by one rule. Long, narrow bands
-((r+1) max(r, s) <= 54 and N >= 512) run as one pipeline of Python floats,
-two kernels generated for their (r, s): the elimination kernel
+Both stages run in one of two ways, picked from the shape. Long, narrow
+bands (r max(r, s) <= 48 and N >= 512) run as one pipeline of Python
+floats, two kernels generated for their (r, s): the elimination kernel
 (:func:`_elimination_source`) holds the trailing r x s block of the window
 in local floats, reads the entries that enter each window from W and
 pushes each step's f_k and row k of R onto one flat list, and the
 recursion kernel (:func:`_recursion_source`) holds P_k in local floats and
 reads that same list backwards, zero-padded past row N. ``f`` and ``R``
-are views of one array built once from the list. Every other shape, and
+are views of one array built once from the list. The elimination kernel
+also moves the r + s + 1 entries that enter and leave each window, so
+:func:`structured_lu` alone uses it only where those stay few beside its
+r s updates (r s + 4 (r + s) <= 144, which keeps r = 1 to s <= 28 and
+r = 2 to s <= 22); given such a factorization, the recursion kernel reads
+one list made from ``[f | R]``. Every other shape, and
 every Schur complement, runs numpy calls on the windows: three per
 elimination step, four per recursion step. Both eliminations round every
 operation alike and leave the same bits; the recursion kernel sums its
@@ -81,19 +86,22 @@ __all__ = [
 # dominance the pivots stay above (1 - mu^2)|A(k, k)|.
 PIVOT_RTOL = np.finfo(float).tiny
 
-# Largest (r + 1) * max(r, s) whose factorization and generator recursion run
-# as generated kernels on Python floats; wider bands run numpy calls on
-# windows, whose call overhead per step barely grows with r and s. A kernel
-# step costs about r s updates plus r + s + 1 entries in and out, which
-# r * max(r, s) alone misses at r = 1: there the warm elimination kernel
-# catches up with the window loop near s = 30 and takes 1.4 to 1.8 times its
-# CPU at s = 48. On every admitted shape each warm kernel takes at most about
-# 0.8 of its window loop's CPU (r = 1, s = 26 and 27 the closest).
-_KERNEL_MAX_BLOCK = 54
+# Largest r * max(r, s) whose generator recursion runs as a generated kernel
+# on Python floats, fed by the elimination kernel when it starts from A;
+# wider bands run numpy calls on windows, whose call overhead per step barely
+# grows with r and s. An elimination kernel step also moves the r + s + 1
+# entries that enter and leave its window, each worth about four of its r s
+# updates, so structured_lu alone runs it only where r s + 4 (r + s) stays
+# within 3 * 48 = 144. Past that (r = 1, s >= 29; r = 2, s >= 23) its warm
+# step costs 0.7 to 1.2 times the window loop's near the boundary, over
+# N = 512 .. 4000, and 1.3 to 1.7 times at r = 1, s = 48. Starting from A,
+# its list still spares the recursion kernel a list made from [f | R], which
+# costs more than that difference up to r = 1, s = 38 at N = 2000.
+_ROWS_MAX_UPDATES = 48
 
 # Smallest N whose factorization and recursion run as generated kernels: the
 # one-time compile of both pays off from N = 40 at r = s = 1 to N = 300 at
-# r = s = 6 and about N = 500 on the widest admitted shapes.
+# r = s = 6 and 600 .. 1000 at r max(r, s) = 48 with r >= 2.
 _KERNEL_MIN_N = 512
 
 
@@ -166,8 +174,13 @@ def _pivot_floor(W: np.ndarray) -> float:
 
 
 def _on_floats(n: int, r: int, s: int) -> bool:
-    """Whether the factorization and the recursion of this shape run as generated kernels."""
-    return (r + 1) * max(r, s) <= _KERNEL_MAX_BLOCK and n >= _KERNEL_MIN_N
+    """Whether the generator recursion of this shape runs as a generated kernel."""
+    return r * max(r, s) <= _ROWS_MAX_UPDATES and n >= _KERNEL_MIN_N
+
+
+def _eliminates_on_floats(n: int, r: int, s: int) -> bool:
+    """Whether :func:`structured_lu` factors this shape in the generated kernel."""
+    return _on_floats(n, r, s) and r * s + 4 * (r + s) <= 3 * _ROWS_MAX_UPDATES
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -240,10 +253,11 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     -------
     StructuredLU
         Band factor data with ``lower_factor() @ upper_factor() == A`` up
-        to roundoff. Long, narrow bands ((r+1) max(r, s) <= 54, N >= 512)
-        are factored by a kernel generated for their (r, s), every other
-        shape by numpy calls on the windows of the band work array; both
-        round every operation alike and leave the same bits.
+        to roundoff. Long, narrow bands (r max(r, s) <= 48 and
+        r s + 4 (r + s) <= 144, N >= 512) are factored by a kernel generated
+        for their (r, s), every other shape by numpy calls on the windows of
+        the band work array; both round every operation alike and leave the
+        same bits.
 
     Raises
     ------
@@ -254,15 +268,15 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         bound gamma_{r+1} (|L||R|)(k, k); the error carries the 1-based step
         index of the first such pivot.
     """
-    return _factor(A)[0]
+    return _factor(A, _eliminates_on_floats(A.n, A.r_lower, A.r_upper))[0]
 
 
-def _factor(A: BandedMatrix) -> tuple[StructuredLU, list | None]:
-    """:func:`structured_lu`, with the flat list of f and R where the kernel made one."""
+def _factor(A: BandedMatrix, on_floats: bool) -> tuple[StructuredLU, list | None]:
+    """:func:`structured_lu`, in the kernel if ``on_floats``, with its list of f and R."""
     n, r, s = A.n, A.r_lower, A.r_upper
     W = A.band(r)
     # step N has no row left to eliminate; it only checks the last pivot
-    if _on_floats(n, r, s):
+    if on_floats:
         F, flat = _eliminate_kernel(W, r, s, n)
         slu = StructuredLU(F[: n - 1, :r], F[:, r:])
     else:
@@ -333,17 +347,17 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     A step costs a few microseconds of numpy call overhead on the windows,
     or time in proportion to r w in a kernel of Python floats generated and
     compiled once per (r, s) (:func:`_kernel_generators`). The kernel takes
-    shapes with (r+1) w <= ``_KERNEL_MAX_BLOCK`` = 54 and N >=
-    ``_KERNEL_MIN_N`` = 512, the shapes :func:`structured_lu` factors in its
-    own kernel; given A, the recursion reads that kernel's list of f and R
-    as it is, given the factorization, one list made from ``[f | R]``.
-    Counting both compiles (0.2 ms at r = s = 1 to 2.5 ms on the widest
-    admitted shapes), factorization and recursion from A together break
-    even with the window loops near N = 40 at r = s = 1, 64 at r = 2, s = 3,
-    128 at r = s = 4, 300 at r = s = 6 and about 500 at r = 1, s = 27,
-    r = 2, s = 18 and r = 5, s = 9 (process CPU, medians of 7-9, one BLAS
-    thread, shared 2-vCPU host). At N = 4000, r = s = 4 they take about 0.3
-    of the window loops' time. The generators agree with the window loop's to
+    shapes with r w <= ``_ROWS_MAX_UPDATES`` = 48 and N >= ``_KERNEL_MIN_N``
+    = 512; given A, it factors A in the elimination kernel first and reads
+    that kernel's list of f and R as it is, given the factorization, one
+    list made from ``[f | R]``. Counting both
+    compiles (0.2 ms at r = s = 1 to 2 ms at r w = 48), factorization and
+    recursion from A together break even with the window loops near N = 40
+    at r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6
+    and 600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians
+    of 7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48 they stay
+    slower to N = 1024. At N = 4000, r = s = 4 they take about 0.3 of the
+    window loops' time. The generators agree with the window loop's to
     roundoff (worst 3.0e-16 relative to max|p| on 6000 random bands of N <=
     24).
 
@@ -351,7 +365,12 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     ``StructuredLU`` built by hand, raises ZeroPivotError at the first such
     k; generators that overflow raise ValueError.
     """
-    slu, flat = (A, None) if isinstance(A, StructuredLU) else _factor(A)
+    if isinstance(A, StructuredLU):
+        slu, flat = A, None
+    else:
+        # the elimination kernel's own list spares the recursion kernel a
+        # list made from [f | R], so the pair runs wherever the recursion does
+        slu, flat = _factor(A, _on_floats(A.n, A.r_lower, A.r_upper))
     n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
     size = np.abs(slu.gamma)

@@ -195,13 +195,13 @@ def test_band_kernel_matches_dense_elimination(A, data):
 
 
 # Values of lu._KERNEL_MIN_N that force one path onto every shape, with
-# lu._KERNEL_MAX_BLOCK lifted: the generated kernels, or the numpy window loops.
+# lu._ROWS_MAX_UPDATES lifted: the generated kernels, or the numpy window loops.
 KERNEL, WINDOWS = 0, math.inf
 
 
 def forced(min_n):
     """Patch lu so that every shape takes the path min_n stands for."""
-    return mock.patch.multiple(lu, _KERNEL_MIN_N=min_n, _KERNEL_MAX_BLOCK=math.inf)
+    return mock.patch.multiple(lu, _KERNEL_MIN_N=min_n, _ROWS_MAX_UPDATES=math.inf)
 
 
 def factor_with(min_n, A):

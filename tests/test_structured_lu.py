@@ -120,9 +120,12 @@ def dominant_band(n, r, s):
     return gd.make_banded(n, r, s, lambda i, j: r + s + 2.0 if i == j else np.sin(i + 2 * j))
 
 
-# Every (r, s) that lu._on_floats runs as generated kernels at N >= 512: 90
-# shapes, r <= 6 and s <= 27. The grid's last row and column admit nothing,
-# so the rule admits no shape beyond it.
+# Every (r, s) whose generator recursion lu._on_floats runs as a generated
+# kernel at N >= 512: 123 shapes, r <= 6 and s <= 48. Given A, the recursion
+# starts from the elimination kernel on all of them; structured_lu alone
+# uses it on the 101 that lu._eliminates_on_floats admits.
+# The grid's last row and column admit nothing, so the rule admits no shape
+# beyond it.
 GRID = 64
 KERNEL_SHAPES = [
     (r, s) for r in range(1, GRID + 1) for s in range(GRID + 1)
@@ -130,21 +133,27 @@ KERNEL_SHAPES = [
 ]
 assert not any(r == GRID or s == GRID for r, s in KERNEL_SHAPES)
 
-# The 33 shapes with r max(r, s) <= 48 that the rule rejects: the kernels were
-# once admitted there, and a test per stage may admit the recursion kernel
-# there again, so their bits stay checked with _KERNEL_MAX_BLOCK lifted.
-FORCED_SHAPES = [
-    (r, s) for r in range(1, 7) for s in range(49)
-    if r * max(r, s) <= 48 and (r, s) not in KERNEL_SHAPES
-]
-BIT_SHAPES = sorted(KERNEL_SHAPES + FORCED_SHAPES)
-
-# For each r <= 7 the narrowest s the rule rejects, and r = 1, s = 48, where
-# the warm elimination kernel took 1.4 to 1.8 times the window loop's CPU.
-PAST_THE_RULE = sorted(
-    {(r, min(s for s in range(GRID) if not lu._on_floats(lu._KERNEL_MIN_N, r, s)))
-     for r in range(1, 8)} | {(1, 48)}
+# For each r <= 7 the narrowest s that structured_lu, and the narrowest s
+# that the recursion, runs on windows; and r = 1, s = 48, where the warm
+# elimination kernel took 1.3 to 1.8 times the window loop's CPU.
+PAST_A_RULE = sorted(
+    {(r, min(s for s in range(GRID) if not rule(lu._KERNEL_MIN_N, r, s)))
+     for r in range(1, 8) for rule in (lu._eliminates_on_floats, lu._on_floats)} | {(1, 48)}
 )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Names of the kernel sources that lu._kernel is asked for, in order."""
+    names = []
+    kernel = lu._kernel
+
+    def recording(source, r, s):
+        names.append(source.__name__)
+        return kernel(source, r, s)
+
+    monkeypatch.setattr(lu, "_kernel", recording)
+    return names
 
 
 def dense_elimination(D, steps):
@@ -200,9 +209,9 @@ class TestFactorization:
         self, lu, tail, one_sided, min_n, monkeypatch
     ):
         # the last steps eliminate windows that reach into the padding rows;
-        # one-sided shapes take the kernel only with (r+1) max(r, s) unbounded
+        # one-sided shapes take the kernel only with r max(r, s) unbounded
         monkeypatch.setattr(gd.lu, "_KERNEL_MIN_N", min_n)
-        monkeypatch.setattr(gd.lu, "_KERNEL_MAX_BLOCK", math.inf)
+        monkeypatch.setattr(gd.lu, "_ROWS_MAX_UPDATES", math.inf)
         n = 7
         k = n - tail
         A = dyadic_lu_product(n, k, one_sided)
@@ -453,34 +462,37 @@ class TestInverseGenerators:
 class TestGeneratorKernel:
     """The factorization and the recursion as generated kernels.
 
-    Shapes with (r+1) max(r, s) <= lu._KERNEL_MAX_BLOCK and N >= lu._KERNEL_MIN_N
-    take them; tests of smaller N force them by lowering _KERNEL_MIN_N, tests
-    of wider shapes by lifting _KERNEL_MAX_BLOCK, and an infinite
-    _KERNEL_MIN_N forces the numpy window loops.
+    Shapes with r max(r, s) <= lu._ROWS_MAX_UPDATES and N >= lu._KERNEL_MIN_N
+    take them from A, and structured_lu alone takes the elimination kernel
+    on those that lu._eliminates_on_floats admits; tests of smaller N force
+    them by lowering _KERNEL_MIN_N, and an infinite _KERNEL_MIN_N forces the
+    numpy window loops.
     """
 
     @pytest.mark.parametrize(
         "n, r, s",
-        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 10), (700, 4, 12),
-         (512, 5, 2), (512, 6, 7), (512, 6, 8)],
+        [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 12), (512, 5, 2),
+         (512, 6, 8)],
     )
-    def test_kernel_keeps_the_reference_bits(self, monkeypatch, n, r, s):
-        monkeypatch.setattr(lu, "_KERNEL_MAX_BLOCK", math.inf)
+    def test_kernel_keeps_the_reference_bits(self, built, n, r, s):
+        # band_long's shape is the first; all of them run both kernels
+        assert lu._eliminates_on_floats(n, r, s)
         slu = gd.structured_lu(dominant_band(n, r, s))
         gens = gd.inverse_green_generators(slu)
+        assert built == ["_elimination_source", "_recursion_source"]
         p_rows, bottom = python_row_generators(slu)
         np.testing.assert_array_equal(gens.p_rows, p_rows)
         np.testing.assert_array_equal(gens.bottom, bottom)
 
-    @pytest.mark.parametrize("r, s", BIT_SHAPES, ids=[f"r{r}-s{s}" for r, s in BIT_SHAPES])
-    def test_every_admitted_shape_keeps_the_reference_bits(self, monkeypatch, r, s):
+    @pytest.mark.parametrize("r, s", KERNEL_SHAPES, ids=[f"r{r}-s{s}" for r, s in KERNEL_SHAPES])
+    def test_every_admitted_shape_keeps_the_reference_bits(self, monkeypatch, built, r, s):
         # N = r + w + 2 runs whole windows and the last w-1 steps, which
         # reach past row N
         A = dominant_band(r + max(r, s) + 2, r, s)
         monkeypatch.setattr(lu, "_KERNEL_MIN_N", math.inf)
         windows = gd.structured_lu(A)
+        assert built == []
         monkeypatch.setattr(lu, "_KERNEL_MIN_N", 0)
-        monkeypatch.setattr(lu, "_KERNEL_MAX_BLOCK", math.inf)
         slu = gd.structured_lu(A)
         assert slu.f.tobytes() == windows.f.tobytes() and slu.R.tobytes() == windows.R.tobytes()
         gens = gd.inverse_green_generators(slu)
@@ -490,14 +502,17 @@ class TestGeneratorKernel:
         from_A = gd.inverse_green_generators(A)
         assert from_A.p_rows.tobytes() == gens.p_rows.tobytes()
         assert from_A.bottom.tobytes() == gens.bottom.tobytes()
+        # given A, the recursion kernel reads the elimination kernel's list
+        factors = ["_elimination_source"] * lu._eliminates_on_floats(A.n, r, s)
+        assert built == factors + ["_recursion_source", "_elimination_source", "_recursion_source"]
 
-    @pytest.mark.parametrize("r, s", PAST_THE_RULE, ids=[f"r{r}-s{s}" for r, s in PAST_THE_RULE])
-    def test_shapes_past_the_rule_run_the_window_loops(self, monkeypatch, r, s):
-        def no_kernel(*args):
-            raise AssertionError(f"a kernel was built for r={r}, s={s}")
-
-        monkeypatch.setattr(lu, "_kernel", no_kernel)
-        gd.inverse_green_generators(dominant_band(lu._KERNEL_MIN_N, r, s))
+    @pytest.mark.parametrize("r, s", PAST_A_RULE, ids=[f"r{r}-s{s}" for r, s in PAST_A_RULE])
+    def test_shapes_past_a_rule_run_its_window_loop(self, built, r, s):
+        A = dominant_band(lu._KERNEL_MIN_N, r, s)
+        gd.structured_lu(A)
+        assert built == []
+        gd.inverse_green_generators(A)
+        assert built == ["_elimination_source", "_recursion_source"] * lu._on_floats(A.n, r, s)
 
     def test_generated_source_is_pinned(self):
         assert lu._recursion_source(2, 1) == (
