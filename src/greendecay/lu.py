@@ -49,8 +49,8 @@ reads that same list backwards, zero-padded past row N. ``f`` and ``R``
 are views of one array built once from the list. The elimination kernel
 also moves the r + s + 1 entries that enter and leave each window, so
 :func:`structured_lu` alone uses it only where those stay few beside its
-r s updates (r s + 4 (r + s) <= 144, which keeps r = 1 to s <= 28 and
-r = 2 to s <= 22); given such a factorization, the recursion kernel reads
+r s updates (r s + 4 (r + s) <= 192, which leaves r = 1, s >= 38 to the
+window loop); given such a factorization, the recursion kernel reads
 one list made from ``[f | R]``. Every other shape, and
 every Schur complement, runs numpy calls on the windows: three per
 elimination step, four per recursion step. Both eliminations round every
@@ -92,11 +92,14 @@ PIVOT_RTOL = np.finfo(float).tiny
 # grows with r and s. An elimination kernel step also moves the r + s + 1
 # entries that enter and leave its window, each worth about four of its r s
 # updates, so structured_lu alone runs it only where r s + 4 (r + s) stays
-# within 3 * 48 = 144. Past that (r = 1, s >= 29; r = 2, s >= 23) its warm
-# step costs 0.7 to 1.2 times the window loop's near the boundary, over
-# N = 512 .. 4000, and 1.3 to 1.7 times at r = 1, s = 48. Starting from A,
-# its list still spares the recursion kernel a list made from [f | R], which
-# costs more than that difference up to r = 1, s = 38 at N = 2000.
+# within 4 * 48 = 192. That leaves r = 1, s >= 38 to the window loop, where
+# the warm kernel step took 1.04 to 1.8 times the window loop's CPU at every
+# N from 512 to 4000. The crossover moves with N, from s = 34 .. 37 at
+# N <= 1000 to s = 27 at N = 4000, so at N = 4000 the kernel still takes up
+# to 1.4 times the window loop's CPU at r = 1, s = 29 .. 37. From A, the
+# recursion kernel reads the elimination kernel's list; a list made from
+# [f | R] instead costs more than the kernel loses there, up to r = 1,
+# s = 38 at N = 2000.
 _ROWS_MAX_UPDATES = 48
 
 # Smallest N whose factorization and recursion run as generated kernels: the
@@ -180,7 +183,7 @@ def _on_floats(n: int, r: int, s: int) -> bool:
 
 def _eliminates_on_floats(n: int, r: int, s: int) -> bool:
     """Whether :func:`structured_lu` factors this shape in the generated kernel."""
-    return _on_floats(n, r, s) and r * s + 4 * (r + s) <= 3 * _ROWS_MAX_UPDATES
+    return _on_floats(n, r, s) and r * s + 4 * (r + s) <= 4 * _ROWS_MAX_UPDATES
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -254,7 +257,7 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     StructuredLU
         Band factor data with ``lower_factor() @ upper_factor() == A`` up
         to roundoff. Long, narrow bands (r max(r, s) <= 48 and
-        r s + 4 (r + s) <= 144, N >= 512) are factored by a kernel generated
+        r s + 4 (r + s) <= 192, N >= 512) are factored by a kernel generated
         for their (r, s), every other shape by numpy calls on the windows of
         the band work array; both round every operation alike and leave the
         same bits.

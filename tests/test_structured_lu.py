@@ -123,7 +123,7 @@ def dominant_band(n, r, s):
 # Every (r, s) whose generator recursion lu._on_floats runs as a generated
 # kernel at N >= 512: 123 shapes, r <= 6 and s <= 48. Given A, the recursion
 # starts from the elimination kernel on all of them; structured_lu alone
-# uses it on the 101 that lu._eliminates_on_floats admits.
+# uses it on the 112 that lu._eliminates_on_floats admits.
 # The grid's last row and column admit nothing, so the rule admits no shape
 # beyond it.
 GRID = 64
