@@ -428,8 +428,8 @@ def read_matrix_market(path) -> BandedMatrix:
             raise MatrixMarketError(
                 f"matrix is not square: {nrows} x {ncols}", line=lineno
             )
-        if nrows < 1:
-            raise MatrixMarketError(f"order must be positive, got {nrows}", line=lineno)
+        if nrows < 2:
+            raise MatrixMarketError(f"order must be at least 2, got {nrows}", line=lineno)
         size_lineno = lineno
 
         # running sum of each 1-based (row, col), added in file order from 0.0

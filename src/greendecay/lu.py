@@ -38,25 +38,25 @@ are windows of one band array of A^{-1}, shape (N, w+r), strided like W (the
 last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
 k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
 
-Both stages run in one of two ways, picked from the shape. Long, narrow
-bands (r max(r, s) <= 48 and N >= 512) run as one pipeline of Python
-floats, two kernels generated for their (r, s): the elimination kernel
-(:func:`_elimination_source`) holds the trailing r x s block of the window
-in local floats, reads the entries that enter each window from W and
-pushes each step's f_k and row k of R onto one flat list, and the
-recursion kernel (:func:`_recursion_source`) holds P_k in local floats and
-reads that same list backwards, zero-padded past row N. ``f`` and ``R``
-are views of one array built once from the list. The elimination kernel
-also moves the r + s + 1 entries that enter and leave each window, so
-:func:`structured_lu` alone uses it only where those stay few beside its
-r s updates (r s + 4 (r + s) <= 192, which leaves r = 1, s >= 38 to the
-window loop); given such a factorization, the recursion kernel reads
-one list made from ``[f | R]``. Every other shape, and
-every Schur complement, runs numpy calls on the windows: three per
-elimination step, four per recursion step. Both eliminations round every
-operation alike and leave the same bits; the recursion kernel sums its
-products left to right, BLAS in its own order, so the two recursions give
-generators that agree to roundoff, not bit for bit.
+Both stages run in one of two ways, each picked from the shape by its own
+rule. The recursion runs as a kernel of Python floats generated for its
+(r, s) (:func:`_recursion_source`) where r max(r, s) <= 48 and N >= 512
+(:func:`_on_floats`): it holds P_k in local floats and reads one flat list
+of each step's f_k and row k of R backwards, zero-padded past row N. The
+elimination runs as such a kernel (:func:`_elimination_source`) where
+r s + 4 (r + s) <= 192 as well (:func:`_eliminates_on_floats`), from either
+entry point: it holds the trailing r x s block of the window in local
+floats, reads the entries that enter each window from W and pushes each
+step's f_k and row k of R onto that list; ``f`` and ``R`` are views of one
+array built once from it. Its stricter rule prices the r + s + 1 entries
+that enter and leave each window, and leaves r = 1, s >= 38 to the window
+loop. Where the elimination ran on windows, the recursion kernel reads one
+list made from ``[f | R]``. Every other shape, and every Schur complement,
+runs numpy calls on the windows: three per elimination step, four per
+recursion step. Both eliminations round every operation alike and leave
+the same bits; the recursion kernel sums its products left to right, BLAS
+in its own order, so the two recursions give generators that agree to
+roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -87,19 +87,16 @@ __all__ = [
 PIVOT_RTOL = np.finfo(float).tiny
 
 # Largest r * max(r, s) whose generator recursion runs as a generated kernel
-# on Python floats, fed by the elimination kernel when it starts from A;
-# wider bands run numpy calls on windows, whose call overhead per step barely
-# grows with r and s. An elimination kernel step also moves the r + s + 1
-# entries that enter and leave its window, each worth about four of its r s
-# updates, so structured_lu alone runs it only where r s + 4 (r + s) stays
-# within 4 * 48 = 192. That leaves r = 1, s >= 38 to the window loop, where
-# the warm kernel step took 1.04 to 1.8 times the window loop's CPU at every
-# N from 512 to 4000. The crossover moves with N, from s = 34 .. 37 at
-# N <= 1000 to s = 27 at N = 4000, so at N = 4000 the kernel still takes up
-# to 1.4 times the window loop's CPU at r = 1, s = 29 .. 37. From A, the
-# recursion kernel reads the elimination kernel's list; a list made from
-# [f | R] instead costs more than the kernel loses there, up to r = 1,
-# s = 38 at N = 2000.
+# on Python floats; wider bands run numpy calls on windows, whose call
+# overhead per step barely grows with r and s. An elimination kernel step
+# also moves the r + s + 1 entries that enter and leave its window, each
+# worth about four of its r s updates, so the elimination runs that kernel
+# only where r s + 4 (r + s) stays within 4 * 48 = 192, from either entry
+# point. That leaves r = 1, s >= 38 to the window loop, where the warm
+# kernel step took 1.04 to 1.8 times the window loop's CPU at every N from
+# 512 to 4000. The crossover moves with N, from s = 34 .. 37 at N <= 1000
+# to s = 27 at N = 4000, so at N = 4000 the kernel still takes up to 1.4
+# times the window loop's CPU at r = 1, s = 29 .. 37.
 _ROWS_MAX_UPDATES = 48
 
 # Smallest N whose factorization and recursion run as generated kernels: the
@@ -121,13 +118,19 @@ class StructuredLU:
     ``f`` is (N-1, r): ``f[k-1]`` holds the multipliers f_k of step k, and
     the short trailing f_k (length N-k for k > N-r) are padded to length r
     with 0 / gamma_k, a zero of the pivot's sign. N, r and s follow from the
-    shapes, and ``gamma`` is the view ``R[:, 0]`` of the pivots R(k, k). The
-    dense factors, for the oracle checks, come from :meth:`lower_factor` and
-    :meth:`upper_factor`.
+    shapes, which must agree (ValueError otherwise), and ``gamma`` is the
+    view ``R[:, 0]`` of the pivots R(k, k). The dense factors, for the
+    oracle checks, come from :meth:`lower_factor` and :meth:`upper_factor`.
     """
 
     f: np.ndarray  # (N-1, r)
     R: np.ndarray  # (N, s+1)
+
+    def __post_init__(self):
+        f, R = np.shape(self.f), np.shape(self.R)
+        if not (len(f) == len(R) == 2 and R[0] - 1 == f[0] >= f[1] >= 1 and 1 <= R[1] <= R[0]):
+            raise ValueError("StructuredLU needs f of shape (N-1, r) and R of shape (N, s+1), "
+                             f"N > r >= 1 and s < N; got f of shape {f} and R of shape {R}")
 
     @property
     def n(self) -> int:
@@ -182,7 +185,7 @@ def _on_floats(n: int, r: int, s: int) -> bool:
 
 
 def _eliminates_on_floats(n: int, r: int, s: int) -> bool:
-    """Whether :func:`structured_lu` factors this shape in the generated kernel."""
+    """Whether the elimination of this shape runs as a generated kernel."""
     return _on_floats(n, r, s) and r * s + 4 * (r + s) <= 4 * _ROWS_MAX_UPDATES
 
 
@@ -216,29 +219,27 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
         raise ZeroPivotError(steps, float(W[steps - 1, r]))
 
 
-def _eliminate_kernel(W: np.ndarray, r: int, s: int, steps: int) -> tuple[np.ndarray, list]:
-    """Steps 1 .. ``steps`` of :func:`_eliminate` in the generated kernel.
+def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> tuple[np.ndarray, list]:
+    """All N steps of :func:`_eliminate` in the generated kernel.
 
     The kernel (:func:`_elimination_source`) starts from the r x s block
     A(1 : r, 1 : s) of window 1 and takes the r+s+1 entries that enter
     window k, the column A(k : k+r-1, k+s) and the row A(k+r, k : k+s), as
     one step of a flat list of Python floats read from W; W itself is not
     written. Each step's f_k and row k of R go, in that order, into one flat
-    list. Returns the (steps, r+s+1) read-only array ``[f | R]`` of that
-    list, row k-1 for step k, and the list itself. The pivot floor and the
-    final check are those of :func:`_eliminate`; the check also covers the
-    kernel's last block, the r x s entries that W would hold below row
-    ``steps`` and that an early stop leaves unread by any pivot test.
+    list. Returns the (N, r+s+1) read-only array ``[f | R]`` of that list,
+    row k-1 for step k, and the list itself. The pivot floor and the final
+    check are those of :func:`_eliminate`; the check reads ``[f | R]``, from
+    which the kernel's last block, below row N, is made.
     """
-    m = r + s + 1
+    n, m = len(W) - r, r + s + 1
     G = _windows(W, r, s)
-    entering = iter(np.concatenate((G[:steps, :r, s], G[:steps, r]), axis=1).ravel().tolist())
+    entering = iter(np.concatenate((G[:, :r, s], G[:, r]), axis=1).ravel().tolist())
     kernel = _kernel(_elimination_source, r, s)
-    state = tuple(G[0, :r, :s].ravel().tolist())
-    flat, state = kernel(zip(*[entering] * m), state, _pivot_floor(W))
-    F = np.fromiter(flat, float, len(flat)).reshape(steps, m)
-    if not (np.isfinite(F).all() and np.isfinite(state).all()):
-        raise ZeroPivotError(steps, float(F[steps - 1, r]))
+    flat = kernel(zip(*[entering] * m), tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
+    F = np.fromiter(flat, float, len(flat)).reshape(n, m)
+    if not np.isfinite(F).all():
+        raise ZeroPivotError(n, float(F[n - 1, r]))
     F.flags.writeable = False
     return F, flat
 
@@ -271,16 +272,16 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         bound gamma_{r+1} (|L||R|)(k, k); the error carries the 1-based step
         index of the first such pivot.
     """
-    return _factor(A, _eliminates_on_floats(A.n, A.r_lower, A.r_upper))[0]
+    return _factor(A)[0]
 
 
-def _factor(A: BandedMatrix, on_floats: bool) -> tuple[StructuredLU, list | None]:
-    """:func:`structured_lu`, in the kernel if ``on_floats``, with its list of f and R."""
+def _factor(A: BandedMatrix) -> tuple[StructuredLU, list | None]:
+    """:func:`structured_lu`, with the elimination kernel's list of f and R if it ran."""
     n, r, s = A.n, A.r_lower, A.r_upper
     W = A.band(r)
     # step N has no row left to eliminate; it only checks the last pivot
-    if on_floats:
-        F, flat = _eliminate_kernel(W, r, s, n)
+    if _eliminates_on_floats(n, r, s):
+        F, flat = _eliminate_kernel(W, r, s)
         slu = StructuredLU(F[: n - 1, :r], F[:, r:])
     else:
         flat = None
@@ -351,15 +352,16 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     or time in proportion to r w in a kernel of Python floats generated and
     compiled once per (r, s) (:func:`_kernel_generators`). The kernel takes
     shapes with r w <= ``_ROWS_MAX_UPDATES`` = 48 and N >= ``_KERNEL_MIN_N``
-    = 512; given A, it factors A in the elimination kernel first and reads
-    that kernel's list of f and R as it is, given the factorization, one
-    list made from ``[f | R]``. Counting both
-    compiles (0.2 ms at r = s = 1 to 2 ms at r w = 48), factorization and
-    recursion from A together break even with the window loops near N = 40
-    at r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6
-    and 600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians
-    of 7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48 they stay
-    slower to N = 1024. At N = 4000, r = s = 4 they take about 0.3 of the
+    = 512. Given A, this factors A as :func:`structured_lu` does, and the
+    kernel reads the elimination kernel's list of f and R where that kernel
+    ran (r s + 4 (r + s) <= 192 as well), and otherwise one list made from
+    ``[f | R]``. Counting both compiles (0.2 ms at r = s = 1 to 2 ms at
+    r w = 48), factorization and recursion from A together break even with
+    the window loops near N = 40 at r = s = 1, 64 at r = 2, s = 3, 128 at
+    r = s = 4, 300 at r = s = 6 and 600 .. 1000 at r = 4, s = 12 and r = 2,
+    s = 24 (process CPU, medians of 7, one BLAS thread, shared 2-vCPU
+    host); at r = 1, s = 48, with the recursion kernel alone, near
+    N = 1000. At N = 4000, r = s = 4 they take about 0.3 of the
     window loops' time. The generators agree with the window loop's to
     roundoff (worst 3.0e-16 relative to max|p| on 6000 random bands of N <=
     24).
@@ -368,12 +370,7 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     ``StructuredLU`` built by hand, raises ZeroPivotError at the first such
     k; generators that overflow raise ValueError.
     """
-    if isinstance(A, StructuredLU):
-        slu, flat = A, None
-    else:
-        # the elimination kernel's own list spares the recursion kernel a
-        # list made from [f | R], so the pair runs wherever the recursion does
-        slu, flat = _factor(A, _on_floats(A.n, A.r_lower, A.r_upper))
+    slu, flat = (A, None) if isinstance(A, StructuredLU) else _factor(A)
     n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
     size = np.abs(slu.gamma)
@@ -467,9 +464,8 @@ def _elimination_source(r: int, s: int) -> str:
     g = G[0, 0] against ``floor``, divides f_i = G[i, 0] / g, pushes f_k
     and row k of R, (g, G[0, 1 : s+1]), onto one list and forms the next
     state G[i, j] - f_i * G[0, j], i = 1 .. r, j = 1 .. s: the operations
-    of :func:`_eliminate`, each rounded once. It returns the list and the
-    last state. A pivot that fails the floor test raises ZeroPivotError at
-    its step. ``test_elimination_source_is_pinned`` shows the source for
+    of :func:`_eliminate`, each rounded once. It returns the list. A pivot
+    that fails the floor test raises ZeroPivotError at its step. ``test_elimination_source_is_pinned`` shows the source for
     r = 2, s = 1.
     """
 
@@ -492,7 +488,7 @@ def _elimination_source(r: int, s: int) -> str:
         *(f"        {f[i - 1]} = {G(i, 0)} / g" for i in range(1, r + 1)),
         f"        push({_tuple([*f, 'g', *(G(0, j) for j in range(1, s + 1))])})",
         *([f"        {state} = {_tuple(new)}"] if s else []),
-        f"    return out, {state if s else '()'}",
+        "    return out",
         "",
     ])
 

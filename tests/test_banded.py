@@ -225,7 +225,15 @@ class TestMatrixMarket:
         path = self._write(
             tmp_path, "%%MatrixMarket matrix coordinate real general\n-2 -2 0\n"
         )
-        with pytest.raises(gd.MatrixMarketError, match="order must be positive"):
+        with pytest.raises(gd.MatrixMarketError, match="order must be at least 2"):
+            gd.read_matrix_market(path)
+
+    def test_rejects_order_one(self, tmp_path):
+        # a BandedMatrix needs N > r_lower >= 1; the size line says why not
+        path = self._write(
+            tmp_path, "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n"
+        )
+        with pytest.raises(gd.MatrixMarketError, match=r"order must be at least 2, got 1 \(line 2\)"):
             gd.read_matrix_market(path)
 
     def test_rejects_missing_header(self, tmp_path):

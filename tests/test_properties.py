@@ -214,31 +214,44 @@ def factor_with(min_n, A):
     return slu.f.tobytes(), slu.R.tobytes()
 
 
-def eliminate_with(min_n, A, steps):
-    """Bytes of f_1 .. f_steps and R's rows 1 .. steps after ``steps`` elimination
-    steps in the loop min_n stands for, or (k, pivot bytes); steps < N is an early stop."""
+def eliminate_with(min_n, A):
+    """Bytes of f and R after all N elimination steps in the loop min_n
+    stands for, or (k, pivot bytes)."""
     r, s = A.r_lower, A.r_upper
     W = A.band(r)
     try:
         if min_n == KERNEL:
-            F, _ = lu._eliminate_kernel(W, r, s, steps)
+            F, _ = lu._eliminate_kernel(W, r, s)
             f, R = F[:, :r], F[:, r:]
         else:
-            lu._eliminate(W, r, s, steps)
-            f, R = lu._windows(W, r, s)[:steps, 1:, 0], W[:steps, r:]
+            lu._eliminate(W, r, s, A.n)
+            f, R = lu._windows(W, r, s)[:, 1:, 0], W[: A.n, r:]
     except gd.ZeroPivotError as err:
         return err.k, np.float64(err.value).tobytes()
     return f.tobytes(), R.tobytes()
 
 
+@st.composite
+def overflowing_band(draw):
+    """A band of N <= 8 whose entries come from a few values near overflow,
+    underflow and 1, so that the eliminations overflow, underflow and cancel."""
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, n - 1))
+    s = draw(st.integers(0, n - 1))
+    values = [0.0, 1.0, -1.0, 1e300, -1e300, 1e200, 1e154, 1e-300, 1e-200, 0.5, 2.0]
+    entries = draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))
+    D = np.triu(np.tril(np.reshape(entries, (n, n)), s), -r)
+    return gd.BandedMatrix(n, r, s, D)
+
+
 @PROPERTY
-@given(A=any_band(), data=draws())
-def test_kernel_and_window_eliminations_leave_the_same_bits(A, data):
-    # every shape, one-sided s = N-1 included, through structured_lu, and an
-    # early stop (steps < N, as schur_complement makes) through both loops
+@given(A=st.one_of(any_band(), overflowing_band()))
+def test_kernel_and_window_eliminations_leave_the_same_bits(A):
+    # every shape, one-sided s = N-1 included, through structured_lu and
+    # through both loops alone; the kernel checks only [f | R] for overflow,
+    # the window loop all of W
     assert factor_with(KERNEL, A) == factor_with(WINDOWS, A)
-    steps = data.draw(st.integers(1, A.n), label="steps")
-    assert eliminate_with(KERNEL, A, steps) == eliminate_with(WINDOWS, A, steps)
+    assert eliminate_with(KERNEL, A) == eliminate_with(WINDOWS, A)
 
 
 # Worst measured gap between the kernel and the window recursion, relative
@@ -267,23 +280,19 @@ def test_kernel_and_window_recursions_agree(A):
 
 
 @pytest.mark.parametrize(
-    "dense, steps, k, pivot",
+    "dense, k, pivot",
     [
-        ([[0.0, 1.0], [1.0, 0.0]], 2, 1, 0.0),
-        ([[1e-310, 1.0], [1.0, 1.0]], 2, 1, 1e-310),
-        ([[TINY, 1.0], [1.0, 1.0]], 2, 1, TINY),
-        # step 1 overflows A(2, 2), which no later pivot test reads; the
-        # kernel holds it in its last block, not in f or R
-        ([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]], 1, 1, 1.0),
+        ([[0.0, 1.0], [1.0, 0.0]], 1, 0.0),
+        ([[1e-310, 1.0], [1.0, 1.0]], 1, 1e-310),
+        ([[TINY, 1.0], [1.0, 1.0]], 1, TINY),
     ],
-    ids=["zero-pivot", "below-floor", "at-floor", "final-check"],
+    ids=["zero-pivot", "below-floor", "at-floor"],
 )
-def test_kernel_and_window_eliminations_raise_alike(dense, steps, k, pivot):
+def test_kernel_and_window_eliminations_raise_alike(dense, k, pivot):
     A = gd.from_dense(np.array(dense))
     want = (k, np.float64(pivot).tobytes())
-    assert eliminate_with(KERNEL, A, steps) == eliminate_with(WINDOWS, A, steps) == want
-    if steps == A.n:
-        assert factor_with(KERNEL, A) == factor_with(WINDOWS, A) == want
+    assert eliminate_with(KERNEL, A) == eliminate_with(WINDOWS, A) == want
+    assert factor_with(KERNEL, A) == factor_with(WINDOWS, A) == want
 
 
 @PROPERTY

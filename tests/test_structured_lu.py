@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from functools import reduce
 
 import numpy as np
@@ -121,9 +122,9 @@ def dominant_band(n, r, s):
 
 
 # Every (r, s) whose generator recursion lu._on_floats runs as a generated
-# kernel at N >= 512: 123 shapes, r <= 6 and s <= 48. Given A, the recursion
-# starts from the elimination kernel on all of them; structured_lu alone
-# uses it on the 112 that lu._eliminates_on_floats admits.
+# kernel at N >= 512: 123 shapes, r <= 6 and s <= 48. Both entry points run
+# the elimination kernel on the 112 of them that lu._eliminates_on_floats
+# admits.
 # The grid's last row and column admit nothing, so the rule admits no shape
 # beyond it.
 GRID = 64
@@ -133,9 +134,10 @@ KERNEL_SHAPES = [
 ]
 assert not any(r == GRID or s == GRID for r, s in KERNEL_SHAPES)
 
-# For each r <= 7 the narrowest s that structured_lu, and the narrowest s
-# that the recursion, runs on windows; and r = 1, s = 48, where the warm
-# elimination kernel took 1.3 to 1.8 times the window loop's CPU.
+# For each r <= 7 the narrowest s whose elimination, and the narrowest s
+# whose recursion, runs on windows from either entry point; and r = 1,
+# s = 48, where the warm elimination kernel took 1.3 to 1.8 times the
+# window loop's CPU.
 PAST_A_RULE = sorted(
     {(r, min(s for s in range(GRID) if not rule(lu._KERNEL_MIN_N, r, s)))
      for r in range(1, 8) for rule in (lu._eliminates_on_floats, lu._on_floats)} | {(1, 48)}
@@ -426,11 +428,23 @@ class TestInverseGenerators:
                 else:
                     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
-    def test_factorization_gives_the_same_generators(self, acceptance_ensemble):
+    def test_factorization_gives_the_same_generators(
+        self, acceptance_ensemble, built, monkeypatch
+    ):
         # the recursion reads only f and R, so passing the factorization in
-        # place of the matrix changes no bit; the last matrix has band_long's shape
-        band = gd.make_banded(4000, 4, 4, lambda i, j: 10.0 if i == j else np.sin(i + 2 * j))
-        mats = [*acceptance_ensemble, band]
+        # place of the matrix changes no bit. Of the last two matrices,
+        # band_long's shape runs both kernels, and r = 1, s = 40 the window
+        # elimination and the recursion kernel
+        band, moved = dominant_band(4000, 4, 4), dominant_band(600, 1, 40)
+        handed = []
+        kernel_generators = lu._kernel_generators
+
+        def recording(slu, flat):
+            handed.append(flat is not None)
+            return kernel_generators(slu, flat)
+
+        monkeypatch.setattr(lu, "_kernel_generators", recording)
+        mats = [*acceptance_ensemble, band, moved]
         assert {A.r_lower for A in mats} >= {1, 8}
         assert {A.r_upper == A.n - 1 for A in mats} == {True, False}
         for A in mats:
@@ -439,6 +453,14 @@ class TestInverseGenerators:
             got, ref = gd.inverse_green_generators(slu), gd.inverse_green_generators(A)
             for name in ("p_rows", "bottom", "f"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        # from A, the recursion kernel reads the elimination kernel's list
+        # wherever that kernel ran
+        built.clear()
+        gd.inverse_green_generators(band)
+        assert built == ["_elimination_source", "_recursion_source"] and handed[-1]
+        built.clear()
+        gd.inverse_green_generators(moved)
+        assert built == ["_recursion_source"] and not handed[-1]
 
     def test_row_generators_are_entries_of_the_inverse(self, small_ensemble, ex1a_matrix):
         for A in [*small_ensemble, ex1a_matrix]:
@@ -463,10 +485,10 @@ class TestGeneratorKernel:
     """The factorization and the recursion as generated kernels.
 
     Shapes with r max(r, s) <= lu._ROWS_MAX_UPDATES and N >= lu._KERNEL_MIN_N
-    take them from A, and structured_lu alone takes the elimination kernel
-    on those that lu._eliminates_on_floats admits; tests of smaller N force
-    them by lowering _KERNEL_MIN_N, and an infinite _KERNEL_MIN_N forces the
-    numpy window loops.
+    run the recursion kernel, and those that lu._eliminates_on_floats admits
+    the elimination kernel, from A or through structured_lu alike; tests of
+    smaller N force them by lowering _KERNEL_MIN_N, and an infinite
+    _KERNEL_MIN_N forces the numpy window loops.
     """
 
     @pytest.mark.parametrize(
@@ -502,17 +524,18 @@ class TestGeneratorKernel:
         from_A = gd.inverse_green_generators(A)
         assert from_A.p_rows.tobytes() == gens.p_rows.tobytes()
         assert from_A.bottom.tobytes() == gens.bottom.tobytes()
-        # given A, the recursion kernel reads the elimination kernel's list
+        # both entry points factor A alike
         factors = ["_elimination_source"] * lu._eliminates_on_floats(A.n, r, s)
-        assert built == factors + ["_recursion_source", "_elimination_source", "_recursion_source"]
+        assert built == (factors + ["_recursion_source"]) * 2
 
     @pytest.mark.parametrize("r, s", PAST_A_RULE, ids=[f"r{r}-s{s}" for r, s in PAST_A_RULE])
     def test_shapes_past_a_rule_run_its_window_loop(self, built, r, s):
+        # every shape here eliminates on windows, from A as well
         A = dominant_band(lu._KERNEL_MIN_N, r, s)
         gd.structured_lu(A)
         assert built == []
         gd.inverse_green_generators(A)
-        assert built == ["_elimination_source", "_recursion_source"] * lu._on_floats(A.n, r, s)
+        assert built == ["_recursion_source"] * lu._on_floats(A.n, r, s)
 
     def test_generated_source_is_pinned(self):
         assert lu._recursion_source(2, 1) == (
@@ -543,7 +566,7 @@ class TestGeneratorKernel:
             "        f1 = b0 / g\n"
             "        push((f0, f1, g, c0))\n"
             "        (t0_0, t1_0) = (c1 - f0 * c0, b1 - f1 * c0)\n"
-            "    return out, (t0_0, t1_0)\n"
+            "    return out\n"
         )
 
     def test_generator_overflow_is_rejected_on_both_paths(self, monkeypatch):
@@ -571,6 +594,22 @@ class TestGeneratorKernel:
             gd.inverse_green_generators(gd.StructuredLU(slu.f, R))
         assert err.value.k == 4
         assert np.float64(err.value.value).tobytes() == np.float64(pivot).tobytes()
+
+    @pytest.mark.parametrize(
+        "use", [gd.inverse_green_generators, gd.StructuredLU.lower_factor, gd.p_tail_cross_check],
+        ids=["generators", "lower-factor", "tail-cross-check"],
+    )
+    @pytest.mark.parametrize(
+        "f_shape, R_shape",
+        [((8, 2), (10, 3)), ((9,), (10, 3)), ((9, 2), (10,)), ((9, 2), (10, 11)),
+         ((9, 0), (10, 3)), ((2, 3), (3, 1)), ((9, 2), (10, 0))],
+        ids=["short-f", "1-D-f", "1-D-R", "wide-R", "r-0", "N-r", "s-minus-1"],
+    )
+    def test_built_factorization_with_bad_shapes_raises(self, use, f_shape, R_shape):
+        # one message names both shapes before any consumer reads them
+        want = rf"got f of shape {re.escape(str(f_shape))} and R of shape {re.escape(str(R_shape))}"
+        with pytest.raises(ValueError, match=want):
+            use(gd.StructuredLU(np.zeros(f_shape), np.ones(R_shape)))
 
 
 class TestTailCrossCheck:
