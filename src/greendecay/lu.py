@@ -21,6 +21,8 @@ assembles the row generators p(k) of A^{-1}. The generators thus depend on A
 only through f and R, the two arrays a ``StructuredLU`` holds, and
 :func:`inverse_green_generators` takes that factorization in place of A, so
 a caller that needs the factors as well as the generators factors A once.
+The constructor of ``StructuredLU`` is the one check of a factorization
+that every consumer reads: nonzero pivots and finite entries.
 
 For a two-sided band neither part holds an N x N array. The factorization
 eliminates in the work array W = ``A.band(r)``, of shape (N+r, r+s+1),
@@ -118,9 +120,14 @@ class StructuredLU:
     ``f`` is (N-1, r): ``f[k-1]`` holds the multipliers f_k of step k, and
     the short trailing f_k (length N-k for k > N-r) are padded to length r
     with 0 / gamma_k, a zero of the pivot's sign. N, r and s follow from the
-    shapes, which must agree (ValueError otherwise), and ``gamma`` is the
-    view ``R[:, 0]`` of the pivots R(k, k). The dense factors, for the
-    oracle checks, come from :meth:`lower_factor` and :meth:`upper_factor`.
+    shapes, and ``gamma`` is the view ``R[:, 0]`` of the pivots R(k, k). The
+    dense factors, for the oracle checks, come from :meth:`lower_factor` and
+    :meth:`upper_factor`.
+
+    The constructor is the one check of a factorization, however it was
+    built: shapes that disagree raise ValueError, the first pivot that is
+    zero or not finite ZeroPivotError at its step, and any other entry of
+    ``f`` or ``R`` that is not finite ValueError naming the array.
     """
 
     f: np.ndarray  # (N-1, r)
@@ -131,6 +138,13 @@ class StructuredLU:
         if not (len(f) == len(R) == 2 and R[0] - 1 == f[0] >= f[1] >= 1 and 1 <= R[1] <= R[0]):
             raise ValueError("StructuredLU needs f of shape (N-1, r) and R of shape (N, s+1), "
                              f"N > r >= 1 and s < N; got f of shape {f} and R of shape {R}")
+        bad = (self.gamma == 0.0) | ~np.isfinite(self.gamma)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ZeroPivotError(k + 1, float(self.gamma[k]))
+        for name in ("f", "R"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"StructuredLU's {name} has non-finite entries")
 
     @property
     def n(self) -> int:
@@ -204,8 +218,8 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
 
     A pivot that is zero, below the floor or not finite raises
     ZeroPivotError at its step. Overflow runs on, but inf and NaN never turn
-    finite (0 * inf is NaN) and reach a later pivot along their row; only an
-    early stop (:func:`schur_complement`) leaves them to the final check.
+    finite (0 * inf is NaN) and reach a later pivot along their row or
+    column, so all N steps leave W finite; an early stop may not.
     """
     floor = _pivot_floor(W)
     G = _windows(W, r, s)
@@ -215,8 +229,6 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
             raise ZeroPivotError(k, float(g))
         f /= g
         T -= np.multiply.outer(f, u)
-    if not np.isfinite(W).all():
-        raise ZeroPivotError(steps, float(W[steps - 1, r]))
 
 
 def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> tuple[np.ndarray, list]:
@@ -228,9 +240,8 @@ def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> tuple[np.ndarray, list]:
     one step of a flat list of Python floats read from W; W itself is not
     written. Each step's f_k and row k of R go, in that order, into one flat
     list. Returns the (N, r+s+1) read-only array ``[f | R]`` of that list,
-    row k-1 for step k, and the list itself. The pivot floor and the final
-    check are those of :func:`_eliminate`; the check reads ``[f | R]``, from
-    which the kernel's last block, below row N, is made.
+    row k-1 for step k, and the list itself. The pivot floor is that of
+    :func:`_eliminate`, so all N steps leave every entry finite.
     """
     n, m = len(W) - r, r + s + 1
     G = _windows(W, r, s)
@@ -238,8 +249,6 @@ def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> tuple[np.ndarray, list]:
     kernel = _kernel(_elimination_source, r, s)
     flat = kernel(zip(*[entering] * m), tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
     F = np.fromiter(flat, float, len(flat)).reshape(n, m)
-    if not np.isfinite(F).all():
-        raise ZeroPivotError(n, float(F[n - 1, r]))
     F.flags.writeable = False
     return F, flat
 
@@ -257,20 +266,17 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     -------
     StructuredLU
         Band factor data with ``lower_factor() @ upper_factor() == A`` up
-        to roundoff. Long, narrow bands (r max(r, s) <= 48 and
-        r s + 4 (r + s) <= 192, N >= 512) are factored by a kernel generated
-        for their (r, s), every other shape by numpy calls on the windows of
-        the band work array; both round every operation alike and leave the
-        same bits.
+        to roundoff, from either elimination of the module docstring; both
+        leave the same bits.
 
     Raises
     ------
     ZeroPivotError
         If a pivot no larger than ``PIVOT_RTOL * max|A(i, j)|`` in magnitude
-        is met (an exact zero always is), the elimination overflows, or a
-        computed pivot gamma_k is no larger than its own rounding error
-        bound gamma_{r+1} (|L||R|)(k, k); the error carries the 1-based step
-        index of the first such pivot.
+        is met (an exact zero always is), a pivot is not finite (an overflow
+        reaches one), or a computed pivot gamma_k is no larger than its own
+        rounding error bound gamma_{r+1} (|L||R|)(k, k); the error carries
+        the 1-based step index of the first such pivot.
     """
     return _factor(A)[0]
 
@@ -350,34 +356,23 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
 
     A step costs a few microseconds of numpy call overhead on the windows,
     or time in proportion to r w in a kernel of Python floats generated and
-    compiled once per (r, s) (:func:`_kernel_generators`). The kernel takes
-    shapes with r w <= ``_ROWS_MAX_UPDATES`` = 48 and N >= ``_KERNEL_MIN_N``
-    = 512. Given A, this factors A as :func:`structured_lu` does, and the
-    kernel reads the elimination kernel's list of f and R where that kernel
-    ran (r s + 4 (r + s) <= 192 as well), and otherwise one list made from
-    ``[f | R]``. Counting both compiles (0.2 ms at r = s = 1 to 2 ms at
-    r w = 48), factorization and recursion from A together break even with
-    the window loops near N = 40 at r = s = 1, 64 at r = 2, s = 3, 128 at
-    r = s = 4, 300 at r = s = 6 and 600 .. 1000 at r = 4, s = 12 and r = 2,
-    s = 24 (process CPU, medians of 7, one BLAS thread, shared 2-vCPU
-    host); at r = 1, s = 48, with the recursion kernel alone, near
-    N = 1000. At N = 4000, r = s = 4 they take about 0.3 of the
-    window loops' time. The generators agree with the window loop's to
-    roundoff (worst 3.0e-16 relative to max|p| on 6000 random bands of N <=
-    24).
+    compiled once per (r, s) (:func:`_kernel_generators`), on the shapes
+    and with the lists the module docstring names. Counting both compiles
+    (0.2 ms at r = s = 1 to 2 ms at r w = 48), factorization and recursion
+    from A together break even with the window loops near N = 40 at
+    r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6 and
+    600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians of
+    7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48, with the
+    recursion kernel alone, near N = 1000. At N = 4000, r = s = 4 they take
+    about 0.3 of the window loops' time. The generators agree with the
+    window loop's to roundoff (worst 3.0e-16 relative to max|p| on 6000
+    random bands of N <= 24).
 
-    A pivot gamma_k that is zero or not finite, possible only in a
-    ``StructuredLU`` built by hand, raises ZeroPivotError at the first such
-    k; generators that overflow raise ValueError.
+    Generators that overflow raise ValueError.
     """
     slu, flat = (A, None) if isinstance(A, StructuredLU) else _factor(A)
     n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
-    size = np.abs(slu.gamma)
-    bad = ~((size > 0.0) & (size < np.inf))
-    if bad.any():
-        k = int(bad.argmax())
-        raise ZeroPivotError(k + 1, float(slu.gamma[k]))
     if _on_floats(n, r, s):
         return _kernel_generators(slu, flat)
     # B[i, t] = A^{-1}(i, i+t-w+1) (0-based). Q[k-1] is P_k with one more
@@ -553,11 +548,15 @@ def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
     dominance condition of A with the same mu. Returned as a plain dense
     array: for ell = N - r the trailing block is r x r, too small to carry
     the order-r band declaration. The elimination runs on the band work
-    array of :func:`structured_lu`; only the trailing block is expanded.
+    array of :func:`structured_lu`; only the trailing block is expanded. A
+    pivot that fails its test raises ZeroPivotError at its step, and so does
+    an inf or NaN that no pivot has met, at step ell.
     """
     n, r = A.n, A.r_lower
     if not 1 <= ell <= n - r:
         raise ValueError(f"need 1 <= ell <= N - r = {n - r}, got {ell}")
     W = A.band(r)
     _eliminate(W, r, A.r_upper, ell)
+    if not np.isfinite(W).all():
+        raise ZeroPivotError(ell, float(W[ell - 1, r]))
     return _band_to_dense(W[ell:n], r)

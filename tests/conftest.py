@@ -64,3 +64,19 @@ def a_block(gens, k):
     a = np.eye(gens.r, k=1)
     a[:, 0] = 0.0 - gens.f[k - 1]
     return a
+
+
+def dense_elimination(D, steps):
+    """Dense no-pivot elimination of D, run for ``steps`` steps (test reference).
+
+    Returns a copy of D with each step's multipliers in place of the entries
+    they eliminate, as LAPACK stores them: the rows of R above, and the
+    Schur complement in the trailing (N-steps) x (N-steps) block. Entries
+    outside the band stay zero, so every entry in the band gets the
+    operations of the band elimination, in its order, and the same bits.
+    """
+    S = np.array(D, dtype=float)
+    for k in range(steps):
+        S[k + 1 :, k] /= S[k, k]
+        S[k + 1 :, k + 1 :] -= np.multiply.outer(S[k + 1 :, k], S[k, k + 1 :])
+    return S

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.strategies import data as draws
 
 import greendecay as gd
-from conftest import one_norm
+from conftest import dense_elimination, one_norm
 from greendecay import lu
 from greendecay.banded import _band_column_sums, _diagonal
 
@@ -150,48 +150,28 @@ def test_factor_keeps_the_band_and_inverts(A):
     assert np.abs(values - inv)[mask].max() <= 1e-10 * one_norm(inv)
 
 
-def dense_elimination(W, r, s, steps):
-    """Reference band elimination on a dense copy: (eliminated W, [f_1 .. f_steps]).
-
-    Step k divides rows k+1 .. min(k+r, N) of column k by the pivot and
-    updates columns k+1 .. min(k+s, N) of those rows, in the same order of
-    operations as the band kernel, so the two must agree bit for bit.
-    """
-    W = np.array(W, dtype=float)
-    n = len(W)
-    fs = []
-    for k in range(1, steps + 1):
-        rows = slice(k, min(k + r, n))
-        cols = slice(k, min(k + s, n))
-        f = W[rows, k - 1] / W[k - 1, k - 1]
-        W[rows, cols] -= np.outer(f, W[k - 1, cols])
-        W[rows, k - 1] = 0.0
-        fs.append(f)
-    return W, fs
-
-
 @PROPERTY
 @given(A=any_band(), data=draws())
 def test_band_kernel_matches_dense_elimination(A, data):
     n, r, s = A.n, A.r_lower, A.r_upper
     slu = gd.structured_lu(A)
     D = A.to_dense()
-    W, fs = dense_elimination(D, r, s, n)
+    S = dense_elimination(D, n)
     # R, gamma and f read off the band equal the dense elimination's bits
-    np.testing.assert_array_equal(slu.upper_factor(), W)
+    np.testing.assert_array_equal(slu.upper_factor(), np.triu(S))
     for t in range(s + 1):
-        np.testing.assert_array_equal(slu.R[: n - t, t], W.diagonal(t))
+        np.testing.assert_array_equal(slu.R[: n - t, t], S.diagonal(t))
         assert not slu.R[n - t :, t].any()
-    np.testing.assert_array_equal(slu.gamma, W.diagonal())
+    np.testing.assert_array_equal(slu.gamma, S.diagonal())
     assert slu.f.shape == (n - 1, r)
-    for k, f in enumerate(fs[:-1]):
+    for k in range(n - 1):
+        f = S[k + 1 : k + 1 + r, k]  # f_{k+1}, cut at row N
         np.testing.assert_array_equal(slu.f[k, : f.size], f)
         assert not slu.f[k, f.size :].any()
     assert one_norm(slu.lower_factor() @ slu.upper_factor() - D) <= 1e-13 * one_norm(D)
     ell = data.draw(st.integers(1, n - r), label="ell")
-    np.testing.assert_array_equal(
-        gd.schur_complement(A, ell), dense_elimination(D, r, s, ell)[0][ell:, ell:]
-    )
+    T = dense_elimination(D, ell)[ell:, ell:]
+    np.testing.assert_array_equal(gd.schur_complement(A, ell), T)
 
 
 # Values of lu._KERNEL_MIN_N that force one path onto every shape, with
@@ -248,10 +228,14 @@ def overflowing_band(draw):
 @given(A=st.one_of(any_band(), overflowing_band()))
 def test_kernel_and_window_eliminations_leave_the_same_bits(A):
     # every shape, one-sided s = N-1 included, through structured_lu and
-    # through both loops alone; the kernel checks only [f | R] for overflow,
-    # the window loop all of W
+    # through both loops alone. Neither loop scans for overflow: an inf or
+    # NaN reaches a pivot by step N, so where both loops finish f and R are
+    # finite
     assert factor_with(KERNEL, A) == factor_with(WINDOWS, A)
-    assert eliminate_with(KERNEL, A) == eliminate_with(WINDOWS, A)
+    eliminated = eliminate_with(KERNEL, A)
+    assert eliminated == eliminate_with(WINDOWS, A)
+    if isinstance(eliminated[0], bytes):  # both finished, with f and R
+        assert all(np.isfinite(np.frombuffer(b)).all() for b in eliminated)
 
 
 # Worst measured gap between the kernel and the window recursion, relative

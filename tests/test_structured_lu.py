@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import greendecay as gd
-from conftest import a_block, one_norm
+from conftest import a_block, dense_elimination, one_norm
 from greendecay import lu
 
 
@@ -144,6 +144,15 @@ PAST_A_RULE = sorted(
 )
 
 
+# Every reader of a StructuredLU: each gets its arrays checked on construction.
+CONSUMERS = pytest.mark.parametrize(
+    "use",
+    [gd.inverse_green_generators, gd.StructuredLU.lower_factor, gd.StructuredLU.upper_factor,
+     gd.p_tail_cross_check],
+    ids=["generators", "lower-factor", "upper-factor", "tail-cross-check"],
+)
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Names of the kernel sources that lu._kernel is asked for, in order."""
@@ -156,15 +165,6 @@ def built(monkeypatch):
 
     monkeypatch.setattr(lu, "_kernel", recording)
     return names
-
-
-def dense_elimination(D, steps):
-    """Dense no-pivot elimination of D, run for ``steps`` steps (test reference)."""
-    S = D.copy()
-    for k in range(steps):
-        S[k + 1 :, k] /= S[k, k]
-        S[k + 1 :, k + 1 :] -= np.multiply.outer(S[k + 1 :, k], S[k, k + 1 :])
-    return S
 
 
 class TestFactorization:
@@ -581,24 +581,37 @@ class TestGeneratorKernel:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
-    @pytest.mark.parametrize("min_n", [0, math.inf], ids=["kernel", "windows"])
-    @pytest.mark.parametrize("pivot", [0.0, np.nan], ids=["zero", "nan"])
-    def test_bad_pivot_of_a_built_factorization_raises(self, monkeypatch, min_n, pivot):
-        # a StructuredLU built by hand skips structured_lu's pivot checks; the
-        # first bad pivot, step 4 here, is named before either path divides
+    @CONSUMERS
+    @pytest.mark.parametrize("k", [4, 8], ids=["interior", "step-N"])
+    @pytest.mark.parametrize(
+        "pivot", [0.0, -0.0, np.nan, np.inf, -np.inf], ids=["0", "-0", "nan", "inf", "-inf"]
+    )
+    def test_bad_pivot_of_a_built_factorization_raises(self, use, k, pivot):
+        # a StructuredLU built by hand skips structured_lu's elimination; its
+        # constructor names the first bad pivot, step k of N = 8, before any
+        # consumer reads it. Step N is the tail that p_tail_cross_check reads
         slu = gd.structured_lu(dominant_band(8, 2, 1))
         R = slu.R.copy()
-        R[3, 0], R[5, 0] = pivot, 0.0
-        monkeypatch.setattr(lu, "_KERNEL_MIN_N", min_n)
-        with pytest.raises(gd.ZeroPivotError, match="step k=4") as err:
-            gd.inverse_green_generators(gd.StructuredLU(slu.f, R))
-        assert err.value.k == 4
+        R[k - 1 :, 0] = pivot
+        with pytest.raises(gd.ZeroPivotError, match=f"step k={k}") as err:
+            use(gd.StructuredLU(slu.f, R))
+        assert err.value.k == k
         assert np.float64(err.value.value).tobytes() == np.float64(pivot).tobytes()
 
+    @CONSUMERS
     @pytest.mark.parametrize(
-        "use", [gd.inverse_green_generators, gd.StructuredLU.lower_factor, gd.p_tail_cross_check],
-        ids=["generators", "lower-factor", "tail-cross-check"],
+        "name, at, value", [("f", (-1, 0), np.inf), ("R", (2, 1), np.nan)],
+        ids=["inf-in-last-row-of-f", "nan-off-the-diagonal-of-R"],
     )
+    def test_built_factorization_with_bad_values_raises(self, use, name, at, value):
+        # every pivot is good, so the message names the array with the entry
+        slu = gd.structured_lu(dominant_band(8, 2, 1))
+        arrays = {"f": slu.f.copy(), "R": slu.R.copy()}
+        arrays[name][at] = value
+        with pytest.raises(ValueError, match=f"StructuredLU's {name} has non-finite entries"):
+            use(gd.StructuredLU(**arrays))
+
+    @CONSUMERS
     @pytest.mark.parametrize(
         "f_shape, R_shape",
         [((8, 2), (10, 3)), ((9,), (10, 3)), ((9, 2), (10,)), ((9, 2), (10, 11)),
