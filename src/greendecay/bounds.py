@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import BandedMatrix, _band_column_sums, _diagonal, dominance_mu
+from .banded import BandedMatrix, DominanceReport, _band_column_sums, _diagonal, dominance_mu
 from .errors import DominanceError, HypothesisError
 
 __all__ = [
@@ -56,8 +56,8 @@ class DecayBound:
     """A geometric envelope (M, gamma) on |A^{-1}(i, j)|.
 
     ``M`` is None for the constant-free family (Chui-Hasson) and advisory
-    for DMS. Evaluate with :func:`eval_bound`, which fixes each family's
-    region.
+    for DMS; otherwise it is positive and finite, so no evaluation is inf or
+    NaN. Evaluate with :func:`eval_bound`, which fixes each family's region.
     """
 
     kind: str
@@ -70,8 +70,8 @@ class DecayBound:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"decay rate must satisfy 0 <= gamma < 1, got {self.gamma}")
-        if self.M is not None and not self.M > 0.0:
-            raise ValueError(f"constant must be positive, got {self.M}")
+        if self.M is not None and not 0.0 < self.M < math.inf:
+            raise ValueError(f"constant must be positive and finite, got {self.M}")
 
 
 def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
@@ -105,7 +105,9 @@ def lu_bound(A: BandedMatrix) -> DecayBound:
     Requires the strong dominance condition with mu < 1 (checked via
     :func:`dominance_mu`); raises DominanceError carrying the computed mu
     otherwise. The degenerate mu = 0 (diagonal matrix) yields gamma = 0 and
-    M = 1/min|A(k,k)|, exact on the diagonal.
+    M = 1/min|A(k,k)|, exact on the diagonal. An M that overflows (a
+    subnormal min|A(k,k)|, or mu within rounding of 1) raises
+    HypothesisError.
     """
     rep = dominance_mu(A)
     if not rep.satisfied:
@@ -114,15 +116,27 @@ def lu_bound(A: BandedMatrix) -> DecayBound:
     r = A.r_lower
     gamma = mu ** (1.0 / r)
     M = (1.0 + mu**2) / ((1.0 - mu) * (1.0 - mu**2) * rep.min_diag)
-    return DecayBound("LU", gamma, r, M=M)
+    return DecayBound("LU", gamma, r, M=_finite("LU", M, rep))
 
 
 def varah_bound(A: BandedMatrix) -> DecayBound:
-    """Varah's flat envelope M = 1/((1-mu) min|A(k,k)|) on ||A^{-1}||_1."""
+    """Varah's flat envelope M = 1/((1-mu) min|A(k,k)|) on ||A^{-1}||_1.
+
+    Raises DominanceError and HypothesisError as :func:`lu_bound` does.
+    """
     rep = dominance_mu(A)
     if not rep.satisfied:
         raise DominanceError(rep.mu, rep.zero_diagonal_index)
-    return DecayBound("Varah", 0.0, A.r_lower, M=1.0 / ((1.0 - rep.mu) * rep.min_diag))
+    M = 1.0 / ((1.0 - rep.mu) * rep.min_diag)
+    return DecayBound("Varah", 0.0, A.r_lower, M=_finite("Varah", M, rep))
+
+
+def _finite(kind: str, M: float, rep: DominanceReport) -> float:
+    """The dominance-based constant M, or HypothesisError if it overflowed."""
+    if M == math.inf:
+        raise HypothesisError(f"{kind} bound constant M overflows: "
+                              f"min|A(k,k)| = {rep.min_diag!r}, mu = {rep.mu!r}")
+    return M
 
 
 @dataclass(frozen=True)

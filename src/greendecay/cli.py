@@ -5,7 +5,8 @@
     greendecay verify [--trials N] [--seed S]
 
 Exit codes: 0 on success, 2 when no bound family is applicable to the given
-matrix (the run still writes its table), 1 on errors.
+matrix (the run still writes its table; for ``bounds``, when the dominance
+condition fails or the LU or Varah constant overflows), 1 on errors.
 
 ``run`` and ``verify`` pass on only the options given, so the library's
 defaults apply; an unknown experiment name is an error (exit 1) whose message
@@ -80,6 +81,7 @@ def _cmd_run(options: dict) -> int:
 def _cmd_bounds(path: str) -> int:
     from .banded import dominance_mu, read_matrix_market
     from .bounds import lu_bound, varah_bound
+    from .errors import HypothesisError
 
     A = read_matrix_market(path)
     rep = dominance_mu(A)
@@ -90,10 +92,14 @@ def _cmd_bounds(path: str) -> int:
             print(f"zero diagonal entry at k = {rep.zero_diagonal_index}")
         print("dominance condition fails; decay bounds not applicable")
         return 2
-    b = lu_bound(A)
+    try:
+        b, varah = lu_bound(A), varah_bound(A)
+    except HypothesisError as exc:
+        print(f"{exc}; decay bounds not applicable")
+        return 2
     print(f"gamma = {b.gamma!r}")
     print(f"M = {b.M!r}")
-    print(f"varah = {varah_bound(A).M!r}")
+    print(f"varah = {varah.M!r}")
     return 0
 
 

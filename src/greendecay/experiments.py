@@ -260,13 +260,17 @@ def _bound_table(
     """Each family's bound and note, or None and the reason it does not apply.
 
     Families whose hypotheses fail are marked inapplicable, not errors:
-    nonsymmetric matrices get no spectrum-based baselines, and an indefinite
-    spectrum disables the effective-condition-number bound.
+    nonsymmetric matrices get no spectrum-based baselines, an indefinite
+    spectrum disables the effective-condition-number bound, and a
+    dominance-based constant that overflows disables its family.
     """
     table: dict[str, tuple[DecayBound | None, str]] = {}
     if rep.satisfied:
-        table["lu"] = (lu_bound(A), "")
-        table["varah"] = (varah_bound(A), "")
+        for name, family in (("lu", lu_bound), ("varah", varah_bound)):
+            try:
+                table[name] = (family(A), "")
+            except HypothesisError as exc:
+                table[name] = (None, str(exc))
     else:
         reason = f"dominance condition fails (mu = {rep.mu:.6g})"
         table["lu"] = table["varah"] = (None, reason)

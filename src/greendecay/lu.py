@@ -36,9 +36,10 @@ f are views of W: O(N (r+s)) memory and O(N r s) time.
 The recursion's state P_k is the block A^{-1}(k : k+w-1, k : k+r-1)
 (1-based, w = max(r, s) here), so p(k) = A^{-1}(k, k : k+r-1) is its first
 row and the bottom generator is the trailing r x r block of A^{-1}. All P_k
-are windows of one band array of A^{-1}, shape (N, w+r), strided like W (the
-last w-1 of them cut at row N): step k writes the column A^{-1}(k : k+w-1,
-k) and the row p(k), and the rest of P_k is P_{k+1}, already in place.
+lie in one band array of A^{-1}, shape (N, w+r), strided like W, and every
+step slices P_k and P_{k+1} from it by one rule, cut at row and column N:
+step k writes the column A^{-1}(k : k+w-1, k) and the row p(k), and the
+rest of P_k is P_{k+1}, already in place.
 
 Both stages run in one of two ways, each picked from the shape by its own
 rule. The recursion runs as a kernel of Python floats generated for its
@@ -54,11 +55,11 @@ array built once from it. Its stricter rule prices the r + s + 1 entries
 that enter and leave each window, and leaves r = 1, s >= 38 to the window
 loop. Where the elimination ran on windows, the recursion kernel reads one
 list made from ``[f | R]``. Every other shape, and every Schur complement,
-runs numpy calls on the windows: three per elimination step, four per
-recursion step. Both eliminations round every operation alike and leave
-the same bits; the recursion kernel sums its products left to right, BLAS
-in its own order, so the two recursions give generators that agree to
-roundoff, not bit for bit.
+runs numpy calls: three per elimination step on a window of W, four per
+recursion step on slices of the band array of A^{-1}. Both eliminations
+round every operation alike and leave the same bits; the recursion kernel
+sums its products left to right, BLAS in its own order, so the two
+recursions give generators that agree to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -349,10 +350,10 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
 
     for k = N-1 .. 1 with a(k) = [-f_k, I][:, :r], so that
     P a(k) = [-P f_k, P[:, :r-1]], and X_k = R(k, k+1 : k+s). P_k is the
-    block A^{-1}(k : k+w-1, k : k+r-1), w = max(r, s), one window of the
-    band array of A^{-1} (see the module docstring); a step writes one
-    column and one row of it. Time O(N r w) and memory O(N (r + w)) on top
-    of the factorization.
+    block A^{-1}(k : k+w-1, k : k+r-1), w = max(r, s), cut at row N, a
+    slice of the band array of A^{-1} (see the module docstring); a step
+    writes one column and one row of it. Time O(N r w) and memory
+    O(N (r + w)) on top of the factorization.
 
     A step costs a few microseconds of numpy call overhead on the windows,
     or time in proportion to r w in a kernel of Python floats generated and
@@ -375,37 +376,28 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     w = max(r, s)
     if _on_floats(n, r, s):
         return _kernel_generators(slu, flat)
-    # B[i, t] = A^{-1}(i, i+t-w+1) (0-based). Q[k-1] is P_k with one more
-    # column; row 0 of columns 1 .. r holds X_k P_{k+1} until p(k) replaces
-    # it. Q holds the whole windows, k = 1 .. N-w+1. S is B read with a
-    # window's row stride, S[i, j] = A^{-1}(i, j) inside the band; the later
-    # windows, which would reach past row N, are slices of S. The last
-    # element of S is that of B, and np.ndarray checks that S lies in B.
+    # B[i, t] = A^{-1}(i, i+t-w+1) (0-based), and S is B read with a
+    # window's row stride, S[i, j] = A^{-1}(i, j) inside the band. Every step
+    # slices its operands from S cut at row and column N, as padding the
+    # products with zeros would change how BLAS sums them: Z is P_k with one
+    # more column, whose row 0 holds X_k P_{k+1} right of its first entry
+    # until p(k) replaces it, and P is P_{k+1}. The last element of S is that
+    # of B, and np.ndarray checks that S lies in B.
     B = np.zeros((n, w + r))
-    Q = _windows(B, w - 1, r)
     b = B.itemsize
     S = np.ndarray((n, n + r), B.dtype, B, (w - 1) * b, ((w + r - 1) * b, b))
     B[n - 1, w - 1] = 1.0 / slu.gamma[n - 1]
     e1 = np.eye(1, r)[0]
-
-    def cut(k):
-        # the last w-1 steps cut their operands at row and column N: padding
-        # the products with zeros would change how BLAS sums them
+    for k in range(n - 1, 0, -1):
         c, m = min(s, n - k), min(r, n - k)
-        Z = S[k - 1 :, k - 1 : k + r]  # P_k and one more column, cut at row N
-        # P_{k+1} is Z shifted by one row and one column
-        return (slu.R[k - 1, 1 : 1 + c], Z[1 : 1 + c, 1 : 1 + m], Z[:, 1 : 1 + m],
-                Z[:, 0], Z[0, :r], slu.f[k - 1, :m], slu.gamma[k - 1])
-
-    # steps k = N-1 .. 1; those up to k = N-w use whole windows
-    whole = (slu.R[:, 1:], Q[1:, :s, :r], Q[:, :, 1:], Q[:, :, 0], Q[:, 0, :r], slu.f, slu.gamma)
-    steps = chain(map(cut, range(n - 1, n - w, -1)), zip(*(a[n - w - 1 :: -1] for a in whole)))
-    for x, P, Z, col, p, f, g in steps:
+        Z = S[k - 1 : k - 1 + w, k - 1 : k + m]
+        P = S[k : k + c, k : k + m]
+        p = Z[0, :r]
         # BLAS sums a strided column (r = 1) in another order than a contiguous one
-        np.dot(x, P if r > 1 else P.copy(), out=Z[0])
-        np.negative(Z.dot(f), out=col)
-        np.subtract(e1, p, out=p)
-        p /= g
+        np.dot(slu.R[k - 1, 1 : 1 + c], P if r > 1 else P.copy(), out=Z[0, 1:])
+        np.negative(Z[:, 1:].dot(slu.f[k - 1, :m]), out=Z[:, 0])
+        np.subtract(e1[: p.size], p, out=p)
+        p /= slu.gamma[k - 1]
     return GreenGenerators(B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], slu.f[: n - r])
 
 

@@ -51,13 +51,16 @@ def _sample_steps(n: int, r: int) -> list[int]:
 def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
     """Worst value of every invariant in ``CHECKS`` over ``mats``.
 
-    Each value is the maximum of its per-instance measurements (-inf when
-    none was taken); NaN measurements propagate, so they fail any limit.
+    Each value is the maximum of its per-instance measurements, and NaN
+    when none was taken (an empty list, or N = r + 1 for the Schur keys,
+    which have no step to sample); NaN measurements propagate. Either way a
+    NaN fails any limit, so a check that measured nothing does not pass.
     """
-    worst = {key: -np.inf for key, _, _ in CHECKS}
+    worst: dict[str, float | None] = {key: None for key, _, _ in CHECKS}
 
     def record(key: str, value: float) -> None:
-        worst[key] = float(np.maximum(worst[key], value))
+        old = worst[key]
+        worst[key] = float(value if old is None else np.maximum(old, value))
 
     for A in mats:
         n, r = A.n, A.r_lower
@@ -96,7 +99,7 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
         envelope = b.M * np.where(d == 0, 1.0, b.gamma ** np.maximum(d, 0))
         record("lu_bound_excess", (np.abs(inv) - envelope * (1.0 + 1e-12))[d >= 0].max())
         record("varah_excess", _one_norm(inv) - varah_bound(A).M * (1.0 + 1e-12))
-    return worst
+    return {key: np.nan if value is None else value for key, value in worst.items()}
 
 
 def run_all(trials: int = 20, seed: int = 20260810, verbose: bool = True) -> bool:

@@ -100,6 +100,30 @@ class TestVarah:
             gd.varah_bound(A)
 
 
+SUBNORMAL_DIAGONAL = np.diag([1e-320] * 3)
+
+
+class TestOverflowingConstant:
+    # 1 / 1e-320 overflows to inf, and eval_bound would then give inf * 0 = NaN
+    @pytest.mark.parametrize("family, kind", [(gd.lu_bound, "LU"), (gd.varah_bound, "Varah")])
+    def test_subnormal_diagonal_raises(self, family, kind):
+        with pytest.raises(gd.HypothesisError) as err:
+            family(gd.from_dense(SUBNORMAL_DIAGONAL))
+        want = f"{kind} bound constant M overflows: min|A(k,k)| = 1e-320, mu = 0.0"
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("family", [gd.lu_bound, gd.varah_bound])
+    def test_scaled_up_matrix_keeps_a_finite_constant(self, family):
+        b = family(gd.from_dense(1e300 * SUBNORMAL_DIAGONAL))
+        assert math.isfinite(b.M) and b.M == pytest.approx(1e20, rel=1e-4)
+        assert gd.eval_bound(b, 3, 1) == (b.M if b.kind == "Varah" else 0.0)
+
+    @pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])
+    def test_decay_bound_rejects_a_constant_that_is_not_positive_and_finite(self, M):
+        with pytest.raises(ValueError, match="constant must be positive and finite"):
+            gd.DecayBound("LU", 0.5, 1, M=M)
+
+
 class TestQrBound:
     def test_k_order_one(self):
         A = gd.from_dense(21.0 * np.eye(4) + np.eye(4, k=-1))

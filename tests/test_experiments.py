@@ -306,6 +306,15 @@ class TestRunExperiment:
         assert all(r["lu"] is None and r["varah"] is None for r in rep.rows)
         assert any("violated" in n for n in rep.notes)
 
+    def test_overflowing_lu_constant_is_inapplicable(self):
+        from greendecay.experiments import _bound_table
+
+        A = gd.from_dense(np.diag([1e-320] * 3))
+        table = _bound_table(A, gd.dominance_mu(A), symmetric=False)
+        for name, kind in (("lu", "LU"), ("varah", "Varah")):
+            bound, note = table[name]
+            assert bound is None and note.startswith(f"{kind} bound constant M overflows")
+
 
 class TestEmitCsv:
     def test_header_and_row_count(self, tmp_path):
@@ -408,6 +417,18 @@ class TestCli:
         )
         assert cli_main(["bounds", str(path)]) == 2
         assert "not applicable" in capsys.readouterr().out
+
+    def test_bounds_flags_an_overflowing_constant(self, tmp_path, capsys):
+        path = tmp_path / "tiny.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 3\n1 1 1e-320\n2 2 1e-320\n3 3 1e-320\n"
+        )
+        assert cli_main(["bounds", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "LU bound constant M overflows" in captured.out
+        assert "not applicable" in captured.out
+        assert "inf" not in captured.out + captured.err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_bounds_rejects_non_finite_entries(self, bad, tmp_path, capsys):
@@ -526,6 +547,21 @@ class TestInvariants:
         monkeypatch.setattr("greendecay.verify.structured_lu", counted)
         invariants(mats)
         assert [sum(B is A for B in factored) for A in mats] == [1] * len(mats)
+
+    def test_an_empty_sweep_passes_no_check(self):
+        worst = invariants([])
+        assert list(worst) == [key for key, _, _ in CHECKS]
+        assert all(np.isnan(value) for value in worst.values())
+        assert not any(worst[key] <= limit for key, _, limit in CHECKS)
+
+    def test_schur_keys_without_a_step_fail(self):
+        # N = r + 1 leaves no Schur step to sample; the other keys are measured
+        A = gd.random_dominant_matrix(np.random.default_rng(3), n=4, r_lower=3)
+        worst = invariants([A])
+        unmeasured = {"schur_mu_excess", "suffix_mismatch"}
+        for key, _, limit in CHECKS:
+            assert np.isnan(worst[key]) == (key in unmeasured), key
+            assert (worst[key] <= limit) == (key not in unmeasured), key
 
     def test_perturbed_generator_fails_the_sweep(self, monkeypatch):
         # the shared sweep must see a 1e-6 error in the bottom generator block
