@@ -24,6 +24,10 @@ Frommer:     C = 2/lambda_1, q1 = (sqrt(ke)-1)/(sqrt(ke)+1) with effective
              condition number ke = lambda_{N-1}/lambda_1; value
              C * q1^(|i-j|/r - 1) on |i-j| >= r.
 Chui-Hasson: rate ((b-a)/(b+a))^(1/2r), no computable constant.
+
+Every family's (M, gamma) passes through the :class:`DecayBound` constructor:
+a degenerate rate (gamma rounds to 1) or a constant that overflows raises
+HypothesisError, which makes the family not applicable.
 """
 
 from __future__ import annotations
@@ -56,8 +60,11 @@ class DecayBound:
     """A geometric envelope (M, gamma) on |A^{-1}(i, j)|.
 
     ``M`` is None for the constant-free family (Chui-Hasson) and advisory
-    for DMS; otherwise it is positive and finite, so no evaluation is inf or
-    NaN. Evaluate with :func:`eval_bound`, which fixes each family's region.
+    for DMS. The constructor is every family's one check: a rate outside
+    [0, 1) or an M that is not positive and finite raises HypothesisError
+    (the family does not apply), so no evaluation is inf or NaN; an unknown
+    kind raises ValueError. Evaluate with :func:`eval_bound`, which fixes
+    each family's region.
     """
 
     kind: str
@@ -69,9 +76,9 @@ class DecayBound:
         if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"decay rate must satisfy 0 <= gamma < 1, got {self.gamma}")
+            raise HypothesisError(f"decay rate must satisfy 0 <= gamma < 1, got {self.gamma}")
         if self.M is not None and not 0.0 < self.M < math.inf:
-            raise ValueError(f"constant must be positive and finite, got {self.M}")
+            raise HypothesisError(f"constant must be positive and finite, got {self.M}")
 
 
 def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:

@@ -22,7 +22,7 @@ only through f and R, the two arrays a ``StructuredLU`` holds, and
 :func:`inverse_green_generators` takes that factorization in place of A, so
 a caller that needs the factors as well as the generators factors A once.
 The constructor of ``StructuredLU`` is the one check of a factorization
-that every consumer reads: nonzero pivots and finite entries.
+that every consumer reads: finite entries, no zero or residue pivot.
 
 For a two-sided band neither part holds an N x N array. The factorization
 eliminates in the work array W = ``A.band(r)``, of shape (N+r, r+s+1),
@@ -127,8 +127,10 @@ class StructuredLU:
 
     The constructor is the one check of a factorization, however it was
     built: shapes that disagree raise ValueError, the first pivot that is
-    zero or not finite ZeroPivotError at its step, and any other entry of
-    ``f`` or ``R`` that is not finite ValueError naming the array.
+    zero or not finite ZeroPivotError at its step, any other entry of ``f``
+    or ``R`` that is not finite ValueError naming the array, and then the
+    first pivot that is rounding residue (:func:`_reject_residue_pivots`)
+    ZeroPivotError at its step.
     """
 
     f: np.ndarray  # (N-1, r)
@@ -146,6 +148,7 @@ class StructuredLU:
         for name in ("f", "R"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"StructuredLU's {name} has non-finite entries")
+        _reject_residue_pivots(self)
 
     @property
     def n(self) -> int:
@@ -289,17 +292,14 @@ def _factor(A: BandedMatrix) -> tuple[StructuredLU, list | None]:
     # step N has no row left to eliminate; it only checks the last pivot
     if _eliminates_on_floats(n, r, s):
         F, flat = _eliminate_kernel(W, r, s)
-        slu = StructuredLU(F[: n - 1, :r], F[:, r:])
-    else:
-        flat = None
-        _eliminate(W, r, s, n)
-        # freeze W instead of copying it; every factor array is a view of it
-        W.flags.writeable = False
-        slu = StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
-    _reject_residue_pivots(slu)
-    return slu, flat
+        return StructuredLU(F[: n - 1, :r], F[:, r:]), flat
+    _eliminate(W, r, s, n)
+    # freeze W instead of copying it; every factor array is a view of it
+    W.flags.writeable = False
+    return StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:]), None
 
 
+@np.errstate(over="ignore")
 def _reject_residue_pivots(slu: StructuredLU) -> None:
     """Raise ZeroPivotError at the first pivot that may be rounding residue.
 
@@ -307,9 +307,9 @@ def _reject_residue_pivots(slu: StructuredLU) -> None:
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
     9.3; no entry of L R sums more than r+1 terms), gamma_m = m u / (1 - m u).
     A pivot no larger than that bound on its own entry is indistinguishable
-    from zero, although the floor test passed it: the residue of a
-    cancellation such as 1e100 - 1e100. (|L||R|)(k, k) sums
-    |L(k, k-t)| |R(k-t, k)| over t = 0 .. min(r, s), L(k, k) = 1.
+    from zero, though nonzero: the residue of a cancellation such as
+    1e100 - 1e100. (|L||R|)(k, k) sums |L(k, k-t)| |R(k-t, k)| over
+    t = 0 .. min(r, s), L(k, k) = 1; a sum that overflows marks a residue.
     """
     n, r, s = slu.n, slu.r, slu.s
     u = np.finfo(float).eps / 2
@@ -452,8 +452,8 @@ def _elimination_source(r: int, s: int) -> str:
     and row k of R, (g, G[0, 1 : s+1]), onto one list and forms the next
     state G[i, j] - f_i * G[0, j], i = 1 .. r, j = 1 .. s: the operations
     of :func:`_eliminate`, each rounded once. It returns the list. A pivot
-    that fails the floor test raises ZeroPivotError at its step. ``test_elimination_source_is_pinned`` shows the source for
-    r = 2, s = 1.
+    that fails the floor test raises ZeroPivotError at its step.
+    ``test_elimination_source_is_pinned`` shows the source for r = 2, s = 1.
     """
 
     def G(i, j):

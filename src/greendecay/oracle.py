@@ -50,14 +50,16 @@ def dense_inverse(a: np.ndarray) -> np.ndarray:
 
     Computed by LAPACK (partial pivoting); rejects matrices whose inverse is
     meaningless at working precision by checking the 1-norm residual
-    ||A X - I||_1 against the condition-scaled roundoff level.
+    ||A X - I||_1 against the condition-scaled roundoff level; an inverse
+    with a non-finite entry or a residual that is not finite fails it too.
     """
     A = np.asarray(a, dtype=float)
     X = np.linalg.inv(A)
     n = A.shape[0]
-    resid = np.abs(A @ X - np.eye(n)).sum(axis=0).max()
-    cond = np.abs(A).sum(axis=0).max() * np.abs(X).sum(axis=0).max()
-    if resid > 1e-8 * max(1.0, cond):
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(A @ X - np.eye(n)).sum(axis=0).max()
+        cond = np.abs(A).sum(axis=0).max() * np.abs(X).sum(axis=0).max()
+    if not (np.isfinite(X).all() and np.isfinite(resid) and resid <= 1e-8 * max(1.0, cond)):
         raise np.linalg.LinAlgError(
             f"matrix is singular to working precision (residual {resid:.3e})"
         )

@@ -189,6 +189,13 @@ class TestGenerate:
         assert np.abs(w.real).min() == pytest.approx(1.035, abs=1e-3)
         assert np.abs(w.real).max() == pytest.approx(9594.03, abs=1e-2)
 
+    def test_ex4_dominance_margin_holds_for_every_seed(self):
+        # the recipes' stated margins: mu <= (sin 1 + 0.099) / (2 cos 1) < 0.871
+        # for ex4a and mu <= 0.099 for ex4b, so no seed needs a dominance repair
+        for seed in range(500):
+            assert gd.dominance_mu(gd.generate(gd.ExperimentSpec("ex4a", seed=seed))).mu < 0.871
+            assert gd.dominance_mu(gd.generate(gd.ExperimentSpec("ex4b", seed=seed))).mu <= 0.099
+
     def test_ex4_deterministic_under_seed(self):
         A = gd.generate(gd.ExperimentSpec("ex4a", seed=11))
         B = gd.generate(gd.ExperimentSpec("ex4a", seed=11))
@@ -314,6 +321,21 @@ class TestRunExperiment:
         for name, kind in (("lu", "LU"), ("varah", "Varah")):
             bound, note = table[name]
             assert bound is None and note.startswith(f"{kind} bound constant M overflows")
+
+    def test_overflowing_spectral_constant_is_inapplicable(self):
+        # M = 1/a for DMS and 2/lambda_1 for Frommer overflow on a subnormal
+        # spectrum; Chui-Hasson has no constant and its rate ~0.5^(1/2) holds
+        from greendecay.experiments import _bound_table
+
+        A = gd.from_dense(np.diag([1e-320, 2e-320, 3e-320]))
+        table = _bound_table(A, gd.dominance_mu(A), symmetric=True)
+        for name in ("dms", "frommer"):
+            bound, note = table[name]
+            assert bound is None and note == "constant must be positive and finite, got inf"
+        assert table["chui_hasson"][0] is not None
+        # run_experiment stops before the table, at the reference inverse
+        with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+            gd.dense_inverse(A.to_dense())
 
 
 class TestEmitCsv:
@@ -461,6 +483,29 @@ class TestCli:
         lu = [float(row[header.index("lu")]) for row in rows]
         exact = [float(row[header.index("exact")]) for row in rows]
         assert all(e <= b for e, b in zip(exact, lu))
+
+    def test_ex3_marks_a_degenerate_spectral_rate_inapplicable(self, tmp_path, capsys):
+        # the shifted diagonal (1e40 + 1, 4, 2, 2) is positive definite, but
+        # its condition number 5e39 rounds the DMS and Chui-Hasson rates to 1
+        path = tmp_path / "wide.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "4 4 4\n1 1 1e40\n2 2 3\n3 3 3\n4 4 3\n"
+        )
+        out = tmp_path / "wide.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "ex3", "--input", str(path), "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        rate = "not applicable: decay rate must satisfy 0 <= gamma < 1, got 1.0"
+        assert f"  dms          {rate}\n" in text
+        assert f"  chui_hasson  {rate}\n" in text
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        for name in ("lu", "varah", "qr", "frommer"):
+            assert f"  {name:12s} not applicable" not in text
+            assert {row[header.index(name)] for row in rows} != {"NA"}
+        for name in ("dms", "chui_hasson"):
+            assert {row[header.index(name)] for row in rows} == {"NA"}
 
     def test_missing_input_is_an_error(self, capsys):
         assert cli_main(["run", "ex3"]) == 1

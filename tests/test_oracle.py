@@ -85,6 +85,29 @@ def test_inverse_rejects_singular():
         gd.dense_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize(
+    "A", [np.diag([1e-320, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])],
+    ids=["subnormal-pivot", "nan-entry"],
+)
+def test_inverse_rejects_non_finite_results(A):
+    # LAPACK returns [[inf, nan], [0, 1]] for the subnormal pivot; its
+    # residual is NaN, which no comparison with the limit rejects
+    with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+        gd.dense_inverse(A)
+
+
+def test_inverse_rejects_an_unmeasured_residual(monkeypatch):
+    # the exact inverse, finite, but A X overflows (inf, or inf - inf = NaN
+    # without a fused multiply-add) and so does the condition number, so the
+    # residual guard would measure nothing
+    A = np.diag([1e160, 1e-160]) @ np.array([[2.0, 1.0], [1.0, 2.0]])
+    X = np.linalg.inv(np.array([[2.0, 1.0], [1.0, 2.0]])) @ np.diag([1e-160, 1e160])
+    assert np.isfinite(X).all()
+    monkeypatch.setattr(np.linalg, "inv", lambda a: X)
+    with pytest.raises(np.linalg.LinAlgError, match=r"residual (inf|nan)"):
+        gd.dense_inverse(A)
+
+
 def test_inverse_is_an_involution():
     for _ in range(5):
         A = RNG.uniform(-1, 1, (15, 15)) + 8.0 * np.eye(15)

@@ -612,6 +612,19 @@ class TestGeneratorKernel:
             use(gd.StructuredLU(**arrays))
 
     @CONSUMERS
+    def test_built_factorization_with_a_residue_pivot_raises(self, use):
+        # the matrix of TestFactorization.test_cancellation_residue_pivot_raises,
+        # factored by the dense oracle: every pivot is nonzero and finite, but
+        # the last is what rounding leaves of 1e100 - 1e100
+        M = np.array([[1e200, 1e200, 0.0], [1e-200, 1e-100, 1e-200], [0.0, 1e200, 1e100]])
+        L, U = gd.dense_lu_no_pivot(M)
+        f = np.diag(L, -1)[:, None]
+        R = np.stack([np.diag(U), np.append(np.diag(U, 1), 0.0)], axis=1)
+        with pytest.raises(gd.ZeroPivotError, match="step k=3") as err:
+            use(gd.StructuredLU(f, R))
+        assert err.value.value == pytest.approx(1.94e84, rel=1e-2)
+
+    @CONSUMERS
     @pytest.mark.parametrize(
         "f_shape, R_shape",
         [((8, 2), (10, 3)), ((9,), (10, 3)), ((9, 2), (10,)), ((9, 2), (10, 11)),
