@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, repeat, starmap
 from typing import Callable
 
 import numpy as np
@@ -180,10 +180,12 @@ def make_banded(
     """
     _check_dimensions(n, r_lower, r_upper)
     cols = np.arange(n)[:, None] + np.arange(-r_lower, r_upper + 1)
-    i, t = np.nonzero((cols >= 0) & (cols < n))
+    inside = (cols >= 0) & (cols < n)
+    # Python ints, as range() gives; the rows are repeated lazily, not listed
+    j = (cols[inside] + 1).tolist()
+    i = chain.from_iterable(map(repeat, range(1, n + 1), inside.sum(axis=1).tolist()))
     V = np.zeros(cols.shape)
-    ij = zip((i + 1).tolist(), (cols[i, t] + 1).tolist())  # Python ints, as range() gives
-    V[i, t] = np.fromiter(starmap(entry_fn, ij), float, len(i))
+    V[inside] = np.fromiter(starmap(entry_fn, zip(i, j)), float, len(j))
     return BandedMatrix._from_band(V, r_lower, r_upper)
 
 

@@ -42,24 +42,25 @@ step k writes the column A^{-1}(k : k+w-1, k) and the row p(k), and the
 rest of P_k is P_{k+1}, already in place.
 
 Both stages run in one of two ways, each picked from the shape by its own
-rule. The recursion runs as a kernel of Python floats generated for its
-(r, s) (:func:`_recursion_source`) where r max(r, s) <= 48 and N >= 512
-(:func:`_on_floats`): it holds P_k in local floats and reads one flat list
-of each step's f_k and row k of R backwards, zero-padded past row N. The
-elimination runs as such a kernel (:func:`_elimination_source`) where
-r s + 4 (r + s) <= 192 as well (:func:`_eliminates_on_floats`), from either
-entry point: it holds the trailing r x s block of the window in local
-floats, reads the entries that enter each window from W and pushes each
-step's f_k and row k of R onto that list; ``f`` and ``R`` are views of one
-array built once from it. Its stricter rule prices the r + s + 1 entries
-that enter and leave each window, and leaves r = 1, s >= 38 to the window
-loop. Where the elimination ran on windows, the recursion kernel reads one
-list made from ``[f | R]``. Every other shape, and every Schur complement,
-runs numpy calls: three per elimination step on a window of W, four per
-recursion step on slices of the band array of A^{-1}. Both eliminations
-round every operation alike and leave the same bits; the recursion kernel
-sums its products left to right, BLAS in its own order, so the two
-recursions give generators that agree to roundoff, not bit for bit.
+rule, and they meet only in the ``StructuredLU`` that one returns and the
+other reads. The elimination runs as a kernel of Python floats generated
+for its (r, s) (:func:`_elimination_source`) where r s + 4 (r + s) <= 192,
+r max(r, s) <= 48 and N >= 512 (:func:`_eliminates_on_floats`): it holds
+the trailing r x s block of the window in local floats, reads the entries
+that enter each window from W and returns each step's f_k and row k of R
+in one list, of which ``f`` and ``R`` are views. Its rule prices the
+r + s + 1 entries that enter and leave each window, and leaves r = 1,
+s >= 38 to the window loop. The recursion runs as such a kernel
+(:func:`_recursion_source`) where r max(r, s) <= 48 and N >= 512
+(:func:`_on_floats`): it holds P_k in local floats and reads the rows of
+``[f | R]`` backwards as one list, zero-padded past row N. Each kernel
+overwrites its state in place, reading every old value first. Every other
+shape, and every Schur complement, runs numpy calls: three per
+elimination step on a window of W, four per recursion step on slices of
+the band array of A^{-1}. Both eliminations round every operation alike
+and leave the same bits; the recursion kernel sums its products left to
+right, BLAS in its own order, so the two recursions give generators that
+agree to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ PIVOT_RTOL = np.finfo(float).tiny
 # worth about four of its r s updates, so the elimination runs that kernel
 # only where r s + 4 (r + s) stays within 4 * 48 = 192, from either entry
 # point. That leaves r = 1, s >= 38 to the window loop, where the warm
-# kernel step took 1.04 to 1.8 times the window loop's CPU at every N from
-# 512 to 4000. The crossover moves with N, from s = 34 .. 37 at N <= 1000
-# to s = 27 at N = 4000, so at N = 4000 the kernel still takes up to 1.4
-# times the window loop's CPU at r = 1, s = 29 .. 37.
+# kernel took 0.95 to 1.9 times the window loop's CPU (medians of 25) at N
+# from 512 to 4000, above 1 in 41 of 44 cases. The crossover moves with N,
+# from s = 37 at N <= 1000 to 35 at N = 2000 and 29 at N = 4000, so at
+# N = 4000 the kernel still takes up to 1.26 times the window loop's CPU
+# at r = 1, s = 29 .. 37.
 _ROWS_MAX_UPDATES = 48
 
 # Smallest N whose factorization and recursion run as generated kernels: the
@@ -235,26 +237,25 @@ def _eliminate(W: np.ndarray, r: int, s: int, steps: int) -> None:
         T -= np.multiply.outer(f, u)
 
 
-def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> tuple[np.ndarray, list]:
+def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> np.ndarray:
     """All N steps of :func:`_eliminate` in the generated kernel.
 
     The kernel (:func:`_elimination_source`) starts from the r x s block
     A(1 : r, 1 : s) of window 1 and takes the r+s+1 entries that enter
     window k, the column A(k : k+r-1, k+s) and the row A(k+r, k : k+s), as
     one step of a flat list of Python floats read from W; W itself is not
-    written. Each step's f_k and row k of R go, in that order, into one flat
-    list. Returns the (N, r+s+1) read-only array ``[f | R]`` of that list,
-    row k-1 for step k, and the list itself. The pivot floor is that of
+    written. Returns the (N, r+s+1) read-only array ``[f | R]`` of the
+    kernel's output, row k-1 for step k. The pivot floor is that of
     :func:`_eliminate`, so all N steps leave every entry finite.
     """
     n, m = len(W) - r, r + s + 1
     G = _windows(W, r, s)
     entering = iter(np.concatenate((G[:, :r, s], G[:, r]), axis=1).ravel().tolist())
     kernel = _kernel(_elimination_source, r, s)
-    flat = kernel(zip(*[entering] * m), tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
-    F = np.fromiter(flat, float, len(flat)).reshape(n, m)
+    out = kernel(zip(*[entering] * m), tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
+    F = np.fromiter(out, float, len(out)).reshape(n, m)
     F.flags.writeable = False
-    return F, flat
+    return F
 
 
 def structured_lu(A: BandedMatrix) -> StructuredLU:
@@ -282,21 +283,16 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
         rounding error bound gamma_{r+1} (|L||R|)(k, k); the error carries
         the 1-based step index of the first such pivot.
     """
-    return _factor(A)[0]
-
-
-def _factor(A: BandedMatrix) -> tuple[StructuredLU, list | None]:
-    """:func:`structured_lu`, with the elimination kernel's list of f and R if it ran."""
     n, r, s = A.n, A.r_lower, A.r_upper
     W = A.band(r)
     # step N has no row left to eliminate; it only checks the last pivot
     if _eliminates_on_floats(n, r, s):
-        F, flat = _eliminate_kernel(W, r, s)
-        return StructuredLU(F[: n - 1, :r], F[:, r:]), flat
+        F = _eliminate_kernel(W, r, s)
+        return StructuredLU(F[: n - 1, :r], F[:, r:])
     _eliminate(W, r, s, n)
     # freeze W instead of copying it; every factor array is a view of it
     W.flags.writeable = False
-    return StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:]), None
+    return StructuredLU(_windows(W, r, s)[: n - 1, 1:, 0], W[:n, r:])
 
 
 @np.errstate(over="ignore")
@@ -339,7 +335,8 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     """Green generators of A^{-1} for a strongly regular lower band matrix.
 
     ``A`` is the matrix, which is factored with :func:`structured_lu`, or its
-    factorization, of which only ``f`` and ``R`` are read.
+    factorization, of which only ``f`` and ``R`` are read; both give the
+    same bits.
 
     The transition and column generators of A^{-1} coincide with those of
     L^{-1}; the row generators satisfy the backward recursion
@@ -358,24 +355,24 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     A step costs a few microseconds of numpy call overhead on the windows,
     or time in proportion to r w in a kernel of Python floats generated and
     compiled once per (r, s) (:func:`_kernel_generators`), on the shapes
-    and with the lists the module docstring names. Counting both compiles
+    the module docstring names. Counting both compiles
     (0.2 ms at r = s = 1 to 2 ms at r w = 48), factorization and recursion
     from A together break even with the window loops near N = 40 at
     r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6 and
     600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians of
     7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48, with the
     recursion kernel alone, near N = 1000. At N = 4000, r = s = 4 they take
-    about 0.3 of the window loops' time. The generators agree with the
+    about 0.25 of the window loops' time. The generators agree with the
     window loop's to roundoff (worst 3.0e-16 relative to max|p| on 6000
     random bands of N <= 24).
 
     Generators that overflow raise ValueError.
     """
-    slu, flat = (A, None) if isinstance(A, StructuredLU) else _factor(A)
+    slu = A if isinstance(A, StructuredLU) else structured_lu(A)
     n, r, s = slu.n, slu.r, slu.s
     w = max(r, s)
     if _on_floats(n, r, s):
-        return _kernel_generators(slu, flat)
+        return _kernel_generators(slu)
     # B[i, t] = A^{-1}(i, i+t-w+1) (0-based), and S is B read with a
     # window's row stride, S[i, j] = A^{-1}(i, j) inside the band. Every step
     # slices its operands from S cut at row and column N, as padding the
@@ -401,25 +398,20 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     return GreenGenerators(B[: n - r, w - 1 : w - 1 + r], S[n - r :, n - r : n], slu.f[: n - r])
 
 
-def _kernel_generators(slu: StructuredLU, flat: list | None) -> GreenGenerators:
+def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
     """The recursion of :func:`inverse_green_generators` as one generated kernel.
 
-    ``flat`` is the elimination kernel's list of f_k and row k of R for
-    k = 1 .. N (:func:`_eliminate_kernel`), or None, and then one list of
-    ``[f | R]`` for k = 1 .. N-1 is made from ``slu``. The kernel
-    (:func:`_recursion_source`) reads the list backwards from step N-1 as
-    Python floats, zero-padded past row and column N, so every step runs the
-    products of a whole window: the first r-1 steps lead to the bottom
-    generator, the rest yield p(N-r) .. p(1).
+    The kernel (:func:`_recursion_source`) reads the rows of ``[f | R]``
+    for k = N-1 .. 1, each reversed, as Python floats, zero-padded past row
+    and column N, so every step runs the products of a whole window: the
+    first r-1 steps lead to the bottom generator, the rest yield
+    p(N-r) .. p(1).
     """
     n, r, s = slu.n, slu.r, slu.s
-    m = r + s + 1
-    if flat is None:
-        flat = np.concatenate((slu.f, slu.R[:-1]), axis=1).ravel().tolist()
+    backwards = reversed(np.concatenate((slu.f, slu.R[:-1]), axis=1).ravel().tolist())
+    steps = zip(*[backwards] * (r + s + 1))  # one step of r+s+1 floats per item
     kernel = _kernel(_recursion_source, r, s)
     state = (1.0 / float(slu.gamma[n - 1]),) + (0.0,) * (max(r, s) * r - 1)
-    backwards = islice(reversed(flat), len(flat) - (n - 1) * m, None)
-    steps = zip(*[backwards] * m)  # one step of m floats per item
     _, state = kernel(islice(steps, r - 1), state)
     bottom = np.reshape(state[: r * r], (r, r))
     p_rows, _ = kernel(steps, state)
@@ -453,7 +445,12 @@ def _elimination_source(r: int, s: int) -> str:
     state G[i, j] - f_i * G[0, j], i = 1 .. r, j = 1 .. s: the operations
     of :func:`_eliminate`, each rounded once. It returns the list. A pivot
     that fails the floor test raises ZeroPivotError at its step.
-    ``test_elimination_source_is_pinned`` shows the source for r = 2, s = 1.
+    The next state overwrites the old one in place, one statement per
+    entry, column j = 1 .. s in turn: past the divisions ``t{a}_{b}`` is
+    read only by column b's updates (as G[a, b], and for a = 0 as G[0, b])
+    and overwritten in column b+1, so no old value is lost or copied.
+    ``test_elimination_source_is_pinned`` shows the sources for
+    (r, s) = (2, 1) and (3, 2).
     """
 
     def G(i, j):
@@ -461,7 +458,6 @@ def _elimination_source(r: int, s: int) -> str:
 
     state = _tuple([G(i, j) for i in range(r) for j in range(s)])
     f = [f"f{i}" for i in range(r)]
-    new = [f"{G(i, j)} - {f[i - 1]} * {G(0, j)}" for i in range(1, r + 1) for j in range(1, s + 1)]
     entering = _tuple([*(G(i, s) for i in range(r)), *(G(r, j) for j in range(s + 1))])
     return "\n".join([
         "def kernel(steps, state, floor):",
@@ -474,7 +470,8 @@ def _elimination_source(r: int, s: int) -> str:
         "            raise ZeroPivotError(k, g)",
         *(f"        {f[i - 1]} = {G(i, 0)} / g" for i in range(1, r + 1)),
         f"        push({_tuple([*f, 'g', *(G(0, j) for j in range(1, s + 1))])})",
-        *([f"        {state} = {_tuple(new)}"] if s else []),
+        *(f"        {G(i - 1, j - 1)} = {G(i, j)} - {f[i - 1]} * {G(0, j)}"
+          for j in range(1, s + 1) for i in range(1, r + 1)),
         "    return out",
         "",
     ])
@@ -488,12 +485,14 @@ def _recursion_source(r: int, s: int) -> str:
     f_k[r-1], .., f_k[0])``, on the state P_{k+1}: w x r (w = max(r, s))
     local floats ``p{i}_{j}``, given row by row in ``state``. It returns the
     rows p(k) of the P_k it made, concatenated in one list, and the last
-    P_k. Step k forms y = X_k P_{k+1}, then row 0 of P_k, (e_1^T - [-y f,
-    y[:r-1]]) / gamma_k, and rows i = 1 .. w-1, [-P_{k+1}[i-1] f,
-    P_{k+1}[i-1, :r-1]]. Each product is rounded, then the products are
-    summed left to right with no fused multiply-add, so the bits depend on
-    r and s only, not on a BLAS build. ``test_generated_source_is_pinned``
-    shows the source for r = 2, s = 1.
+    P_k. Step k forms y = X_k P_{k+1}, then in place, one statement per
+    entry, rows i = w-1 .. 1 of P_k, [-P_{k+1}[i-1] f, P_{k+1}[i-1, :r-1]],
+    each before the row i-1 it reads is overwritten, and last row 0,
+    (e_1^T - [-y f, y[:r-1]]) / gamma_k. Each product is rounded, then the
+    products are summed left to right with no fused multiply-add, so the
+    bits depend on r and s only, not on a BLAS build.
+    ``test_generated_source_is_pinned`` shows the sources for
+    (r, s) = (2, 1) and (3, 2).
     """
     w = max(r, s)
     P = [[f"p{i}_{j}" for j in range(r)] for i in range(w)]
@@ -514,7 +513,7 @@ def _recursion_source(r: int, s: int) -> str:
         "    push = out.extend",
         f"    for {_tuple([*x[::-1], 'g', *f[::-1]])} in steps:",
         *(f"        {y[j]} = {dot(x, [P[t][j] for t in range(s)])}" for j in range(r)),
-        f"        {state} = {_tuple([*chain(*rows)])}",
+        *(f"        {P[i][j]} = {rows[i][j]}" for i in reversed(range(w)) for j in range(r)),
         f"        push({_tuple(P[0])})",
         f"    return out, {state}",
         "",

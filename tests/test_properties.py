@@ -201,7 +201,7 @@ def eliminate_with(min_n, A):
     W = A.band(r)
     try:
         if min_n == KERNEL:
-            F, _ = lu._eliminate_kernel(W, r, s)
+            F = lu._eliminate_kernel(W, r, s)
             f, R = F[:, :r], F[:, r:]
         else:
             lu._eliminate(W, r, s, A.n)

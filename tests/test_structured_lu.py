@@ -428,39 +428,30 @@ class TestInverseGenerators:
                 else:
                     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
-    def test_factorization_gives_the_same_generators(
-        self, acceptance_ensemble, built, monkeypatch
-    ):
-        # the recursion reads only f and R, so passing the factorization in
-        # place of the matrix changes no bit. Of the last two matrices,
-        # band_long's shape runs both kernels, and r = 1, s = 40 the window
-        # elimination and the recursion kernel
+    def test_factorization_gives_the_same_generators(self, acceptance_ensemble, built):
+        # the recursion reads only f and R, so passing the factorization, or
+        # a copy of its arrays built by hand, in place of the matrix changes
+        # no bit. Of the last two matrices, band_long's shape runs both
+        # kernels, and r = 1, s = 40 the window elimination and the
+        # recursion kernel
         band, moved = dominant_band(4000, 4, 4), dominant_band(600, 1, 40)
-        handed = []
-        kernel_generators = lu._kernel_generators
-
-        def recording(slu, flat):
-            handed.append(flat is not None)
-            return kernel_generators(slu, flat)
-
-        monkeypatch.setattr(lu, "_kernel_generators", recording)
         mats = [*acceptance_ensemble, band, moved]
         assert {A.r_lower for A in mats} >= {1, 8}
         assert {A.r_upper == A.n - 1 for A in mats} == {True, False}
         for A in mats:
             slu = gd.structured_lu(A)
             assert (slu.n, slu.r, slu.s) == (A.n, A.r_lower, A.r_upper)
-            got, ref = gd.inverse_green_generators(slu), gd.inverse_green_generators(A)
-            for name in ("p_rows", "bottom", "f"):
-                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-        # from A, the recursion kernel reads the elimination kernel's list
-        # wherever that kernel ran
+            copied = gd.StructuredLU(slu.f.copy(), slu.R.copy())
+            ref = gd.inverse_green_generators(A)
+            for got in (gd.inverse_green_generators(slu), gd.inverse_green_generators(copied)):
+                for name in ("p_rows", "bottom", "f"):
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
         built.clear()
         gd.inverse_green_generators(band)
-        assert built == ["_elimination_source", "_recursion_source"] and handed[-1]
+        assert built == ["_elimination_source", "_recursion_source"]
         built.clear()
         gd.inverse_green_generators(moved)
-        assert built == ["_recursion_source"] and not handed[-1]
+        assert built == ["_recursion_source"]
 
     def test_row_generators_are_entries_of_the_inverse(self, small_ensemble, ex1a_matrix):
         for A in [*small_ensemble, ex1a_matrix]:
@@ -546,10 +537,35 @@ class TestGeneratorKernel:
             "    for (x0, g, f1, f0) in steps:\n"
             "        y0 = x0 * p0_0\n"
             "        y1 = x0 * p0_1\n"
-            "        (p0_0, p0_1, p1_0, p1_1) = ((1.0 + (y0 * f0 + y1 * f1)) / g, -y0 / g,"
-            " -(p0_0 * f0 + p0_1 * f1), p0_0)\n"
+            "        p1_0 = -(p0_0 * f0 + p0_1 * f1)\n"
+            "        p1_1 = p0_0\n"
+            "        p0_0 = (1.0 + (y0 * f0 + y1 * f1)) / g\n"
+            "        p0_1 = -y0 / g\n"
             "        push((p0_0, p0_1))\n"
             "    return out, (p0_0, p0_1, p1_0, p1_1)\n"
+        )
+        # row i of P_k reads row i-1 of P_{k+1}, so rows w-1 .. 1 are each
+        # written before the row they read, and row 0, which reads y, last
+        assert lu._recursion_source(3, 2) == (
+            "def kernel(steps, state):\n"
+            "    (p0_0, p0_1, p0_2, p1_0, p1_1, p1_2, p2_0, p2_1, p2_2) = state\n"
+            "    out = []\n"
+            "    push = out.extend\n"
+            "    for (x1, x0, g, f2, f1, f0) in steps:\n"
+            "        y0 = x0 * p0_0 + x1 * p1_0\n"
+            "        y1 = x0 * p0_1 + x1 * p1_1\n"
+            "        y2 = x0 * p0_2 + x1 * p1_2\n"
+            "        p2_0 = -(p1_0 * f0 + p1_1 * f1 + p1_2 * f2)\n"
+            "        p2_1 = p1_0\n"
+            "        p2_2 = p1_1\n"
+            "        p1_0 = -(p0_0 * f0 + p0_1 * f1 + p0_2 * f2)\n"
+            "        p1_1 = p0_0\n"
+            "        p1_2 = p0_1\n"
+            "        p0_0 = (1.0 + (y0 * f0 + y1 * f1 + y2 * f2)) / g\n"
+            "        p0_1 = -y0 / g\n"
+            "        p0_2 = -y1 / g\n"
+            "        push((p0_0, p0_1, p0_2))\n"
+            "    return out, (p0_0, p0_1, p0_2, p1_0, p1_1, p1_2, p2_0, p2_1, p2_2)\n"
         )
 
     def test_elimination_source_is_pinned(self):
@@ -565,7 +581,33 @@ class TestGeneratorKernel:
             "        f0 = t1_0 / g\n"
             "        f1 = b0 / g\n"
             "        push((f0, f1, g, c0))\n"
-            "        (t0_0, t1_0) = (c1 - f0 * c0, b1 - f1 * c0)\n"
+            "        t0_0 = c1 - f0 * c0\n"
+            "        t1_0 = b1 - f1 * c0\n"
+            "    return out\n"
+        )
+        # t{i-1}_{j-1} overwrites an entry that only column j-1's updates
+        # read, so column by column every entry is read before it is
+        # overwritten: t0_1, row 0 of the window, feeds all of column 1 and
+        # is replaced only in column 2
+        assert lu._elimination_source(3, 2) == (
+            "def kernel(steps, state, floor):\n"
+            "    (t0_0, t0_1, t1_0, t1_1, t2_0, t2_1) = state\n"
+            "    out = []\n"
+            "    push = out.extend\n"
+            "    for k, (c0, c1, c2, b0, b1, b2) in enumerate(steps, 1):\n"
+            "        g = t0_0\n"
+            "        if not floor < abs(g) < inf:\n"
+            "            raise ZeroPivotError(k, g)\n"
+            "        f0 = t1_0 / g\n"
+            "        f1 = t2_0 / g\n"
+            "        f2 = b0 / g\n"
+            "        push((f0, f1, f2, g, t0_1, c0))\n"
+            "        t0_0 = t1_1 - f0 * t0_1\n"
+            "        t1_0 = t2_1 - f1 * t0_1\n"
+            "        t2_0 = b1 - f2 * t0_1\n"
+            "        t0_1 = c1 - f0 * c0\n"
+            "        t1_1 = c2 - f1 * c0\n"
+            "        t2_1 = b2 - f2 * c0\n"
             "    return out\n"
         )
 
