@@ -174,15 +174,16 @@ def make_banded(
     """Sample ``entry_fn(i, j)`` (1-based) inside the band, zeros outside.
 
     ``entry_fn`` is called once per in-band entry, O(N (r_lower + r_upper + 1))
-    times, row by row and with j ascending in each row. The samples fill a
-    band array of shape (N, r_lower + r_upper + 1), which is checked and
-    written once onto the band diagonals of the one N x N array.
+    times, row by row and with j ascending in each row. The indices are
+    streamed as Python ints, and the samples go straight into a band array
+    of shape (N, r_lower + r_upper + 1), which is checked and written once
+    onto the band diagonals of the one N x N array.
     """
     _check_dimensions(n, r_lower, r_upper)
     cols = np.arange(n)[:, None] + np.arange(-r_lower, r_upper + 1)
     inside = (cols >= 0) & (cols < n)
-    # Python ints, as range() gives; the rows are repeated lazily, not listed
-    j = (cols[inside] + 1).tolist()
+    # Python ints, as range() gives, read from one array: neither index is listed
+    j = memoryview(cols[inside] + 1)
     i = chain.from_iterable(map(repeat, range(1, n + 1), inside.sum(axis=1).tolist()))
     V = np.zeros(cols.shape)
     V[inside] = np.fromiter(starmap(entry_fn, zip(i, j)), float, len(j))

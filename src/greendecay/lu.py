@@ -47,20 +47,24 @@ other reads. The elimination runs as a kernel of Python floats generated
 for its (r, s) (:func:`_elimination_source`) where r s + 4 (r + s) <= 192,
 r max(r, s) <= 48 and N >= 512 (:func:`_eliminates_on_floats`): it holds
 the trailing r x s block of the window in local floats, reads the entries
-that enter each window from W and returns each step's f_k and row k of R
-in one list, of which ``f`` and ``R`` are views. Its rule prices the
-r + s + 1 entries that enter and leave each window, and leaves r = 1,
-s >= 38 to the window loop. The recursion runs as such a kernel
-(:func:`_recursion_source`) where r max(r, s) <= 48 and N >= 512
-(:func:`_on_floats`): it holds P_k in local floats and reads the rows of
-``[f | R]`` backwards as one list, zero-padded past row N. Each kernel
-overwrites its state in place, reading every old value first. Every other
-shape, and every Schur complement, runs numpy calls: three per
-elimination step on a window of W, four per recursion step on slices of
-the band array of A^{-1}. Both eliminations round every operation alike
-and leave the same bits; the recursion kernel sums its products left to
-right, BLAS in its own order, so the two recursions give generators that
-agree to roundoff, not bit for bit.
+that enter each window from one array of them and yields each step's f_k
+and row k of R, which fill the one ``[f | R]`` array of which ``f`` and
+``R`` are views. Its rule prices the r + s + 1 entries that enter and
+leave each window, and leaves r = 1, s >= 38 to the window loop. The
+recursion runs as such a kernel (:func:`_recursion_source`) where
+r max(r, s) <= 48 and N >= 512 (:func:`_on_floats`): it holds P_k in local
+floats, reads the rows of ``[f | R]`` backwards, zero-padded past row N,
+and yields each p(k) into the array of the row generators. Both kernels
+are Python generators: a step reads its inputs as one tuple of floats
+from a numpy array and yields its outputs as another, which
+``np.fromiter`` writes into the result, so no list of the N (r+s+1)
+entries is built. Each kernel overwrites its state in place, reading
+every old value first. Every other shape, and every Schur complement, runs
+numpy calls: three per elimination step on a window of W, four per
+recursion step on slices of the band array of A^{-1}. Both eliminations
+round every operation alike and leave the same bits; the recursion kernel
+sums its products left to right, BLAS in its own order, so the two
+recursions give generators that agree to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -96,12 +100,13 @@ PIVOT_RTOL = np.finfo(float).tiny
 # also moves the r + s + 1 entries that enter and leave its window, each
 # worth about four of its r s updates, so the elimination runs that kernel
 # only where r s + 4 (r + s) stays within 4 * 48 = 192, from either entry
-# point. That leaves r = 1, s >= 38 to the window loop, where the warm
-# kernel took 0.95 to 1.9 times the window loop's CPU (medians of 25) at N
-# from 512 to 4000, above 1 in 41 of 44 cases. The crossover moves with N,
-# from s = 37 at N <= 1000 to 35 at N = 2000 and 29 at N = 4000, so at
-# N = 4000 the kernel still takes up to 1.26 times the window loop's CPU
-# at r = 1, s = 29 .. 37.
+# point. That leaves r = 1, s >= 38 to the window loop. The kernel streams
+# its band, so its cost per step does not grow with N: at r = 1 the warm
+# kernel took 0.52 to 0.56 times the window loop's CPU at s = 24, 0.74 to
+# 0.84 at s = 37, 0.80 to 0.93 at s = 40 and 0.98 to 1.02 at s = 48, each
+# at N from 512 to 4000 (medians of 25 or 31 alternating pairs, one BLAS
+# thread). So r = 1, s = 38 .. 47 runs the window loop at up to 1.25 times
+# the kernel's CPU.
 _ROWS_MAX_UPDATES = 48
 
 # Smallest N whose factorization and recursion run as generated kernels: the
@@ -243,19 +248,25 @@ def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> np.ndarray:
     The kernel (:func:`_elimination_source`) starts from the r x s block
     A(1 : r, 1 : s) of window 1 and takes the r+s+1 entries that enter
     window k, the column A(k : k+r-1, k+s) and the row A(k+r, k : k+s), as
-    one step of a flat list of Python floats read from W; W itself is not
-    written. Returns the (N, r+s+1) read-only array ``[f | R]`` of the
-    kernel's output, row k-1 for step k. The pivot floor is that of
-    :func:`_eliminate`, so all N steps leave every entry finite.
+    one tuple of Python floats, streamed from one (N, r+s+1) array of them
+    copied out of W; W itself is not written. Returns the (N, r+s+1)
+    read-only array ``[f | R]`` that the kernel's steps fill, row k-1 for
+    step k. The pivot floor is that of :func:`_eliminate`, so all N steps
+    leave every entry finite.
     """
     n, m = len(W) - r, r + s + 1
     G = _windows(W, r, s)
-    entering = iter(np.concatenate((G[:, :r, s], G[:, r]), axis=1).ravel().tolist())
+    entering = _rows(np.concatenate((G[:, :r, s], G[:, r]), axis=1))
     kernel = _kernel(_elimination_source, r, s)
-    out = kernel(zip(*[entering] * m), tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
-    F = np.fromiter(out, float, len(out)).reshape(n, m)
+    out = kernel(entering, tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
+    F = np.fromiter(chain.from_iterable(out), float, n * m).reshape(n, m)
     F.flags.writeable = False
     return F
+
+
+def _rows(E: np.ndarray):
+    """The rows of the contiguous 2-D array E as tuples of Python floats, read lazily."""
+    return zip(*[iter(memoryview(E.ravel()))] * E.shape[1])
 
 
 def structured_lu(A: BandedMatrix) -> StructuredLU:
@@ -362,7 +373,7 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians of
     7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48, with the
     recursion kernel alone, near N = 1000. At N = 4000, r = s = 4 they take
-    about 0.25 of the window loops' time. The generators agree with the
+    about 0.20 of the window loops' CPU. The generators agree with the
     window loop's to roundoff (worst 3.0e-16 relative to max|p| on 6000
     random bands of N <= 24).
 
@@ -402,20 +413,21 @@ def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
     """The recursion of :func:`inverse_green_generators` as one generated kernel.
 
     The kernel (:func:`_recursion_source`) reads the rows of ``[f | R]``
-    for k = N-1 .. 1, each reversed, as Python floats, zero-padded past row
-    and column N, so every step runs the products of a whole window: the
-    first r-1 steps lead to the bottom generator, the rest yield
-    p(N-r) .. p(1).
+    for k = N-1 .. 1, each reversed, as Python floats streamed from one
+    array of them, zero-padded past row and column N, so every step runs
+    the products of a whole window: the first r-1 steps lead to the bottom
+    generator, the kernel's last item after them, and the rest yield
+    p(N-r) .. p(1) into one array.
     """
     n, r, s = slu.n, slu.r, slu.s
-    backwards = reversed(np.concatenate((slu.f, slu.R[:-1]), axis=1).ravel().tolist())
-    steps = zip(*[backwards] * (r + s + 1))  # one step of r+s+1 floats per item
+    steps = _rows(np.concatenate((slu.R[-2::-1, ::-1], slu.f[::-1, ::-1]), axis=1))
     kernel = _kernel(_recursion_source, r, s)
     state = (1.0 / float(slu.gamma[n - 1]),) + (0.0,) * (max(r, s) * r - 1)
-    _, state = kernel(islice(steps, r - 1), state)
+    *_, state = kernel(islice(steps, r - 1), state)
     bottom = np.reshape(state[: r * r], (r, r))
-    p_rows, _ = kernel(steps, state)
-    return GreenGenerators(np.reshape(p_rows, (n - r, r))[::-1], bottom, slu.f[: n - r])
+    # the last item, the final state, is past the count and never read
+    p_rows = np.fromiter(chain.from_iterable(kernel(steps, state)), float, (n - r) * r)
+    return GreenGenerators(p_rows.reshape(n - r, r)[::-1], bottom, slu.f[: n - r])
 
 
 @cache
@@ -440,11 +452,11 @@ def _elimination_source(r: int, s: int) -> str:
     its first r rows and s columns, ``t{i}_{j}``, are the state (given row
     by row in ``state``), and the column ``c{i}`` = G[i, s], i < r, and the
     row ``b{j}`` = G[r, j] enter with the step. The step tests the pivot
-    g = G[0, 0] against ``floor``, divides f_i = G[i, 0] / g, pushes f_k
-    and row k of R, (g, G[0, 1 : s+1]), onto one list and forms the next
-    state G[i, j] - f_i * G[0, j], i = 1 .. r, j = 1 .. s: the operations
-    of :func:`_eliminate`, each rounded once. It returns the list. A pivot
-    that fails the floor test raises ZeroPivotError at its step.
+    g = G[0, 0] against ``floor``, divides f_i = G[i, 0] / g, yields f_k
+    and row k of R, (g, G[0, 1 : s+1]), as one tuple and then forms the
+    next state G[i, j] - f_i * G[0, j], i = 1 .. r, j = 1 .. s: the
+    operations of :func:`_eliminate`, each rounded once. A pivot that fails
+    the floor test raises ZeroPivotError at its step.
     The next state overwrites the old one in place, one statement per
     entry, column j = 1 .. s in turn: past the divisions ``t{a}_{b}`` is
     read only by column b's updates (as G[a, b], and for a = 0 as G[0, b])
@@ -462,17 +474,14 @@ def _elimination_source(r: int, s: int) -> str:
     return "\n".join([
         "def kernel(steps, state, floor):",
         *([f"    {state} = state"] if s else []),
-        "    out = []",
-        "    push = out.extend",
         f"    for k, {entering} in enumerate(steps, 1):",
         f"        g = {G(0, 0)}",
         "        if not floor < abs(g) < inf:",
         "            raise ZeroPivotError(k, g)",
         *(f"        {f[i - 1]} = {G(i, 0)} / g" for i in range(1, r + 1)),
-        f"        push({_tuple([*f, 'g', *(G(0, j) for j in range(1, s + 1))])})",
+        f"        yield {_tuple([*f, 'g', *(G(0, j) for j in range(1, s + 1))])}",
         *(f"        {G(i - 1, j - 1)} = {G(i, j)} - {f[i - 1]} * {G(0, j)}"
           for j in range(1, s + 1) for i in range(1, r + 1)),
-        "    return out",
         "",
     ])
 
@@ -483,11 +492,12 @@ def _recursion_source(r: int, s: int) -> str:
     ``kernel(steps, state)`` runs one step per item of ``steps``, step k's
     row k of R and f_k read backwards, ``(R(k, k+s), .., R(k, k+1), gamma_k,
     f_k[r-1], .., f_k[0])``, on the state P_{k+1}: w x r (w = max(r, s))
-    local floats ``p{i}_{j}``, given row by row in ``state``. It returns the
-    rows p(k) of the P_k it made, concatenated in one list, and the last
-    P_k. Step k forms y = X_k P_{k+1}, then in place, one statement per
-    entry, rows i = w-1 .. 1 of P_k, [-P_{k+1}[i-1] f, P_{k+1}[i-1, :r-1]],
-    each before the row i-1 it reads is overwritten, and last row 0,
+    local floats ``p{i}_{j}``, given row by row in ``state``. It yields the
+    row p(k) of each P_k it makes and, after the last step, that P_k row by
+    row as its last item. Step k forms y = X_k P_{k+1}, then in place, one
+    statement per entry, rows i = w-1 .. 1 of P_k, [-P_{k+1}[i-1] f,
+    P_{k+1}[i-1, :r-1]], each before the row i-1 it reads is overwritten,
+    and last row 0,
     (e_1^T - [-y f, y[:r-1]]) / gamma_k. Each product is rounded, then the
     products are summed left to right with no fused multiply-add, so the
     bits depend on r and s only, not on a BLAS build.
@@ -509,13 +519,11 @@ def _recursion_source(r: int, s: int) -> str:
     return "\n".join([
         "def kernel(steps, state):",
         f"    {state} = state",
-        "    out = []",
-        "    push = out.extend",
         f"    for {_tuple([*x[::-1], 'g', *f[::-1]])} in steps:",
         *(f"        {y[j]} = {dot(x, [P[t][j] for t in range(s)])}" for j in range(r)),
         *(f"        {P[i][j]} = {rows[i][j]}" for i in reversed(range(w)) for j in range(r)),
-        f"        push({_tuple(P[0])})",
-        f"    return out, {state}",
+        f"        yield {_tuple(P[0])}",
+        f"    yield {state}",
         "",
     ])
 

@@ -5,6 +5,8 @@ they are deterministic. At N = 2000 the dense array is 30.5 MiB; a kernel
 that builds any N x N temporary peaks far above the limits below.
 tracemalloc does not see memory mappings, so the N x N array of
 ``make_banded`` is checked by the resident set size of a fresh process.
+At N = 10^5 the generated kernels run on a band work array built without
+a BandedMatrix, so that no N x N mapping is made.
 
 This is the one test module that reads ``A.data``, the N x N image that
 each constructor still writes for callers outside the package: its flags,
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 
 import greendecay as gd
+from greendecay import lu
 
 N, R = 2000, 2
 MIB = 2**20
@@ -51,11 +54,12 @@ def peak_bytes(fn, *args):
 
 
 def test_make_banded_writes_one_dense_array(band):
-    # the samples and their band array are O(N (r+s+1)); the N x N array is
-    # allocated once, written on the band and never copied
+    # the samples, their band array and the column indices, all O(N (r+s+1)),
+    # take 0.33 MiB, traced; a list of the indices as Python ints peaked at
+    # 0.60 MiB. The N x N array is a memory mapping, which tracemalloc does
+    # not see: the resident set test below shows it is written only on the band
     W = band.data
-    peak = peak_bytes(gd.make_banded, N, R, R, lambda i, j: W[i - 1, j - 1])
-    assert peak < N * N * 8 + MIB
+    assert peak_bytes(gd.make_banded, N, R, R, lambda i, j: W[i - 1, j - 1]) < 0.4 * MIB
 
 
 def test_dense_input_keeps_only_the_band(band):
@@ -126,9 +130,67 @@ def test_one_sided_qr_bound_reads_no_band_copy():
 
 @pytest.mark.parametrize("fn", [gd.structured_lu, gd.inverse_green_generators])
 def test_factor_and_generators_allocate_o_n(band, fn):
-    # the band work array is (N + r) x (r + s + 1): 80 KiB here; the kernels'
-    # lists hold the same O(N (r + s)) numbers as Python floats, 0.65 MiB at most
-    assert peak_bytes(fn, band) < MIB
+    # the band work array is (N + r) x (r + s + 1): 80 KiB here. The kernels
+    # stream it, so the peaks are a few such arrays: 0.23 MiB for the
+    # factorization and 0.25 MiB for the generators; the limit leaves 1.6x
+    # of the latter. Lists of Python floats in the kernels peaked at 0.65 MiB.
+    assert peak_bytes(fn, band) < 0.4 * MIB
+
+
+def band_work_array(n, r, s, rng):
+    """Band work array of structured_lu for a column-dominant band, built
+    without a BandedMatrix and its N x N mapping: W[i, t] = A(i, i+t-r),
+    zero outside the matrix and in the r rows past row N."""
+    W = rng.uniform(-1.0, 1.0, (n + r, r + s + 1))
+    rows = np.arange(n + r)[:, None]
+    cols = rows + np.arange(-r, s + 1)
+    W[(cols < 0) | (cols >= n) | (rows >= n)] = 0.0
+    W[:n, r] = 2.0 * (r + s) + 1.0
+    return W
+
+
+N_SCALE, R_SCALE = 10**5, 4
+BAND_BYTES = N_SCALE * (2 * R_SCALE + 1) * 8
+
+
+@pytest.fixture(scope="module")
+def scale_band():
+    """Work array and factorization of the kernels at N = 10^5, r = s = 4,
+    where the band holds 6.9 MiB and a BandedMatrix would map 75 GiB.
+
+    Both kernels run once here, untraced: a first run in the process took
+    about four times as long under tracemalloc as a later one."""
+    W = band_work_array(N_SCALE, R_SCALE, R_SCALE, np.random.default_rng(1))
+    assert lu._on_floats(N_SCALE, R_SCALE, R_SCALE)
+    assert lu._eliminates_on_floats(N_SCALE, R_SCALE, R_SCALE)
+    F = lu._eliminate_kernel(W, R_SCALE, R_SCALE)
+    slu = gd.StructuredLU(F[: N_SCALE - 1, :R_SCALE], F[:, R_SCALE:])
+    gd.inverse_green_generators(slu)
+    return W, slu
+
+
+def test_elimination_at_scale_peaks_at_two_bands(scale_band):
+    # the entering entries and the [f | R] output, one band each; lists of
+    # Python floats for both peaked at 7.7 bands
+    W = scale_band[0]
+    assert peak_bytes(lu._eliminate_kernel, W, R_SCALE, R_SCALE) < 3 * BAND_BYTES
+
+
+def test_recursion_at_scale_peaks_near_two_bands(scale_band):
+    # the rows of [f | R] read backwards (one band), the p rows and the
+    # generators' copies: 2.4 bands; lists of Python floats peaked at 5.8
+    assert peak_bytes(gd.inverse_green_generators, scale_band[1]) < 3 * BAND_BYTES
+
+
+def test_zero_pivot_midway_at_scale_names_its_step(scale_band):
+    # row k of A is zero left of and on the diagonal, so no earlier step
+    # updates it and its pivot stays an exact zero
+    k = N_SCALE // 2
+    W = scale_band[0].copy()
+    W[k - 1, : R_SCALE + 1] = 0.0
+    with pytest.raises(gd.ZeroPivotError, match=f"step k={k} ") as err:
+        lu._eliminate_kernel(W, R_SCALE, R_SCALE)
+    assert (err.value.k, err.value.value) == (k, 0.0)
 
 
 def test_generators_add_o_n_r2_to_one_copy_of_r(band):

@@ -532,8 +532,6 @@ class TestGeneratorKernel:
         assert lu._recursion_source(2, 1) == (
             "def kernel(steps, state):\n"
             "    (p0_0, p0_1, p1_0, p1_1) = state\n"
-            "    out = []\n"
-            "    push = out.extend\n"
             "    for (x0, g, f1, f0) in steps:\n"
             "        y0 = x0 * p0_0\n"
             "        y1 = x0 * p0_1\n"
@@ -541,16 +539,14 @@ class TestGeneratorKernel:
             "        p1_1 = p0_0\n"
             "        p0_0 = (1.0 + (y0 * f0 + y1 * f1)) / g\n"
             "        p0_1 = -y0 / g\n"
-            "        push((p0_0, p0_1))\n"
-            "    return out, (p0_0, p0_1, p1_0, p1_1)\n"
+            "        yield (p0_0, p0_1)\n"
+            "    yield (p0_0, p0_1, p1_0, p1_1)\n"
         )
         # row i of P_k reads row i-1 of P_{k+1}, so rows w-1 .. 1 are each
         # written before the row they read, and row 0, which reads y, last
         assert lu._recursion_source(3, 2) == (
             "def kernel(steps, state):\n"
             "    (p0_0, p0_1, p0_2, p1_0, p1_1, p1_2, p2_0, p2_1, p2_2) = state\n"
-            "    out = []\n"
-            "    push = out.extend\n"
             "    for (x1, x0, g, f2, f1, f0) in steps:\n"
             "        y0 = x0 * p0_0 + x1 * p1_0\n"
             "        y1 = x0 * p0_1 + x1 * p1_1\n"
@@ -564,26 +560,23 @@ class TestGeneratorKernel:
             "        p0_0 = (1.0 + (y0 * f0 + y1 * f1 + y2 * f2)) / g\n"
             "        p0_1 = -y0 / g\n"
             "        p0_2 = -y1 / g\n"
-            "        push((p0_0, p0_1, p0_2))\n"
-            "    return out, (p0_0, p0_1, p0_2, p1_0, p1_1, p1_2, p2_0, p2_1, p2_2)\n"
+            "        yield (p0_0, p0_1, p0_2)\n"
+            "    yield (p0_0, p0_1, p0_2, p1_0, p1_1, p1_2, p2_0, p2_1, p2_2)\n"
         )
 
     def test_elimination_source_is_pinned(self):
         assert lu._elimination_source(2, 1) == (
             "def kernel(steps, state, floor):\n"
             "    (t0_0, t1_0) = state\n"
-            "    out = []\n"
-            "    push = out.extend\n"
             "    for k, (c0, c1, b0, b1) in enumerate(steps, 1):\n"
             "        g = t0_0\n"
             "        if not floor < abs(g) < inf:\n"
             "            raise ZeroPivotError(k, g)\n"
             "        f0 = t1_0 / g\n"
             "        f1 = b0 / g\n"
-            "        push((f0, f1, g, c0))\n"
+            "        yield (f0, f1, g, c0)\n"
             "        t0_0 = c1 - f0 * c0\n"
             "        t1_0 = b1 - f1 * c0\n"
-            "    return out\n"
         )
         # t{i-1}_{j-1} overwrites an entry that only column j-1's updates
         # read, so column by column every entry is read before it is
@@ -592,8 +585,6 @@ class TestGeneratorKernel:
         assert lu._elimination_source(3, 2) == (
             "def kernel(steps, state, floor):\n"
             "    (t0_0, t0_1, t1_0, t1_1, t2_0, t2_1) = state\n"
-            "    out = []\n"
-            "    push = out.extend\n"
             "    for k, (c0, c1, c2, b0, b1, b2) in enumerate(steps, 1):\n"
             "        g = t0_0\n"
             "        if not floor < abs(g) < inf:\n"
@@ -601,14 +592,13 @@ class TestGeneratorKernel:
             "        f0 = t1_0 / g\n"
             "        f1 = t2_0 / g\n"
             "        f2 = b0 / g\n"
-            "        push((f0, f1, f2, g, t0_1, c0))\n"
+            "        yield (f0, f1, f2, g, t0_1, c0)\n"
             "        t0_0 = t1_1 - f0 * t0_1\n"
             "        t1_0 = t2_1 - f1 * t0_1\n"
             "        t2_0 = b1 - f2 * t0_1\n"
             "        t0_1 = c1 - f0 * c0\n"
             "        t1_1 = c2 - f1 * c0\n"
             "        t2_1 = b2 - f2 * c0\n"
-            "    return out\n"
         )
 
     def test_generator_overflow_is_rejected_on_both_paths(self, monkeypatch):
