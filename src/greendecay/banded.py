@@ -112,11 +112,10 @@ class BandedMatrix:
         return self
 
     def _store(self, V: np.ndarray) -> None:
-        """Write the band V onto fresh mapped zeros, check it is finite, freeze and store both."""
-        data = _band_to_dense(V, self.r_lower, _mapped_zeros(self.n))
-        # V's entries outside the matrix are zero, so a non-finite one is in data
+        """Check the band V is finite, write it onto fresh mapped zeros, freeze and store both."""
         if not np.isfinite(V).all():
-            _raise_first_non_finite(data)
+            _raise_first_non_finite(V, self.r_lower)
+        data = _band_to_dense(V, self.r_lower, _mapped_zeros(self.n))
         for arr in (V, data):
             arr.flags.writeable = False
         object.__setattr__(self, "_V", V)
@@ -268,14 +267,18 @@ def _diagonal(A: BandedMatrix, d: int) -> np.ndarray:
     return A._V[max(0, -d) : n - max(0, d), r + d]
 
 
-def _raise_first_non_finite(data: np.ndarray) -> None:
-    """Raise ValueError naming the row-major first non-finite entry, if any."""
-    bad = np.argwhere(~np.isfinite(data))
+def _raise_first_non_finite(M: np.ndarray, r_lower: int | None = None) -> None:
+    """Raise ValueError naming the row-major first non-finite entry of A, if any.
+
+    M is A itself, or with ``r_lower`` its band array V, ``M[i, t] =
+    A(i, i + t - r_lower)``: row-major order in V is row-major order in A,
+    and V's entries outside the matrix are zero, so only the band is read.
+    """
+    bad = np.argwhere(~np.isfinite(M))
     if bad.size:
-        i, j = bad[0] + 1
-        raise ValueError(
-            f"entry ({i}, {j}) is {data[i - 1, j - 1]}; entries must be finite"
-        )
+        i, t = bad[0]
+        j = t if r_lower is None else i + t - r_lower
+        raise ValueError(f"entry ({i + 1}, {j + 1}) is {M[i, t]}; entries must be finite")
 
 
 def from_dense(
@@ -391,6 +394,20 @@ def _parse_header(line: str) -> tuple[str, str]:
     return field, symmetry
 
 
+def _ascii_lines(fh):
+    """(1-based line number, line) of each line of ``fh``, all of it ASCII.
+
+    ``fh`` decodes ASCII with ``errors="surrogateescape"``, which keeps a
+    byte b above 0x7f as the lone surrogate U+DC00 + b, so the first such
+    byte raises MatrixMarketError at its own line.
+    """
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+            raise MatrixMarketError(f"non-ASCII byte 0x{byte:02x}", line=lineno)
+        yield lineno, line
+
+
 def read_matrix_market(path) -> BandedMatrix:
     """Read a real coordinate Matrix Market file into a BandedMatrix.
 
@@ -398,18 +415,19 @@ def read_matrix_market(path) -> BandedMatrix:
     (with r_lower floored at 1). General and symmetric storage are supported;
     duplicate coordinates are summed in file order. The file is read line by
     line, and every entry, every sum and the entry count are checked before
-    anything of order N is allocated; parse failures (an overflowing sum
-    among them) report the 1-based line number. The sums fill a band array
-    of shape (N, r_lower + r_upper + 1), written once onto the band of the
-    N x N array as in ``make_banded``; an order too large to allocate either
-    is a MatrixMarketError.
+    anything of order N is allocated; parse failures (an overflowing sum, a
+    byte that is not ASCII and a number with Python's digit-group
+    underscores among them) report the 1-based line number. The sums fill a
+    band array of shape (N, r_lower + r_upper + 1), written once onto the
+    band of the N x N array as in ``make_banded``; an order too large to
+    allocate either is a MatrixMarketError.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = _ascii_lines(fh)
+        _, header = next(lines, (1, ""))
         if not header:
             raise MatrixMarketError("empty file", line=1)
         _, symmetry = _parse_header(header)
-        lines = enumerate(fh, start=2)
 
         lineno = 1
         size_line = None
@@ -421,7 +439,8 @@ def read_matrix_market(path) -> BandedMatrix:
         if size_line is None:
             raise MatrixMarketError("missing size line", line=lineno)
         parts = size_line.split()
-        if len(parts) != 3:
+        # Python's int and float would read the digit groups of 2_0 as 20
+        if len(parts) != 3 or "_" in size_line:
             raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
         try:
             nrows, ncols, nnz = (int(p) for p in parts)
@@ -443,7 +462,7 @@ def read_matrix_market(path) -> BandedMatrix:
             if not stripped or stripped.startswith("%"):
                 continue
             parts = stripped.split()
-            if len(parts) != 3:
+            if len(parts) != 3 or "_" in stripped:
                 raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno)
             try:
                 i, j = int(parts[0]), int(parts[1])

@@ -41,30 +41,29 @@ step slices P_k and P_{k+1} from it by one rule, cut at row and column N:
 step k writes the column A^{-1}(k : k+w-1, k) and the row p(k), and the
 rest of P_k is P_{k+1}, already in place.
 
-Both stages run in one of two ways, each picked from the shape by its own
-rule, and they meet only in the ``StructuredLU`` that one returns and the
-other reads. The elimination runs as a kernel of Python floats generated
-for its (r, s) (:func:`_elimination_source`) where r s + 4 (r + s) <= 192,
-r max(r, s) <= 48 and N >= 512 (:func:`_eliminates_on_floats`): it holds
-the trailing r x s block of the window in local floats, reads the entries
-that enter each window from one array of them and yields each step's f_k
-and row k of R, which fill the one ``[f | R]`` array of which ``f`` and
-``R`` are views. Its rule prices the r + s + 1 entries that enter and
-leave each window, and leaves r = 1, s >= 38 to the window loop. The
-recursion runs as such a kernel (:func:`_recursion_source`) where
-r max(r, s) <= 48 and N >= 512 (:func:`_on_floats`): it holds P_k in local
-floats, reads the rows of ``[f | R]`` backwards, zero-padded past row N,
-and yields each p(k) into the array of the row generators. Both kernels
-are Python generators: a step reads its inputs as one tuple of floats
-from a numpy array and yields its outputs as another, which
-``np.fromiter`` writes into the result, so no list of the N (r+s+1)
-entries is built. Each kernel overwrites its state in place, reading
-every old value first. Every other shape, and every Schur complement, runs
-numpy calls: three per elimination step on a window of W, four per
-recursion step on slices of the band array of A^{-1}. Both eliminations
-round every operation alike and leave the same bits; the recursion kernel
-sums its products left to right, BLAS in its own order, so the two
-recursions give generators that agree to roundoff, not bit for bit.
+Both stages run in one of two ways, picked from the shape by one rule,
+:func:`_on_floats`: r max(r, s) <= 48 and N >= 512. The two stages meet
+only in the ``StructuredLU`` that one returns and the other reads, so the
+rule routes both alike whether the recursion starts from A or from its
+factorization. Where it holds, the elimination runs as a kernel of
+Python floats generated for its (r, s) (:func:`_elimination_source`): it
+holds the trailing r x s block of the window in local floats, reads the
+entries that enter each window from one array of them and yields each
+step's f_k and row k of R, which fill the one ``[f | R]`` array of which
+``f`` and ``R`` are views. The recursion runs as such a kernel too
+(:func:`_recursion_source`): it holds P_k in local floats, reads the rows
+of ``[f | R]`` backwards, zero-padded past row N, and yields each p(k)
+into the array of the row generators. Both kernels are Python generators:
+a step reads its inputs as one tuple of floats from a numpy array and
+yields its outputs as another, which ``np.fromiter`` writes into the
+result, so no list of the N (r+s+1) entries is built. Each kernel
+overwrites its state in place, reading every old value first. Every other
+shape, and every Schur complement, runs numpy calls: three per
+elimination step on a window of W, four per recursion step on slices of
+the band array of A^{-1}. Both eliminations round every operation alike
+and leave the same bits; the recursion kernel sums its products left to
+right, BLAS in its own order, so the two recursions give generators that
+agree to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -94,19 +93,15 @@ __all__ = [
 # dominance the pivots stay above (1 - mu^2)|A(k, k)|.
 PIVOT_RTOL = np.finfo(float).tiny
 
-# Largest r * max(r, s) whose generator recursion runs as a generated kernel
-# on Python floats; wider bands run numpy calls on windows, whose call
-# overhead per step barely grows with r and s. An elimination kernel step
-# also moves the r + s + 1 entries that enter and leave its window, each
-# worth about four of its r s updates, so the elimination runs that kernel
-# only where r s + 4 (r + s) stays within 4 * 48 = 192, from either entry
-# point. That leaves r = 1, s >= 38 to the window loop. The kernel streams
-# its band, so its cost per step does not grow with N: at r = 1 the warm
-# kernel took 0.52 to 0.56 times the window loop's CPU at s = 24, 0.74 to
-# 0.84 at s = 37, 0.80 to 0.93 at s = 40 and 0.98 to 1.02 at s = 48, each
-# at N from 512 to 4000 (medians of 25 or 31 alternating pairs, one BLAS
-# thread). So r = 1, s = 38 .. 47 runs the window loop at up to 1.25 times
-# the kernel's CPU.
+# Largest r * max(r, s) whose factorization and recursion run as generated
+# kernels on Python floats; wider bands run numpy calls on windows, whose
+# call overhead per step barely grows with r and s. The elimination kernel
+# streams its band, so its cost per step does not grow with N. At r = 1,
+# the widest shapes it runs, the warm kernel took 0.76 to 0.88 of the window
+# loop's CPU at s = 38, 0.92 to 1.02 at s = 44 and 0.96 to 1.15 at s = 47
+# and 48; the first call in a fresh process, its compile included, took
+# 0.89 to 1.68 (N = 512, 1000 and 4000; medians of 25 to 31 alternating
+# pairs warm, 11 to 15 cold; one BLAS thread).
 _ROWS_MAX_UPDATES = 48
 
 # Smallest N whose factorization and recursion run as generated kernels: the
@@ -205,13 +200,8 @@ def _pivot_floor(W: np.ndarray) -> float:
 
 
 def _on_floats(n: int, r: int, s: int) -> bool:
-    """Whether the generator recursion of this shape runs as a generated kernel."""
+    """Whether the factorization and the recursion of this shape run as generated kernels."""
     return r * max(r, s) <= _ROWS_MAX_UPDATES and n >= _KERNEL_MIN_N
-
-
-def _eliminates_on_floats(n: int, r: int, s: int) -> bool:
-    """Whether the elimination of this shape runs as a generated kernel."""
-    return _on_floats(n, r, s) and r * s + 4 * (r + s) <= 4 * _ROWS_MAX_UPDATES
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -297,7 +287,7 @@ def structured_lu(A: BandedMatrix) -> StructuredLU:
     n, r, s = A.n, A.r_lower, A.r_upper
     W = A.band(r)
     # step N has no row left to eliminate; it only checks the last pivot
-    if _eliminates_on_floats(n, r, s):
+    if _on_floats(n, r, s):
         F = _eliminate_kernel(W, r, s)
         return StructuredLU(F[: n - 1, :r], F[:, r:])
     _eliminate(W, r, s, n)
@@ -371,11 +361,11 @@ def inverse_green_generators(A: BandedMatrix | StructuredLU) -> GreenGenerators:
     from A together break even with the window loops near N = 40 at
     r = s = 1, 64 at r = 2, s = 3, 128 at r = s = 4, 300 at r = s = 6 and
     600 .. 1000 at r = 4, s = 12 and r = 2, s = 24 (process CPU, medians of
-    7, one BLAS thread, shared 2-vCPU host); at r = 1, s = 48, with the
-    recursion kernel alone, near N = 1000. At N = 4000, r = s = 4 they take
-    about 0.20 of the window loops' CPU. The generators agree with the
-    window loop's to roundoff (worst 3.0e-16 relative to max|p| on 6000
-    random bands of N <= 24).
+    7, one BLAS thread, shared 2-vCPU host), and at r = 1, s = 40 and 48
+    between N = 256 and 512 (first calls in fresh processes, medians of 9).
+    At N = 4000, r = s = 4 they take about 0.20 of the window loops' CPU.
+    The generators agree with the window loop's to roundoff (worst 3.0e-16
+    relative to max|p| on 6000 random bands of N <= 24).
 
     Generators that overflow raise ValueError.
     """

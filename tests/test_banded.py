@@ -202,15 +202,33 @@ class TestMatrixMarket:
         A = gd.read_matrix_market(path)
         assert (A.r_lower, A.r_upper) == (1, 0)
 
-    def test_parse_error_carries_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "size, entries, line",
+        [
+            ("2 2 2", "1 1 2.0\n2 oops 2.0", 4),
+            # Python's int and float read 2_0 as 20
+            ("2_0 20 1", "1 1 1.0", 2),
+            ("20 20 1", "2_0 1 1.0", 3),
+            ("20 20 1", "1 1 1_0.5", 3),
+        ],
+        ids=["word", "size-underscore", "index-underscore", "value-underscore"],
+    )
+    def test_parse_error_carries_line_number(self, tmp_path, size, entries, line):
         path = self._write(
-            tmp_path,
-            "%%MatrixMarket matrix coordinate real general\n"
-            "2 2 2\n"
-            "1 1 2.0\n"
-            "2 oops 2.0\n",
+            tmp_path, f"%%MatrixMarket matrix coordinate real general\n{size}\n{entries}\n"
         )
-        with pytest.raises(gd.MatrixMarketError, match="line 4"):
+        with pytest.raises(gd.MatrixMarketError, match=rf"^malformed .*\(line {line}\)$"):
+            gd.read_matrix_market(path)
+
+    @pytest.mark.parametrize("line", [1, 2, 3, 4, 3003])
+    def test_non_ascii_byte_is_rejected_at_its_line(self, tmp_path, line):
+        # the last line lies far past the 8 KiB that a text file decodes at once
+        rows = ["%%MatrixMarket matrix coordinate real general", "% comment", "3 3 3000"]
+        rows += ["1 1 1.0"] * 3000
+        rows[line - 1] += " \u00e9"  # UTF-8 bytes 0xc3 0xa9
+        path = tmp_path / "m.mtx"
+        path.write_bytes("\n".join(rows).encode("utf-8") + b"\n")
+        with pytest.raises(gd.MatrixMarketError, match=rf"^non-ASCII byte 0xc3 \(line {line}\)$"):
             gd.read_matrix_market(path)
 
     def test_rejects_non_square(self, tmp_path):

@@ -121,10 +121,9 @@ def dominant_band(n, r, s):
     return gd.make_banded(n, r, s, lambda i, j: r + s + 2.0 if i == j else np.sin(i + 2 * j))
 
 
-# Every (r, s) whose generator recursion lu._on_floats runs as a generated
-# kernel at N >= 512: 123 shapes, r <= 6 and s <= 48. Both entry points run
-# the elimination kernel on the 112 of them that lu._eliminates_on_floats
-# admits.
+# Every (r, s) whose factorization and recursion lu._on_floats runs as
+# generated kernels at N >= 512, from either entry point: 123 shapes, r <= 6
+# and s <= 48.
 # The grid's last row and column admit nothing, so the rule admits no shape
 # beyond it.
 GRID = 64
@@ -134,14 +133,12 @@ KERNEL_SHAPES = [
 ]
 assert not any(r == GRID or s == GRID for r, s in KERNEL_SHAPES)
 
-# For each r <= 7 the narrowest s whose elimination, and the narrowest s
-# whose recursion, runs on windows from either entry point; and r = 1,
-# s = 48, where the warm elimination kernel took 1.3 to 1.8 times the
-# window loop's CPU.
-PAST_A_RULE = sorted(
-    {(r, min(s for s in range(GRID) if not rule(lu._KERNEL_MIN_N, r, s)))
-     for r in range(1, 8) for rule in (lu._eliminates_on_floats, lu._on_floats)} | {(1, 48)}
-)
+# For each r <= 7 the narrowest s whose factorization and recursion run on
+# windows from either entry point.
+PAST_A_RULE = [
+    (r, min(s for s in range(GRID) if not lu._on_floats(lu._KERNEL_MIN_N, r, s)))
+    for r in range(1, 8)
+]
 
 
 # Every reader of a StructuredLU: each gets its arrays checked on construction.
@@ -431,11 +428,9 @@ class TestInverseGenerators:
     def test_factorization_gives_the_same_generators(self, acceptance_ensemble, built):
         # the recursion reads only f and R, so passing the factorization, or
         # a copy of its arrays built by hand, in place of the matrix changes
-        # no bit. Of the last two matrices, band_long's shape runs both
-        # kernels, and r = 1, s = 40 the window elimination and the
-        # recursion kernel
-        band, moved = dominant_band(4000, 4, 4), dominant_band(600, 1, 40)
-        mats = [*acceptance_ensemble, band, moved]
+        # no bit. The last matrix, of band_long's shape, runs both kernels
+        band = dominant_band(4000, 4, 4)
+        mats = [*acceptance_ensemble, band]
         assert {A.r_lower for A in mats} >= {1, 8}
         assert {A.r_upper == A.n - 1 for A in mats} == {True, False}
         for A in mats:
@@ -449,9 +444,6 @@ class TestInverseGenerators:
         built.clear()
         gd.inverse_green_generators(band)
         assert built == ["_elimination_source", "_recursion_source"]
-        built.clear()
-        gd.inverse_green_generators(moved)
-        assert built == ["_recursion_source"]
 
     def test_row_generators_are_entries_of_the_inverse(self, small_ensemble, ex1a_matrix):
         for A in [*small_ensemble, ex1a_matrix]:
@@ -476,8 +468,7 @@ class TestGeneratorKernel:
     """The factorization and the recursion as generated kernels.
 
     Shapes with r max(r, s) <= lu._ROWS_MAX_UPDATES and N >= lu._KERNEL_MIN_N
-    run the recursion kernel, and those that lu._eliminates_on_floats admits
-    the elimination kernel, from A or through structured_lu alike; tests of
+    run both kernels, from A or through structured_lu alike; tests of
     smaller N force them by lowering _KERNEL_MIN_N, and an infinite
     _KERNEL_MIN_N forces the numpy window loops.
     """
@@ -485,17 +476,22 @@ class TestGeneratorKernel:
     @pytest.mark.parametrize(
         "n, r, s",
         [(4000, 4, 4), (512, 1, 0), (600, 2, 5), (512, 3, 3), (700, 4, 12), (512, 5, 2),
-         (512, 6, 8)],
+         (512, 6, 8), (2000, 1, 40), (4000, 1, 47)],
     )
-    def test_kernel_keeps_the_reference_bits(self, built, n, r, s):
-        # band_long's shape is the first; all of them run both kernels
-        assert lu._eliminates_on_floats(n, r, s)
-        slu = gd.structured_lu(dominant_band(n, r, s))
+    def test_kernel_keeps_the_reference_bits(self, monkeypatch, built, n, r, s):
+        # band_long's shape is the first; all of them run both kernels, the
+        # bands of r = 1, s = 40 and 47 among the widest
+        assert lu._on_floats(n, r, s)
+        A = dominant_band(n, r, s)
+        slu = gd.structured_lu(A)
         gens = gd.inverse_green_generators(slu)
         assert built == ["_elimination_source", "_recursion_source"]
         p_rows, bottom = python_row_generators(slu)
         np.testing.assert_array_equal(gens.p_rows, p_rows)
         np.testing.assert_array_equal(gens.bottom, bottom)
+        monkeypatch.setattr(lu, "_KERNEL_MIN_N", math.inf)
+        windows = gd.structured_lu(A)
+        assert slu.f.tobytes() == windows.f.tobytes() and slu.R.tobytes() == windows.R.tobytes()
 
     @pytest.mark.parametrize("r, s", KERNEL_SHAPES, ids=[f"r{r}-s{s}" for r, s in KERNEL_SHAPES])
     def test_every_admitted_shape_keeps_the_reference_bits(self, monkeypatch, built, r, s):
@@ -516,17 +512,15 @@ class TestGeneratorKernel:
         assert from_A.p_rows.tobytes() == gens.p_rows.tobytes()
         assert from_A.bottom.tobytes() == gens.bottom.tobytes()
         # both entry points factor A alike
-        factors = ["_elimination_source"] * lu._eliminates_on_floats(A.n, r, s)
-        assert built == (factors + ["_recursion_source"]) * 2
+        assert built == ["_elimination_source", "_recursion_source"] * 2
 
     @pytest.mark.parametrize("r, s", PAST_A_RULE, ids=[f"r{r}-s{s}" for r, s in PAST_A_RULE])
     def test_shapes_past_a_rule_run_its_window_loop(self, built, r, s):
-        # every shape here eliminates on windows, from A as well
+        # both stages, from A as well as through structured_lu
         A = dominant_band(lu._KERNEL_MIN_N, r, s)
-        gd.structured_lu(A)
-        assert built == []
+        gd.inverse_green_generators(gd.structured_lu(A))
         gd.inverse_green_generators(A)
-        assert built == ["_recursion_source"] * lu._on_floats(A.n, r, s)
+        assert built == []
 
     def test_generated_source_is_pinned(self):
         assert lu._recursion_source(2, 1) == (
