@@ -13,7 +13,8 @@ readers read V alone: :meth:`BandedMatrix.band` copies it, ``entry`` and
 ``_diagonal`` index it, so none of them touches more than the band. No other
 module knows how V is laid out. ``make_banded`` samples only the band:
 O(N (r_lower + r_upper + 1)) calls of its entry function.
-``read_matrix_market`` fills V from the summed file entries. Dense input
+``read_matrix_market`` reads one header shape, ``matrix coordinate real
+general|symmetric``, and fills V from the summed file entries. Dense input
 (``BandedMatrix(...)``, ``from_dense``) is scanned in full but not copied:
 only a scan can show that its entries outside the band are zero, and then
 its band diagonals are read into V. A -0.0 outside the band of dense input
@@ -375,7 +376,8 @@ def dominance_mu(A: BandedMatrix) -> DominanceReport:
     return DominanceReport(float(ratios.max()), float(diag.min()), ratios, zero_idx)
 
 
-def _parse_header(line: str) -> tuple[str, str]:
+def _parse_header(line: str) -> str:
+    """Symmetry of the one header shape read, ``matrix coordinate real general|symmetric``."""
     tokens = line.strip().lower().split()
     if len(tokens) < 5 or tokens[0] != "%%matrixmarket":
         raise MatrixMarketError("missing %%MatrixMarket header", line=1)
@@ -385,13 +387,13 @@ def _parse_header(line: str) -> tuple[str, str]:
             f"unsupported object/format {obj!r}/{fmt!r}; need matrix coordinate",
             line=1,
         )
-    if field not in ("real", "integer"):
+    if field != "real":
         raise MatrixMarketError(f"unsupported field {field!r}; need real", line=1)
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(
             f"unsupported symmetry {symmetry!r}; need general or symmetric", line=1
         )
-    return field, symmetry
+    return symmetry
 
 
 def _ascii_lines(fh):
@@ -411,10 +413,14 @@ def _ascii_lines(fh):
 def read_matrix_market(path) -> BandedMatrix:
     """Read a real coordinate Matrix Market file into a BandedMatrix.
 
+    The one header read is ``%%MatrixMarket matrix coordinate real general``
+    or ``... symmetric`` (case-insensitive); any other object, format, field
+    or symmetry is a MatrixMarketError at line 1. An integer-valued matrix
+    reads as a ``real`` file; the field ``integer`` is rejected.
     Bandwidths are inferred as the tightest values containing all nonzeros
-    (with r_lower floored at 1). General and symmetric storage are supported;
-    duplicate coordinates are summed in file order. The file is read line by
-    line, and every entry, every sum and the entry count are checked before
+    (with r_lower floored at 1); duplicate coordinates are summed in file
+    order. The file is read line by line, and every entry, every sum and
+    the entry count are checked before
     anything of order N is allocated; parse failures (an overflowing sum, a
     byte that is not ASCII and a number with Python's digit-group
     underscores among them) report the 1-based line number. The sums fill a
@@ -427,7 +433,7 @@ def read_matrix_market(path) -> BandedMatrix:
         _, header = next(lines, (1, ""))
         if not header:
             raise MatrixMarketError("empty file", line=1)
-        _, symmetry = _parse_header(header)
+        symmetry = _parse_header(header)
 
         lineno = 1
         size_line = None

@@ -80,7 +80,10 @@ CSV_COLUMNS = ("i", "j", "exact", "lu", "qr", "varah", "dms", "frommer", "chui_h
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Which experiment to run, with seed, probe column, and optional input."""
+    """Which experiment to run, with seed, probe column, and input file.
+
+    Only ex3 reads a file, and only ex3 takes an ``input_path``.
+    """
 
     name: str
     seed: int = 0
@@ -98,6 +101,8 @@ class ExperimentSpec:
             raise ValueError(f"probe column must be an integer, got {self.column!r}")
         if self.column < 1:
             raise ValueError(f"probe column must be >= 1, got {self.column}")
+        if self.input_path is not None and self.name != "ex3":
+            raise ValueError(f"experiment {self.name!r} reads no input file; only ex3 does")
 
 
 def _ex1a(spec: ExperimentSpec) -> BandedMatrix:

@@ -128,7 +128,7 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
         )
     # v = p a(bi-1)...a(bj+1) for the row p of p(bi) that holds scalar row i
     bi = min(i, n - r + 1)
-    v = gens.p_rows[i - 1] if i <= n - r else gens.bottom[i - bi]
+    v = gens.p(bi)[i - bi]
     bj = 0 if j <= r else j - r
     chain = gens.f[bj : bi - 1][::-1]  # the f of a(bi-1), ..., a(bj+1)
     for start in range(0, len(chain), CHAIN_CHUNK):

@@ -52,8 +52,10 @@ entries that enter each window from one array of them and yields each
 step's f_k and row k of R, which fill the one ``[f | R]`` array of which
 ``f`` and ``R`` are views. The recursion runs as such a kernel too
 (:func:`_recursion_source`): it holds P_k in local floats, reads the rows
-of ``[f | R]`` backwards, zero-padded past row N, and yields each p(k)
-into the array of the row generators. Both kernels are Python generators:
+of ``[f | R]`` for k = N-1 .. 1, each in the one column order
+``(f_k[0..r-1], gamma_k, R(k, k+1..k+s))`` that the elimination kernel
+writes, zero-padded past row N, and yields each p(k) into the array of
+the row generators. Both kernels are Python generators:
 a step reads its inputs as one tuple of floats from a numpy array and
 yields its outputs as another, which ``np.fromiter`` writes into the
 result, so no list of the N (r+s+1) entries is built. Each kernel
@@ -403,14 +405,15 @@ def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
     """The recursion of :func:`inverse_green_generators` as one generated kernel.
 
     The kernel (:func:`_recursion_source`) reads the rows of ``[f | R]``
-    for k = N-1 .. 1, each reversed, as Python floats streamed from one
-    array of them, zero-padded past row and column N, so every step runs
-    the products of a whole window: the first r-1 steps lead to the bottom
-    generator, the kernel's last item after them, and the rest yield
-    p(N-r) .. p(1) into one array.
+    for k = N-1 .. 1, each in the column order ``(f_k[0..r-1], gamma_k,
+    R(k, k+1..k+s))`` of ``StructuredLU``, no column reversed, as Python
+    floats streamed from one array of them, zero-padded past row and column
+    N, so every step runs the products of a whole window: the first r-1
+    steps lead to the bottom generator, the kernel's last item after them,
+    and the rest yield p(N-r) .. p(1) into one array.
     """
     n, r, s = slu.n, slu.r, slu.s
-    steps = _rows(np.concatenate((slu.R[-2::-1, ::-1], slu.f[::-1, ::-1]), axis=1))
+    steps = _rows(np.concatenate((slu.f[::-1], slu.R[-2::-1]), axis=1))
     kernel = _kernel(_recursion_source, r, s)
     state = (1.0 / float(slu.gamma[n - 1]),) + (0.0,) * (max(r, s) * r - 1)
     *_, state = kernel(islice(steps, r - 1), state)
@@ -480,9 +483,10 @@ def _recursion_source(r: int, s: int) -> str:
     """Python source of the generator recursion for bandwidths r and s.
 
     ``kernel(steps, state)`` runs one step per item of ``steps``, step k's
-    row k of R and f_k read backwards, ``(R(k, k+s), .., R(k, k+1), gamma_k,
-    f_k[r-1], .., f_k[0])``, on the state P_{k+1}: w x r (w = max(r, s))
-    local floats ``p{i}_{j}``, given row by row in ``state``. It yields the
+    f_k and row k of R in the column order of ``StructuredLU``,
+    ``(f_k[0], .., f_k[r-1], gamma_k, R(k, k+1), .., R(k, k+s))``, on the
+    state P_{k+1}: w x r (w = max(r, s)) local floats ``p{i}_{j}``, given
+    row by row in ``state``. It yields the
     row p(k) of each P_k it makes and, after the last step, that P_k row by
     row as its last item. Step k forms y = X_k P_{k+1}, then in place, one
     statement per entry, rows i = w-1 .. 1 of P_k, [-P_{k+1}[i-1] f,
@@ -509,7 +513,7 @@ def _recursion_source(r: int, s: int) -> str:
     return "\n".join([
         "def kernel(steps, state):",
         f"    {state} = state",
-        f"    for {_tuple([*x[::-1], 'g', *f[::-1]])} in steps:",
+        f"    for {_tuple([*f, 'g', *x])} in steps:",
         *(f"        {y[j]} = {dot(x, [P[t][j] for t in range(s)])}" for j in range(r)),
         *(f"        {P[i][j]} = {rows[i][j]}" for i in reversed(range(w)) for j in range(r)),
         f"        yield {_tuple(P[0])}",

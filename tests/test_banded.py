@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ class TestBandedMatrix:
     def test_make_banded_rejects_bad_dimensions(self, n, rl, ru):
         with pytest.raises(ValueError):
             gd.make_banded(n, rl, ru, lambda i, j: 1.0)
+
+    def test_rejects_data_of_another_order(self):
+        with pytest.raises(ValueError, match=r"^data shape \(4, 4\) does not match n=3$"):
+            gd.BandedMatrix(3, 1, 1, np.eye(4))
+
+    def test_from_dense_rejects_a_non_square_array(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            gd.from_dense(np.ones((2, 3)))
 
     def test_rejects_out_of_band_entries(self):
         W = np.eye(4)
@@ -210,8 +220,9 @@ class TestMatrixMarket:
             ("2_0 20 1", "1 1 1.0", 2),
             ("20 20 1", "2_0 1 1.0", 3),
             ("20 20 1", "1 1 1_0.5", 3),
+            ("3 3 x", "1 1 1.0", 2),
         ],
-        ids=["word", "size-underscore", "index-underscore", "value-underscore"],
+        ids=["word", "size-underscore", "index-underscore", "value-underscore", "size-word"],
     )
     def test_parse_error_carries_line_number(self, tmp_path, size, entries, line):
         path = self._write(
@@ -219,6 +230,49 @@ class TestMatrixMarket:
         )
         with pytest.raises(gd.MatrixMarketError, match=rf"^malformed .*\(line {line}\)$"):
             gd.read_matrix_market(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("matrix array real general",
+             "unsupported object/format 'matrix'/'array'; need matrix coordinate"),
+            ("matrix coordinate real skew-symmetric",
+             "unsupported symmetry 'skew-symmetric'; need general or symmetric"),
+            # an integer-valued matrix reads as a real file; no second value path
+            ("matrix coordinate integer general", "unsupported field 'integer'; need real"),
+        ],
+        ids=["array", "skew-symmetric", "integer"],
+    )
+    def test_rejects_an_unsupported_header_at_line_1(self, tmp_path, header, message):
+        path = self._write(tmp_path, f"%%MatrixMarket {header}\n2 2 2\n1 1 1.5\n2 2 2.5\n")
+        with pytest.raises(gd.MatrixMarketError, match=rf"^{re.escape(message)} \(line 1\)$"):
+            gd.read_matrix_market(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file (line 1)"),
+            ("%%MatrixMarket matrix coordinate real general\n% only a comment\n",
+             "missing size line (line 2)"),
+        ],
+        ids=["empty", "no-size-line"],
+    )
+    def test_rejects_a_file_without_a_size_line(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(gd.MatrixMarketError, match=rf"^{re.escape(message)}$"):
+            gd.read_matrix_market(path)
+
+    def test_comment_and_blank_lines_between_entries_are_skipped(self, tmp_path):
+        head = "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 4.0\n2 1 -1.0\n"
+        tail = "2 2 4.0\n3 3 0.5\n"
+        plain = gd.read_matrix_market(self._write(tmp_path, head + tail, "plain.mtx"))
+        spaced = gd.read_matrix_market(
+            self._write(tmp_path, head + "% a comment\n\n   \n" + tail, "spaced.mtx")
+        )
+        shape = (plain.n, plain.r_lower, plain.r_upper)
+        assert (spaced.n, spaced.r_lower, spaced.r_upper) == shape
+        assert spaced.band().tobytes() == plain.band().tobytes()
+        assert spaced.to_dense().tobytes() == plain.to_dense().tobytes()
 
     @pytest.mark.parametrize("line", [1, 2, 3, 4, 3003])
     def test_non_ascii_byte_is_rejected_at_its_line(self, tmp_path, line):

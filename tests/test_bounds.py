@@ -36,6 +36,13 @@ class TestLuBound:
             gd.lu_bound(A)
         assert err.value.mu == 2.0
 
+    def test_rejects_a_zero_diagonal_naming_its_step(self):
+        A = gd.from_dense(np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(gd.DominanceError) as err:
+            gd.lu_bound(A)
+        assert str(err.value) == "zero diagonal entry at k=2; dominance undefined"
+        assert err.value.zero_diagonal_index == 2
+
     def test_diagonal_dwarfing_its_column(self):
         # 1e16 + 1 rounds to 1e16, so subtracting the diagonal from the
         # column sum would give mu = 0 and claim A^{-1} is diagonal
@@ -48,6 +55,10 @@ class TestLuBound:
 
 
 class TestEvalBound:
+    def test_decay_bound_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown bound kind 'XX'$"):
+            gd.DecayBound("XX", 0.5, 1)
+
     def test_ex1a_value_at_distance_three(self, ex1a_matrix):
         b = gd.lu_bound(ex1a_matrix)
         # gamma^3 == mu, so the value is M * mu

@@ -19,17 +19,22 @@ TRIDIAGONAL_MTX = (
 )
 
 
-def run_fresh(code: str, *args: str) -> list:
-    """Run ``code`` with ``args`` as sys.argv[1:] in a new interpreter; its JSON output."""
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args``, importing this greendecay."""
     src = str(Path(gd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_fresh(code: str, *args: str) -> list:
+    """Run ``code`` with ``args`` as sys.argv[1:] in a new interpreter; its JSON output."""
+    proc = fresh("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -54,6 +59,16 @@ class TestDirectoryPaths:
         assert cli_main(["run", "ex1a", "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
+class TestModuleAsScript:
+    def test_python_m_passes_on_the_exit_code(self, tmp_path):
+        # a zero diagonal entry fails dominance: exit 2, as `greendecay bounds`
+        path = tmp_path / "zero.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.0\n3 3 1.0\n")
+        proc = fresh("-m", "greendecay.cli", "bounds", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "zero diagonal entry at k = 2\n" in proc.stdout
 
 
 class TestImportBoundaries:

@@ -225,6 +225,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown experiment"):
             gd.ExperimentSpec("ex9z")
 
+    @pytest.mark.parametrize("name", [n for n in gd.EXPERIMENT_NAMES if n != "ex3"])
+    def test_input_path_is_rejected_where_no_file_is_read(self, name):
+        want = f"experiment '{name}' reads no input file; only ex3 does"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            gd.ExperimentSpec(name, input_path="m.mtx")
+
 
 class TestRunExperiment:
     def test_ex1a_families_and_ordering(self):
@@ -288,7 +294,7 @@ class TestRunExperiment:
         assert diag_row["lu"] == rep.families["lu"][0].M
 
     def test_probe_column_out_of_range(self):
-        for column in (77, 2.5):
+        for column in (77, 2.5, 0):
             with pytest.raises(ValueError, match="probe column"):
                 gd.run_experiment(gd.ExperimentSpec("ex1a", column=column))
         assert gd.ExperimentSpec("ex1a", column=np.int64(2)).column == 2
@@ -312,6 +318,20 @@ class TestRunExperiment:
         assert rep.families["dms"][0] is not None  # symmetric indefinite spectrum
         assert all(r["lu"] is None and r["varah"] is None for r in rep.rows)
         assert any("violated" in n for n in rep.notes)
+
+    def test_zero_eigenvalue_disables_the_interval_rates(self, monkeypatch):
+        # invertible, cond ~ 1e17: dense_inverse accepts it, and its eigenvalue
+        # 2^-52 is within eigvalsh's error of 0, which OpenBLAS's LAPACK gives;
+        # the spectrum is pinned so the test does not depend on that rounding
+        M = np.array([[8.0, 0.0, -6.0], [0.0, 2.0**-52, 0.0], [-6.0, 0.0, 5.0]])
+        w = np.linalg.eigvalsh(M)
+        w[np.abs(w).argmin()] = 0.0
+        monkeypatch.setattr("greendecay.experiments.generate", lambda spec: gd.from_dense(M))
+        monkeypatch.setattr("greendecay.experiments.symmetric_spectrum", lambda a: w)
+        rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
+        assert rep.symmetric
+        for fam in ("dms", "frommer", "chui_hasson"):
+            assert rep.families[fam] == (None, "zero eigenvalue; interval rates undefined")
 
     def test_overflowing_lu_constant_is_inapplicable(self):
         from greendecay.experiments import _bound_table
@@ -452,6 +472,29 @@ class TestCli:
         assert "not applicable" in captured.out
         assert "inf" not in captured.out + captured.err
 
+    def test_bounds_flags_a_zero_diagonal_with_its_step(self, tmp_path, capsys):
+        path = tmp_path / "zero.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 2\n1 1 1.0\n3 3 1.0\n"
+        )
+        assert cli_main(["bounds", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "zero diagonal entry at k = 2\n" in captured.out
+        assert "decay bounds not applicable" in captured.out
+        assert captured.err == ""
+
+    def test_bounds_rejects_an_integer_field(self, tmp_path, capsys):
+        path = tmp_path / "int.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate integer general\n"
+            "2 2 2\n1 1 1.5\n2 2 2.5\n"
+        )
+        assert cli_main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unsupported field 'integer'; need real (line 1)\n"
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_bounds_rejects_non_finite_entries(self, bad, tmp_path, capsys):
         path = tmp_path / "bad.mtx"
@@ -510,6 +553,16 @@ class TestCli:
     def test_missing_input_is_an_error(self, capsys):
         assert cli_main(["run", "ex3"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_input_for_an_experiment_reading_no_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "toy.mtx"
+        path.write_text(TWO_SIDED_MTX)
+        out = tmp_path / "ex1a.csv"
+        assert cli_main(["run", "ex1a", "--input", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: experiment 'ex1a' reads no input file; only ex3 does\n"
+        assert not out.exists()
 
     def test_malformed_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "junk.mtx"

@@ -247,3 +247,9 @@ def test_pivots_equal_determinant_quotients():
             quotient = det_k / prev
             assert float(quotient) == pytest.approx(gamma[k - 1], rel=1e-9)
             prev = det_k
+
+
+@pytest.mark.parametrize("oracle", [gd.dense_lu_no_pivot, gd.symmetric_spectrum])
+def test_rejects_a_non_square_array(oracle):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        oracle(np.ones((2, 3)))

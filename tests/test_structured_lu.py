@@ -526,7 +526,7 @@ class TestGeneratorKernel:
         assert lu._recursion_source(2, 1) == (
             "def kernel(steps, state):\n"
             "    (p0_0, p0_1, p1_0, p1_1) = state\n"
-            "    for (x0, g, f1, f0) in steps:\n"
+            "    for (f0, f1, g, x0) in steps:\n"
             "        y0 = x0 * p0_0\n"
             "        y1 = x0 * p0_1\n"
             "        p1_0 = -(p0_0 * f0 + p0_1 * f1)\n"
@@ -541,7 +541,7 @@ class TestGeneratorKernel:
         assert lu._recursion_source(3, 2) == (
             "def kernel(steps, state):\n"
             "    (p0_0, p0_1, p0_2, p1_0, p1_1, p1_2, p2_0, p2_1, p2_2) = state\n"
-            "    for (x1, x0, g, f2, f1, f0) in steps:\n"
+            "    for (f0, f1, f2, g, x0, x1) in steps:\n"
             "        y0 = x0 * p0_0 + x1 * p1_0\n"
             "        y1 = x0 * p0_1 + x1 * p1_1\n"
             "        y2 = x0 * p0_2 + x1 * p1_2\n"
