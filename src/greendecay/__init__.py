@@ -26,6 +26,7 @@ _SUBMODULE_NAMES = {
         "BandedMatrix",
         "DominanceReport",
         "dominance_mu",
+        "from_band",
         "from_dense",
         "make_banded",
         "read_matrix_market",

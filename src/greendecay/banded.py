@@ -11,14 +11,18 @@ Every constructor builds A from its band array V of shape
 with zeros where that lies outside the matrix, and keeps V, read-only. The
 readers read V alone: :meth:`BandedMatrix.band` copies it, ``entry`` and
 ``_diagonal`` index it, so none of them touches more than the band. No other
-module knows how V is laid out. ``make_banded`` samples only the band:
-O(N (r_lower + r_upper + 1)) calls of its entry function.
-``read_matrix_market`` reads one header shape, ``matrix coordinate real
-general|symmetric``, and fills V from the summed file entries. Dense input
-(``BandedMatrix(...)``, ``from_dense``) is scanned in full but not copied:
-only a scan can show that its entries outside the band are zero, and then
-its band diagonals are read into V. A -0.0 outside the band of dense input
-is therefore stored as +0.0.
+module knows how V is laid out. :func:`from_band` is the constructor from a
+band a caller already holds: it copies V, so the caller keeps its array,
+and checks the shape, the dimensions, that V is zero outside the matrix and
+that every entry is finite, reading nothing of order N^2. ``make_banded``
+and ``read_matrix_market`` fill a band array and build through it.
+``make_banded`` samples only the band: O(N (r_lower + r_upper + 1)) calls
+of its entry function. ``read_matrix_market`` reads one header shape,
+``matrix coordinate real general|symmetric``, and fills V from the summed
+file entries. Dense input (``BandedMatrix(...)``, ``from_dense``) is
+scanned in full but not copied: only a scan can show that its entries
+outside the band are zero, and then its band diagonals are read into V. A
+-0.0 outside the band of dense input is therefore stored as +0.0.
 
 One writer, :func:`_band_to_dense`, puts V onto the band diagonals of a
 fresh N x N array of zeros. :meth:`BandedMatrix.to_dense` writes a new one
@@ -41,7 +45,6 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
 from typing import Callable
 
 import numpy as np
@@ -52,6 +55,7 @@ __all__ = [
     "BandedMatrix",
     "DominanceReport",
     "make_banded",
+    "from_band",
     "from_dense",
     "dominance_mu",
     "read_matrix_market",
@@ -94,33 +98,13 @@ class BandedMatrix:
             raise ValueError("entries outside the declared band must be exactly zero")
         self._store(V)
 
-    @classmethod
-    def _from_band(cls, V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
-        """Build A from its band array, ``V[i, t] = A(i, i + t - r_lower)`` (0-based).
-
-        V is the caller's new array, kept as it is, and its entries that fall
-        outside the matrix are zero. The dimension and finiteness checks, and
-        their messages, are those of ``BandedMatrix(...)``; the out-of-band
-        zeros hold by construction, so there is nothing to scan.
-        """
-        n = len(V)
-        _check_dimensions(n, r_lower, r_upper)
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r_lower", r_lower)
-        object.__setattr__(self, "r_upper", r_upper)
-        self._store(V)
-        return self
-
     def _store(self, V: np.ndarray) -> None:
         """Check the band V is finite, write it onto fresh mapped zeros, freeze and store both."""
-        if not np.isfinite(V).all():
-            _raise_first_non_finite(V, self.r_lower)
+        _raise_first_non_finite(V, self.r_lower)
         data = _band_to_dense(V, self.r_lower, _mapped_zeros(self.n))
         for arr in (V, data):
             arr.flags.writeable = False
-        object.__setattr__(self, "_V", V)
-        object.__setattr__(self, "data", data)
+        vars(self).update(_V=V, data=data)  # past the frozen __setattr__
 
     def band(self, pad: int = 0) -> np.ndarray:
         """New band array V of shape (N + pad, r_lower + r_upper + 1).
@@ -174,20 +158,61 @@ def make_banded(
     """Sample ``entry_fn(i, j)`` (1-based) inside the band, zeros outside.
 
     ``entry_fn`` is called once per in-band entry, O(N (r_lower + r_upper + 1))
-    times, row by row and with j ascending in each row. The indices are
-    streamed as Python ints, and the samples go straight into a band array
-    of shape (N, r_lower + r_upper + 1), which is checked and written once
-    onto the band diagonals of the one N x N array.
+    times, row by row and with j ascending in each row. Both indices are
+    Python ints, read from memoryviews of one int64 pair of arrays, the rows
+    and the columns of the in-band positions; the samples go straight into a
+    band array of shape (N, r_lower + r_upper + 1), from which
+    :func:`from_band` builds A.
     """
     _check_dimensions(n, r_lower, r_upper)
-    cols = np.arange(n)[:, None] + np.arange(-r_lower, r_upper + 1)
-    inside = (cols >= 0) & (cols < n)
-    # Python ints, as range() gives, read from one array: neither index is listed
-    j = memoryview(cols[inside] + 1)
-    i = chain.from_iterable(map(repeat, range(1, n + 1), inside.sum(axis=1).tolist()))
-    V = np.zeros(cols.shape)
-    V[inside] = np.fromiter(starmap(entry_fn, zip(i, j)), float, len(j))
-    return BandedMatrix._from_band(V, r_lower, r_upper)
+    inside = _in_matrix(n, r_lower, r_upper)
+    # 1-based (i, j) in row-major order, made in place, read as Python ints
+    i, j = np.nonzero(inside)
+    j += i + (1 - r_lower)
+    i += 1
+    V = np.zeros(inside.shape)
+    V[inside] = np.fromiter(map(entry_fn, memoryview(i), memoryview(j)), float, len(i))
+    del inside, i, j  # from_band copies V
+    return from_band(V, r_lower, r_upper)
+
+
+def from_band(V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
+    """Build A from its band array V, ``V[i, t] = A(i, i + t - r_lower)`` (0-based).
+
+    V has shape (N, r_lower + r_upper + 1), the row-wise form of LAPACK's
+    band storage that :meth:`BandedMatrix.band` returns; its entries that
+    fall outside the matrix (the top left and bottom right corners) must be
+    zero, since the factorization reads them. The dimension and finiteness
+    checks, and their messages, are those of ``BandedMatrix(...)``; a
+    non-finite entry of V is named by its (i, j) in A. No N x N array is
+    scanned. V is copied: the caller keeps its array and may go on writing
+    it, and A never sees those writes.
+    """
+    V = np.array(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != r_lower + r_upper + 1:
+        raise ValueError(
+            f"band array of shape {V.shape} is not (N, r_lower + r_upper + 1) "
+            f"for r_lower={r_lower}, r_upper={r_upper}"
+        )
+    n = len(V)
+    _check_dimensions(n, r_lower, r_upper)
+    outside = np.argwhere(~_in_matrix(n, r_lower, r_upper) & (V != 0.0))
+    if outside.size:
+        i, t = outside[0]
+        raise ValueError(
+            f"band array entry V[{i}, {t}] = {V[i, t]} lies outside the matrix and must be zero"
+        )
+    A = object.__new__(BandedMatrix)
+    vars(A).update(n=n, r_lower=r_lower, r_upper=r_upper)
+    A._store(V)
+    return A
+
+
+def _in_matrix(n: int, r_lower: int, r_upper: int) -> np.ndarray:
+    """Mask of the band array positions (i, t) whose column i + t - r_lower lies in 0..N-1."""
+    i = np.arange(n)[:, None]
+    d = np.arange(-r_lower, r_upper + 1)  # the diagonal j - i of each t
+    return (d >= -i) & (d < n - i)
 
 
 def _mapped_zeros(n: int) -> np.ndarray:
@@ -506,6 +531,6 @@ def read_matrix_market(path) -> BandedMatrix:
     i, j = np.array(keys, dtype=int).reshape(-1, 2).T
     V[i - 1, j - i + r_lower] = [sums[key] for key in keys]
     try:
-        return BandedMatrix._from_band(V, r_lower, r_upper)
+        return from_band(V, r_lower, r_upper)
     except MemoryError:
         raise too_big from None

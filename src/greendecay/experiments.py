@@ -36,6 +36,12 @@ ex4b   as ex4a but with real diagonal values +-10^u, u uniform in [0, 4]
 ex5    20 x 20 one-sided Hessenberg: subdiagonal 0.5, upper part
        0.5 * 2^-(j-i), diagonal +12 / -12 in two blocks (eigenvalues
        clustered near +-12).
+
+ex1b-ex1d and ex3 change only the diagonal: they edit the diagonal column
+of the band array of ex1a or of the file's matrix and build from it with
+``from_band``, with no dense copy. ex2 edits entries off the diagonal, so
+it keeps the dense route (``to_dense``, then ``from_dense``), as ex4a,
+ex4b and ex5, which are built dense, do.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .banded import (
     BandedMatrix,
     DominanceReport,
     dominance_mu,
+    from_band,
     from_dense,
     make_banded,
     read_matrix_market,
@@ -110,16 +117,14 @@ def _ex1a(spec: ExperimentSpec) -> BandedMatrix:
 
 
 def _ex1_variant(spec: ExperimentSpec) -> BandedMatrix:
-    W = _ex1a(spec).to_dense()
+    V = _ex1a(spec).band()  # column 3 holds the diagonal A(i, i)
     if spec.name == "ex1b":
-        W[19, 19] = 100.0
+        V[19, 3] = 100.0
     elif spec.name == "ex1c":
-        idx = np.arange(25)
-        W[idx, idx] += 100.0
+        V[:25, 3] += 100.0
     else:  # ex1d
-        for k in (9, 10, 11):
-            W[k, k] = -W[k, k]
-    return from_dense(W, r_lower=3, r_upper=3)
+        V[9:12, 3] = -V[9:12, 3]
+    return from_band(V, 3, 3)
 
 
 def _ex2(spec: ExperimentSpec) -> BandedMatrix:
@@ -139,12 +144,11 @@ def _ex3(spec: ExperimentSpec) -> BandedMatrix:
             "experiment ex3 needs --input pointing to a Matrix Market file"
         )
     base = read_matrix_market(spec.input_path)
-    W = base.to_dense()
+    V = base.band()
     half = base.n // 2
-    idx = np.arange(base.n)
-    W[idx[:half], idx[:half]] += 1.0
-    W[idx[half:], idx[half:]] -= 1.0
-    return from_dense(W, r_lower=base.r_lower, r_upper=base.r_upper)
+    V[:half, base.r_lower] += 1.0
+    V[half:, base.r_lower] -= 1.0
+    return from_band(V, base.r_lower, base.r_upper)
 
 
 def _one_sided_noise(rng: np.random.Generator, n: int, r_lower: int) -> np.ndarray:

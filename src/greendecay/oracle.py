@@ -49,17 +49,31 @@ def dense_inverse(a: np.ndarray) -> np.ndarray:
     """Reference inverse with a residual guard.
 
     Computed by LAPACK (partial pivoting); rejects matrices whose inverse is
-    meaningless at working precision by checking the 1-norm residual
-    ||A X - I||_1 against the condition-scaled roundoff level; an inverse
-    with a non-finite entry or a residual that is not finite fails it too.
+    meaningless at working precision. Two 1-norm residuals are checked:
+    ||A X - I||_1 against the condition-scaled roundoff level, and the
+    residual of A with each row i divided by its largest |entry| d_i,
+    ||D^-1 (A X - I) D||_1, against 1. Below 1, A X = D (I + F) D^-1 with
+    ||F||_1 < 1 is invertible (a convergent Neumann series), so X is an
+    approximate inverse however large the condition number; at 1 or more X
+    is none, as when LAPACK meets no exact zero pivot in an exactly singular
+    matrix. The row scaling keeps a matrix that is only badly scaled: for
+    [[c, 0], [1e150, c]], c = 1 + 2^-52, rounding at the scale of 1e150
+    leaves ||A X - I||_1 = 4.0e133 but the scaled residual 1.5e-16. An
+    inverse with a non-finite entry, or a residual that is not finite,
+    fails too.
     """
     A = np.asarray(a, dtype=float)
     X = np.linalg.inv(A)
     n = A.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(A @ X - np.eye(n)).sum(axis=0).max()
+        E = A @ X - np.eye(n)
+        resid = np.abs(E).sum(axis=0).max()
         cond = np.abs(A).sum(axis=0).max() * np.abs(X).sum(axis=0).max()
-    if not (np.isfinite(X).all() and np.isfinite(resid) and resid <= 1e-8 * max(1.0, cond)):
+        # E(i, j) d_j / d_i: the residual once row i of A is divided by d_i
+        d = np.abs(A).max(axis=1)
+        scaled = np.abs(E / d[:, None] * d).sum(axis=0).max()
+    if not (np.isfinite(X).all() and np.isfinite(resid) and resid <= 1e-8 * max(1.0, cond)
+            and scaled < 1.0):
         raise np.linalg.LinAlgError(
             f"matrix is singular to working precision (residual {resid:.3e})"
         )

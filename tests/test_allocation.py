@@ -55,7 +55,7 @@ def peak_bytes(fn, *args):
 
 
 def test_make_banded_writes_one_dense_array(band):
-    # the samples, their band array and the column indices, all O(N (r+s+1)),
+    # the samples, their band array and the (i, j) index pair, all O(N (r+s+1)),
     # take 0.33 MiB, traced; a list of the indices as Python ints peaked at
     # 0.60 MiB. The N x N array is a memory mapping, which tracemalloc does
     # not see: the resident set test below shows it is written only on the band

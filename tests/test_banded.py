@@ -33,6 +33,8 @@ class TestBandedMatrix:
         A = gd.make_banded(5, 2, 1, lambda i, j: calls.append((i, j)) or 10.0 * i + j)
         want = [(i, j) for i in range(1, 6) for j in range(max(1, i - 2), min(5, i + 1) + 1)]
         assert calls == want
+        # Python ints, as range() gives, not numpy integers
+        assert all(type(i) is type(j) is int for i, j in calls)
         for i, j in want:
             assert A.entry(i, j) == 10.0 * i + j
         assert np.count_nonzero(A.to_dense()) == len(want)
@@ -122,6 +124,102 @@ class TestBandedMatrix:
             assert a == a and hash(a) == hash(a)
             assert a != b
             assert len({a, b}) == 2
+
+
+def band_of(n, r, s, fn):
+    """Band array V[i, t] = fn(i + 1, i + t - r + 1) inside the matrix, zero outside."""
+    V = np.zeros((n, r + s + 1))
+    for i in range(n):
+        for t in range(r + s + 1):
+            if 0 <= i + t - r < n:
+                V[i, t] = fn(i + 1, i + t - r + 1)
+    return V
+
+
+def assert_same_bytes(A, B):
+    assert (A.n, A.r_lower, A.r_upper) == (B.n, B.r_lower, B.r_upper)
+    assert A.band().tobytes() == B.band().tobytes()
+    assert A.to_dense().tobytes() == B.to_dense().tobytes()
+
+
+SHAPES = [(6, 2, 1), (5, 1, 4), (4, 3, 0), (2, 1, 1)]  # (5, 1, 4) is one-sided
+
+
+class TestFromBand:
+    @pytest.mark.parametrize("n, r, s", SHAPES)
+    def test_matches_make_banded(self, n, r, s):
+        def fn(i, j):
+            return 10.0 * i + j + 0.5
+
+        V = band_of(n, r, s, fn)
+        A = gd.from_band(V, r, s)
+        assert_same_bytes(A, gd.make_banded(n, r, s, fn))
+        assert A.band().tobytes() == V.tobytes()
+
+    @pytest.mark.parametrize("n, r, s", SHAPES)
+    def test_matches_read_matrix_market(self, tmp_path, n, r, s):
+        # every band entry is nonzero, so the reader infers the same (r, s)
+        V = band_of(n, r, s, lambda i, j: 1.0 / (3 * i + j) - 0.2 * (i == j))
+        entries = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if -r <= j - i <= s]
+        path = tmp_path / "band.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n{n} {n} {len(entries)}\n"
+            + "".join(f"{i} {j} {float(V[i - 1, j - i + r])!r}\n" for i, j in entries)
+        )
+        assert_same_bytes(gd.from_band(V, r, s), gd.read_matrix_market(path))
+
+    def test_copies_the_callers_array(self):
+        # the caller keeps its array writable, and writes to it after the
+        # call do not reach A; A's own band stays read-only
+        V = band_of(4, 1, 1, lambda i, j: 4.0 if i == j else -1.0)
+        A = gd.from_band(V, 1, 1)
+        V[:, 1] = 7.0
+        assert V.flags.writeable
+        assert A.entry(2, 2) == 4.0
+        np.testing.assert_array_equal(A.band()[:, 1], 4.0)
+        assert not A._V.flags.writeable and A._V is not V
+
+    @pytest.mark.parametrize(
+        "V, r, s, message",
+        [
+            (np.ones(5), 1, 1, r"band array of shape (5,) is not (N, r_lower + r_upper + 1) "
+             r"for r_lower=1, r_upper=1"),
+            (np.ones((5, 4)), 1, 1, r"band array of shape (5, 4) is not (N, r_lower + r_upper + 1) "
+             r"for r_lower=1, r_upper=1"),
+            (np.ones((1, 3)), 1, 1, "need N > r_lower >= 1, got N=1, r_lower=1"),
+            (np.ones((4, 2)), 0, 1, "need N > r_lower >= 1, got N=4, r_lower=0"),
+            (np.ones((3, 5)), 1, 3, "need 0 <= r_upper <= N-1, got r_upper=3, N=3"),
+        ],
+        ids=["1-D", "width", "order-1", "r_lower-0", "r_upper-N"],
+    )
+    def test_rejects_a_bad_shape_or_bandwidth(self, V, r, s, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gd.from_band(V, r, s)
+
+    @pytest.mark.parametrize("value", [1e-300, np.nan], ids=["nonzero", "nan"])
+    @pytest.mark.parametrize(
+        "i, t", [(0, 0), (1, 0), (4, 3), (3, 4)], ids=["left-0-0", "left-1-0", "past-N-4-3", "past-N-3-4"]
+    )
+    def test_rejects_an_entry_outside_the_matrix(self, value, i, t):
+        # N = 5, r = s = 2: V[i, t] is A(i+1, i+t-1), outside for t < 2 - i
+        # (the left corner) and for t > 6 - i (past column N)
+        V = band_of(5, 2, 2, lambda i, j: 1.0)
+        V[i, t] = value
+        message = f"band array entry V[{i}, {t}] = {value} lies outside the matrix and must be zero"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gd.from_band(V, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry_naming_it_in_a(self, bad):
+        V = band_of(5, 2, 2, lambda i, j: 1.0)
+        V[2, 3] = bad  # A(3, 4)
+        V[4, 0] = bad  # A(5, 3), named second in row-major order
+        with pytest.raises(ValueError, match=rf"^entry \(3, 4\) is {bad}; entries must be finite$"):
+            gd.from_band(V, 2, 2)
+
+    def test_is_exported(self):
+        assert "from_band" in gd.__all__ and gd.from_band is gd.banded.from_band
+        assert not hasattr(gd.BandedMatrix, "_from_band")
 
 
 class TestDominance:

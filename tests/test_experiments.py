@@ -550,6 +550,22 @@ class TestCli:
         for name in ("dms", "chui_hasson"):
             assert {row[header.index(name)] for row in rows} == {"NA"}
 
+    def test_ex3_on_an_exactly_singular_matrix_is_an_error(self, tmp_path, capsys):
+        # ex3's +-1 shift makes [[5, -3, 4], [-3, 5, 0], [4, 0, 5]], whose
+        # determinant is 0; LAPACK meets no exact zero pivot and returns
+        # entries near 1.8e15, which are no inverse and must not reach the CSV
+        path = tmp_path / "singular.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 5\n1 1 4\n2 2 6\n3 3 6\n2 1 -3\n3 1 4\n"
+        )
+        out = tmp_path / "singular.csv"
+        assert cli_main(["run", "ex3", "--input", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix is singular to working precision (")
+        assert not out.exists()
+
     def test_missing_input_is_an_error(self, capsys):
         assert cli_main(["run", "ex3"]) == 1
         assert "error" in capsys.readouterr().err

@@ -75,6 +75,25 @@ def test_inverse_identity():
     np.testing.assert_array_equal(gd.dense_inverse(np.eye(5)), np.eye(5))
 
 
+@pytest.mark.parametrize("k", [-300, 0, 300])
+def test_inverse_rejects_an_exactly_singular_matrix(k):
+    # det = 0, but LAPACK meets no exact zero pivot: X has entries near
+    # 1.8e15 and ||A X - I||_1 = 2.1 lies within 1e-8 * cond = 5.1e8; a
+    # residual of 1 or more is no approximate inverse at any scale
+    a = 2.0**k * np.array([[5.0, -3.0, 4.0], [-3.0, 5.0, 0.0], [4.0, 0.0, 5.0]])
+    with pytest.raises(np.linalg.LinAlgError, match=r"^matrix is singular to working precision"):
+        gd.dense_inverse(a)
+
+
+def test_inverse_of_a_badly_scaled_matrix_is_kept():
+    # rounding at the scale of 1e150 leaves ||A X - I||_1 = 4e133, but with
+    # each row of A divided by its largest entry the residual is 1.5e-16
+    c = 1.0 + 2.0**-52
+    X = gd.dense_inverse(np.array([[c, 0.0], [1e150, c]]))
+    exact = [[1.0 / c, 0.0], [-1e150 / c**2, 1.0 / c]]
+    np.testing.assert_allclose(X, exact, rtol=1e-15, atol=1e-160)
+
+
 def test_inverse_diagonal_reciprocals():
     d = np.array([2.0, 5.0, 0.25])
     np.testing.assert_allclose(gd.dense_inverse(np.diag(d)), np.diag(1.0 / d), rtol=1e-15)

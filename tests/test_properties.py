@@ -121,6 +121,14 @@ def test_reconstruction_matches_dense_inverse(A):
 
 @PROPERTY
 @given(A=any_band())
+def test_from_band_reproduces_the_band(A):
+    B = gd.from_band(A.band(), A.r_lower, A.r_upper)
+    assert (B.n, B.r_lower, B.r_upper) == (A.n, A.r_lower, A.r_upper)
+    assert B.band().tobytes() == A.band().tobytes()
+
+
+@PROPERTY
+@given(A=any_band())
 def test_band_column_sums_equal_dense_sums(A):
     # the band sums add each column's off-diagonal entries top to bottom, as
     # the dense sum with the diagonal zeroed does
