@@ -137,15 +137,17 @@ class BandedMatrix:
         The tolerance is relative to the largest entry, so cA is symmetric
         exactly when A is, and the zero matrix is symmetric. Only the
         diagonals d and -d for d <= max(r_lower, r_upper) are compared:
-        O(N (r_lower + r_upper)) time.
+        O(N (r_lower + r_upper)) time. A gap that overflows, as between
+        1e308 and -1e308, is inf, with no warning: not symmetric.
         """
         scale = max(
             np.abs(_diagonal(self, d)).max() for d in range(-self.r_lower, self.r_upper + 1)
         )
-        gap = max(
-            np.abs(_diagonal(self, d) - _diagonal(self, -d)).max()
-            for d in range(1, max(self.r_lower, self.r_upper) + 1)
-        )
+        with np.errstate(over="ignore"):
+            gap = max(
+                np.abs(_diagonal(self, d) - _diagonal(self, -d)).max()
+                for d in range(1, max(self.r_lower, self.r_upper) + 1)
+            )
         return bool(gap <= 1e-12 * scale)
 
 
@@ -366,17 +368,23 @@ def _band_column_sums(A: BandedMatrix, fn) -> np.ndarray:
     since the zero terms of that sum change nothing. The diagonal is skipped rather
     than subtracted afterwards: a diagonal that dwarfs the rest of its column
     would cancel the off-diagonal terms to zero.
+
+    A term or a sum that overflows is inf, with no warning: for fn = abs an
+    infinite sum makes that column's ratio, and mu, inf (dominance fails),
+    and for fn = square it is an s_k^2 that :func:`qr_bound` rejects. fn
+    must be non-negative, so no inf - inf arises.
     """
     n = A.n
     sums = np.zeros(n)
-    for d in range(A.r_upper, -A.r_lower - 1, -1):
-        if d == 0:
-            continue
-        v = fn(_diagonal(A, d))
-        if d > 0:
-            sums[d:] += v
-        else:
-            sums[: n + d] += v
+    with np.errstate(over="ignore"):
+        for d in range(A.r_upper, -A.r_lower - 1, -1):
+            if d == 0:
+                continue
+            v = fn(_diagonal(A, d))
+            if d > 0:
+                sums[d:] += v
+            else:
+                sums[: n + d] += v
     return sums
 
 
@@ -389,14 +397,16 @@ def dominance_mu(A: BandedMatrix) -> DominanceReport:
     column sum. Only the band diagonals are read, in O(N (r_lower+r_upper))
     time and O(N) extra memory. A zero diagonal entry makes the condition
     unsatisfiable; the report then carries the first offending 1-based index
-    instead of raising.
+    instead of raising. A ratio that overflows (a subnormal diagonal entry,
+    or an infinite column sum) is inf, with no warning: mu = inf, and
+    dominance fails.
     """
     diag = np.abs(_diagonal(A, 0))
     off = _band_column_sums(A, np.abs)
     zero_idx = None
     if np.any(diag == 0.0):
         zero_idx = int(np.flatnonzero(diag == 0.0)[0]) + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratios = np.where(diag > 0.0, off / diag, np.inf)
     return DominanceReport(float(ratios.max()), float(diag.min()), ratios, zero_idx)
 

@@ -33,6 +33,7 @@ HypothesisError, which makes the family not applicable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
     else:  # DMS-SPD, DMS-indefinite, ChuiHasson: symmetric region
         d = abs(d)
     base = 1.0 if bound.M is None else bound.M
-    return base if d == 0 else base * bound.gamma**d
+    return base * bound.gamma**d  # gamma**0 == 1.0, also for gamma = 0
 
 
 def lu_bound(A: BandedMatrix) -> DecayBound:
@@ -199,8 +200,14 @@ def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
     Raises
     ------
     HypothesisError
-        If some |A(k,k)| <= 1 (no K is feasible), some s_k^2 overflows, or
-        the resulting rate (mu r sqrt(r))^(1/r) is >= 1 (rate-degenerate).
+        If some |A(k,k)| <= 1 (no K is feasible), some s_k^2 overflows, the
+        s_k^2 of a column with an off-diagonal entry falls below the normal
+        range (its squares underflowed, so s_k and K would be wrong), K
+        overflows while A has an off-diagonal entry (delta = 2/K would then
+        be rounded to a subnormal or zero, and the envelope off the diagonal
+        with it), or the resulting rate (mu r sqrt(r))^(1/r) is >= 1
+        (rate-degenerate). K = inf is kept only for a diagonal A, where
+        delta = 0 is exact.
     """
     r = A.r_lower
     diag = np.abs(_diagonal(A, 0))
@@ -210,18 +217,27 @@ def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
             f"|A(k,k)| must exceed 1 for a feasible K; column {worst} has "
             f"|A(k,k)| = {float(diag[worst - 1])!r}"
         )
-    with np.errstate(over="ignore"):
-        s2 = _band_column_sums(A, np.square)
+    s2 = _band_column_sums(A, np.square)
     if not np.isfinite(s2).all():
         worst = int(np.argmin(np.isfinite(s2))) + 1
         raise HypothesisError(
             f"s_k^2, the off-diagonal sum of squares, overflows in column {worst}"
         )
+    active = _band_column_sums(A, np.abs) > 0.0  # columns with an off-diagonal entry
+    lost = active & (s2 < np.finfo(float).tiny)  # squares that underflowed
+    if lost.any():
+        raise HypothesisError(
+            f"s_k^2, the off-diagonal sum of squares, underflows in column "
+            f"{int(np.argmax(lost)) + 1}"
+        )
     s = np.sqrt(s2)
-    active = s > 0.0
-    # positive: every diag - 1 > 0 and every s_k is finite
-    K = float(((diag - 1.0)[active] / s[active]).min()) if active.any() else math.inf
-    delta = 0.0 if math.isinf(K) else 2.0 / K
+    # positive: every diag - 1 > 0 and every s_k is finite; inf when A is
+    # diagonal, or when every quotient overflows
+    with np.errstate(over="ignore"):
+        K = float(((diag - 1.0)[active] / s[active]).min(initial=math.inf))
+    if K == math.inf and active.any():
+        raise HypothesisError("K, the least (|A(k,k)| - 1) / s_k, overflows")
+    delta = 2.0 / K
     try:
         mu = delta / math.sqrt(1.0 + delta**2)
     except OverflowError:  # delta > ~1.3e154, where mu is 1 to working precision
@@ -248,11 +264,13 @@ def dms_rate(a: float, b: float, r: int, definite: bool = True) -> DecayBound:
     ((sqrt(b/a)-1)/(sqrt(b/a)+1))^(1/r). ``definite=False``: spectrum in
     [-b, -a] u [a, b], rate ((b/a-1)/(b/a+1))^(1/2r). The literature's
     multiplicative constant lives outside this rate; the returned bound
-    carries the advisory M = 1/a.
+    carries the advisory M = 1/a. A b/a past the float range counts as the
+    largest float, where the rate rounds to 1 (HypothesisError) instead of
+    reading inf/inf = NaN.
     """
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
-    kappa = b / a
+    kappa = min(b / a, sys.float_info.max)
     if definite:
         root = math.sqrt(kappa)
         rate = ((root - 1.0) / (root + 1.0)) ** (1.0 / r)
@@ -268,13 +286,14 @@ def frommer_bound(lambda1: float, lambda_nm1: float, r: int) -> DecayBound:
 
     ``lambda1`` is the smallest and ``lambda_nm1`` the second-largest
     eigenvalue (so one large outlier does not spoil the rate);
-    C = 2/lambda1 and q1 = (sqrt(ke)-1)/(sqrt(ke)+1), ke = lambda_nm1/lambda1.
+    C = 2/lambda1 and q1 = (sqrt(ke)-1)/(sqrt(ke)+1), ke = lambda_nm1/lambda1;
+    a ke past the float range counts as the largest float, as in :func:`dms_rate`.
     """
     if not 0.0 < lambda1 <= lambda_nm1:
         raise ValueError(
             f"need 0 < lambda1 <= lambda_(N-1), got {lambda1}, {lambda_nm1}"
         )
-    ke = lambda_nm1 / lambda1
+    ke = min(lambda_nm1 / lambda1, sys.float_info.max)
     root = math.sqrt(ke)
     q1 = (root - 1.0) / (root + 1.0)
     return DecayBound("Frommer", q1 ** (1.0 / r), r, M=2.0 / lambda1)
@@ -284,9 +303,12 @@ def chui_hasson_rate(a: float, b: float, r: int) -> DecayBound:
     """Rate-only envelope ((b-a)/(b+a))^(1/2r) for spectra in [-b,-a] u [a,b].
 
     No computable constant exists for this family; :func:`eval_bound`
-    returns the bare rate power.
+    returns the bare rate power. The rate is formed from b/2 and a/2, so a
+    b + a past the float range gives no rate of 0.
     """
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
-    rate = ((b - a) / (b + a)) ** (1.0 / (2 * r))
+    # halves, whose sum stays finite where b + a overflows; halving is exact
+    # for a, b >= 2^-1021, so then the bits are those of (b - a) / (b + a)
+    rate = ((0.5 * b - 0.5 * a) / (0.5 * b + 0.5 * a)) ** (1.0 / (2 * r))
     return DecayBound("ChuiHasson", rate, r)

@@ -106,11 +106,12 @@ def _cmd_bounds(path: str) -> int:
 def main(argv=None) -> int:
     options = vars(_build_parser().parse_args(argv))
     command = options.pop("command")
-    # every package error derives from one of these: DominanceError,
-    # HypothesisError, MatrixMarketError and numpy's LinAlgError (singular
-    # reference inverse, non-converged eigvalsh) from ValueError,
-    # ZeroPivotError from ArithmeticError; a path that cannot be read or
-    # written (missing, a directory, no permission) raises an OSError
+    # every package error derives from one of these: HypothesisError
+    # (DominanceError, the LU and Varah families' one, among them),
+    # MatrixMarketError and numpy's LinAlgError (singular reference inverse,
+    # an eigenvalue past the float range, non-converged eigvalsh) from
+    # ValueError, ZeroPivotError from ArithmeticError; a path that cannot be
+    # read or written (missing, a directory, no permission) raises an OSError
     try:
         if command == "run":
             return _cmd_run(options)

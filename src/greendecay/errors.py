@@ -19,8 +19,16 @@ class ZeroPivotError(ArithmeticError):
         super().__init__(f"no-pivot elimination breaks down at step k={k} (pivot={value!r})")
 
 
-class DominanceError(ValueError):
-    """The strong column-dominance condition fails (mu >= 1 or zero diagonal)."""
+class HypothesisError(ValueError):
+    """Hypotheses of a bound family are not satisfied by the given matrix."""
+
+
+class DominanceError(HypothesisError):
+    """The hypothesis of the LU and Varah families, strong column dominance, fails.
+
+    Raised when mu >= 1 or a diagonal entry is zero; as a HypothesisError it
+    makes those two families not applicable, as any other family's does.
+    """
 
     def __init__(self, mu: float, zero_diagonal_index: int | None = None):
         self.mu = mu
@@ -30,10 +38,6 @@ class DominanceError(ValueError):
         else:
             msg = f"strong dominance condition not satisfied: mu = {mu!r} >= 1"
         super().__init__(msg)
-
-
-class HypothesisError(ValueError):
-    """Hypotheses of a bound family are not satisfied by the given matrix."""
 
 
 class RegionError(IndexError):

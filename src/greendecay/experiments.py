@@ -255,32 +255,34 @@ _SPECTRAL = ("dms", "frommer", "chui_hasson")
 
 
 def _bound_table(
-    A: BandedMatrix, rep: DominanceReport, symmetric: bool
+    A: BandedMatrix, spectrum: np.ndarray | None
 ) -> dict[str, tuple[DecayBound | None, str]]:
     """Each family's bound and note, or None and the reason it does not apply.
 
-    Families whose hypotheses fail are marked inapplicable, not errors:
-    nonsymmetric matrices get no spectrum-based baselines, an indefinite
-    spectrum disables the effective-condition-number bound, and any family
-    that raises HypothesisError (a rate that rounds to 1, a constant that
-    overflows: see :class:`DecayBound`) is disabled with its message.
+    ``spectrum`` is A's ascending spectrum, or None for a nonsymmetric A;
+    the table calls no oracle. Families whose hypotheses fail are marked
+    inapplicable, not errors: nonsymmetric matrices get no spectrum-based
+    baselines, an indefinite spectrum disables the effective-condition-number
+    bound, and any family that raises HypothesisError is disabled with its
+    message. That one rule covers the LU and Varah families' dominance
+    condition (DominanceError), QR's K, and a rate that rounds to 1 or a
+    constant that overflows in any family (see :class:`DecayBound`).
     """
     def qr():
         report, bound = qr_bound(A)
         return bound, "" if report.k_threshold_met else "K threshold not met"
 
     # each family is a call giving (bound, note), or the reason it is skipped
-    dominance = f"dominance condition fails (mu = {rep.mu:.6g})"
     families = {
-        "lu": (lambda: (lu_bound(A), "")) if rep.satisfied else dominance,
-        "varah": (lambda: (varah_bound(A), "")) if rep.satisfied else dominance,
+        "lu": lambda: (lu_bound(A), ""),
+        "varah": lambda: (varah_bound(A), ""),
         "qr": qr,
     }
-    if not symmetric:
+    if spectrum is None:
         reason = "nonsymmetric matrix; spectrum-based baselines skipped"
         families |= dict.fromkeys(_SPECTRAL, reason)
     else:
-        w = symmetric_spectrum(A.to_dense()).tolist()
+        w = spectrum.tolist()
         r, lo, hi = A.r_lower, min(map(abs, w)), max(map(abs, w))
         if lo > 0.0:
             families["dms"] = lambda: (dms_rate(lo, hi, r, definite=w[0] > 0.0), "")
@@ -302,18 +304,22 @@ def _bound_table(
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Generate, invert (reference), bound, and tabulate one experiment.
 
-    The report's families are one table (see :func:`_bound_table`), and
-    every row's bound cells come from it; a family that does not apply has
-    ``None`` (``NA`` in the CSV) in every row.
+    The one oracle stage turns A into a dense array once and gives that copy
+    to both oracles: :func:`dense_inverse` for the exact column, and
+    :func:`symmetric_spectrum` when A is symmetric. The report's families
+    are then one table of A and that spectrum (see :func:`_bound_table`),
+    and every row's bound cells come from it; a family that does not apply
+    has ``None`` (``NA`` in the CSV) in every row.
     """
     A = generate(spec)
     n = A.n
     if spec.column > n:
         raise ValueError(f"probe column {spec.column} exceeds N = {n}")
-    inv = dense_inverse(A.to_dense())
+    D = A.to_dense()
+    inv = dense_inverse(D)
     rep = dominance_mu(A)
     symmetric = A.is_symmetric()
-    table = _bound_table(A, rep, symmetric)
+    table = _bound_table(A, symmetric_spectrum(D) if symmetric else None)
     j = spec.column
     rows = tuple(
         {

@@ -85,10 +85,15 @@ def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
 
     ``eigvalsh`` reads only the lower triangle, so a matrix whose asymmetry
     exceeds 1e-12 * max|A(i, j)| is rejected; the guard is scale-invariant.
+    An eigenvalue past the float range, which ``eigvalsh`` returns as inf
+    (as for [[0, 1.8e308], [1.8e308, 1e308]]), raises LinAlgError.
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if np.abs(A - A.T).max() > 1e-12 * np.abs(A).max():
         raise ValueError("matrix is not symmetric to 1e-12")
-    return np.linalg.eigvalsh(A)
+    w = np.linalg.eigvalsh(A)
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("an eigenvalue lies beyond the float range")
+    return w

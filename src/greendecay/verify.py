@@ -96,7 +96,7 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
 
         b = lu_bound(A)
         d = np.subtract.outer(np.arange(n), np.arange(n))
-        envelope = b.M * np.where(d == 0, 1.0, b.gamma ** np.maximum(d, 0))
+        envelope = b.M * b.gamma ** np.maximum(d, 0)  # gamma**0 == 1.0, also for gamma 0
         record("lu_bound_excess", (np.abs(inv) - envelope * (1.0 + 1e-12))[d >= 0].max())
         record("varah_excess", _one_norm(inv) - varah_bound(A).M * (1.0 + 1e-12))
     return {key: np.nan if value is None else value for key, value in worst.items()}

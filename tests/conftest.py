@@ -2,8 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import greendecay as gd
+
+# test_grammar.py's Matrix Market grammar at a budget for its own CI step:
+# python -m pytest tests/test_grammar.py --hypothesis-profile=grammar-long
+settings.register_profile("grammar-long", max_examples=3000)
 
 # Hypothesis imports its patch writer (and with it libcst, when installed)
 # only while reporting a failing example. Under -W error, libcst's import-time

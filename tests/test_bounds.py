@@ -36,6 +36,10 @@ class TestLuBound:
             gd.lu_bound(A)
         assert err.value.mu == 2.0
 
+    def test_dominance_is_the_lu_and_varah_hypothesis(self):
+        # one except HypothesisError makes every family not applicable
+        assert issubclass(gd.DominanceError, gd.HypothesisError)
+
     def test_rejects_a_zero_diagonal_naming_its_step(self):
         A = gd.from_dense(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(gd.DominanceError) as err:
@@ -168,6 +172,30 @@ class TestQrBound:
         assert exact == pytest.approx(1e-18, rel=1e-15)
         assert gd.eval_bound(bound, 2, 1) >= exact
 
+    def test_diagonal_matrix_keeps_an_infinite_k(self):
+        report, bound = gd.qr_bound(gd.from_dense(3.0 * np.eye(3)))
+        assert report.K == math.inf and bound.gamma == 0.0 and bound.M == 1.0
+
+    @pytest.mark.parametrize("W, message", [
+        # K = (1e300 - 1) / 1e-10 overflows, and delta = 2/K = 0
+        ([[1e300, 0.0], [1e-10, 2.0]], r"^K, the least .* overflows$"),
+        # s_1^2 = 1e-340 underflows to 0, so column 1 would read as empty
+        ([[2.0, 0.0], [1e-170, 2.0]], "underflows in column 1$"),
+        # as 0 it would leave K = 1e308 to column 3, and delta = 2e-308
+        ([[2.0, 0.0, 0.0], [1e-170, 2.0, 1e-8], [0.0, 0.0, 1e300]],
+         "underflows in column 1$"),
+        # 1e-161^2 is subnormal, with only a few digits left
+        ([[2.0, 0.0], [1e-161, 2.0]], "underflows in column 1$"),
+    ], ids=["K-overflow", "square-underflow", "underflow-beside-a-finite-K", "subnormal-square"])
+    def test_a_k_without_digits_is_rejected(self, W, message):
+        # a K without digits gives an envelope that need not hold at (2, 1)
+        A = gd.from_dense(np.array(W))
+        assert gd.dense_inverse(A.to_dense())[1, 0] != 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gd.HypothesisError, match=message):
+                gd.qr_bound(A)
+
     def test_auto_k_is_largest_feasible(self):
         W = np.array([[5.0, 0.0], [2.0, 5.0]])
         A = gd.from_dense(W)
@@ -275,6 +303,12 @@ class TestDmsRate:
         with pytest.raises(ValueError):
             gd.dms_rate(a, b, 1)
 
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_overflowing_condition_number_rounds_the_rate_to_1(self, definite):
+        # b/a = 2e308 is inf, and (inf - 1)/(inf + 1) would be NaN
+        with pytest.raises(gd.HypothesisError, match=r"got 1\.0$"):
+            gd.dms_rate(0.5, 1e308, 1, definite=definite)
+
 
 class TestFrommer:
     def test_equal_eigenvalues_collapse(self):
@@ -292,6 +326,10 @@ class TestFrommer:
         b = gd.frommer_bound(1.0, 4.0, 3)
         assert gd.eval_bound(b, 2, 1) is None
         assert gd.eval_bound(b, 4, 1) is not None
+
+    def test_overflowing_condition_number_rounds_the_rate_to_1(self):
+        with pytest.raises(gd.HypothesisError, match=r"got 1\.0$"):
+            gd.frommer_bound(0.5, 1e308, 1)
 
     def test_rejects_nonpositive_smallest_eigenvalue(self):
         with pytest.raises(ValueError):
@@ -322,6 +360,11 @@ class TestChuiHasson:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             gd.chui_hasson_rate(0.0, 1.0, 1)
+
+    def test_overflowing_endpoint_sum(self):
+        # b + a = 2.5e308 overflows, and (b - a)/inf would give the rate 0
+        want = gd.chui_hasson_rate(1.0, 1.5, 1).gamma
+        assert gd.chui_hasson_rate(1e308, 1.5e308, 1).gamma == pytest.approx(want, rel=1e-15)
 
 
 class TestRateComparisons:

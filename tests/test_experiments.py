@@ -319,6 +319,28 @@ class TestRunExperiment:
         assert all(r["lu"] is None and r["varah"] is None for r in rep.rows)
         assert any("violated" in n for n in rep.notes)
 
+    def test_one_dense_copy_serves_both_oracles(self, monkeypatch):
+        copies, read = [], []
+        to_dense = gd.BandedMatrix.to_dense
+
+        def counted(A):
+            copies.append(to_dense(A))
+            return copies[-1]
+
+        def spy(oracle):
+            def call(a):
+                read.append(a)
+                return oracle(a)
+            return call
+
+        monkeypatch.setattr(gd.BandedMatrix, "to_dense", counted)
+        for name in ("dense_inverse", "symmetric_spectrum"):
+            monkeypatch.setattr(f"greendecay.experiments.{name}",
+                                spy(getattr(gd, name)))
+        rep = gd.run_experiment(gd.ExperimentSpec("ex1a"))
+        assert rep.symmetric and len(copies) == 1 and len(read) == 2
+        assert all(a is copies[0] for a in read)
+
     def test_zero_eigenvalue_disables_the_interval_rates(self, monkeypatch):
         # invertible, cond ~ 1e17: dense_inverse accepts it, and its eigenvalue
         # 2^-52 is within eigvalsh's error of 0, which OpenBLAS's LAPACK gives;
@@ -337,7 +359,7 @@ class TestRunExperiment:
         from greendecay.experiments import _bound_table
 
         A = gd.from_dense(np.diag([1e-320] * 3))
-        table = _bound_table(A, gd.dominance_mu(A), symmetric=False)
+        table = _bound_table(A, None)
         for name, kind in (("lu", "LU"), ("varah", "Varah")):
             bound, note = table[name]
             assert bound is None and note.startswith(f"{kind} bound constant M overflows")
@@ -348,7 +370,7 @@ class TestRunExperiment:
         from greendecay.experiments import _bound_table
 
         A = gd.from_dense(np.diag([1e-320, 2e-320, 3e-320]))
-        table = _bound_table(A, gd.dominance_mu(A), symmetric=True)
+        table = _bound_table(A, gd.symmetric_spectrum(A.to_dense()))
         for name in ("dms", "frommer"):
             bound, note = table[name]
             assert bound is None and note == "constant must be positive and finite, got inf"
@@ -565,6 +587,65 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: matrix is singular to working precision (")
         assert not out.exists()
+
+    @pytest.mark.parametrize("body, note", [
+        # the shifted diagonal is (2, 2, 1, 1) and column 1 holds 3
+        ("4 4 5\n1 1 1\n2 2 1\n3 3 2\n4 4 2\n2 1 3\n",
+         "strong dominance condition not satisfied: mu = 1.5 >= 1"),
+        # the shift makes [[0, 1], [1, 0]]
+        ("2 2 4\n1 1 -1\n2 2 1\n1 2 1\n2 1 1\n",
+         "zero diagonal entry at k=1; dominance undefined"),
+    ], ids=["mu", "zero-diagonal"])
+    def test_ex3_names_the_failed_dominance_condition(self, body, note, tmp_path, capsys):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{body}")
+        argv = ["run", "ex3", "--input", str(path), "--out", str(tmp_path / "m.csv")]
+        assert cli_main(argv) in (0, 2)
+        text = capsys.readouterr().out
+        for name in ("lu", "varah"):
+            assert f"  {name:12s} not applicable: {note}\n" in text
+
+    # finite, well-formed files on which an overflow inside numpy once
+    # escaped as a RuntimeWarning (a traceback under -W error)
+    @pytest.mark.parametrize("command, symmetry, body, code", [
+        ("bounds", "symmetric", "3 3 2\n3 1 1e+308\n2 1 1e+308\n", 2),
+        ("bounds", "symmetric", "2 2 2\n2 1 1\n1 1 1e-320\n", 2),
+        ("run", "general", "2 2 4\n1 1 5\n2 2 5\n2 1 1e308\n1 2 -1e308\n", 2),
+        ("run", "general", "2 2 3\n1 1 1e300\n2 2 3\n2 1 1e-10\n", 0),
+    ], ids=["column-sum", "mu-ratio", "symmetry-gap", "qr-K"])
+    def test_an_overflow_is_handled_without_a_warning(
+        self, command, symmetry, body, code, tmp_path, capsys
+    ):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n{body}")
+        argv = ["bounds", str(path)]
+        if command == "run":
+            argv = ["run", "ex3", "--input", str(path), "--out", str(tmp_path / "m.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == code
+        assert capsys.readouterr().err == ""
+
+    def test_ex3_qr_is_sound_where_k_overflows(self, tmp_path, capsys):
+        # the shift makes [[1e300, 0], [1e-10, 2]]: column 1 gives
+        # K = (1e300 - 1) / 1e-10, past the float range, and
+        # A^-1(2, 1) = -1e-10 / (2e300), about -5e-311, which an envelope
+        # from delta = 2/K = 0 would bound by 0
+        path = tmp_path / "k.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n1 1 1e300\n2 2 3\n2 1 1e-10\n"
+        )
+        out = tmp_path / "k.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "ex3", "--input", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        exact, qr = header.index("exact"), header.index("qr")
+        assert float(rows[1][exact]) > 0.0
+        for row in rows:
+            assert row[qr] == "NA" or float(row[qr]) >= float(row[exact])
 
     def test_missing_input_is_an_error(self, capsys):
         assert cli_main(["run", "ex3"]) == 1

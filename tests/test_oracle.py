@@ -169,6 +169,13 @@ def test_rejects_tiny_nonsymmetric(scale):
         gd.symmetric_spectrum(W)
 
 
+def test_rejects_an_eigenvalue_beyond_the_float_range():
+    # the larger eigenvalue is about 2.3e308, which eigvalsh returns as inf
+    big = np.finfo(float).max
+    with pytest.raises(np.linalg.LinAlgError, match="^an eigenvalue lies beyond the float range$"):
+        gd.symmetric_spectrum(np.array([[0.0, big], [big, 1e308]]))
+
+
 @pytest.mark.parametrize("k", [-1000, 1000])
 def test_spectrum_scales_with_powers_of_two(k):
     W = np.array([[4.0, 1.0, 0.5], [1.0, 4.0, 1.0], [0.5, 1.0, 4.0]])
