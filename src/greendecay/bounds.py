@@ -110,37 +110,35 @@ def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
 def lu_bound(A: BandedMatrix) -> DecayBound:
     """LU-based envelope M * gamma^(i-j) on the lower part i >= j.
 
-    Requires the strong dominance condition with mu < 1 (checked via
-    :func:`dominance_mu`); raises DominanceError carrying the computed mu
-    otherwise. The degenerate mu = 0 (diagonal matrix) yields gamma = 0 and
-    M = 1/min|A(k,k)|, exact on the diagonal. An M that overflows (a
-    subnormal min|A(k,k)|, or mu within rounding of 1) raises
-    HypothesisError.
+    Raises DominanceError (carrying mu) unless strong dominance, mu < 1,
+    holds, and HypothesisError when M overflows (a subnormal min|A(k,k)|, or
+    mu within rounding of 1). mu = 0 (a diagonal A) gives gamma = 0 and
+    M = 1/min|A(k,k)|, exact on the diagonal.
     """
-    rep = dominance_mu(A)
-    if not rep.satisfied:
-        raise DominanceError(rep.mu, rep.zero_diagonal_index)
-    mu = rep.mu
-    r = A.r_lower
-    gamma = mu ** (1.0 / r)
-    M = (1.0 + mu**2) / ((1.0 - mu) * (1.0 - mu**2) * rep.min_diag)
-    return DecayBound("LU", gamma, r, M=_finite("LU", M, rep))
+    rep = _dominance(A)
+    mu, r = rep.mu, A.r_lower
+    M = _constant("LU", 1.0 + mu**2, (1.0 - mu) * (1.0 - mu**2), rep)
+    return DecayBound("LU", mu ** (1.0 / r), r, M=M)
 
 
 def varah_bound(A: BandedMatrix) -> DecayBound:
-    """Varah's flat envelope M = 1/((1-mu) min|A(k,k)|) on ||A^{-1}||_1.
+    """Varah's flat envelope M = 1/((1-mu) min|A(k,k)|) on ||A^{-1}||_1; raises as lu_bound."""
+    rep = _dominance(A)
+    return DecayBound("Varah", 0.0, A.r_lower, M=_constant("Varah", 1.0, 1.0 - rep.mu, rep))
 
-    Raises DominanceError and HypothesisError as :func:`lu_bound` does.
-    """
+
+def _dominance(A: BandedMatrix) -> DominanceReport:
+    """A's dominance report, or DominanceError when strong dominance fails."""
     rep = dominance_mu(A)
     if not rep.satisfied:
         raise DominanceError(rep.mu, rep.zero_diagonal_index)
-    M = 1.0 / ((1.0 - rep.mu) * rep.min_diag)
-    return DecayBound("Varah", 0.0, A.r_lower, M=_finite("Varah", M, rep))
+    return rep
 
 
-def _finite(kind: str, M: float, rep: DominanceReport) -> float:
-    """The dominance-based constant M, or HypothesisError if it overflowed."""
+def _constant(kind: str, numerator: float, scale: float, rep: DominanceReport) -> float:
+    """M = numerator / (scale min|A(k,k)|); HypothesisError if M overflows or divides by 0."""
+    denominator = scale * rep.min_diag
+    M = numerator / denominator if denominator else math.inf
     if M == math.inf:
         raise HypothesisError(f"{kind} bound constant M overflows: "
                               f"min|A(k,k)| = {rep.min_diag!r}, mu = {rep.mu!r}")
@@ -151,11 +149,11 @@ def _finite(kind: str, M: float, rep: DominanceReport) -> float:
 class QRHypothesisReport:
     """Derived constants and hypothesis status of the QR-based bound.
 
-    delta = 2/K and mu = delta / sqrt(1 + delta^2) follow from K, and M and
-    gamma are those of the DecayBound returned with the report.
-    ``k_threshold_met`` checks K against the two computable threshold terms
-    4(3 + 2 C0 r sqrt(r)) and 2 sqrt(r^3 ((sqrt(3)+1)/2)^(2r) - 1); the third
-    term depends on an undefined constant and is never checked.
+    delta = 2/K and mu = delta / sqrt(1 + delta^2) follow from K; M and gamma
+    are those of the DecayBound returned with the report. ``k_threshold_met``
+    checks K against the computable threshold terms 4(3 + 2 C0 r sqrt(r)) and
+    2 sqrt(r^3 ((sqrt(3)+1)/2)^(2r) - 1), which is inf, met by no K, from
+    r = 1138 on; the third term depends on an undefined constant, unchecked.
     """
 
     C0: float
@@ -174,8 +172,7 @@ def _qr_row_energy(A: BandedMatrix) -> float:
     no inf - inf arises.
     """
     n, r = A.n, A.r_lower
-    upper_rows = np.zeros(n)
-    upper_cols = np.zeros(n)
+    upper_rows, upper_cols = np.zeros(n), np.zeros(n)
     with np.errstate(over="ignore"):
         for d in range(1, A.r_upper + 1):
             v = np.square(_diagonal(A, d))
@@ -230,11 +227,10 @@ def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
             f"s_k^2, the off-diagonal sum of squares, underflows in column "
             f"{int(np.argmax(lost)) + 1}"
         )
-    s = np.sqrt(s2)
     # positive: every diag - 1 > 0 and every s_k is finite; inf when A is
     # diagonal, or when every quotient overflows
     with np.errstate(over="ignore"):
-        K = float(((diag - 1.0)[active] / s[active]).min(initial=math.inf))
+        K = float(((diag - 1.0)[active] / np.sqrt(s2[active])).min(initial=math.inf))
     if K == math.inf and active.any():
         raise HypothesisError("K, the least (|A(k,k)| - 1) / s_k, overflows")
     delta = 2.0 / K
@@ -252,7 +248,10 @@ def qr_bound(A: BandedMatrix) -> tuple[QRHypothesisReport, DecayBound]:
     # C0 only decides k_threshold_met, so it is computed once the hypotheses hold
     c0 = _qr_row_energy(A)
     t_energy = 4.0 * (3.0 + 2.0 * c0 * r * math.sqrt(r))
-    t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
+    try:
+        t_band = 2.0 * math.sqrt(r**3 * ((math.sqrt(3.0) + 1.0) / 2.0) ** (2 * r) - 1.0)
+    except OverflowError:  # r >= 1138, past the float range
+        t_band = math.inf
     report = QRHypothesisReport(float(c0), K, bool(K >= max(t_energy, t_band)))
     return report, DecayBound("QR", gamma, r, M=M)
 

@@ -118,14 +118,26 @@ class TestVarah:
 SUBNORMAL_DIAGONAL = np.diag([1e-320] * 3)
 
 
+# dominant (mu = 0.9), and both constants' denominators, 0.019 and 0.1 times
+# 2^-1074, round to 0
+UNDERFLOWING_DENOMINATOR = np.array([[5e-324, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.9, 1.0]])
+# t = 2^-1074: LU's denominator 0.019 * 10t rounds to 0, Varah's 0.1 * 10t is t
+ZERO_AND_OVERFLOW = 5e-324 * np.array([[10.0, 0.0], [9.0, 10.0]])
+
+
 class TestOverflowingConstant:
-    # 1 / 1e-320 overflows to inf, and eval_bound would then give inf * 0 = NaN
+    # 1 / 1e-320 overflows to inf, and eval_bound would then give inf * 0 = NaN;
+    # a denominator that underflows to 0 is an overflow of M too
     @pytest.mark.parametrize("family, kind", [(gd.lu_bound, "LU"), (gd.varah_bound, "Varah")])
-    def test_subnormal_diagonal_raises(self, family, kind):
+    @pytest.mark.parametrize("W, fields", [
+        (SUBNORMAL_DIAGONAL, "min|A(k,k)| = 1e-320, mu = 0.0"),
+        (UNDERFLOWING_DENOMINATOR, "min|A(k,k)| = 5e-324, mu = 0.9"),
+        (ZERO_AND_OVERFLOW, "min|A(k,k)| = 5e-323, mu = 0.9"),
+    ], ids=["subnormal-diagonal", "underflowing-denominator", "zero-and-overflow"])
+    def test_subnormal_diagonal_raises(self, family, kind, W, fields):
         with pytest.raises(gd.HypothesisError) as err:
-            family(gd.from_dense(SUBNORMAL_DIAGONAL))
-        want = f"{kind} bound constant M overflows: min|A(k,k)| = 1e-320, mu = 0.0"
-        assert str(err.value) == want
+            family(gd.from_dense(W))
+        assert str(err.value) == f"{kind} bound constant M overflows: {fields}"
 
     @pytest.mark.parametrize("family", [gd.lu_bound, gd.varah_bound])
     def test_scaled_up_matrix_keeps_a_finite_constant(self, family):
@@ -263,6 +275,17 @@ class TestQrBound:
         t_band = 2.0 * math.sqrt(((math.sqrt(3.0) + 1.0) / 2.0) ** 2 - 1.0)
         assert report.k_threshold_met == (report.K >= max(t_energy, t_band))
         assert report.k_threshold_met  # K ~ 1e4 clears both terms
+
+    def test_band_threshold_past_the_float_range_is_not_met(self):
+        # ((sqrt(3)+1)/2)^(2r) overflows from r = 1138 on: the band term is
+        # inf, so K ~ 3e13 misses it while the hypotheses hold
+        n, r = 1139, 1138
+        V = np.where(np.arange(n)[:, None] >= r - np.arange(r + 1), 1e-3, 0.0)
+        V[:, r] = 1e12
+        report, bound = gd.qr_bound(gd.from_band(V, r, 0))
+        assert report.C0 == 0.0 and report.K > 1e13
+        assert not report.k_threshold_met
+        assert bound.r == r and 0.0 < bound.gamma < 1.0 and bound.M == pytest.approx(1.0)
 
     def test_c0_matches_direct_double_sum(self):
         rng = np.random.default_rng(8)

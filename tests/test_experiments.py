@@ -355,14 +355,23 @@ class TestRunExperiment:
         for fam in ("dms", "frommer", "chui_hasson"):
             assert rep.families[fam] == (None, "zero eigenvalue; interval rates undefined")
 
-    def test_overflowing_lu_constant_is_inapplicable(self):
+    @pytest.mark.parametrize("W, fields", [
+        (np.diag([1e-320] * 3), "1e-320, mu = 0.0"),
+        # t = 2^-1074: both denominators, 0.019 t and 0.1 t, round to 0
+        (np.array([[5e-324, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.9, 1.0]]), "5e-324, mu = 0.9"),
+        # LU's denominator 0.019 * 10t rounds to 0, and Varah's 0.1 * 10t = t
+        # gives 1/t, which overflows
+        (5e-324 * np.array([[10.0, 0.0], [9.0, 10.0]]), "5e-323, mu = 0.9"),
+    ], ids=["subnormal-diagonal", "underflowing-denominator", "zero-and-overflow"])
+    def test_overflowing_lu_constant_is_inapplicable(self, W, fields):
+        # run_experiment stops before the table on these: the reference
+        # inverse overflows, 1/min|A(k,k)|, and is rejected as singular
         from greendecay.experiments import _bound_table
 
-        A = gd.from_dense(np.diag([1e-320] * 3))
-        table = _bound_table(A, None)
+        table = _bound_table(gd.from_dense(W), None)
         for name, kind in (("lu", "LU"), ("varah", "Varah")):
-            bound, note = table[name]
-            assert bound is None and note.startswith(f"{kind} bound constant M overflows")
+            note = f"{kind} bound constant M overflows: min|A(k,k)| = {fields}"
+            assert table[name] == (None, note)
 
     def test_overflowing_spectral_constant_is_inapplicable(self):
         # M = 1/a for DMS and 2/lambda_1 for Frommer overflow on a subnormal

@@ -4,7 +4,8 @@ Small files, N = 2..7, general or symmetric, with duplicate entries,
 comments and blank lines, take values from the ends of the float range
 (+-1e308, subnormals, +-0, 2^k) printed in several formats. ``bounds`` and
 ``run ex3 --input`` must either handle each file or reject it with one
-error line, and print no non-finite number but a mu that is inf. A second
+error line, and print no non-finite number but a mu that is inf; ``bounds``
+rejects only a file that ``read_matrix_market`` rejects. A second
 property scales every entry of a file by 2^k and checks that ``bounds``
 moves by exactly that power of two.
 
@@ -24,9 +25,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from greendecay import read_matrix_market
 from greendecay.cli import main as cli_main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -117,13 +119,29 @@ def check_output(code: int, out: str, err: str) -> None:
     assert not NON_FINITE.search(MU_FIELD.sub("mu = ", out)), out
 
 
+def reader_error(path: Path) -> str | None:
+    """The error line ``bounds`` prints if read_matrix_market rejects the file."""
+    try:
+        read_matrix_market(path)
+    except ValueError as exc:
+        return f"error: {exc}\n"
+    return None
+
+
 @GRAMMAR
 @given(f=mtx_files())
+# dominant, mu = 0.9, but the LU and Varah denominators, 0.019 and 0.1 times
+# 5e-324, round to 0: an overflowing constant (exit 2), not a division error
+@example(f=("general", 3, [(1, 1, 5e-324, "{!r}"), (2, 2, 1.0, "{!r}"),
+                           (3, 3, 1.0, "{!r}"), (3, 2, 0.9, "{!r}")], {}))
 def test_every_file_is_handled_or_rejected_with_one_error_line(f):
     with tempfile.TemporaryDirectory() as tmp:
         path, csv = Path(tmp) / "m.mtx", Path(tmp) / "m.csv"
         path.write_text(render(f), encoding="ascii")
-        check_output(*run_cli(["bounds", str(path)]))
+        code, out, err = run_cli(["bounds", str(path)])
+        check_output(code, out, err)
+        # once the file is read, every outcome of bounds is exit 0 or 2
+        assert code != 1 or err == reader_error(path), err
         code, out, err = run_cli(["run", "ex3", "--input", str(path), "--out", str(csv)])
         check_output(code, out, err)
         if code != 1:
