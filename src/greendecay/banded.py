@@ -78,6 +78,9 @@ class BandedMatrix:
     and every entry is finite (NaN and +-inf are rejected).
     ``r_upper`` may be as large as N - 1 ("one-sided" matrices with an
     unrestricted upper part); ``r_lower`` must satisfy 1 <= r_lower < N.
+    Every constructor takes N and both bandwidths as integers, Python ints or
+    numpy integers but not bools (anything else is a ValueError), and keeps
+    them as Python ints.
     """
 
     n: int
@@ -89,8 +92,9 @@ class BandedMatrix:
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.n, self.n):
             raise ValueError(f"data shape {data.shape} does not match n={self.n}")
-        _check_dimensions(self.n, self.r_lower, self.r_upper)
-        V = _read_band(data, self.r_lower, self.r_upper)
+        n, r_lower, r_upper = _check_dimensions(self.n, self.r_lower, self.r_upper)
+        vars(self).update(n=n, r_lower=r_lower, r_upper=r_upper)  # past the frozen __setattr__
+        V = _read_band(data, r_lower, r_upper)
         # every nonzero must lie in the band; a NaN counts as nonzero, so
         # once the counts agree only the band can hold a non-finite entry
         if np.count_nonzero(data) != np.count_nonzero(V):
@@ -166,7 +170,7 @@ def make_banded(
     band array of shape (N, r_lower + r_upper + 1), from which
     :func:`from_band` builds A.
     """
-    _check_dimensions(n, r_lower, r_upper)
+    n, r_lower, r_upper = _check_dimensions(n, r_lower, r_upper)
     inside = _in_matrix(n, r_lower, r_upper)
     # 1-based (i, j) in row-major order, made in place, read as Python ints
     i, j = np.nonzero(inside)
@@ -196,8 +200,7 @@ def from_band(V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
             f"band array of shape {V.shape} is not (N, r_lower + r_upper + 1) "
             f"for r_lower={r_lower}, r_upper={r_upper}"
         )
-    n = len(V)
-    _check_dimensions(n, r_lower, r_upper)
+    n, r_lower, r_upper = _check_dimensions(len(V), r_lower, r_upper)
     outside = np.argwhere(~_in_matrix(n, r_lower, r_upper) & (V != 0.0))
     if outside.size:
         i, t = outside[0]
@@ -242,11 +245,25 @@ def _mapped_zeros(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=float).reshape(n, n)
 
 
-def _check_dimensions(n: int, r_lower: int, r_upper: int) -> None:
+def _check_dimensions(n: int, r_lower: int, r_upper: int) -> tuple[int, int, int]:
+    """(N, r_lower, r_upper) as Python ints; ValueError unless they are integers
+    with N > r_lower >= 1 and 0 <= r_upper <= N - 1."""
+    if not all(_is_integer(x) for x in (n, r_lower, r_upper)):
+        raise ValueError(
+            f"need integer N, r_lower and r_upper, got N={n!r}, r_lower={r_lower!r}, "
+            f"r_upper={r_upper!r}"
+        )
+    n, r_lower, r_upper = int(n), int(r_lower), int(r_upper)
     if not (n > r_lower >= 1):
         raise ValueError(f"need N > r_lower >= 1, got N={n}, r_lower={r_lower}")
     if not (0 <= r_upper <= n - 1):
         raise ValueError(f"need 0 <= r_upper <= N-1, got r_upper={r_upper}, N={n}")
+    return n, r_lower, r_upper
+
+
+def _is_integer(x) -> bool:
+    """True for a Python int or a numpy integer; False for a bool, and for 1.0 too."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _band_to_dense(V: np.ndarray, r_lower: int, out: np.ndarray | None = None) -> np.ndarray:

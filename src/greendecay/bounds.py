@@ -38,7 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import BandedMatrix, DominanceReport, _band_column_sums, _diagonal, dominance_mu
+from .banded import (
+    BandedMatrix,
+    DominanceReport,
+    _band_column_sums,
+    _diagonal,
+    _is_integer,
+    dominance_mu,
+)
 from .errors import DominanceError, HypothesisError
 
 __all__ = [
@@ -64,8 +71,8 @@ class DecayBound:
     for DMS. The constructor is every family's one check: a rate outside
     [0, 1) or an M that is not positive and finite raises HypothesisError
     (the family does not apply), so no evaluation is inf or NaN; an unknown
-    kind raises ValueError. Evaluate with :func:`eval_bound`, which fixes
-    each family's region.
+    kind, or a bandwidth r that is not an integer >= 1, raises ValueError.
+    Evaluate with :func:`eval_bound`, which fixes each family's region.
     """
 
     kind: str
@@ -76,10 +83,19 @@ class DecayBound:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
+        _check_bandwidth(self.r)
         if not 0.0 <= self.gamma < 1.0:
             raise HypothesisError(f"decay rate must satisfy 0 <= gamma < 1, got {self.gamma}")
         if self.M is not None and not 0.0 < self.M < math.inf:
             raise HypothesisError(f"constant must be positive and finite, got {self.M}")
+
+
+def _check_bandwidth(r: int) -> int:
+    """r as a Python int; ValueError (a bad argument, not an unmet hypothesis)
+    unless the bandwidth r is an integer >= 1."""
+    if not (_is_integer(r) and r >= 1):
+        raise ValueError(f"bandwidth r must be an integer >= 1, got {r!r}")
+    return int(r)
 
 
 def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
@@ -267,6 +283,7 @@ def dms_rate(a: float, b: float, r: int, definite: bool = True) -> DecayBound:
     largest float, where the rate rounds to 1 (HypothesisError) instead of
     reading inf/inf = NaN.
     """
+    r = _check_bandwidth(r)
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
     kappa = min(b / a, sys.float_info.max)
@@ -288,6 +305,7 @@ def frommer_bound(lambda1: float, lambda_nm1: float, r: int) -> DecayBound:
     C = 2/lambda1 and q1 = (sqrt(ke)-1)/(sqrt(ke)+1), ke = lambda_nm1/lambda1;
     a ke past the float range counts as the largest float, as in :func:`dms_rate`.
     """
+    r = _check_bandwidth(r)
     if not 0.0 < lambda1 <= lambda_nm1:
         raise ValueError(
             f"need 0 < lambda1 <= lambda_(N-1), got {lambda1}, {lambda_nm1}"
@@ -305,6 +323,7 @@ def chui_hasson_rate(a: float, b: float, r: int) -> DecayBound:
     returns the bare rate power. The rate is formed from b/2 and a/2, so a
     b + a past the float range gives no rate of 0.
     """
+    r = _check_bandwidth(r)
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
     # halves, whose sum stays finite where b + a overflows; halving is exact

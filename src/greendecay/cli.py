@@ -5,8 +5,11 @@
     greendecay verify [--trials N] [--seed S]
 
 Exit codes: 0 on success, 2 when no bound family is applicable to the given
-matrix (the run still writes its table; for ``bounds``, when the dominance
-condition fails or the LU or Varah constant overflows), 1 on errors.
+matrix (the run still writes its table; for ``bounds``, when the LU or Varah
+bound raises HypothesisError: the dominance condition fails or the constant
+M overflows), 1 on errors. ``bounds`` has one handler for that case: it
+prints the error's text, the reason ``run`` gives for ``lu`` and ``varah``,
+as one line ending ``; decay bounds not applicable``.
 
 ``run`` and ``verify`` pass on only the options given, so the library's
 defaults apply; an unknown experiment name is an error (exit 1) whose message
@@ -87,11 +90,6 @@ def _cmd_bounds(path: str) -> int:
     rep = dominance_mu(A)
     print(f"N={A.n}, r_lower={A.r_lower}, r_upper={A.r_upper}")
     print(f"mu = {rep.mu!r} (satisfied: {'yes' if rep.satisfied else 'no'})")
-    if not rep.satisfied:
-        if rep.zero_diagonal_index is not None:
-            print(f"zero diagonal entry at k = {rep.zero_diagonal_index}")
-        print("dominance condition fails; decay bounds not applicable")
-        return 2
     try:
         b, varah = lu_bound(A), varah_bound(A)
     except HypothesisError as exc:

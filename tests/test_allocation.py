@@ -19,6 +19,7 @@ import json
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ import pytest
 
 import greendecay as gd
 from greendecay import lu
+from greendecay.cli import main as cli_main
 
 N, R = 2000, 2
 MIB = 2**20
@@ -264,6 +266,26 @@ class TestMappedArray:
         expected = self.build()
         monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
         self.assert_same_array(expected)
+
+    def test_a_mapping_that_cannot_be_made(self, monkeypatch, tmp_path, capsys):
+        # the path of an order too large for memory: each constructor raises
+        # MemoryError, the reader names the order at its size line
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        with pytest.raises(MemoryError, match=r"^cannot map a float64 array of order 3$"):
+            gd.from_band(np.array([[0.0, 4.0], [1.0, 4.0], [1.0, 4.0]]), 1, 0)
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n% a comment\n3 3 1\n1 1 4.0\n"
+        )
+        message = "cannot allocate a dense matrix of order 3 (line 3)"
+        with pytest.raises(gd.MatrixMarketError, match=rf"^{re.escape(message)}$"):
+            gd.read_matrix_market(path)
+        assert cli_main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def one_sided_with_negative_zero(tmp_path):

@@ -39,10 +39,25 @@ class TestBandedMatrix:
             assert A.entry(i, j) == 10.0 * i + j
         assert np.count_nonzero(A.to_dense()) == len(want)
 
-    @pytest.mark.parametrize("n,rl,ru", [(3, 3, 1), (3, 0, 1), (2, 1, -1), (3, 1, 3)])
+    @pytest.mark.parametrize(
+        "n,rl,ru",
+        [(3, 3, 1), (3, 0, 1), (2, 1, -1), (3, 1, 3),
+         # sizes that are not integers: 1.0 and True compare equal to 1
+         (3, 1, 1.0), (3, 1.0, 1), (3.0, 1, 1), (3, True, 1), (3, 1, False)],
+    )
     def test_make_banded_rejects_bad_dimensions(self, n, rl, ru):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need "):
             gd.make_banded(n, rl, ru, lambda i, j: 1.0)
+        with pytest.raises(ValueError, match="^need "):
+            gd.BandedMatrix(n, rl, ru, 4.0 * np.eye(int(n)))
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    def test_numpy_integer_sizes_are_kept_as_python_ints(self, integer):
+        n, r, s = integer(4), integer(1), integer(2)
+        A = gd.make_banded(n, r, s, lambda i, j: 4.0 if i == j else 1.0)
+        for B in (A, gd.from_band(A.band(), r, s), gd.BandedMatrix(n, r, s, A.to_dense())):
+            assert [type(x) for x in (B.n, B.r_lower, B.r_upper)] == [int, int, int]
+            np.testing.assert_array_equal(B.to_dense(), A.to_dense())
 
     def test_rejects_data_of_another_order(self):
         with pytest.raises(ValueError, match=r"^data shape \(4, 4\) does not match n=3$"):
@@ -189,8 +204,12 @@ class TestFromBand:
             (np.ones((1, 3)), 1, 1, "need N > r_lower >= 1, got N=1, r_lower=1"),
             (np.ones((4, 2)), 0, 1, "need N > r_lower >= 1, got N=4, r_lower=0"),
             (np.ones((3, 5)), 1, 3, "need 0 <= r_upper <= N-1, got r_upper=3, N=3"),
+            (np.ones((3, 3)), 1.0, 1.0,
+             "need integer N, r_lower and r_upper, got N=3, r_lower=1.0, r_upper=1.0"),
+            (np.ones((3, 3)), True, True,
+             "need integer N, r_lower and r_upper, got N=3, r_lower=True, r_upper=True"),
         ],
-        ids=["1-D", "width", "order-1", "r_lower-0", "r_upper-N"],
+        ids=["1-D", "width", "order-1", "r_lower-0", "r_upper-N", "float", "bool"],
     )
     def test_rejects_a_bad_shape_or_bandwidth(self, V, r, s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

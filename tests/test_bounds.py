@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -62,6 +63,25 @@ class TestEvalBound:
     def test_decay_bound_rejects_an_unknown_kind(self):
         with pytest.raises(ValueError, match=r"^unknown bound kind 'XX'$"):
             gd.DecayBound("XX", 0.5, 1)
+
+    @pytest.mark.parametrize("r", [0, -1, 1.5, 2.0, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: gd.dms_rate(1.0, 4.0, r),
+            lambda r: gd.dms_rate(1.0, 4.0, r, definite=False),
+            lambda r: gd.frommer_bound(1.0, 4.0, r),
+            lambda r: gd.chui_hasson_rate(1.0, 4.0, r),
+            lambda r: gd.DecayBound("LU", 0.5, r, M=1.0),
+        ],
+        ids=["dms-spd", "dms-indefinite", "frommer", "chui_hasson", "DecayBound"],
+    )
+    def test_bandwidth_must_be_an_integer_of_at_least_1(self, build, r):
+        # a bad argument, not an unmet hypothesis, and raised before r divides
+        message = f"bandwidth r must be an integer >= 1, got {r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            build(r)
+        assert not isinstance(err.value, gd.HypothesisError)
 
     def test_ex1a_value_at_distance_three(self, ex1a_matrix):
         b = gd.lu_bound(ex1a_matrix)
