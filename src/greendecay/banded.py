@@ -129,9 +129,8 @@ class BandedMatrix:
         return _band_to_dense(self._V, self.r_lower)
 
     def entry(self, i: int, j: int) -> float:
-        """1-based entry access: A(i, j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"indices ({i}, {j}) outside 1..{self.n}")
+        """1-based entry access: A(i, j); IndexError unless i and j are integers in 1..N."""
+        _check_indices(i, j, self.n)
         t = j - i + self.r_lower
         return float(self._V[i - 1, t]) if 0 <= t < self._V.shape[1] else 0.0
 
@@ -195,12 +194,13 @@ def from_band(V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
     it, and A never sees those writes.
     """
     V = np.array(V, dtype=float)
+    if V.ndim == 2:  # the dimensions are integers before the width adds them
+        n, r_lower, r_upper = _check_dimensions(len(V), r_lower, r_upper)
     if V.ndim != 2 or V.shape[1] != r_lower + r_upper + 1:
         raise ValueError(
             f"band array of shape {V.shape} is not (N, r_lower + r_upper + 1) "
             f"for r_lower={r_lower}, r_upper={r_upper}"
         )
-    n, r_lower, r_upper = _check_dimensions(len(V), r_lower, r_upper)
     outside = np.argwhere(~_in_matrix(n, r_lower, r_upper) & (V != 0.0))
     if outside.size:
         i, t = outside[0]
@@ -264,6 +264,14 @@ def _check_dimensions(n: int, r_lower: int, r_upper: int) -> tuple[int, int, int
 def _is_integer(x) -> bool:
     """True for a Python int or a numpy integer; False for a bool, and for 1.0 too."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_indices(i: int, j: int, n: int) -> None:
+    """IndexError unless the 1-based indices i and j are integers in 1..n."""
+    if not (_is_integer(i) and _is_integer(j)):
+        raise IndexError(f"indices must be integers, got ({i!r}, {j!r})")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"indices ({i}, {j}) outside 1..{n}")
 
 
 def _band_to_dense(V: np.ndarray, r_lower: int, out: np.ndarray | None = None) -> np.ndarray:

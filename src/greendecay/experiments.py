@@ -53,6 +53,7 @@ import numpy as np
 from .banded import (
     BandedMatrix,
     DominanceReport,
+    _is_integer,
     dominance_mu,
     from_band,
     from_dense,
@@ -102,9 +103,9 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose one of {EXPERIMENT_NAMES}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.column, (int, np.integer)):
+        if not _is_integer(self.column):
             raise ValueError(f"probe column must be an integer, got {self.column!r}")
         if self.column < 1:
             raise ValueError(f"probe column must be >= 1, got {self.column}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .banded import _check_indices, _is_integer
 from .errors import RegionError
 
 __all__ = [
@@ -87,6 +88,8 @@ class GreenGenerators:
 
     def p(self, i: int) -> np.ndarray:
         """Row generator p(i), i = 1 .. N-r+1 (the last one is r x r)."""
+        if not _is_integer(i):
+            raise IndexError(f"p index must be an integer, got {i!r}")
         k = len(self.p_rows)
         if not 1 <= i <= k + 1:
             raise IndexError(f"p index {i} outside 1..{k + 1}")
@@ -103,7 +106,7 @@ def _transitions(f: np.ndarray) -> np.ndarray:
 
 
 def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
-    """Scalar entry B(i, j) for 1-based indices with j <= i + r - 1.
+    """Scalar entry B(i, j) for 1-based integer indices with j <= i + r - 1.
 
     This is the exact region the generators encode: block column 0 gives
     scalar columns 1..r, block column j - r gives scalar column j, and the
@@ -119,8 +122,7 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     L r u |p||a|...|a||q|, u the unit roundoff.
     """
     n, r = gens.n, gens.r
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"indices ({i}, {j}) outside 1..{n}")
+    _check_indices(i, j, n)
     if j > i + r - 1:
         raise RegionError(
             f"entry ({i}, {j}) with j - i = {j - i} lies outside the represented "

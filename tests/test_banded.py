@@ -96,8 +96,14 @@ class TestBandedMatrix:
 
     def test_entry_is_one_based(self, lower2x2):
         assert lower2x2.entry(2, 1) == 1.0
-        with pytest.raises(IndexError):
+        assert lower2x2.entry(np.int64(2), 1) == 1.0
+        with pytest.raises(IndexError, match=r"^indices \(0, 1\) outside 1\.\.2$"):
             lower2x2.entry(0, 1)
+        for i in (True, 2.0, "2", None):
+            with pytest.raises(IndexError, match=rf"^indices must be integers, got \({i!r}, 1\)$"):
+                lower2x2.entry(i, 1)
+            with pytest.raises(IndexError, match=rf"^indices must be integers, got \(1, {i!r}\)$"):
+                lower2x2.entry(1, i)
 
     def test_from_dense_infers_tightest_band(self):
         W = np.zeros((5, 5))
@@ -208,8 +214,12 @@ class TestFromBand:
              "need integer N, r_lower and r_upper, got N=3, r_lower=1.0, r_upper=1.0"),
             (np.ones((3, 3)), True, True,
              "need integer N, r_lower and r_upper, got N=3, r_lower=True, r_upper=True"),
+            (np.ones((3, 3)), "1", 1,
+             "need integer N, r_lower and r_upper, got N=3, r_lower='1', r_upper=1"),
+            (np.ones((3, 3)), 1, None,
+             "need integer N, r_lower and r_upper, got N=3, r_lower=1, r_upper=None"),
         ],
-        ids=["1-D", "width", "order-1", "r_lower-0", "r_upper-N", "float", "bool"],
+        ids=["1-D", "width", "order-1", "r_lower-0", "r_upper-N", "float", "bool", "str", "None"],
     )
     def test_rejects_a_bad_shape_or_bandwidth(self, V, r, s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,4 +1,4 @@
-"""CLI error handling and the package's import boundaries.
+"""CLI error handling, a repeated run's bytes and the package's import boundaries.
 
 The boundary checks run in fresh processes, so that nothing an earlier test
 imported hides a module that `import greendecay` or a CLI command loads.
@@ -20,12 +20,12 @@ TRIDIAGONAL_MTX = (
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
-    """Run a new interpreter with ``args``, importing this greendecay."""
+    """Run a new interpreter with ``args``, importing this greendecay, at one BLAS thread."""
     src = str(Path(gd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True,
         text=True,
         timeout=120,
@@ -71,6 +71,16 @@ class TestModuleAsScript:
         assert proc.stdout.splitlines()[-1] == (
             "zero diagonal entry at k=2; dominance undefined; decay bounds not applicable"
         )
+
+    def test_a_repeated_run_writes_the_same_bytes(self, tmp_path):
+        # unless PYTHONHASHSEED fixes it, each interpreter draws its own
+        # string hash seed, so an order that hashing decides would differ
+        csvs = [tmp_path / "ex4a.csv", tmp_path / "ex4a-again.csv"]
+        for csv in csvs:
+            proc = fresh("-W", "error", "-m", "greendecay.cli", "run", "ex4a", "--seed", "7",
+                         "--out", str(csv))
+            assert proc.returncode == 0, proc.stderr
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 class TestImportBoundaries:

@@ -18,8 +18,8 @@ TWO_SIDED_MTX = (
     "2 1 1.0\n3 2 1.0\n4 3 -1.0\n5 4 1.0\n1 2 0.5\n"
 )
 
-# the full stdout of `run <name> --out out.csv` (ex4b with --seed 7), byte
-# for byte: the summary line, one line per family and the notes
+# the full stdout of `run <name> --out out.csv` (ex4a and ex4b with
+# --seed 7), byte for byte: the summary line, one line per family and the notes
 RUN_STDOUT = {
     "ex1a": """\
 ex1a: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=yes
@@ -29,6 +29,26 @@ ex1a: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=yes
   dms          M=0.178551, gamma=0.431995
   frommer      M=0.357103, gamma=0.429816
   chui_hasson  gamma=0.736957
+wrote out.csv
+""",
+    "ex1b": """\
+ex1b: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=yes
+  lu           M=0.236261, gamma=0.621447
+  varah        M=0.210526, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.05687 >= 1
+  dms          M=0.178545, gamma=0.851446
+  frommer      M=0.357089, gamma=0.430872
+  chui_hasson  gamma=0.981485
+wrote out.csv
+""",
+    "ex1c": """\
+ex1c: N=50, r_lower=3, r_upper=3, mu=0.24, dominance=yes, symmetric=yes
+  lu           M=0.236261, gamma=0.621447
+  varah        M=0.210526, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.05687 >= 1
+  dms          M=0.177905, gamma=0.856385
+  frommer      M=0.35581, gamma=0.856298
+  chui_hasson  gamma=0.982738
 wrote out.csv
 """,
     "ex1d": """\
@@ -61,6 +81,17 @@ ex5: N=20, r_lower=1, r_upper=19, mu=0.0833332, dominance=yes, symmetric=no
   frommer      not applicable: nonsymmetric matrix; spectrum-based baselines skipped
   chui_hasson  not applicable: nonsymmetric matrix; spectrum-based baselines skipped
   note: generator targets eigenvalue clusters near +-12 via a 0.5 subdiagonal and an exponentially decaying upper part
+wrote out.csv
+""",
+    "ex4a": """\
+ex4a: N=100, r_lower=5, r_upper=99, mu=0.806116, dominance=yes, symmetric=no
+  lu           M=22.2295, gamma=0.95781
+  varah        M=4.71824, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.62016 >= 1
+  dms          not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  frommer      not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  chui_hasson  not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  note: generator targets an eigenvalue regime (ellipse with semiaxes 2 and 1); the concrete matrix entries are one realization of it
 wrote out.csv
 """,
     "ex4b": """\
@@ -294,12 +325,12 @@ class TestRunExperiment:
         assert diag_row["lu"] == rep.families["lu"][0].M
 
     def test_probe_column_out_of_range(self):
-        for column in (77, 2.5, 0):
+        for column in (77, 2.5, 0, True):
             with pytest.raises(ValueError, match="probe column"):
                 gd.run_experiment(gd.ExperimentSpec("ex1a", column=column))
         assert gd.ExperimentSpec("ex1a", column=np.int64(2)).column == 2
 
-    @pytest.mark.parametrize("seed", [-1, 2.5])
+    @pytest.mark.parametrize("seed", [-1, 2.5, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
             gd.run_experiment(gd.ExperimentSpec("ex4a", seed=seed))
@@ -459,7 +490,7 @@ class TestCli:
     @pytest.mark.parametrize("name", list(RUN_STDOUT))
     def test_run_stdout_is_pinned(self, name, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        seed = ["--seed", "7"] if name == "ex4b" else []
+        seed = ["--seed", "7"] if name.startswith("ex4") else []
         assert cli_main(["run", name, *seed, "--out", "out.csv"]) == 0
         assert capsys.readouterr().out == RUN_STDOUT[name]
 
@@ -498,17 +529,20 @@ class TestCli:
         )
         assert captured.err == ""
 
-    def test_bounds_flags_an_overflowing_constant(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body", [
+        "3 3 3\n1 1 1e-320\n2 2 1e-320\n3 3 1e-320\n",
+        # dominant, mu = 0.9, but (1 - mu)(1 - mu^2) min|A(k,k)| underflows to 0
+        "3 3 4\n1 1 5e-324\n2 2 1\n3 3 1\n3 2 0.9\n",
+    ], ids=["subnormal-diagonal", "zero-denominator"])
+    def test_bounds_flags_an_overflowing_constant(self, body, tmp_path, capsys):
         path = tmp_path / "tiny.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n"
-            "3 3 3\n1 1 1e-320\n2 2 1e-320\n3 3 1e-320\n"
-        )
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{body}")
         assert cli_main(["bounds", str(path)]) == 2
         captured = capsys.readouterr()
         assert "LU bound constant M overflows" in captured.out
         assert "not applicable" in captured.out
         assert "inf" not in captured.out + captured.err
+        assert captured.err == ""
 
     def test_bounds_flags_a_zero_diagonal_with_its_step(self, tmp_path, capsys):
         path = tmp_path / "zero.mtx"
@@ -533,6 +567,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unsupported field 'integer'; need real (line 1)\n"
+
+    def test_bounds_rejects_a_non_ascii_byte_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "utf8.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n"
+            + "2 2 4.0 \u00e9\n".encode("utf-8")  # UTF-8 bytes 0xc3 0xa9
+        )
+        assert cli_main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-ASCII byte 0xc3 (line 4)\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_bounds_rejects_non_finite_entries(self, bad, tmp_path, capsys):

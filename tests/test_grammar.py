@@ -7,7 +7,8 @@ comments and blank lines, take values from the ends of the float range
 error line, and print no non-finite number but a mu that is inf; ``bounds``
 rejects only a file that ``read_matrix_market`` rejects. A second
 property scales every entry of a file by 2^k and checks that ``bounds``
-moves by exactly that power of two.
+moves by exactly that power of two. On the seeded N = 512 ex3 stand-in
+that the benchmark reads, the stdout of both commands is pinned.
 
 Examples are derandomized. Tier-1 runs a few hundred; the ``grammar-long``
 profile registered in conftest.py raises the budget for a longer run::
@@ -176,8 +177,8 @@ def assert_scale_covariant(text_at, k):
 
 
 @pytest.fixture(scope="module")
-def ex3_entries(tmp_path_factory):
-    """Header, size line and entries of the seeded N = 512 ex3 stand-in."""
+def ex3_input(tmp_path_factory):
+    """Path of the seeded N = 512 ex3 stand-in that the benchmark reads."""
     sys.path.insert(0, str(BENCHMARKS))
     try:
         from workloads import write_ex3_input
@@ -185,8 +186,42 @@ def ex3_entries(tmp_path_factory):
         sys.path.remove(str(BENCHMARKS))
     path = tmp_path_factory.mktemp("ex3") / "ex3.mtx"
     write_ex3_input(path, 1)
-    lines = [line for line in path.read_text().splitlines() if not line.startswith("% ")]
+    return path
+
+
+@pytest.fixture(scope="module")
+def ex3_entries(ex3_input):
+    """Header, size line and entries of the ex3 stand-in."""
+    lines = [line for line in ex3_input.read_text().splitlines() if not line.startswith("% ")]
     return lines[:2], [line.split() for line in lines[2:]]
+
+
+# the full stdout of `run ex3 --input ex3.mtx --out ex3.csv` and of
+# `bounds ex3.mtx` on the stand-in, byte for byte
+EX3_RUN_STDOUT = """\
+ex3: N=512, r_lower=3, r_upper=5, mu=0.531478, dominance=yes, symmetric=no
+  lu           M=1.04008, gamma=0.810019
+  varah        M=0.581918, gamma=0
+  qr           not applicable: rate degenerate: (mu r sqrt(r))^(1/r) = 1.35089 >= 1
+  dms          not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  frommer      not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+  chui_hasson  not applicable: nonsymmetric matrix; spectrum-based baselines skipped
+wrote ex3.csv
+"""
+EX3_BOUNDS_STDOUT = """\
+N=512, r_lower=3, r_upper=5
+mu = 0.48872172081417353 (satisfied: yes)
+gamma = 0.7876873672930457
+M = 0.7180297076010784
+varah = 0.44115878710545936
+"""
+
+
+def test_run_ex3_and_bounds_on_the_ex3_input_are_pinned(ex3_input, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run = ["run", "ex3", "--input", str(ex3_input), "--out", "ex3.csv"]
+    assert run_cli(run) == (0, EX3_RUN_STDOUT, "")
+    assert run_cli(["bounds", str(ex3_input)]) == (0, EX3_BOUNDS_STDOUT, "")
 
 
 @pytest.mark.parametrize("k", SCALES)

@@ -225,8 +225,17 @@ class TestScalarEntries:
         gd.green_scalar_entry(gens, 10, 10 + r - 1)  # inside
         with pytest.raises(gd.RegionError):
             gd.green_scalar_entry(gens, 10, 10 + r)  # block-diagonal, not encoded
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^indices \(0, 1\) outside 1\.\.50$"):
             gd.green_scalar_entry(gens, 0, 1)
+        with pytest.raises(IndexError, match=r"^p index 0 outside 1\.\.48$"):
+            gens.p(0)
+        for i in (True, 2.0, None):
+            with pytest.raises(IndexError, match=rf"^indices must be integers, got \({i!r}, 1\)$"):
+                gd.green_scalar_entry(gens, i, 1)
+            with pytest.raises(IndexError, match=rf"^indices must be integers, got \(2, {i!r}\)$"):
+                gd.green_scalar_entry(gens, 2, i)
+            with pytest.raises(IndexError, match=rf"^p index must be an integer, got {i!r}$"):
+                gens.p(i)
 
     # Worst measured |gen - inv| / (M gamma^(i-j)): 4.0e-19 by scalar entries
     # and 2.7e-19 by reconstruction, both on ex5 (4.1e-22 on ex1a). Zeroing
