@@ -266,6 +266,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a non-negative integer."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _check_indices(i: int, j: int, n: int) -> None:
     """IndexError unless the 1-based indices i and j are integers in 1..n."""
     if not (_is_integer(i) and _is_integer(j)):
@@ -456,18 +462,19 @@ def _parse_header(line: str) -> str:
     return symmetry
 
 
-def _ascii_lines(fh):
-    """(1-based line number, line) of each line of ``fh``, all of it ASCII.
+def _fields(line: str, lineno: int, what: str, first, second, third) -> tuple:
+    """The three fields of ``line``, read by ``first``, ``second`` and ``third``.
 
-    ``fh`` decodes ASCII with ``errors="surrogateescape"``, which keeps a
-    byte b above 0x7f as the lone surrogate U+DC00 + b, so the first such
-    byte raises MatrixMarketError at its own line.
+    Another number of fields, a ``_`` (Python's int and float read 2_0 as 20)
+    or a field its parser rejects is ``malformed {what}`` at ``lineno``.
     """
-    for lineno, line in enumerate(fh, start=1):
-        if not line.isascii():
-            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
-            raise MatrixMarketError(f"non-ASCII byte 0x{byte:02x}", line=lineno)
-        yield lineno, line
+    parts = line.split()
+    if len(parts) == 3 and "_" not in line:
+        try:
+            return first(parts[0]), second(parts[1]), third(parts[2])
+        except ValueError:
+            pass
+    raise MatrixMarketError(f"malformed {what} {line!r}", line=lineno)
 
 
 def read_matrix_market(path) -> BandedMatrix:
@@ -479,76 +486,57 @@ def read_matrix_market(path) -> BandedMatrix:
     reads as a ``real`` file; the field ``integer`` is rejected.
     Bandwidths are inferred as the tightest values containing all nonzeros
     (with r_lower floored at 1); duplicate coordinates are summed in file
-    order. The file is read line by line, and every entry, every sum and
-    the entry count are checked before
-    anything of order N is allocated; parse failures (an overflowing sum, a
-    byte that is not ASCII and a number with Python's digit-group
-    underscores among them) report the 1-based line number. The sums fill a
-    band array of shape (N, r_lower + r_upper + 1), written once onto the
-    band of the N x N array as in ``make_banded``; an order too large to
-    allocate either is a MatrixMarketError.
+    order. The file is read in one pass, and every entry, every sum and the
+    entry count are checked before anything of order N is allocated; parse
+    failures (an overflowing sum, a byte that is not ASCII and a number with
+    Python's digit-group underscores among them) report the 1-based line
+    number. The sums fill a band array of shape (N, r_lower + r_upper + 1),
+    written once onto the band of the N x N array as in ``make_banded``; an
+    order too large to allocate either is a MatrixMarketError.
     """
+    lineno, seen, size_lineno = 0, 0, None
+    # running sum of each 1-based (row, col), added in file order from 0.0
+    sums: dict[tuple[int, int], float] = {}
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        lines = _ascii_lines(fh)
-        _, header = next(lines, (1, ""))
-        if not header:
-            raise MatrixMarketError("empty file", line=1)
-        symmetry = _parse_header(header)
-
-        lineno = 1
-        size_line = None
-        for lineno, raw in lines:
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("%"):
-                size_line = stripped
-                break
-        if size_line is None:
-            raise MatrixMarketError("missing size line", line=lineno)
-        parts = size_line.split()
-        # Python's int and float would read the digit groups of 2_0 as 20
-        if len(parts) != 3 or "_" in size_line:
-            raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
-        try:
-            nrows, ncols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise MatrixMarketError(f"malformed size line {size_line!r}", line=lineno)
-        if nrows != ncols:
-            raise MatrixMarketError(
-                f"matrix is not square: {nrows} x {ncols}", line=lineno
-            )
-        if nrows < 2:
-            raise MatrixMarketError(f"order must be at least 2, got {nrows}", line=lineno)
-        size_lineno = lineno
-
-        # running sum of each 1-based (row, col), added in file order from 0.0
-        sums: dict[tuple[int, int], float] = {}
-        seen = 0
-        for lineno, raw in lines:
-            stripped = raw.strip()
+        for lineno, line in enumerate(fh, start=1):
+            # surrogateescape keeps a byte b above 0x7f as the lone surrogate U+DC00 + b
+            if not line.isascii():
+                byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+                raise MatrixMarketError(f"non-ASCII byte 0x{byte:02x}", line=lineno)
+            if lineno == 1:
+                symmetric = _parse_header(line) == "symmetric"
+                continue
+            stripped = line.strip()
             if not stripped or stripped.startswith("%"):
                 continue
-            parts = stripped.split()
-            if len(parts) != 3 or "_" in stripped:
-                raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                v = float(parts[2])
-            except ValueError:
-                raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno)
+            if size_lineno is None:
+                nrows, ncols, nnz = _fields(stripped, lineno, "size line", int, int, int)
+                if nrows != ncols:
+                    raise MatrixMarketError(
+                        f"matrix is not square: {nrows} x {ncols}", line=lineno
+                    )
+                if nrows < 2:
+                    raise MatrixMarketError(f"order must be at least 2, got {nrows}", line=lineno)
+                size_lineno = lineno
+                continue
+            i, j, v = _fields(stripped, lineno, "entry", int, int, float)
             if not math.isfinite(v):
                 raise MatrixMarketError(
-                    f"entry ({i}, {j}) is {parts[2]}; entries must be finite", line=lineno
+                    f"entry ({i}, {j}) is {stripped.split()[2]}; entries must be finite",
+                    line=lineno,
                 )
             if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(
-                    f"index ({i}, {j}) outside 1..{nrows}", line=lineno
-                )
-            mirror = symmetry == "symmetric" and i != j
+                raise MatrixMarketError(f"index ({i}, {j}) outside 1..{nrows}", line=lineno)
+            mirror = symmetric and i != j
             for key in ((i, j), (j, i))[: 1 + mirror]:
                 sums[key] = total = sums.get(key, 0.0) + v
                 if not math.isfinite(total):
                     raise MatrixMarketError(f"entry {key} overflows to {total}", line=lineno)
             seen += 1
+    if lineno == 0:
+        raise MatrixMarketError("empty file", line=1)
+    if size_lineno is None:
+        raise MatrixMarketError("missing size line", line=lineno)
     if seen != nnz:
         raise MatrixMarketError(f"expected {nnz} entries, found {seen}")
     # the tightest band holding every nonzero sum, as from_dense infers it;

@@ -53,6 +53,7 @@ import numpy as np
 from .banded import (
     BandedMatrix,
     DominanceReport,
+    _check_seed,
     _is_integer,
     dominance_mu,
     from_band,
@@ -103,8 +104,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose one of {EXPERIMENT_NAMES}"
             )
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if not _is_integer(self.column):
             raise ValueError(f"probe column must be an integer, got {self.column!r}")
         if self.column < 1:

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .banded import BandedMatrix, dominance_mu, from_dense
+from .banded import BandedMatrix, _check_seed, _is_integer, dominance_mu, from_dense
 from .bounds import lu_bound, varah_bound
 from .ensembles import dominant_ensemble
 from .green import reconstruct_lower
@@ -104,8 +104,9 @@ def invariants(mats: Iterable[BandedMatrix]) -> dict[str, float]:
 
 def run_all(trials: int = 20, seed: int = 20260810, verbose: bool = True) -> bool:
     """Run every invariant check; returns True when all pass."""
-    if trials < 1:
-        raise ValueError(f"verify needs at least one trial, got {trials}")
+    if not _is_integer(trials) or trials < 1:
+        raise ValueError(f"verify needs at least one trial, got {trials!r}")
+    _check_seed(seed)
     worst = invariants(dominant_ensemble(trials, seed, n_max=80, r_max=6))
     passed = 0
     for key, name, limit in CHECKS:

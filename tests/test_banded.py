@@ -340,22 +340,34 @@ class TestMatrixMarket:
         assert (A.r_lower, A.r_upper) == (1, 0)
 
     @pytest.mark.parametrize(
-        "size, entries, line",
+        "size, entries, message",
         [
-            ("2 2 2", "1 1 2.0\n2 oops 2.0", 4),
+            ("2 2 2", "1 1 2.0\n2 oops 2.0", "malformed entry '2 oops 2.0' (line 4)"),
             # Python's int and float read 2_0 as 20
-            ("2_0 20 1", "1 1 1.0", 2),
-            ("20 20 1", "2_0 1 1.0", 3),
-            ("20 20 1", "1 1 1_0.5", 3),
-            ("3 3 x", "1 1 1.0", 2),
+            ("2_0 20 1", "1 1 1.0", "malformed size line '2_0 20 1' (line 2)"),
+            ("20 20 1", "2_0 1 1.0", "malformed entry '2_0 1 1.0' (line 3)"),
+            ("20 20 1", "1 1 1_0.5", "malformed entry '1 1 1_0.5' (line 3)"),
+            ("3 3 x", "1 1 1.0", "malformed size line '3 3 x' (line 2)"),
+            ("2 2", "1 1 1.0", "malformed size line '2 2' (line 2)"),
+            ("2 2 1 1", "1 1 1.0", "malformed size line '2 2 1 1' (line 2)"),
+            ("2 2 1", "1 1", "malformed entry '1 1' (line 3)"),
+            ("2 2 1", "1 1 1.0 2.0", "malformed entry '1 1 1.0 2.0' (line 3)"),
+            # indices are integers, whatever float would make of them
+            ("2 2 1", "1.5 1 1.0", "malformed entry '1.5 1 1.0' (line 3)"),
+            ("2 2 1", "1e3 1 1.0", "malformed entry '1e3 1 1.0' (line 3)"),
+            ("2 2 1", "1 1 0x1p3", "malformed entry '1 1 0x1p3' (line 3)"),
+            # not malformed: the finiteness message keeps the raw token
+            ("2 2 1", "1 1 NaN", "entry (1, 1) is NaN; entries must be finite (line 3)"),
         ],
-        ids=["word", "size-underscore", "index-underscore", "value-underscore", "size-word"],
+        ids=["word", "size-underscore", "index-underscore", "value-underscore", "size-word",
+             "size-2-fields", "size-4-fields", "entry-2-fields", "entry-4-fields",
+             "index-1.5", "index-1e3", "value-hex", "value-NaN"],
     )
-    def test_parse_error_carries_line_number(self, tmp_path, size, entries, line):
+    def test_parse_error_carries_line_number(self, tmp_path, size, entries, message):
         path = self._write(
             tmp_path, f"%%MatrixMarket matrix coordinate real general\n{size}\n{entries}\n"
         )
-        with pytest.raises(gd.MatrixMarketError, match=rf"^malformed .*\(line {line}\)$"):
+        with pytest.raises(gd.MatrixMarketError, match=rf"^{re.escape(message)}$"):
             gd.read_matrix_market(path)
 
     @pytest.mark.parametrize(
@@ -381,8 +393,11 @@ class TestMatrixMarket:
             ("", "empty file (line 1)"),
             ("%%MatrixMarket matrix coordinate real general\n% only a comment\n",
              "missing size line (line 2)"),
+            # the line reported is the last one read
+            ("%%MatrixMarket matrix coordinate real general\n% c\n\n   \n",
+             "missing size line (line 4)"),
         ],
-        ids=["empty", "no-size-line"],
+        ids=["empty", "no-size-line", "no-size-line-after-blanks"],
     )
     def test_rejects_a_file_without_a_size_line(self, tmp_path, text, message):
         path = self._write(tmp_path, text)

@@ -735,8 +735,9 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: unknown experiment 'nope'; choose one of (")
 
-    def test_negative_seed_is_an_error(self, capsys):
-        assert cli_main(["run", "ex4a", "--seed", "-1"]) == 1
+    @pytest.mark.parametrize("command", [["run", "ex4a"], ["verify"]], ids=["run", "verify"])
+    def test_negative_seed_is_an_error(self, command, capsys):
+        assert cli_main([*command, "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be a non-negative integer, got -1\n"

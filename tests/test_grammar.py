@@ -7,7 +7,9 @@ comments and blank lines, take values from the ends of the float range
 error line, and print no non-finite number but a mu that is inf; ``bounds``
 rejects only a file that ``read_matrix_market`` rejects. A second
 property scales every entry of a file by 2^k and checks that ``bounds``
-moves by exactly that power of two. On the seeded N = 512 ex3 stand-in
+moves by exactly that power of two. A third replaces the size line or
+one entry of a file with a malformed line, which the reader must reject
+with its text and its line number. On the seeded N = 512 ex3 stand-in
 that the benchmark reads, the stdout of both commands is pinned.
 
 Examples are derandomized. Tier-1 runs a few hundred; the ``grammar-long``
@@ -26,10 +28,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
-from greendecay import read_matrix_market
+from greendecay import MatrixMarketError, read_matrix_market
 from greendecay.cli import main as cli_main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -150,6 +152,45 @@ def test_every_file_is_handled_or_rejected_with_one_error_line(f):
             for row in rows:
                 for cell in row.split(","):
                     assert FINITE_CELL.fullmatch(cell), row
+
+
+@st.composite
+def malformed_lines(draw):
+    """A line that is neither a size line nor an entry: 2 or 4 integer
+    fields, or 3 with one a word, a digit group with ``_`` or, as an index,
+    a number that only float reads."""
+    fields = [str(draw(st.integers(1, 7))) for _ in range(draw(st.sampled_from([2, 3, 4])))]
+    if len(fields) == 3:
+        pos = draw(st.integers(0, 2))
+        # the value field reads 1.5 and 1e3, so they replace indices only
+        bad = ["x", "oops", "1_0", "2_0.5"] + (["1.5", "1e3"] if pos < 2 else [])
+        fields[pos] = draw(st.sampled_from(bad))
+    return " ".join(fields)
+
+
+@GRAMMAR
+@given(f=mtx_files(), bad=malformed_lines(), data=st.data())
+def test_a_malformed_line_is_rejected_at_its_own_line(f, bad, data):
+    text = render(f)
+    lines = text.splitlines()
+    # line numbers of the size line and the entries, past comments and blanks
+    body = [k for k, line in enumerate(lines[1:], start=2)
+            if line.strip() and not line.strip().startswith("%")]
+    k = data.draw(st.sampled_from(body), label="k")
+    lines[k - 1] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        clean, corrupt = Path(tmp) / "clean.mtx", Path(tmp) / "corrupt.mtx"
+        clean.write_text(text, encoding="ascii")
+        corrupt.write_text("\n".join(lines) + "\n", encoding="ascii")
+        try:
+            read_matrix_market(clean)
+        except MatrixMarketError:
+            reject()  # a sum that overflows: the corrupted file may fail first
+        # every line before k is the clean file's, so nothing fails earlier
+        with pytest.raises(MatrixMarketError) as exc:
+            read_matrix_market(corrupt)
+    what = "size line" if k == body[0] else "entry"
+    assert str(exc.value) == f"malformed {what} {bad!r} (line {k})"
 
 
 def scaled_bounds(text: str, k: int) -> tuple[int, str]:
