@@ -116,8 +116,9 @@ class BandedMatrix:
         ``V[i, t] = A(i, i + t - r_lower)`` (0-based), the row-wise form of
         LAPACK's band storage; entries outside the matrix, the ``pad`` rows
         at the bottom among them, are zero. The array is the caller's to
-        overwrite.
+        overwrite. ``pad`` is an integer >= 0; anything else is a ValueError.
         """
+        pad = _check_int("pad", pad, 0)
         return np.concatenate((self._V, np.zeros((pad, self._V.shape[1]))))
 
     def to_dense(self) -> np.ndarray:
@@ -130,7 +131,8 @@ class BandedMatrix:
 
     def entry(self, i: int, j: int) -> float:
         """1-based entry access: A(i, j); IndexError unless i and j are integers in 1..N."""
-        _check_indices(i, j, self.n)
+        i = _check_int("index i", i, 1, self.n, IndexError)
+        j = _check_int("index j", j, 1, self.n, IndexError)
         t = j - i + self.r_lower
         return float(self._V[i - 1, t]) if 0 <= t < self._V.shape[1] else 0.0
 
@@ -266,18 +268,13 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless ``seed`` is a non-negative integer."""
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def _check_indices(i: int, j: int, n: int) -> None:
-    """IndexError unless the 1-based indices i and j are integers in 1..n."""
-    if not (_is_integer(i) and _is_integer(j)):
-        raise IndexError(f"indices must be integers, got ({i!r}, {j!r})")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"indices ({i}, {j}) outside 1..{n}")
+def _check_int(name: str, value, low: int, high: int | None = None, error=ValueError) -> int:
+    """``value`` as a Python int; ``error`` unless it is an integer (by
+    :func:`_is_integer`) in low..high, or >= low when ``high`` is None."""
+    if _is_integer(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise error(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _band_to_dense(V: np.ndarray, r_lower: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -42,8 +42,8 @@ from .banded import (
     BandedMatrix,
     DominanceReport,
     _band_column_sums,
+    _check_int,
     _diagonal,
-    _is_integer,
     dominance_mu,
 )
 from .errors import DominanceError, HypothesisError
@@ -83,19 +83,11 @@ class DecayBound:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-        _check_bandwidth(self.r)
+        _check_int("bandwidth r", self.r, 1)
         if not 0.0 <= self.gamma < 1.0:
             raise HypothesisError(f"decay rate must satisfy 0 <= gamma < 1, got {self.gamma}")
         if self.M is not None and not 0.0 < self.M < math.inf:
             raise HypothesisError(f"constant must be positive and finite, got {self.M}")
-
-
-def _check_bandwidth(r: int) -> int:
-    """r as a Python int; ValueError (a bad argument, not an unmet hypothesis)
-    unless the bandwidth r is an integer >= 1."""
-    if not (_is_integer(r) and r >= 1):
-        raise ValueError(f"bandwidth r must be an integer >= 1, got {r!r}")
-    return int(r)
 
 
 def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
@@ -104,9 +96,11 @@ def eval_bound(bound: DecayBound, i: int, j: int) -> float | None:
     Region and exponent d of M * gamma^d by family: LU and QR on i >= j with
     d = i - j; Frommer on |i-j| >= r with d = |i-j| - r; Varah everywhere
     with d = 0; DMS and Chui-Hasson everywhere with d = |i-j|. Chui-Hasson
-    returns the bare rate power gamma^|i-j| (constant-free).
+    returns the bare rate power gamma^|i-j| (constant-free). i and j are
+    integers >= 1; anything else is an IndexError.
     """
-    d = i - j
+    i = _check_int("index i", i, 1, error=IndexError)
+    d = i - _check_int("index j", j, 1, error=IndexError)
     if bound.kind in ("LU", "QR"):
         if d < 0:
             return None
@@ -283,7 +277,7 @@ def dms_rate(a: float, b: float, r: int, definite: bool = True) -> DecayBound:
     largest float, where the rate rounds to 1 (HypothesisError) instead of
     reading inf/inf = NaN.
     """
-    r = _check_bandwidth(r)
+    r = _check_int("bandwidth r", r, 1)
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
     kappa = min(b / a, sys.float_info.max)
@@ -305,7 +299,7 @@ def frommer_bound(lambda1: float, lambda_nm1: float, r: int) -> DecayBound:
     C = 2/lambda1 and q1 = (sqrt(ke)-1)/(sqrt(ke)+1), ke = lambda_nm1/lambda1;
     a ke past the float range counts as the largest float, as in :func:`dms_rate`.
     """
-    r = _check_bandwidth(r)
+    r = _check_int("bandwidth r", r, 1)
     if not 0.0 < lambda1 <= lambda_nm1:
         raise ValueError(
             f"need 0 < lambda1 <= lambda_(N-1), got {lambda1}, {lambda_nm1}"
@@ -323,7 +317,7 @@ def chui_hasson_rate(a: float, b: float, r: int) -> DecayBound:
     returns the bare rate power. The rate is formed from b/2 and a/2, so a
     b + a past the float range gives no rate of 0.
     """
-    r = _check_bandwidth(r)
+    r = _check_int("bandwidth r", r, 1)
     if not 0.0 < a <= b:
         raise ValueError(f"need spectrum endpoints 0 < a <= b, got a={a}, b={b}")
     # halves, whose sum stays finite where b + a overflows; halving is exact

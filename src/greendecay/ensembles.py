@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .banded import BandedMatrix
+from .banded import BandedMatrix, _check_int
 
 __all__ = ["random_dominant_matrix", "dominant_ensemble"]
 
@@ -24,12 +24,18 @@ def random_dominant_matrix(
     upper triangle for one-sided draws); each diagonal entry is scaled so its
     column ratio is a random fraction of ``mu_target``, with one column
     pinned at ``mu_target``, and given a random sign. Mixed-sign, one- and
-    two-sided cases are all exercised.
+    two-sided cases are all exercised. An ``n`` that is given is an integer
+    >= 2, and an ``r_lower`` that is given an integer in 1..n-1; anything
+    else is a ValueError.
     """
     if n is None:
         n = int(rng.integers(8, n_max + 1))
+    else:
+        n = _check_int("n", n, 2)
     if r_lower is None:
         r_lower = int(rng.integers(1, min(r_max, n - 1) + 1))
+    else:
+        r_lower = _check_int("r_lower", r_lower, 1, n - 1)
     if one_sided is None:
         one_sided = bool(rng.random() < 0.5)
     r_upper = n - 1 if one_sided else int(rng.integers(0, min(r_max, n - 1) + 1))
@@ -60,9 +66,11 @@ def dominant_ensemble(
     """A reproducible list of random dominant matrices.
 
     ``pinned`` entries (n, r_lower, one_sided) are generated first, so a
-    sweep always contains the extreme sizes it claims to cover.
+    sweep always contains the extreme sizes it claims to cover. ``count``
+    and ``seed`` are integers >= 0; anything else is a ValueError.
     """
-    rng = np.random.default_rng(seed)
+    count = _check_int("count", count, 0)
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     mats = [
         random_dominant_matrix(rng, n=n, r_lower=r, one_sided=os)
         for n, r, os in pinned

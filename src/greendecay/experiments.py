@@ -37,11 +37,12 @@ ex5    20 x 20 one-sided Hessenberg: subdiagonal 0.5, upper part
        0.5 * 2^-(j-i), diagonal +12 / -12 in two blocks (eigenvalues
        clustered near +-12).
 
+ex1a and ex5 sample their entries inside the band with ``make_banded``.
 ex1b-ex1d and ex3 change only the diagonal: they edit the diagonal column
 of the band array of ex1a or of the file's matrix and build from it with
 ``from_band``, with no dense copy. ex2 edits entries off the diagonal, so
-it keeps the dense route (``to_dense``, then ``from_dense``), as ex4a,
-ex4b and ex5, which are built dense, do.
+it keeps the dense route (``to_dense``, then ``from_dense``), as ex4a and
+ex4b, which are built dense, do.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ import numpy as np
 from .banded import (
     BandedMatrix,
     DominanceReport,
-    _check_seed,
-    _is_integer,
+    _check_int,
     dominance_mu,
     from_band,
     from_dense,
@@ -91,7 +91,9 @@ CSV_COLUMNS = ("i", "j", "exact", "lu", "qr", "varah", "dms", "frommer", "chui_h
 class ExperimentSpec:
     """Which experiment to run, with seed, probe column, and input file.
 
-    Only ex3 reads a file, and only ex3 takes an ``input_path``.
+    Only ex3 reads a file, and only ex3 takes an ``input_path``. ``seed`` is
+    an integer >= 0 and ``column`` an integer >= 1 (and at most N, which
+    :func:`run_experiment` checks); anything else is a ValueError.
     """
 
     name: str
@@ -104,11 +106,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose one of {EXPERIMENT_NAMES}"
             )
-        _check_seed(self.seed)
-        if not _is_integer(self.column):
-            raise ValueError(f"probe column must be an integer, got {self.column!r}")
-        if self.column < 1:
-            raise ValueError(f"probe column must be >= 1, got {self.column}")
+        _check_int("seed", self.seed, 0)
+        _check_int("probe column", self.column, 1)
         if self.input_path is not None and self.name != "ex3":
             raise ValueError(f"experiment {self.name!r} reads no input file; only ex3 does")
 
@@ -194,15 +193,12 @@ def _ex4b(spec: ExperimentSpec) -> BandedMatrix:
 
 
 def _ex5(spec: ExperimentSpec) -> BandedMatrix:
-    n = 20
-    W = np.zeros((n, n))
-    for i in range(n):
-        W[i, i] = 12.0 if i < n // 2 else -12.0
-        for j in range(i + 1, n):
-            W[i, j] = 0.5 * 2.0 ** (-(j - i))
-        if i + 1 < n:
-            W[i + 1, i] = 0.5
-    return from_dense(W, r_lower=1, r_upper=n - 1)
+    def entry(i: int, j: int) -> float:
+        if i == j:
+            return 12.0 if i <= 10 else -12.0
+        return 0.5 if i > j else 0.5 * 2.0 ** (-(j - i))  # i > j is the subdiagonal
+
+    return make_banded(20, 1, 19, entry)
 
 
 # every experiment in the paper's order: its recipe and its report note
@@ -314,14 +310,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     A = generate(spec)
     n = A.n
-    if spec.column > n:
-        raise ValueError(f"probe column {spec.column} exceeds N = {n}")
+    j = _check_int("probe column", spec.column, 1, n)
     D = A.to_dense()
     inv = dense_inverse(D)
     rep = dominance_mu(A)
     symmetric = A.is_symmetric()
     table = _bound_table(A, symmetric_spectrum(D) if symmetric else None)
-    j = spec.column
     rows = tuple(
         {
             "i": i,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import _check_indices, _is_integer
+from .banded import _check_int
 from .errors import RegionError
 
 __all__ = [
@@ -87,12 +87,10 @@ class GreenGenerators:
         return len(self.bottom)
 
     def p(self, i: int) -> np.ndarray:
-        """Row generator p(i), i = 1 .. N-r+1 (the last one is r x r)."""
-        if not _is_integer(i):
-            raise IndexError(f"p index must be an integer, got {i!r}")
+        """Row generator p(i) (the last one is r x r); IndexError unless i is
+        an integer in 1..N-r+1."""
         k = len(self.p_rows)
-        if not 1 <= i <= k + 1:
-            raise IndexError(f"p index {i} outside 1..{k + 1}")
+        i = _check_int("p index", i, 1, k + 1, IndexError)
         return self.p_rows[i - 1 : i] if i <= k else self.bottom
 
 
@@ -106,7 +104,9 @@ def _transitions(f: np.ndarray) -> np.ndarray:
 
 
 def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
-    """Scalar entry B(i, j) for 1-based integer indices with j <= i + r - 1.
+    """Scalar entry B(i, j) for 1-based indices with j <= i + r - 1.
+
+    i and j are integers in 1..N; anything else is an IndexError.
 
     This is the exact region the generators encode: block column 0 gives
     scalar columns 1..r, block column j - r gives scalar column j, and the
@@ -122,7 +122,8 @@ def green_scalar_entry(gens: GreenGenerators, i: int, j: int) -> float:
     L r u |p||a|...|a||q|, u the unit roundoff.
     """
     n, r = gens.n, gens.r
-    _check_indices(i, j, n)
+    i = _check_int("index i", i, 1, n, IndexError)
+    j = _check_int("index j", j, 1, n, IndexError)
     if j > i + r - 1:
         raise RegionError(
             f"entry ({i}, {j}) with j - i = {j - i} lies outside the represented "

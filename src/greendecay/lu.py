@@ -77,7 +77,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .banded import BandedMatrix, _band_to_dense
+from .banded import BandedMatrix, _band_to_dense, _check_int
 from .errors import ZeroPivotError
 from .green import GreenGenerators
 
@@ -543,11 +543,11 @@ def schur_complement(A: BandedMatrix, ell: int) -> np.ndarray:
     the order-r band declaration. The elimination runs on the band work
     array of :func:`structured_lu`; only the trailing block is expanded. A
     pivot that fails its test raises ZeroPivotError at its step, and so does
-    an inf or NaN that no pivot has met, at step ell.
+    an inf or NaN that no pivot has met, at step ell. ``ell`` is an integer
+    in 1..N-r; anything else is a ValueError.
     """
     n, r = A.n, A.r_lower
-    if not 1 <= ell <= n - r:
-        raise ValueError(f"need 1 <= ell <= N - r = {n - r}, got {ell}")
+    ell = _check_int("ell", ell, 1, n - r)
     W = A.band(r)
     _eliminate(W, r, A.r_upper, ell)
     if not np.isfinite(W).all():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import greendecay as gd
+from greendecay.verify import run_all
 
 RNG = np.random.default_rng(42)
 
@@ -97,12 +98,11 @@ class TestBandedMatrix:
     def test_entry_is_one_based(self, lower2x2):
         assert lower2x2.entry(2, 1) == 1.0
         assert lower2x2.entry(np.int64(2), 1) == 1.0
-        with pytest.raises(IndexError, match=r"^indices \(0, 1\) outside 1\.\.2$"):
-            lower2x2.entry(0, 1)
-        for i in (True, 2.0, "2", None):
-            with pytest.raises(IndexError, match=rf"^indices must be integers, got \({i!r}, 1\)$"):
+        for i in (0, 3, True, 2.0, "2", None):
+            text = re.escape(f"must be an integer in 1..2, got {i!r}")
+            with pytest.raises(IndexError, match=f"^index i {text}$"):
                 lower2x2.entry(i, 1)
-            with pytest.raises(IndexError, match=rf"^indices must be integers, got \(1, {i!r}\)$"):
+            with pytest.raises(IndexError, match=f"^index j {text}$"):
                 lower2x2.entry(1, i)
 
     def test_from_dense_infers_tightest_band(self):
@@ -565,3 +565,80 @@ class TestMatrixMarket:
         )
         with pytest.raises(gd.MatrixMarketError, match="malformed entry.*line 4"):
             gd.read_matrix_market(path)
+
+
+# One integer rule for every count and index the public API takes: each
+# argument below, given 2.0, True, "1", None or a value just outside its
+# range, raises its error with the text "<name> must be an integer in
+# low..high" (or ">= low"), and takes a numpy integer. random_dominant_matrix
+# draws an n or r_lower of None, so only given ones are checked. The calls
+# read a 6 x 6 band A with r = 2, its generators and its LU bound.
+_A = gd.make_banded(6, 2, 1, lambda i, j: 4.0 if i == j else 0.5)
+_GENS = gd.inverse_green_generators(_A)
+_LU = gd.lu_bound(_A)
+
+
+def _run_column(column):
+    """run_experiment's own check of the probe column against N, past the spec's."""
+    spec = gd.ExperimentSpec("ex1a")
+    object.__setattr__(spec, "column", column)
+    return gd.run_experiment(spec)
+
+
+INTEGER_ARGUMENTS = {
+    # id: (call with the value, error type, name, low, high or None)
+    "ExperimentSpec-seed": (
+        lambda v: gd.ExperimentSpec("ex4a", seed=v), ValueError, "seed", 0, None
+    ),
+    "ExperimentSpec-column": (
+        lambda v: gd.ExperimentSpec("ex1a", column=v), ValueError, "probe column", 1, None
+    ),
+    "run_experiment-column": (_run_column, ValueError, "probe column", 1, 50),
+    "run_all-trials": (lambda v: run_all(v, 5, verbose=False), ValueError, "trials", 1, None),
+    "run_all-seed": (lambda v: run_all(1, v, verbose=False), ValueError, "seed", 0, None),
+    "dominant_ensemble-count": (lambda v: gd.dominant_ensemble(v, 1), ValueError, "count", 0, None),
+    "dominant_ensemble-seed": (lambda v: gd.dominant_ensemble(1, v), ValueError, "seed", 0, None),
+    "random_dominant_matrix-n": (
+        lambda v: gd.random_dominant_matrix(np.random.default_rng(1), n=v), ValueError, "n", 2, None
+    ),
+    "random_dominant_matrix-r_lower": (
+        lambda v: gd.random_dominant_matrix(np.random.default_rng(1), n=6, r_lower=v),
+        ValueError, "r_lower", 1, 5,
+    ),
+    "DecayBound-r": (
+        lambda v: gd.DecayBound("LU", 0.5, v, M=1.0), ValueError, "bandwidth r", 1, None
+    ),
+    "dms_rate-r": (lambda v: gd.dms_rate(1.0, 4.0, v), ValueError, "bandwidth r", 1, None),
+    "frommer_bound-r": (
+        lambda v: gd.frommer_bound(1.0, 4.0, v), ValueError, "bandwidth r", 1, None
+    ),
+    "chui_hasson_rate-r": (
+        lambda v: gd.chui_hasson_rate(1.0, 4.0, v), ValueError, "bandwidth r", 1, None
+    ),
+    "entry-i": (lambda v: _A.entry(v, 1), IndexError, "index i", 1, 6),
+    "entry-j": (lambda v: _A.entry(1, v), IndexError, "index j", 1, 6),
+    "green_scalar_entry-i": (
+        lambda v: gd.green_scalar_entry(_GENS, v, 1), IndexError, "index i", 1, 6
+    ),
+    "green_scalar_entry-j": (
+        lambda v: gd.green_scalar_entry(_GENS, 6, v), IndexError, "index j", 1, 6
+    ),
+    "GreenGenerators.p-i": (lambda v: _GENS.p(v), IndexError, "p index", 1, 5),
+    "schur_complement-ell": (lambda v: gd.schur_complement(_A, v), ValueError, "ell", 1, 4),
+    "band-pad": (lambda v: _A.band(v), ValueError, "pad", 0, None),
+    "eval_bound-i": (lambda v: gd.eval_bound(_LU, v, 1), IndexError, "index i", 1, None),
+    "eval_bound-j": (lambda v: gd.eval_bound(_LU, 6, v), IndexError, "index j", 1, None),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_every_count_and_index_is_an_integer_in_its_range(argument):
+    call, error, name, low, high = INTEGER_ARGUMENTS[argument]
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    drawn = argument.startswith("random_dominant_matrix")
+    for value in [2.0, True, "1", *([] if drawn else [None]), low - 1,
+                  *([] if high is None else [high + 1])]:
+        message = f"{name} must be an integer {span}, got {value!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(value)
+    call(np.int64(low))  # a numpy integer is accepted

@@ -64,7 +64,7 @@ class TestEvalBound:
         with pytest.raises(ValueError, match=r"^unknown bound kind 'XX'$"):
             gd.DecayBound("XX", 0.5, 1)
 
-    @pytest.mark.parametrize("r", [0, -1, 1.5, 2.0, True])
+    @pytest.mark.parametrize("r", [0, -1, 1.5, 2.0, True, "1", None])
     @pytest.mark.parametrize(
         "build",
         [
@@ -78,7 +78,7 @@ class TestEvalBound:
     )
     def test_bandwidth_must_be_an_integer_of_at_least_1(self, build, r):
         # a bad argument, not an unmet hypothesis, and raised before r divides
-        message = f"bandwidth r must be an integer >= 1, got {r}"
+        message = f"bandwidth r must be an integer >= 1, got {r!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
             build(r)
         assert not isinstance(err.value, gd.HypothesisError)

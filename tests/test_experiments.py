@@ -332,7 +332,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("seed", [-1, 2.5, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
             gd.run_experiment(gd.ExperimentSpec("ex4a", seed=seed))
         assert gd.ExperimentSpec("ex4a", seed=np.int64(7)).seed == 7
 
@@ -740,7 +740,7 @@ class TestCli:
         assert cli_main([*command, "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
 
     def test_run_without_any_applicable_family_exits_2(
         self, tmp_path, capsys, monkeypatch

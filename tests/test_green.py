@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -225,17 +226,19 @@ class TestScalarEntries:
         gd.green_scalar_entry(gens, 10, 10 + r - 1)  # inside
         with pytest.raises(gd.RegionError):
             gd.green_scalar_entry(gens, 10, 10 + r)  # block-diagonal, not encoded
-        with pytest.raises(IndexError, match=r"^indices \(0, 1\) outside 1\.\.50$"):
-            gd.green_scalar_entry(gens, 0, 1)
-        with pytest.raises(IndexError, match=r"^p index 0 outside 1\.\.48$"):
-            gens.p(0)
-        for i in (True, 2.0, None):
-            with pytest.raises(IndexError, match=rf"^indices must be integers, got \({i!r}, 1\)$"):
+        for i in (0, True, 2.0, None):
+            text = f"must be an integer in 1..50, got {i!r}"
+            with pytest.raises(IndexError, match=f"^index i {re.escape(text)}$"):
                 gd.green_scalar_entry(gens, i, 1)
-            with pytest.raises(IndexError, match=rf"^indices must be integers, got \(2, {i!r}\)$"):
+            with pytest.raises(IndexError, match=f"^index j {re.escape(text)}$"):
                 gd.green_scalar_entry(gens, 2, i)
-            with pytest.raises(IndexError, match=rf"^p index must be an integer, got {i!r}$"):
+            text = f"p index must be an integer in 1..48, got {i!r}"
+            with pytest.raises(IndexError, match=f"^{re.escape(text)}$"):
                 gens.p(i)
+        with pytest.raises(IndexError, match=r"^index i must be an integer in 1\.\.50, got 51$"):
+            gd.green_scalar_entry(gens, 51, 1)
+        with pytest.raises(IndexError, match=r"^p index must be an integer in 1\.\.48, got 49$"):
+            gens.p(49)
 
     # Worst measured |gen - inv| / (M gamma^(i-j)): 4.0e-19 by scalar entries
     # and 2.7e-19 by reconstruction, both on ex5 (4.1e-22 on ex1a). Zeroing

@@ -713,9 +713,10 @@ class TestSchurComplement:
                 np.testing.assert_array_equal(T, dense_elimination(D, ell)[ell:, ell:])
                 np.testing.assert_array_equal(T[r:], D[ell + r :, ell:])
 
-    @pytest.mark.parametrize("ell", [0, -1, 100])
+    @pytest.mark.parametrize("ell", [0, -1, 3, 100, 2.0, True])
     def test_rejects_bad_step_counts(self, ell, tridiag3):
-        with pytest.raises(ValueError):
+        message = f"ell must be an integer in 1..2, got {ell!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gd.schur_complement(tridiag3, ell)
 
     def test_keeps_band_structure_exactly(self, small_ensemble):
