@@ -26,25 +26,28 @@ outside the band are zero, and then its band diagonals are read into V. A
 
 One writer, :func:`_band_to_dense`, puts V onto the band diagonals of a
 fresh N x N array of zeros. :meth:`BandedMatrix.to_dense` writes a new one
-from the kept V on each call. Each constructor also writes V once onto
-``data``, an N x N image that nothing in the package reads: it is kept only
-for callers outside the package, until they read ``to_dense()`` instead and
-it can be deleted. It is a zero-filled private anonymous memory mapping,
-not an ``np.zeros`` allocation: the kernel maps a page only when it is first
-written, so only the pages that hold band entries become resident,
-O(N (r_lower + r_upper + 1) * 8) bytes rounded up to whole 4 KiB pages,
-about one page per row for a narrow band. Reading an untouched page gives
-zeros. The mapping asks for no transparent huge pages: numpy marks its own
-large allocations for them, and then the first write into each 2 MiB page
-zeroes and keeps all of it, so the whole N^2 * 8 bytes become resident for
-a band of a few diagonals. ``A.data.nbytes`` still reports N^2 * 8.
+from the kept V on each call. No constructor makes an N x N array: V is
+written onto ``data``, an N x N image that nothing in the package reads, on
+its first read, and every later read returns that same array. It is kept
+only for callers outside the package, until they read ``to_dense()``
+instead and it can be deleted. It is a zero-filled private anonymous
+memory mapping, not an ``np.zeros`` allocation: the kernel maps a page
+only when it is first written, so only the pages that hold band entries
+become resident, O(N (r_lower + r_upper + 1) * 8) bytes rounded up to
+whole 4 KiB pages, about one page per row for a narrow band. Reading an
+untouched page gives zeros. The mapping asks for no transparent huge
+pages: numpy marks its own large allocations for them, and then the first
+write into each 2 MiB page zeroes and keeps all of it, so the whole
+N^2 * 8 bytes become resident for a band of a few diagonals.
+``A.data.nbytes`` still reports N^2 * 8.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -67,12 +70,13 @@ class BandedMatrix:
     """Real N x N matrix with declared lower/upper bandwidths, kept as its band.
 
     The band array V (see the module docstring), kept read-only as ``_V``,
-    is what every reader uses, :meth:`to_dense` among them. ``data`` is its
-    read-only, C-ordered float64 N x N image on a memory mapping of which
-    only the pages holding the band are resident, whatever the constructor:
-    dense input is checked and its band copied over, the array itself is not
-    kept. Nothing in the package reads ``data``; it is written only for
-    callers outside it.
+    is what every reader uses, :meth:`to_dense` among them. Dense input is
+    checked and its band copied over; the array itself is not kept.
+    ``data`` is V's read-only, C-ordered float64 N x N image on a memory
+    mapping of which only the pages holding the band are resident. It is
+    written on its first read, and every later read returns that same
+    array (first reads that overlap in two threads may each write one);
+    no constructor, and nothing in the package, reads it.
 
     Entries A(i, j) with i - j > r_lower or j - i > r_upper are exactly zero,
     and every entry is finite (NaN and +-inf are rejected).
@@ -86,29 +90,34 @@ class BandedMatrix:
     n: int
     r_lower: int
     r_upper: int
-    data: np.ndarray
+    dense: InitVar[np.ndarray]
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+    def __post_init__(self, dense):
+        data = np.asarray(dense, dtype=float)
         if data.shape != (self.n, self.n):
             raise ValueError(f"data shape {data.shape} does not match n={self.n}")
         n, r_lower, r_upper = _check_dimensions(self.n, self.r_lower, self.r_upper)
-        vars(self).update(n=n, r_lower=r_lower, r_upper=r_upper)  # past the frozen __setattr__
         V = _read_band(data, r_lower, r_upper)
         # every nonzero must lie in the band; a NaN counts as nonzero, so
         # once the counts agree only the band can hold a non-finite entry
         if np.count_nonzero(data) != np.count_nonzero(V):
             _raise_first_non_finite(data)
             raise ValueError("entries outside the declared band must be exactly zero")
-        self._store(V)
+        self._store(n, r_lower, r_upper, V)
 
-    def _store(self, V: np.ndarray) -> None:
-        """Check the band V is finite, write it onto fresh mapped zeros, freeze and store both."""
-        _raise_first_non_finite(V, self.r_lower)
-        data = _band_to_dense(V, self.r_lower, _mapped_zeros(self.n))
-        for arr in (V, data):
-            arr.flags.writeable = False
-        vars(self).update(_V=V, data=data)  # past the frozen __setattr__
+    def _store(self, n: int, r_lower: int, r_upper: int, V: np.ndarray) -> None:
+        """Check the band V is finite, freeze it and keep it with the checked dimensions."""
+        _raise_first_non_finite(V, r_lower)
+        V.flags.writeable = False
+        # past the frozen __setattr__
+        vars(self).update(n=n, r_lower=r_lower, r_upper=r_upper, _V=V)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """V written onto fresh mapped zeros, read-only; MemoryError if no mapping can be made."""
+        data = _band_to_dense(self._V, self.r_lower, _mapped_zeros(self.n))
+        data.flags.writeable = False
+        return data
 
     def band(self, pad: int = 0) -> np.ndarray:
         """New band array V of shape (N + pad, r_lower + r_upper + 1).
@@ -210,8 +219,7 @@ def from_band(V: np.ndarray, r_lower: int, r_upper: int) -> BandedMatrix:
             f"band array entry V[{i}, {t}] = {V[i, t]} lies outside the matrix and must be zero"
         )
     A = object.__new__(BandedMatrix)
-    vars(A).update(n=n, r_lower=r_lower, r_upper=r_upper)
-    A._store(V)
+    A._store(n, r_lower, r_upper, V)
     return A
 
 
@@ -488,8 +496,8 @@ def read_matrix_market(path) -> BandedMatrix:
     failures (an overflowing sum, a byte that is not ASCII and a number with
     Python's digit-group underscores among them) report the 1-based line
     number. The sums fill a band array of shape (N, r_lower + r_upper + 1),
-    written once onto the band of the N x N array as in ``make_banded``; an
-    order too large to allocate either is a MatrixMarketError.
+    from which :func:`from_band` builds A, as in ``make_banded``; an order
+    whose band array cannot be allocated is a MatrixMarketError.
     """
     lineno, seen, size_lineno = 0, 0, None
     # running sum of each 1-based (row, col), added in file order from 0.0
@@ -541,16 +549,12 @@ def read_matrix_market(path) -> BandedMatrix:
     keys = [key for key, total in sums.items() if total != 0.0]
     r_lower = max([1, *(i - j for i, j in keys)])
     r_upper = max([0, *(j - i for i, j in keys)])
-    too_big = MatrixMarketError(
-        f"cannot allocate a dense matrix of order {nrows}", line=size_lineno
-    )
     try:
         V = np.zeros((nrows, r_lower + r_upper + 1))
     except (MemoryError, ValueError):
-        raise too_big from None
+        raise MatrixMarketError(
+            f"cannot allocate a dense matrix of order {nrows}", line=size_lineno
+        ) from None
     i, j = np.array(keys, dtype=int).reshape(-1, 2).T
     V[i - 1, j - i + r_lower] = [sums[key] for key in keys]
-    try:
-        return from_band(V, r_lower, r_upper)
-    except MemoryError:
-        raise too_big from None
+    return from_band(V, r_lower, r_upper)

@@ -25,11 +25,15 @@ def random_dominant_matrix(
     column ratio is a random fraction of ``mu_target``, with one column
     pinned at ``mu_target``, and given a random sign. Mixed-sign, one- and
     two-sided cases are all exercised. An ``n`` that is given is an integer
-    >= 2, and an ``r_lower`` that is given an integer in 1..n-1; anything
-    else is a ValueError.
+    >= 2, and an ``r_lower`` that is given an integer in 1..n-1. ``n_max``,
+    the bound of a drawn n, is an integer >= 8 when n is drawn, and
+    ``r_max``, the bound of the drawn bandwidths, an integer >= 1 when
+    r_lower is drawn and >= 0 otherwise; both are checked before any draw.
+    Anything else is a ValueError.
     """
+    r_max = _check_int("r_max", r_max, 1 if r_lower is None else 0)
     if n is None:
-        n = int(rng.integers(8, n_max + 1))
+        n = int(rng.integers(8, _check_int("n_max", n_max, 8) + 1))
     else:
         n = _check_int("n", n, 2)
     if r_lower is None:
@@ -67,7 +71,9 @@ def dominant_ensemble(
 
     ``pinned`` entries (n, r_lower, one_sided) are generated first, so a
     sweep always contains the extreme sizes it claims to cover. ``count``
-    and ``seed`` are integers >= 0; anything else is a ValueError.
+    and ``seed`` are integers >= 0, and ``n_max`` and ``r_max`` bound the
+    draws as in :func:`random_dominant_matrix`; anything else is a
+    ValueError.
     """
     count = _check_int("count", count, 0)
     rng = np.random.default_rng(_check_int("seed", seed, 0))

@@ -240,17 +240,17 @@ def _eliminate_kernel(W: np.ndarray, r: int, s: int) -> np.ndarray:
     The kernel (:func:`_elimination_source`) starts from the r x s block
     A(1 : r, 1 : s) of window 1 and takes the r+s+1 entries that enter
     window k, the column A(k : k+r-1, k+s) and the row A(k+r, k : k+s), as
-    one tuple of Python floats, streamed from one (N, r+s+1) array of them
-    copied out of W; W itself is not written. Returns the (N, r+s+1)
-    read-only array ``[f | R]`` that the kernel's steps fill, row k-1 for
-    step k. The pivot floor is that of :func:`_eliminate`, so all N steps
-    leave every entry finite.
+    one tuple of Python floats, streamed from the first N rows of W, which
+    they overwrite, so that W and ``[f | R]`` are the only arrays of that
+    size held at once. Returns the (N, r+s+1) read-only array ``[f | R]``
+    that the kernel's steps fill, row k-1 for step k. The pivot floor is
+    that of :func:`_eliminate`, so all N steps leave every entry finite.
     """
     n, m = len(W) - r, r + s + 1
     G = _windows(W, r, s)
-    entering = _rows(np.concatenate((G[:, :r, s], G[:, r]), axis=1))
-    kernel = _kernel(_elimination_source, r, s)
-    out = kernel(entering, tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W))
+    state, floor = tuple(G[0, :r, :s].ravel().tolist()), _pivot_floor(W)
+    W[:n] = np.concatenate((G[:, :r, s], G[:, r]), axis=1)
+    out = _kernel(_elimination_source, r, s)(_rows(W[:n]), state, floor)
     F = np.fromiter(chain.from_iterable(out), float, n * m).reshape(n, m)
     F.flags.writeable = False
     return F
@@ -420,6 +420,7 @@ def _kernel_generators(slu: StructuredLU) -> GreenGenerators:
     bottom = np.reshape(state[: r * r], (r, r))
     # the last item, the final state, is past the count and never read
     p_rows = np.fromiter(chain.from_iterable(kernel(steps, state)), float, (n - r) * r)
+    del steps  # the rows it streams are as large as [f | R]; free them before the copies
     return GreenGenerators(p_rows.reshape(n - r, r)[::-1], bottom, slu.f[: n - r])
 
 

@@ -3,15 +3,16 @@
 These compare tracemalloc peaks and resident set sizes, never timings, so
 they are deterministic. At N = 2000 the dense array is 30.5 MiB; a kernel
 that builds any N x N temporary peaks far above the limits below.
-tracemalloc does not see memory mappings, so the N x N array of
-``make_banded`` is checked by the resident set size of a fresh process.
-At N = 10^5 the generated kernels run on a band work array built without
-a BandedMatrix, so that no N x N mapping is made.
+tracemalloc does not see memory mappings, so the N x N image that
+``A.data`` maps is checked by the resident set size of a fresh process.
+At N = 10^5 the generated kernels run on a matrix from ``from_band``,
+whose N x N image no constructor and no kernel maps.
 
 This is the one test module that reads ``A.data``, the N x N image that
-each constructor still writes for callers outside the package: its flags,
-its resident pages, its memory mapping, and that ``to_dense()`` and
-``lower_factor()``, which write the kept bands instead, give its bytes.
+is written on its first read, for callers outside the package: its flags,
+its resident pages, its memory mapping, that it is not made until it is
+read, and that ``to_dense()`` and ``lower_factor()``, which write the kept
+bands instead, give its bytes.
 """
 
 import errno
@@ -59,15 +60,16 @@ def peak_bytes(fn, *args):
 def test_make_banded_writes_one_dense_array(band):
     # the samples, their band array and the (i, j) index pair, all O(N (r+s+1)),
     # take 0.33 MiB, traced; a list of the indices as Python ints peaked at
-    # 0.60 MiB. The N x N array is a memory mapping, which tracemalloc does
-    # not see: the resident set test below shows it is written only on the band
+    # 0.60 MiB. No N x N array is made: the image is mapped on the first
+    # read of A.data, and the resident set test below shows it is written
+    # only on the band
     W = band.data
     assert peak_bytes(gd.make_banded, N, R, R, lambda i, j: W[i - 1, j - 1]) < 0.4 * MIB
 
 
 def test_non_finite_band_entry_is_found_in_the_band():
-    # the band is scanned before the N x N mapping is made; a scan of the
-    # mapping built an N x N boolean array and peaked at 4.1 MiB here
+    # the band is scanned, not an N x N image; a scan of the image built
+    # an N x N boolean array and peaked at 4.1 MiB here
     bad = (N // 2, N // 2 + 2)
 
     def make():
@@ -80,8 +82,7 @@ def test_non_finite_band_entry_is_found_in_the_band():
 
 def test_dense_input_keeps_only_the_band(band):
     # dense input is scanned in place and only its band is read out, into an
-    # (N, r+s+1) array written onto the memory mapping, which tracemalloc
-    # does not see; a copy of the input would be 30.5 MiB
+    # (N, r+s+1) array; a copy of the input would be 30.5 MiB
     W = band.data
     assert peak_bytes(gd.BandedMatrix, N, R, R, W) < MIB
     assert peak_bytes(gd.from_dense, W, R, R) < MIB
@@ -96,8 +97,8 @@ def peak():
     unit = 1 if sys.platform == "darwin" else 1024
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
 
-before = peak()
 A = gd.make_banded(6000, 4, 4, lambda i, j: 9.0 if i == j else 1.0)
+before = peak()
 flags = A.data.flags
 print(json.dumps([peak() - before, flags.writeable, flags.c_contiguous, A.data.shape]))
 """
@@ -105,8 +106,9 @@ print(json.dumps([peak() - before, flags.writeable, flags.c_contiguous, A.data.s
 
 @pytest.mark.skipif(os.name != "posix", reason="ru_maxrss is POSIX")
 def test_make_banded_keeps_only_the_band_resident():
-    # the 6000 x 6000 array spans 275 MiB, its 9 diagonals about one 4 KiB
-    # page per row: 23 MiB. A fresh process, so no earlier test's peak hides it.
+    # the first read of A.data maps the 6000 x 6000 image, 275 MiB, and
+    # writes its 9 diagonals, about one 4 KiB page per row: 23 MiB. A fresh
+    # process, so no earlier test's peak hides it.
     src = str(Path(gd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -153,47 +155,41 @@ def test_factor_and_generators_allocate_o_n(band, fn):
     assert peak_bytes(fn, band) < 0.4 * MIB
 
 
-def band_work_array(n, r, s, rng):
-    """Band work array of structured_lu for a column-dominant band, built
-    without a BandedMatrix and its N x N mapping: W[i, t] = A(i, i+t-r),
-    zero outside the matrix and in the r rows past row N."""
-    W = rng.uniform(-1.0, 1.0, (n + r, r + s + 1))
-    rows = np.arange(n + r)[:, None]
-    cols = rows + np.arange(-r, s + 1)
-    W[(cols < 0) | (cols >= n) | (rows >= n)] = 0.0
-    W[:n, r] = 2.0 * (r + s) + 1.0
-    return W
-
-
 N_SCALE, R_SCALE = 10**5, 4
 BAND_BYTES = N_SCALE * (2 * R_SCALE + 1) * 8
 
 
 @pytest.fixture(scope="module")
 def scale_band():
-    """Work array and factorization of the kernels at N = 10^5, r = s = 4,
-    where the band holds 6.9 MiB and a BandedMatrix would map 75 GiB.
+    """A column-dominant band at N = 10^5, r = s = 4, from ``from_band``,
+    and its factorization: the band holds 6.9 MiB, and its N x N image,
+    which nothing here reads, would map 75 GiB.
 
     Both kernels run once here, untraced: a first run in the process took
     about four times as long under tracemalloc as a later one."""
-    W = band_work_array(N_SCALE, R_SCALE, R_SCALE, np.random.default_rng(1))
+    V = np.random.default_rng(1).uniform(-1.0, 1.0, (N_SCALE, 2 * R_SCALE + 1))
+    rows = np.arange(N_SCALE)[:, None]
+    cols = rows + np.arange(-R_SCALE, R_SCALE + 1)
+    V[(cols < 0) | (cols >= N_SCALE)] = 0.0
+    V[:, R_SCALE] = 4.0 * R_SCALE + 1.0
+    A = gd.from_band(V, R_SCALE, R_SCALE)
     assert lu._on_floats(N_SCALE, R_SCALE, R_SCALE)
-    F = lu._eliminate_kernel(W, R_SCALE, R_SCALE)
-    slu = gd.StructuredLU(F[: N_SCALE - 1, :R_SCALE], F[:, R_SCALE:])
+    slu = gd.structured_lu(A)
     gd.inverse_green_generators(slu)
-    return W, slu
+    return A, slu
 
 
 def test_elimination_at_scale_peaks_at_two_bands(scale_band):
-    # the entering entries and the [f | R] output, one band each; lists of
-    # Python floats for both peaked at 7.7 bands
-    W = scale_band[0]
-    assert peak_bytes(lu._eliminate_kernel, W, R_SCALE, R_SCALE) < 3 * BAND_BYTES
+    # the work array, whose first N rows the entering entries overwrite, and
+    # the [f | R] output, one band each, and the pivot checks' O(N) sums:
+    # 2.4 bands; a second array of entering entries made it 3.0, and lists
+    # of Python floats for both peaked at 7.7 bands
+    assert peak_bytes(gd.structured_lu, scale_band[0]) < 3 * BAND_BYTES
 
 
 def test_recursion_at_scale_peaks_near_two_bands(scale_band):
     # the rows of [f | R] read backwards (one band), the p rows and the
-    # generators' copies: 2.4 bands; lists of Python floats peaked at 5.8
+    # generators' copies: 1.4 bands; lists of Python floats peaked at 5.8
     assert peak_bytes(gd.inverse_green_generators, scale_band[1]) < 3 * BAND_BYTES
 
 
@@ -201,11 +197,25 @@ def test_zero_pivot_midway_at_scale_names_its_step(scale_band):
     # row k of A is zero left of and on the diagonal, so no earlier step
     # updates it and its pivot stays an exact zero
     k = N_SCALE // 2
-    W = scale_band[0].copy()
-    W[k - 1, : R_SCALE + 1] = 0.0
+    V = scale_band[0].band()
+    V[k - 1, : R_SCALE + 1] = 0.0
     with pytest.raises(gd.ZeroPivotError, match=f"step k={k} ") as err:
-        lu._eliminate_kernel(W, R_SCALE, R_SCALE)
+        gd.structured_lu(gd.from_band(V, R_SCALE, R_SCALE))
     assert (err.value.k, err.value.value) == (k, 0.0)
+
+
+def test_public_api_at_scale_maps_no_image(scale_band):
+    # no reader but A.data itself maps the N x N image; the generators from
+    # A peak at [f | R] plus the recursion's 1.4 bands: 2.4 bands
+    A = scale_band[0]
+    repr(A)
+    gd.dominance_mu(A)
+    gd.lu_bound(A)
+    gd.varah_bound(A)
+    with pytest.raises(gd.HypothesisError, match="degenerate"):
+        gd.qr_bound(A)
+    assert peak_bytes(gd.inverse_green_generators, A) < 3 * BAND_BYTES
+    assert "data" not in vars(A)
 
 
 def test_generators_add_o_n_r2_to_one_copy_of_r(band):
@@ -267,25 +277,49 @@ class TestMappedArray:
         monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
         self.assert_same_array(expected)
 
-    def test_a_mapping_that_cannot_be_made(self, monkeypatch, tmp_path, capsys):
-        # the path of an order too large for memory: each constructor raises
-        # MemoryError, the reader names the order at its size line
+    def test_a_mapping_that_cannot_be_made(self, monkeypatch, tmp_path):
+        # no constructor maps: each builds A, and the first read of the
+        # image raises MemoryError, as np.zeros does
         def no_memory(*args, **kwargs):
             raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
         monkeypatch.setattr(mmap, "mmap", no_memory)
-        with pytest.raises(MemoryError, match=r"^cannot map a float64 array of order 3$"):
-            gd.from_band(np.array([[0.0, 4.0], [1.0, 4.0], [1.0, 4.0]]), 1, 0)
-        path = tmp_path / "m.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n% a comment\n3 3 1\n1 1 4.0\n"
-        )
-        message = "cannot allocate a dense matrix of order 3 (line 3)"
-        with pytest.raises(gd.MatrixMarketError, match=rf"^{re.escape(message)}$"):
-            gd.read_matrix_market(path)
-        assert cli_main(["bounds", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        V = np.array([[0.0, 4.0], [1.0, 4.0], [1.0, 4.0]])
+        built = [
+            gd.from_band(V, 1, 0),
+            gd.make_banded(3, 1, 0, lambda i, j: 4.0 if i == j else 1.0),
+            gd.read_matrix_market(small_matrix_market(tmp_path)),
+        ]
+        for A in built:
+            assert A.band().tobytes() == V.tobytes()
+            with pytest.raises(MemoryError, match=r"^cannot map a float64 array of order 3$"):
+                A.data
+
+
+def small_matrix_market(tmp_path):
+    """A 3 x 3 file whose size line is line 3: 4 on the diagonal, 1 below it."""
+    path = tmp_path / "m.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n% a comment\n3 3 5\n"
+        "1 1 4.0\n2 1 1.0\n2 2 4.0\n3 2 1.0\n3 3 4.0\n"
+    )
+    return path
+
+
+def test_a_band_that_cannot_be_allocated(monkeypatch, tmp_path, capsys):
+    # the path of an order too large for memory: the reader names the order
+    # at its size line, and so does bounds, with exit code 1
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    path = small_matrix_market(tmp_path)
+    monkeypatch.setattr(np, "zeros", no_memory)
+    message = "cannot allocate a dense matrix of order 3 (line 3)"
+    with pytest.raises(gd.MatrixMarketError, match=rf"^{re.escape(message)}$"):
+        gd.read_matrix_market(path)
+    assert cli_main(["bounds", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def one_sided_with_negative_zero(tmp_path):
@@ -332,7 +366,10 @@ def row_loop_lower_factor(slu):
 def test_band_writers_give_the_image_and_row_loop_bytes(tmp_path, build):
     A = build(tmp_path)
     dense = A.to_dense()
-    assert dense.tobytes() == np.array(A.data).tobytes()
+    assert "data" not in vars(A)
+    image = A.data
+    assert A.data is image and not image.flags.writeable and image.flags.c_contiguous
+    assert dense.tobytes() == image.tobytes()
     assert dense.flags.writeable and dense.flags.c_contiguous
     slu = gd.structured_lu(A)
     assert slu.lower_factor().tobytes() == row_loop_lower_factor(slu).tobytes()

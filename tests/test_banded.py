@@ -571,7 +571,8 @@ class TestMatrixMarket:
 # argument below, given 2.0, True, "1", None or a value just outside its
 # range, raises its error with the text "<name> must be an integer in
 # low..high" (or ">= low"), and takes a numpy integer. random_dominant_matrix
-# draws an n or r_lower of None, so only given ones are checked. The calls
+# draws an n or r_lower of None, so only given ones are checked; n_max and
+# r_max are checked, None among them, as the bounds of those draws. The calls
 # read a 6 x 6 band A with r = 2, its generators and its LU bound.
 _A = gd.make_banded(6, 2, 1, lambda i, j: 4.0 if i == j else 0.5)
 _GENS = gd.inverse_green_generators(_A)
@@ -605,6 +606,20 @@ INTEGER_ARGUMENTS = {
         lambda v: gd.random_dominant_matrix(np.random.default_rng(1), n=6, r_lower=v),
         ValueError, "r_lower", 1, 5,
     ),
+    "random_dominant_matrix-n_max": (
+        lambda v: gd.random_dominant_matrix(np.random.default_rng(1), n_max=v),
+        ValueError, "n_max", 8, None,
+    ),
+    "random_dominant_matrix-r_max": (
+        lambda v: gd.random_dominant_matrix(np.random.default_rng(1), r_max=v),
+        ValueError, "r_max", 1, None,
+    ),
+    "dominant_ensemble-n_max": (
+        lambda v: gd.dominant_ensemble(3, 1, n_max=v), ValueError, "n_max", 8, None
+    ),
+    "dominant_ensemble-r_max": (
+        lambda v: gd.dominant_ensemble(3, 1, r_max=v), ValueError, "r_max", 1, None
+    ),
     "DecayBound-r": (
         lambda v: gd.DecayBound("LU", 0.5, v, M=1.0), ValueError, "bandwidth r", 1, None
     ),
@@ -635,7 +650,7 @@ INTEGER_ARGUMENTS = {
 def test_every_count_and_index_is_an_integer_in_its_range(argument):
     call, error, name, low, high = INTEGER_ARGUMENTS[argument]
     span = f">= {low}" if high is None else f"in {low}..{high}"
-    drawn = argument.startswith("random_dominant_matrix")
+    drawn = argument in ("random_dominant_matrix-n", "random_dominant_matrix-r_lower")
     for value in [2.0, True, "1", *([] if drawn else [None]), low - 1,
                   *([] if high is None else [high + 1])]:
         message = f"{name} must be an integer {span}, got {value!r}"
